@@ -10,6 +10,10 @@ weak-interference regime; the inner bounds are the exact Shannon rates of
 TIN under a recovered power allocation.  Their linearized forms differ by
 a constant independent of power: 1 + log2(K) per user and
 m*log2(3K) per length-m cycle, which is the certified gap.
+
+Cycle rows follow :func:`region.enumerate_cycles` with GDoF right-hand
+sides from :func:`potential_graph.cycle_rhs`, the region's own numbers;
+:func:`gap_certificate` takes its outer bounds from :func:`rate_outer_bounds`.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from .channel_model import (
     PowerExponents,
     check_tin_condition,
 )
-from .potential_graph import recover_power_allocation
-from .region import K_MAX_UNION, canonical_cycle, enumerate_cycles
+from .potential_graph import canonical_cycle, cycle_rhs, recover_power_allocation
+from .region import K_MAX_UNION, enumerate_cycles
 
 
 def _log2_sum_pow(exponents_bits) -> float:
@@ -136,12 +140,6 @@ def cyclic_quantities(ch: FiniteSnrChannel, cycle) -> CyclicBoundQuantities:
     )
 
 
-def _cycle_rhs_gdof(alpha: ChannelMatrix, seq: tuple) -> float:
-    a = alpha.alpha
-    m = len(seq)
-    return float(sum(a[seq[j], seq[j]] - a[seq[j - 1], seq[j]] for j in range(m)))
-
-
 @dataclass(frozen=True)
 class LimitReport:
     """Convergence of the normalized outer-bound quantities to their limits."""
@@ -174,20 +172,15 @@ def gdof_limit_checks(alpha: ChannelMatrix, cycle, powers) -> LimitReport:
         P_list[i] >= P_list[i + 1] for i in range(len(P_list) - 1)
     ):
         raise ValueError("powers must be increasing and exceed 1")
+    # cyclic_quantities validates the cycle, so run it before indexing alpha
+    quantities = [cyclic_quantities(FiniteSnrChannel(alpha, P), seq) for P in P_list]
     a = alpha.alpha
     m = len(seq)
-    kappa_limit = _cycle_rhs_gdof(alpha, seq)
-    rho_limits = tuple(
-        a[seq[k], seq[k]]
-        + sum(
-            a[seq[j], seq[j]] - a[seq[j - 1], seq[j]] for j in range(m) if j != k
-        )
-        for k in range(m)
-    )
+    kappa_limit = cycle_rhs(alpha, seq)
+    rho_limits = tuple(kappa_limit + a[seq[k - 1], seq[k]] for k in range(m))
     kappa_errors = []
     rho_errors = [[] for _ in range(m)]
-    for P in P_list:
-        q = cyclic_quantities(FiniteSnrChannel(alpha, P), seq)
+    for P, q in zip(P_list, quantities):
         L = math.log2(P)
         kappa_errors.append(abs(q.kappa.sum() / L - kappa_limit))
         for k in range(m):
@@ -272,7 +265,7 @@ def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:
     cycles = []
     for seq in enumerate_cycles(range(ch.K)):
         q = cyclic_quantities(ch, seq)
-        rhs = _cycle_rhs_gdof(ch.channel, seq)
+        rhs = cycle_rhs(ch.channel, seq)
         cycles.append(
             RateBound(
                 "cycle",
@@ -334,14 +327,15 @@ def gap_certificate(
 
     Requires the optimality condition and an achievable (all-active)
     point.  For every constraint of the region, reports the exact and
-    linearized outer bounds, the linearized inner bound, the achieved
-    exact TIN rates under the recovered power allocation, and the
-    analytic gap (1 + log2 K per user, m*log2(3K) per cycle).  Raises if
-    a constraint that is tight at ``d`` shows an empirical gap above its
+    linearized outer bounds (from :func:`rate_outer_bounds`, which refuses
+    K > ``K_MAX_UNION`` before any work), the linearized inner bound, the
+    achieved exact TIN rates under the recovered power allocation, and the
+    analytic gap (1 + log2 K per user, m*log2(3K) per cycle).  Raises if a
+    constraint that is tight at ``d`` shows an empirical gap above its
     analytic value, since that would falsify the certificate.
     """
-    cond = check_tin_condition(ch.channel)
-    if not cond.overall:
+    bounds = rate_outer_bounds(ch)
+    if not bounds.condition_holds:
         raise ValueError("gap certificates require the optimality condition")
     dv = np.asarray(d, dtype=float)
     cert = recover_power_allocation(ch.channel, dv)
@@ -357,37 +351,35 @@ def gap_certificate(
     log2K = math.log2(K)
     sigma_user = 1.0 + log2K
     rows = []
-    for i in range(K):
-        outer_exact = float(np.logaddexp2(0.0, a[i, i] * L))
+    for i, bound in enumerate(bounds.user_bounds):
         rows.append(
             ConstraintGap(
                 kind="user",
                 users=(i,),
-                outer_exact=outer_exact,
-                outer_linear=float(a[i, i] * L + 1.0),
+                outer_exact=bound.exact_bits,
+                outer_linear=bound.linear_bits,
                 inner_linear=float(a[i, i] * L - log2K),
                 achieved_bits=float(rates[i]),
                 analytic_sigma=sigma_user,
-                empirical_sigma=float(outer_exact - rates[i]),
+                empirical_sigma=float(bound.exact_bits - rates[i]),
                 tight=bool(abs(dv[i] - a[i, i]) <= tight_tol),
             )
         )
-    for seq in enumerate_cycles(range(K)):
+    for bound in bounds.cycle_bounds:
+        seq = bound.users
         m = len(seq)
-        q = cyclic_quantities(ch, seq)
-        rhs = _cycle_rhs_gdof(ch.channel, seq)
-        outer_exact = float(q.kappa.sum())
+        rhs = cycle_rhs(ch.channel, seq)
         achieved = float(sum(rates[u] for u in seq))
         rows.append(
             ConstraintGap(
                 kind="cycle",
                 users=seq,
-                outer_exact=outer_exact,
-                outer_linear=float(rhs * L + m * math.log2(3.0)),
+                outer_exact=bound.exact_bits,
+                outer_linear=bound.linear_bits,
                 inner_linear=float(rhs * L - m * log2K),
                 achieved_bits=achieved,
                 analytic_sigma=float(m * math.log2(3.0 * K)),
-                empirical_sigma=float(outer_exact - achieved),
+                empirical_sigma=float(bound.exact_bits - achieved),
                 tight=bool(abs(sum(dv[u] for u in seq) - rhs) <= tight_tol),
             )
         )

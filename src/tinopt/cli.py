@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -54,8 +55,8 @@ def _canon(obj):
     return obj
 
 
-def _dump_json(obj, path: str | None) -> None:
-    text = json.dumps(_canon(obj), indent=2) + "\n"
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or echo it to stdout when no path is given."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -63,26 +64,37 @@ def _dump_json(obj, path: str | None) -> None:
         click.echo(text, nl=False)
 
 
+def _dump_json(obj, path: str | None) -> None:
+    _emit(json.dumps(_canon(obj), indent=2) + "\n", path)
+
+
+def _fail(message: str, code: int = 2) -> NoReturn:
+    """One-line ``error:`` on stderr, then exit (2 = malformed input)."""
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
+
+
 def _load(path: str) -> ChannelMatrix:
     try:
         return load_channel(path)
     except json.JSONDecodeError as exc:
-        click.echo(f"error: {path}:{exc.lineno}: {exc.msg}", err=True)
-        sys.exit(2)
+        _fail(f"{path}:{exc.lineno}: {exc.msg}")
     except (OSError, ValueError) as exc:
-        click.echo(f"error: {path}: {exc}", err=True)
-        sys.exit(2)
+        _fail(f"{path}: {exc}")
+
+
+def _parse_list(text: str, conv, name: str) -> list:
+    try:
+        return [conv(x) for x in text.split(",")]
+    except ValueError:
+        kind = "integers" if conv is int else "numbers"
+        _fail(f"{name} must be comma-separated {kind}")
 
 
 def _parse_vector(text: str, K: int, name: str) -> np.ndarray:
-    try:
-        vals = [float(x) for x in text.split(",")]
-    except ValueError:
-        click.echo(f"error: {name} must be comma-separated numbers", err=True)
-        sys.exit(2)
+    vals = _parse_list(text, float, name)
     if len(vals) != K:
-        click.echo(f"error: {name} needs {K} entries, got {len(vals)}", err=True)
-        sys.exit(2)
+        _fail(f"{name} needs {K} entries, got {len(vals)}")
     return np.array(vals)
 
 
@@ -117,25 +129,28 @@ def region_cmd(channel, silent_set, minimize, union_flag, vertices, output):
         try:
             comps = general_tin_region(ch)
         except ValueError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
+            _fail(str(exc))
         _dump_json({"K": ch.K, "components": [c.to_dict() for c in comps]}, output)
         sys.exit(0)
-    silent = [int(s) for s in silent_set.split(",") if s.strip() != ""]
+    try:
+        silent = [int(s) for s in silent_set.split(",") if s.strip() != ""]
+    except ValueError:
+        _fail("--silent-set must be comma-separated integers")
     try:
         poly = polyhedral_region(ch, silent)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _fail(str(exc))
     if minimize:
         poly = minimized(poly)
     if vertices:
-        verts = polyhedron_vertices(poly)
+        try:
+            verts = polyhedron_vertices(poly)
+        except ValueError as exc:
+            _fail(str(exc))
         lines = [",".join(f"d{i}" for i in range(ch.K))]
         for v in verts:
             lines.append(",".join(format(_fmt(x), ".12g") for x in v))
-        with open(vertices, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _emit("\n".join(lines) + "\n", vertices)
     _dump_json(poly.to_dict(), output)
 
 
@@ -148,8 +163,7 @@ def membership_cmd(channel, gdof, output):
     ch = _load(channel)
     d = _parse_vector(gdof, ch.K, "--gdof")
     if np.any(d < 0):
-        click.echo("error: --gdof entries must be nonnegative", err=True)
-        sys.exit(2)
+        _fail("--gdof entries must be nonnegative")
     verdict = point_in_tin_region(ch, d)
     _dump_json(verdict.to_dict(), output)
     sys.exit(0 if verdict.inside else 1)
@@ -164,8 +178,7 @@ def power_alloc_cmd(channel, gdof, output):
     ch = _load(channel)
     d = _parse_vector(gdof, ch.K, "--gdof")
     if np.any(d < 0):
-        click.echo("error: --gdof entries must be nonnegative", err=True)
-        sys.exit(2)
+        _fail("--gdof entries must be nonnegative")
     cert = recover_power_allocation(ch, d)
     out = cert.to_dict()
     if cert.feasible:
@@ -184,31 +197,24 @@ def gap_check_cmd(channel, gdof, powers, output):
     """Constant-gap report as CSV, one block per nominal power."""
     ch = _load(channel)
     d = _parse_vector(gdof, ch.K, "--gdof")
+    try:
+        channels = [FiniteSnrChannel(ch, P) for P in powers]
+    except ValueError as exc:
+        _fail(str(exc))
     lines = [
         "instance_id,constraint_type,users,P,analytic_sigma,"
         "empirical_sigma,bound_bits,achieved_bits"
     ]
-    for P in powers:
+    for fch in channels:
         try:
-            report = gap_certificate(FiniteSnrChannel(ch, P), d)
+            report = gap_certificate(fch, d)
         except (ValueError, ArithmeticError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
+            _fail(str(exc), code=1)
         for row in report.csv_rows(instance_id=channel):
-            lines.append(
-                f"{row['instance_id']},{row['constraint_type']},{row['users']},"
-                f"{format(_fmt(row['P']), '.12g')},"
-                f"{format(_fmt(row['analytic_sigma']), '.12g')},"
-                f"{format(_fmt(row['empirical_sigma']), '.12g')},"
-                f"{format(_fmt(row['bound_bits']), '.12g')},"
-                f"{format(_fmt(row['achieved_bits']), '.12g')}"
-            )
-    text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+            lines.append(",".join(
+                v if isinstance(v, str) else format(_fmt(v), ".12g") for v in row.values()
+            ))
+    _emit("\n".join(lines) + "\n", output)
 
 
 @main.command("gdof-limits")
@@ -220,13 +226,12 @@ def gap_check_cmd(channel, gdof, powers, output):
 def gdof_limits_cmd(channel, cycle, powers, tol, output):
     """Convergence of normalized outer bounds; exit 1 unless converged."""
     ch = _load(channel)
-    seq = [int(x) for x in cycle.split(",")]
-    plist = [float(x) for x in powers.split(",")]
+    seq = _parse_list(cycle, int, "--cycle")
+    plist = _parse_list(powers, float, "--powers")
     try:
         report = gdof_limit_checks(ch, seq, plist)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _fail(str(exc))
     _dump_json(
         {
             "cycle": list(report.cycle),
@@ -278,17 +283,11 @@ def simulate_cmd(users, coverage, trials, seed, cell_radius, shadowing, workers,
         cfg = _sim_config(users, coverage, trials, seed, cell_radius, shadowing)
         est = condition_probability(cfg, workers=workers)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _fail(str(exc))
     if dump_instance:
         _dump_json(sample_network(cfg, 0).to_dict(), dump_instance)
     if fmt == "csv":
-        text = sweep_to_csv([est])
-        if output:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            click.echo(text, nl=False)
+        _emit(sweep_to_csv([est]), output)
         return
     _dump_json(
         {
@@ -326,8 +325,7 @@ def sweep_cmd(users, coverage, trials, seed, cell_radius, shadowing, workers, fm
                            shadowing)
         rows = sweep(base, K_values, radii, workers=workers)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _fail(str(exc))
     if fmt == "json":
         _dump_json(
             [
@@ -346,11 +344,7 @@ def sweep_cmd(users, coverage, trials, seed, cell_radius, shadowing, workers, fm
         return
     text = sweep_to_csv(rows)
     assert text.startswith(SWEEP_CSV_HEADER)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(text, output)
 
 
 if __name__ == "__main__":

@@ -117,20 +117,26 @@ def build_graph(alpha: ChannelMatrix, d) -> PotentialGraph:
     return PotentialGraph(alpha=alpha, d=dv, lengths=L)
 
 
-def _rotate_min_first(seq: tuple) -> tuple:
-    k = seq.index(min(seq))
-    return seq[k:] + seq[:k]
+def canonical_cycle(seq) -> tuple:
+    """Rotate a cyclic sequence so its smallest index comes first."""
+    t = tuple(int(x) for x in seq)
+    if len(t) != len(set(t)):
+        raise ValueError(f"cycle entries must be distinct, got {t}")
+    k = t.index(min(t))
+    return t[k:] + t[:k]
 
 
-def _cycle_inequality(alpha: ChannelMatrix, users: tuple) -> float:
-    """Right-hand side of the circuit inequality for a cyclic user sequence."""
+def cycle_rhs(alpha: ChannelMatrix, seq) -> float:
+    """Right-hand side of the region inequality ``sum_{i in seq} d_i <= rhs``.
+
+    ``sum_j a_{s_j s_j} - a_{s_(j-1) s_j}`` over a cyclic sequence (indices
+    wrap); a single user gives the direct power bound ``a_ii``.
+    """
     a = alpha.alpha
-    m = len(users)
+    m = len(seq)
     if m == 1:
-        return float(a[users[0], users[0]])
-    return float(
-        sum(a[users[j], users[j]] - a[users[j - 1], users[j]] for j in range(m))
-    )
+        return float(a[seq[0], seq[0]])
+    return float(sum(a[seq[j], seq[j]] - a[seq[j - 1], seq[j]] for j in range(m)))
 
 
 def _certificate_from_cycle(graph: PotentialGraph, cycle: list) -> MembershipCertificate:
@@ -142,9 +148,8 @@ def _certificate_from_cycle(graph: PotentialGraph, cycle: list) -> MembershipCer
     reported inequality is always either a direct power bound or a
     user-circuit bound.
     """
-    users = tuple(v for v in cycle if v != graph.ground)
-    users = _rotate_min_first(users)
-    rhs = _cycle_inequality(graph.alpha, users)
+    users = canonical_cycle(v for v in cycle if v != graph.ground)
+    rhs = cycle_rhs(graph.alpha, users)
     attained = float(sum(graph.d[u] for u in users))
     return MembershipCertificate(
         feasible=False,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.optimize import linprog
@@ -25,6 +25,8 @@ from .channel_model import SILENT, ChannelMatrix, PowerExponents
 from .potential_graph import (
     EPS_LENGTH,
     MembershipCertificate,
+    canonical_cycle,  # re-exported: part of this module's interface
+    cycle_rhs,
     recover_power_allocation,
 )
 
@@ -33,15 +35,6 @@ from .potential_graph import (
 K_MAX_UNION = 12
 
 CyclicSequence = tuple
-
-
-def canonical_cycle(seq: Sequence[int]) -> CyclicSequence:
-    """Rotate a cyclic sequence so its smallest index comes first."""
-    t = tuple(int(x) for x in seq)
-    if len(t) != len(set(t)):
-        raise ValueError(f"cycle entries must be distinct, got {t}")
-    k = t.index(min(t))
-    return t[k:] + t[:k]
 
 
 def enumerate_cycles(users: Iterable[int]) -> list:
@@ -76,11 +69,6 @@ class LinearInequality:
 
     def margin(self, d: np.ndarray) -> float:
         return self.rhs - self.evaluate(d)
-
-
-def _cycle_rhs(a: np.ndarray, seq: CyclicSequence) -> float:
-    m = len(seq)
-    return float(sum(a[seq[j], seq[j]] - a[seq[j - 1], seq[j]] for j in range(m)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +143,7 @@ def polyhedral_region(alpha: ChannelMatrix, silent: Iterable[int] = ()) -> Polyh
     a = alpha.alpha
     active = [i for i in range(alpha.K) if i not in S]
     cycles = tuple(
-        LinearInequality(seq, _cycle_rhs(a, seq)) for seq in enumerate_cycles(active)
+        LinearInequality(seq, cycle_rhs(alpha, seq)) for seq in enumerate_cycles(active)
     )
     ub = np.array([a[i, i] if i in active else 0.0 for i in range(alpha.K)])
     return Polyhedron(K=alpha.K, silent=S, box_ub=ub, cycles=cycles)
@@ -212,6 +200,23 @@ def _lp_cycle_system(poly: Polyhedron):
     return A, b
 
 
+def _support_lp(poly: Polyhedron, w: np.ndarray) -> tuple:
+    """Maximize ``w . d`` by one LP; ``(value, point)``, the point re-checked.
+
+    Raises :class:`EmptyPolyhedronError` when the region is empty.
+    """
+    A, b = _lp_cycle_system(poly)
+    res = linprog(-w, A_ub=A, b_ub=b, bounds=_lp_bounds(poly), method="highs")
+    if res.status == 2:
+        raise EmptyPolyhedronError("region is empty")
+    if not res.success:
+        raise RuntimeError(f"LP failed: {res.message}")
+    point = np.asarray(res.x, dtype=float)
+    if poly.worst_violation(point) > 1e-9:
+        raise RuntimeError("optimizer returned an uncertifiable point")
+    return float(w @ point), point
+
+
 def max_weighted_gdof(poly: Polyhedron, weights) -> tuple:
     """Maximize ``sum w_i d_i`` over the region; returns ``(value, point)``.
 
@@ -225,19 +230,12 @@ def max_weighted_gdof(poly: Polyhedron, weights) -> tuple:
         raise ValueError(f"weights must have length {poly.K}")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    bounds = _lp_bounds(poly)
-    A, b = _lp_cycle_system(poly)
-    res = linprog(-w, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-    if res.status == 2:
-        raise EmptyPolyhedronError("region is empty")
-    if not res.success:
-        raise RuntimeError(f"LP failed: {res.message}")
-    value = float(w @ res.x)
-    point = np.asarray(res.x, dtype=float)
+    value, point = _support_lp(poly, w)
 
     active = poly.active
     if active:
         # max t  s.t.  d in poly, w.d = value, d_i >= t for active i
+        A, b = _lp_cycle_system(poly)
         n = poly.K
         c2 = np.zeros(n + 1)
         c2[n] = -1.0
@@ -261,7 +259,7 @@ def max_weighted_gdof(poly: Polyhedron, weights) -> tuple:
             b_ub=np.array(rhs2),
             A_eq=Aeq,
             b_eq=np.array([value]),
-            bounds=bounds + [(None, None)],
+            bounds=_lp_bounds(poly) + [(None, None)],
             method="highs",
         )
         if res2.success:
@@ -273,12 +271,15 @@ def max_weighted_gdof(poly: Polyhedron, weights) -> tuple:
 
 
 def max_subset_sum(poly: Polyhedron, users: Iterable[int]) -> float:
-    """sup of ``sum_{i in users} d_i`` over the region (-inf when empty)."""
+    """sup of ``sum_{i in users} d_i`` over the region (-inf when empty).
+
+    One support LP; no tie-break, since only the value is returned.
+    """
     w = np.zeros(poly.K)
     for i in users:
         w[i] = 1.0
     try:
-        value, _ = max_weighted_gdof(poly, w)
+        value, _ = _support_lp(poly, w)
     except EmptyPolyhedronError:
         return float("-inf")
     return value
@@ -289,22 +290,24 @@ def poly_contains(outer: Polyhedron, inner: Polyhedron, tol: float = 1e-9) -> bo
 
     Boxes of the outer region are implied automatically (same ceilings);
     cycle inequalities fully inside the inner active set are shared
-    constraints; only inequalities straddling the inner silent set need a
-    support maximization, plus zero-pinning of the outer silent users.
+    constraints.  The other outer rows, the inequalities straddling the
+    inner silent set and the zero-pins ``d_i <= 0`` of outer silent users
+    active in the inner region, are grouped by their support within the
+    inner active set: one support LP per distinct reduced support, checked
+    against the group's smallest right-hand side.
     """
     if outer.K != inner.K:
         raise ValueError("dimension mismatch")
-    inner_active = set(inner.active)
-    for i in outer.silent - inner.silent:
-        if max_subset_sum(inner, [i]) > tol:
-            return False
+    inner_active = frozenset(inner.active)
+    tightest = {frozenset([i]): 0.0 for i in outer.silent - inner.silent}
     for ineq in outer.cycles:
-        support = set(ineq.users)
-        if support <= inner_active:
-            continue  # same inequality exists in the inner system
-        reduced = support & inner_active
+        support = frozenset(ineq.users)
+        if not support <= inner_active:
+            reduced = support & inner_active
+            tightest[reduced] = min(ineq.rhs, tightest.get(reduced, ineq.rhs))
+    for reduced, rhs in tightest.items():
         attained = max_subset_sum(inner, reduced) if reduced else 0.0
-        if attained > ineq.rhs + tol:
+        if attained > rhs + tol:
             return False
     return True
 

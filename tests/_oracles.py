@@ -74,6 +74,53 @@ def oracle_region_margin(alpha: np.ndarray, silent, d) -> float:
     return margin
 
 
+def oracle_vertices(alpha: np.ndarray, silent) -> list:
+    """Vertices of one silent-set polytope, by brute force (<= 4 active users).
+
+    The rows are the boxes ``0 <= d_i <= a_ii`` of the active users and one
+    sum row per oracle cycle; every choice of as many linearly independent
+    rows as active users whose intersection point satisfies all rows gives
+    a vertex (repeats are kept).  An empty polytope has no vertices.
+    """
+    K = alpha.shape[0]
+    active = [i for i in range(K) if i not in set(silent)]
+    n = len(active)
+    if n > 4:
+        raise ValueError("oracle vertex enumeration is for at most 4 active users")
+    if n == 0:
+        return [np.zeros(K)]
+    rows, rhs = [], []
+    for k, i in enumerate(active):
+        unit = np.eye(n)[k]
+        rows += [unit, -unit]
+        rhs += [alpha[i, i], 0.0]
+    for seq in oracle_cycles(active):
+        rows.append(np.array([1.0 if u in seq else 0.0 for u in active]))
+        rhs.append(oracle_cycle_rhs(alpha, seq))
+    A = np.array(rows)
+    b = np.array(rhs)
+    verts = []
+    for combo in itertools.combinations(range(len(rows)), n):
+        M = A[list(combo)]
+        if abs(np.linalg.det(M)) < 1e-9:
+            continue
+        x = np.linalg.solve(M, b[list(combo)])
+        if np.all(A @ x <= b + 1e-12):
+            full = np.zeros(K)
+            full[active] = x
+            verts.append(full)
+    return verts
+
+
+def oracle_contains(alpha: np.ndarray, T, S, tol: float = 1e-9) -> bool:
+    """Is the silent-set-S polytope inside the silent-set-T one (T subset S)?
+
+    Both are bounded, so containment holds exactly when every vertex of
+    the inner polytope meets the outer system within ``tol``.
+    """
+    return all(oracle_region_margin(alpha, T, v) >= -tol for v in oracle_vertices(alpha, S))
+
+
 def oracle_component_margin(alpha: np.ndarray, S, d, zero_tol: float = 1e-9) -> float:
     """Decision margin of one silent-set component at a nonnegative point.
 

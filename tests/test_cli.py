@@ -181,6 +181,31 @@ class TestGdofLimits:
         assert result.exit_code == 2
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["region", "dense.json", "--silent-set", "x"],
+            ["gdof-limits", "dense.json", "--cycle", "a,b"],
+            ["gdof-limits", "dense.json", "--cycle", "0,1", "--powers", "x"],
+            ["gdof-limits", "dense.json", "--cycle", "0,5"],
+            ["region", "five.json", "--vertices", "verts.csv"],
+            ["gap-check", "dense.json", "--gdof", "0.1,0.1,0.1", "--power", "0.5"],
+        ],
+    )
+    def test_exits_two_with_one_line_error(self, runner, tmp_path, args):
+        for name, K in (("dense.json", 3), ("five.json", 5)):
+            a = np.full((K, K), 0.1)
+            np.fill_diagonal(a, 1.0)
+            (tmp_path / name).write_text(json.dumps(ChannelMatrix(a).to_dict()))
+        result = runner.invoke(main, [str(tmp_path / x) if x.endswith((".json", ".csv")) else x
+                                      for x in args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1
+
+
 class TestSimulation:
     def test_simulate_smoke(self, runner):
         result = runner.invoke(

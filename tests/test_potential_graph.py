@@ -9,7 +9,7 @@ from tinopt import (
     recover_power_allocation,
 )
 from conftest import symmetric_two_user
-from _oracles import oracle_region_margin, random_channel
+from _oracles import oracle_cycle_rhs, oracle_region_margin, random_channel
 
 
 class TestBuildGraph:
@@ -120,6 +120,9 @@ class TestDecideMembership:
             assert cert.violated_rhs - lhs == pytest.approx(cert.margin, abs=1e-9)
             # and it belongs to the region family for this channel
             assert oracle_region_margin(alpha, (), d) <= cert.margin + 1e-9
+            cycle = cert.cycle
+            expected = alpha[cycle[0], cycle[0]] if len(cycle) == 1 else oracle_cycle_rhs(alpha, cycle)
+            assert cert.violated_rhs == pytest.approx(expected, abs=1e-12)
 
     def test_potential_property_on_all_arcs(self):
         rng = np.random.default_rng(31)

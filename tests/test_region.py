@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from tinopt import (
 from tinopt.region import EmptyPolyhedronError, poly_contains
 from conftest import symmetric_two_user
 from _oracles import (
+    oracle_contains,
     oracle_cycles,
     oracle_in_union,
     oracle_union_band,
@@ -151,6 +153,27 @@ class TestGeneralRegion:
             assert comps[0].silent == frozenset()
             for c in comps[1:]:
                 assert poly_contains(p_empty, c.polyhedron)
+
+    def test_poly_contains_matches_vertex_oracle(self):
+        rng = np.random.default_rng(53)
+        verdicts = set()
+        for trial in range(40):
+            K = int(rng.integers(2, 5))
+            gen = random_condition_channel if trial % 2 else random_channel
+            alpha = gen(rng, K)
+            ch = ChannelMatrix(alpha)
+            sets = [
+                frozenset(c) for m in range(K + 1) for c in itertools.combinations(range(K), m)
+            ]
+            polys = {S: polyhedral_region(ch, S) for S in sets}
+            for S in sets:
+                for T in (T for T in sets if T < S):
+                    expected = oracle_contains(alpha, T, S)
+                    if any(oracle_contains(alpha, T, S, tol) != expected for tol in (1e-10, 1e-8)):
+                        continue  # decided inside the 1e-9 band
+                    assert poly_contains(polys[T], polys[S]) == expected, (alpha, T, S)
+                    verdicts.add(expected)
+        assert verdicts == {True, False}
 
     def test_single_user(self):
         comps = general_tin_region(ChannelMatrix(np.array([[0.8]])))
