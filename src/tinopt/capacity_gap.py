@@ -88,29 +88,6 @@ class CyclicBoundQuantities:
     def m(self) -> int:
         return len(self.cycle)
 
-    def sum_rate_bound(self) -> float:
-        """min(sum kappa, min_k rho_k): the cycle sum-rate outer bound."""
-        return float(min(self.kappa.sum(), self.rho.min()))
-
-    def window_sum_bound(self, start: int, length: int) -> float:
-        """Outer bound on the sum of rates of ``length`` consecutive positions.
-
-        Auxiliary quantity (not used by gap certificates).  Requires
-        2 <= length <= m-1.
-        """
-        m = self.m
-        if not (2 <= length <= m - 1):
-            raise ValueError(f"window length must be in [2, {m - 1}]")
-        idx = [(start + t) % m for t in range(length)]
-        mid = float(sum(self.kappa[j] for j in idx[1:-1]))
-        first = min(self.gamma[idx[0]], self.mu[idx[0]] + self.kappa[idx[0]])
-        return float(first + mid + self.beta[idx[-1]])
-
-    def sum_plus_user_bound(self, pos: int) -> float:
-        """Outer bound on (sum of all rates) + rate at ``pos``; auxiliary."""
-        rest = float(sum(self.kappa[j] for j in range(self.m) if j != pos))
-        return float(self.beta[pos] + self.gamma[pos] + rest)
-
 
 def cyclic_quantities(ch: FiniteSnrChannel, cycle) -> CyclicBoundQuantities:
     seq = tuple(int(u) for u in cycle)

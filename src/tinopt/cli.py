@@ -31,6 +31,7 @@ from .netsim import (
 )
 from .potential_graph import recover_power_allocation
 from .region import (
+    K_MAX_UNION,
     general_tin_region,
     minimized,
     point_in_tin_region,
@@ -196,6 +197,8 @@ def power_alloc_cmd(channel, gdof, output):
 def gap_check_cmd(channel, gdof, powers, output):
     """Constant-gap report as CSV, one block per nominal power."""
     ch = _load(channel)
+    if ch.K > K_MAX_UNION:
+        _fail(f"gap-check supports at most {K_MAX_UNION} users, got {ch.K}")
     d = _parse_vector(gdof, ch.K, "--gdof")
     try:
         channels = [FiniteSnrChannel(ch, P) for P in powers]
@@ -270,7 +273,8 @@ SHADOWING_DEFAULT = 8.0
 @click.option("--cell-radius", type=float, default=1000.0, show_default=True)
 @click.option("--shadowing", type=float, default=SHADOWING_DEFAULT, show_default=True,
               help="lognormal sigma [dB]; 0 disables fading")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=int, default=1, show_default=True,
+              help="at least 1; changes neither results nor speed")
 @click.option("--dump-instance", type=click.Path(), default=None,
               help="write trial 0 layout as JSON")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
@@ -311,7 +315,8 @@ def simulate_cmd(users, coverage, trials, seed, cell_radius, shadowing, workers,
 @click.option("--cell-radius", type=float, default=1000.0, show_default=True)
 @click.option("--shadowing", type=float, default=SHADOWING_DEFAULT, show_default=True,
               help="lognormal sigma [dB]; 0 disables fading")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=int, default=1, show_default=True,
+              help="at least 1; changes neither results nor speed")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv",
               show_default=True)
 @click.option("--output", "-o", type=click.Path(), default=None)

@@ -9,13 +9,12 @@ each realization is reduced to a strength-exponent matrix on which the
 per-user optimality condition is evaluated.
 
 Every trial derives its own RNG stream from (master_seed, trial_index),
-so estimates are bit-reproducible regardless of worker count.
+so estimates are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -192,21 +191,17 @@ def condition_probability(cfg: SimConfig, workers: int = 1) -> ConditionEstimate
 
     The verdict per layout does not depend on the nominal-power policy
     (the condition is homogeneous in the exponents), so the estimate is a
-    pure function of (config, master_seed).
+    pure function of (config, master_seed).  Trials run one after another
+    in this process: ``workers`` (at least 1) changes neither the result
+    nor the speed.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if cfg.trials < 100:
         raise ValueError("need at least 100 trials for the interval to be meaningful")
-
-    def one(t: int) -> bool:
-        inst = sample_network(cfg, t)
-        return check_tin_condition(inst.alpha).overall
-
-    if workers <= 1:
-        results = [one(t) for t in range(cfg.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(cfg.trials)))
-    passes = int(sum(results))
+    passes = sum(
+        check_tin_condition(sample_network(cfg, t).alpha).overall for t in range(cfg.trials)
+    )
     lo, hi = _wilson_interval(passes, cfg.trials)
     return ConditionEstimate(
         K=cfg.K,
@@ -225,7 +220,10 @@ def sweep(
     radius_values: Sequence[float],
     workers: int = 1,
 ) -> list:
-    """Condition-probability grid over user counts and coverage radii."""
+    """Condition-probability grid over user counts and coverage radii.
+
+    ``workers`` changes neither the result nor the speed.
+    """
     rows = []
     for K in K_values:
         for radius in radius_values:

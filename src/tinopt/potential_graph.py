@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import ChannelMatrix, PowerExponents
+from .channel_model import EPS_CONDITION, ChannelMatrix, PowerExponents
 
 #: A directed circuit whose length is within this band below zero is treated
 #: as nonnegative: boundary points of the region are legitimate members and
-#: round-off must not eject them.
-EPS_LENGTH = 1e-9
+#: round-off must not eject them.  The same number as the condition's band.
+EPS_LENGTH = EPS_CONDITION
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +161,11 @@ def _certificate_from_cycle(graph: PotentialGraph, cycle: list) -> MembershipCer
     )
 
 
-def _extract_cycle(pred: np.ndarray, start: int, n: int) -> list | None:
-    """Walk predecessor links from ``start``; return a circuit in arc order."""
+def _extract_cycle(pred: np.ndarray, start: int) -> list | None:
+    """Walk predecessor links from ``start``; return a circuit in arc order.
+
+    None when the walk ends at a node without predecessor (ground's -1).
+    """
     seen: dict = {}
     path = []
     x = start
@@ -177,69 +180,81 @@ def _extract_cycle(pred: np.ndarray, start: int, n: int) -> list | None:
     return loop
 
 
-def decide_membership(graph: PotentialGraph) -> MembershipCertificate:
-    """Run Bellman-Ford from ground with negative-circuit detection.
+def _relax(lengths: np.ndarray, dist: np.ndarray, pred: np.ndarray) -> tuple:
+    """One round: every node takes its best in-arc over the old distances."""
+    cand = dist[:, None] + lengths
+    best_src = np.argmin(cand, axis=0)
+    best = cand[best_src, np.arange(len(dist))]
+    improved = best < dist
+    return np.where(improved, best, dist), np.where(improved, best_src, pred), improved.any()
 
-    Feasible outcomes return ``r_i`` = shortest-path distance from ground
-    to user ``i`` (the pointwise-largest valid potential normalized to
-    ground 0, hence always <= 0).  Infeasible outcomes return a negative
-    circuit and the violated inequality, whose margin equals the circuit
-    length for pure circuits.
+
+def _slack(lengths: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    return dist - (dist[:, None] + lengths).min(axis=0)
+
+
+def _bellman_ford(lengths: np.ndarray, ground: int, tol: float) -> tuple:
+    """Distances from ground after ``n - 1`` rounds, and ``None`` if every slack is <= tol.
+
+    Otherwise one more round is relaxed, and the circuits come lazily from
+    predecessor walks started at every node in order of decreasing slack
+    (first index on ties).
     """
-    n = graph.K + 1
-    L = graph.lengths
-    ground = graph.ground
+    n = len(lengths)
     dist = np.full(n, np.inf)
     dist[ground] = 0.0
     pred = np.full(n, -1, dtype=int)
-
-    def relax_round() -> bool:
-        nonlocal dist, pred
-        cand = dist[:, None] + L
-        best_src = np.argmin(cand, axis=0)
-        best = cand[best_src, np.arange(n)]
-        improved = best < dist
-        if not improved.any():
-            return False
-        dist = np.where(improved, best, dist)
-        pred = np.where(improved, best_src, pred)
-        return True
-
     for _ in range(n - 1):
-        if not relax_round():
+        dist, pred, improved = _relax(lengths, dist, pred)
+        if not improved:
             break
+    if _slack(lengths, dist).max() <= tol:
+        return dist, None
+    dist, pred, _ = _relax(lengths, dist, pred)
+    order = np.argsort(-_slack(lengths, dist), kind="stable")
+    walks = (_extract_cycle(pred, int(v)) for v in order)
+    return dist, (c for c in walks if c is not None)
 
-    # Convergence within half the boundary band counts as feasible: any
-    # remaining slack of that size is round-off, not a real circuit.
-    slack_tol = 0.5 * EPS_LENGTH
-    best_cert = None
-    for _ in range(n + 5):
-        cand = dist[:, None] + L
-        slack = dist - cand.min(axis=0)
-        worst = int(np.argmax(slack))
-        if slack[worst] <= slack_tol:
-            # normalize to ground potential 0; round-off in the boundary
-            # band may leave a +tol residue, which is clamped away
-            shift = dist[ground]
-            r = PowerExponents(
-                [min(0.0, float(dist[i] - shift)) for i in range(graph.K)]
-            )
-            return MembershipCertificate(feasible=True, r=r)
-        relax_round()
-        cand = dist[:, None] + L
-        slack = dist - cand.min(axis=0)
-        worst = int(np.argmax(slack))
-        cycle = _extract_cycle(pred, worst, n)
-        if cycle is not None:
-            total = float(sum(L[cycle[k], cycle[(k + 1) % len(cycle)]] for k in range(len(cycle))))
-            if total < -EPS_LENGTH:
-                return _certificate_from_cycle(graph, cycle)
-            cert = _certificate_from_cycle(graph, cycle)
-            if best_cert is None or cert.margin < best_cert.margin:
-                best_cert = cert
-    if best_cert is not None and best_cert.margin < -EPS_LENGTH:
-        return best_cert
-    raise RuntimeError("negative-circuit extraction did not converge")
+
+def _feasible(graph: PotentialGraph, dist: np.ndarray) -> MembershipCertificate:
+    """Potentials normalized to ground 0; a round-off residue above 0 is clamped."""
+    shift = dist[graph.ground]
+    r = PowerExponents([min(0.0, float(dist[i] - shift)) for i in range(graph.K)])
+    return MembershipCertificate(feasible=True, r=r)
+
+
+def decide_membership(graph: PotentialGraph) -> MembershipCertificate:
+    """Decide ``d`` by Bellman-Ford from ground, with a certificate either way.
+
+    The plain pass runs on the graph for ``d``.  Potentials with slack at
+    most ``EPS_LENGTH / 2`` give ``r_i`` = shortest-path distance from
+    ground to user ``i`` (the pointwise-largest valid potential, <= 0);
+    else the first predecessor circuit shorter than ``-EPS_LENGTH`` is the
+    violated inequality (margin = circuit length for pure circuits).  Only
+    when it gives neither, the band pass runs on the graph for
+    ``d - EPS_LENGTH / K``, where every such circuit stays negative.  Its
+    first predecessor circuit whose inequality ``d`` violates is the
+    certificate; else its potentials clamped to <= 0 are, which meet ``d``
+    within ``EPS_LENGTH`` but are pointwise-largest only for the shifted
+    target.  In exact arithmetic a band pass that misses its convergence
+    test (slack at most half the shift) always has such a circuit.
+    """
+    dist, circuits = _bellman_ford(graph.lengths, graph.ground, 0.5 * EPS_LENGTH)
+    if circuits is None:
+        return _feasible(graph, dist)
+    L = graph.lengths
+    for c in circuits:
+        if sum(L[c[k], c[(k + 1) % len(c)]] for k in range(len(c))) < -EPS_LENGTH:
+            return _certificate_from_cycle(graph, c)
+    shift = EPS_LENGTH / graph.K
+    band = L.copy()
+    band[: graph.K] += shift
+    dist, circuits = _bellman_ford(band, graph.ground, 0.5 * shift)
+    for c in circuits or ():
+        cert = _certificate_from_cycle(graph, c)
+        if cert.margin < 0:
+            return cert
+    return _feasible(graph, dist)
 
 
 def recover_power_allocation(alpha: ChannelMatrix, d) -> MembershipCertificate:

@@ -212,7 +212,7 @@ def _support_lp(poly: Polyhedron, w: np.ndarray) -> tuple:
     if not res.success:
         raise RuntimeError(f"LP failed: {res.message}")
     point = np.asarray(res.x, dtype=float)
-    if poly.worst_violation(point) > 1e-9:
+    if poly.worst_violation(point) > EPS_LENGTH:
         raise RuntimeError("optimizer returned an uncertifiable point")
     return float(w @ point), point
 
@@ -265,7 +265,7 @@ def max_weighted_gdof(poly: Polyhedron, weights) -> tuple:
         if res2.success:
             point = np.asarray(res2.x[: poly.K], dtype=float)
 
-    if poly.worst_violation(point) > 1e-9 or abs(float(w @ point) - value) > 1e-9:
+    if poly.worst_violation(point) > EPS_LENGTH or abs(float(w @ point) - value) > EPS_LENGTH:
         raise RuntimeError("optimizer returned an uncertifiable point")
     return value, point
 
@@ -285,7 +285,7 @@ def max_subset_sum(poly: Polyhedron, users: Iterable[int]) -> float:
     return value
 
 
-def poly_contains(outer: Polyhedron, inner: Polyhedron, tol: float = 1e-9) -> bool:
+def poly_contains(outer: Polyhedron, inner: Polyhedron, tol: float = EPS_LENGTH) -> bool:
     """Exact containment test ``inner subset outer`` for these 0/1 systems.
 
     Boxes of the outer region are implied automatically (same ceilings);
@@ -294,7 +294,9 @@ def poly_contains(outer: Polyhedron, inner: Polyhedron, tol: float = 1e-9) -> bo
     inner silent set and the zero-pins ``d_i <= 0`` of outer silent users
     active in the inner region, are grouped by their support within the
     inner active set: one support LP per distinct reduced support, checked
-    against the group's smallest right-hand side.
+    against the group's smallest right-hand side.  A group with empty
+    reduced support attains 0 on a nonempty inner region; its LP, which
+    tells an empty inner region (-inf), runs only for a negative bound.
     """
     if outer.K != inner.K:
         raise ValueError("dimension mismatch")
@@ -306,7 +308,7 @@ def poly_contains(outer: Polyhedron, inner: Polyhedron, tol: float = 1e-9) -> bo
             reduced = support & inner_active
             tightest[reduced] = min(ineq.rhs, tightest.get(reduced, ineq.rhs))
     for reduced, rhs in tightest.items():
-        attained = max_subset_sum(inner, reduced) if reduced else 0.0
+        attained = max_subset_sum(inner, reduced) if reduced or rhs < -tol else 0.0
         if attained > rhs + tol:
             return False
     return True
@@ -456,7 +458,7 @@ def polyhedron_vertices(poly: Polyhedron, decimals: int = 9) -> np.ndarray:
         if abs(np.linalg.det(M)) < 1e-12:
             continue
         x = np.linalg.solve(M, b[list(combo)])
-        if np.any(A @ x > b + 1e-9):
+        if np.any(A @ x > b + EPS_LENGTH):
             continue
         key = tuple(np.round(x, decimals))
         if key in seen:

@@ -75,18 +75,6 @@ class TestCyclicQuantities:
             rest = sum(q.kappa[t] for t in range(3) if t not in (j, (j - 1) % 3))
             assert q.rho[j] == pytest.approx(q.beta[(j - 1) % 3] + q.gamma[j] + rest)
 
-    def test_auxiliary_bounds(self):
-        ch = FiniteSnrChannel(ChannelMatrix(np.diag([1.0, 1.0, 1.0])), 100.0)
-        q = cyclic_quantities(ch, (0, 1, 2))
-        w = q.window_sum_bound(0, 2)
-        assert w == pytest.approx(
-            min(q.gamma[0], q.mu[0] + q.kappa[0]) + q.beta[1]
-        )
-        s = q.sum_plus_user_bound(1)
-        assert s == pytest.approx(q.beta[1] + q.gamma[1] + q.kappa[0] + q.kappa[2])
-        with pytest.raises(ValueError):
-            q.window_sum_bound(0, 3)
-
     def test_rejects_bad_cycles(self):
         ch = FiniteSnrChannel(ChannelMatrix(EX2_ALPHA), 10.0)
         with pytest.raises(ValueError):

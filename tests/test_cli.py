@@ -191,10 +191,15 @@ class TestMalformedInput:
             ["gdof-limits", "dense.json", "--cycle", "0,5"],
             ["region", "five.json", "--vertices", "verts.csv"],
             ["gap-check", "dense.json", "--gdof", "0.1,0.1,0.1", "--power", "0.5"],
+            ["gap-check", "big.json", "--gdof", ",".join(["0.1"] * 13), "--power", "100"],
+            ["simulate", "--users", "3", "--coverage", "100", "--trials", "100",
+             "--workers", "0"],
+            ["sweep", "--users", "2", "--coverage", "100", "--trials", "100",
+             "--workers", "0"],
         ],
     )
     def test_exits_two_with_one_line_error(self, runner, tmp_path, args):
-        for name, K in (("dense.json", 3), ("five.json", 5)):
+        for name, K in (("dense.json", 3), ("five.json", 5), ("big.json", 13)):
             a = np.full((K, K), 0.1)
             np.fill_diagonal(a, 1.0)
             (tmp_path / name).write_text(json.dumps(ChannelMatrix(a).to_dict()))

@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tinopt import (
     ChannelMatrix,
     build_graph,
     decide_membership,
+    point_in_tin_region,
     polyhedral_tin_gdof,
     recover_power_allocation,
 )
 from conftest import symmetric_two_user
-from _oracles import oracle_cycle_rhs, oracle_region_margin, random_channel
+from _oracles import (
+    forward_gdof,
+    oracle_cycle_rhs,
+    oracle_in_union,
+    oracle_region_margin,
+    oracle_union_band,
+    random_channel,
+)
 
 
 class TestBuildGraph:
@@ -179,3 +188,54 @@ class TestRecoverPowerAllocation:
             found += 1
             relaxed = polyhedral_tin_gdof(ChannelMatrix(alpha), cert.r)
             assert np.all(relaxed >= d - 1e-9)
+
+
+#: Shifts that put a boundary target on, inside or just outside the 1e-9 band.
+BAND_SHIFTS = (0.0, 1e-12, -1e-12, 5e-10, -5e-10, 7.5e-10, 1e-9, -1e-9, 2e-9)
+
+
+def assert_certificate_checks(alpha, d, cert):
+    """Feasible: the powers reach d within 1e-9.  Infeasible: the bound is violated."""
+    if cert.feasible:
+        r = np.array([-np.inf if v is None else v for v in cert.r.to_jsonable()])
+        assert np.all(forward_gdof(alpha, r)[0] >= d - 1e-9), (alpha, d, cert)
+    else:
+        users = cert.violated_users
+        rhs = alpha[users[0], users[0]] if len(users) == 1 else oracle_cycle_rhs(alpha, users)
+        assert rhs < sum(d[u] for u in users), (alpha, d, cert)
+
+
+class TestToleranceBand:
+    @pytest.mark.parametrize("d", [(0.5, 0.5 + 7.5e-10), (1.0 + 6e-10, 0.0)])
+    def test_band_targets_get_checkable_verdicts(self, d):
+        # a cycle bound and a power bound overshot by less than 1e-9
+        ch = symmetric_two_user(0.5)
+        d = np.array(d)
+        assert_certificate_checks(ch.alpha, d, recover_power_allocation(ch, d))
+        assert_certificate_checks(ch.alpha, d, point_in_tin_region(ch, d).certificate)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        K=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1.0, 1e3),
+        shift=st.sampled_from(BAND_SHIFTS),
+    )
+    def test_boundary_targets_never_raise_and_match_oracles(self, K, seed, scale, shift):
+        rng = np.random.default_rng(seed)
+        alpha = scale * random_channel(rng, K)
+        r = -scale * rng.uniform(0.0, 0.5, K)
+        r[rng.random(K) < 0.3] = 0.0
+        d = np.maximum(forward_gdof(alpha, r)[0] + shift, 0.0)
+        ch = ChannelMatrix(alpha)
+
+        cert = recover_power_allocation(ch, d)
+        assert_certificate_checks(alpha, d, cert)
+        margin = oracle_region_margin(alpha, (), d)
+        if abs(margin) > 1e-8:
+            assert cert.feasible == (margin > 0)
+
+        verdict = point_in_tin_region(ch, d)
+        assert_certificate_checks(alpha, d, verdict.certificate)
+        if oracle_union_band(alpha, d) > 1e-8:
+            assert verdict.inside == oracle_in_union(alpha, d)

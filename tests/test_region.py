@@ -156,11 +156,16 @@ class TestGeneralRegion:
 
     def test_poly_contains_matches_vertex_oracle(self):
         rng = np.random.default_rng(53)
-        verdicts = set()
+        # two pairs with negative cycle bounds: silencing one pair leaves an
+        # empty region, which every region contains
+        alphas = [np.array([[.3, 1, 0, 0], [1, .3, 0, 0], [0, 0, .3, 1], [0, 0, 1, .3]])]
         for trial in range(40):
             K = int(rng.integers(2, 5))
             gen = random_condition_channel if trial % 2 else random_channel
-            alpha = gen(rng, K)
+            alphas.append(gen(rng, K))
+        verdicts = set()
+        for alpha in alphas:
+            K = alpha.shape[0]
             ch = ChannelMatrix(alpha)
             sets = [
                 frozenset(c) for m in range(K + 1) for c in itertools.combinations(range(K), m)
