@@ -42,14 +42,14 @@ def _log2_sum_pow(exponents_bits) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FiniteSnrChannel:
-    """A strength-exponent matrix pinned to a concrete nominal power > 1."""
+    """A strength-exponent matrix pinned to a concrete finite nominal power > 1."""
 
     channel: ChannelMatrix
     power: float
 
     def __post_init__(self):
-        if not (self.power > 1):
-            raise ValueError(f"nominal power must exceed 1, got {self.power}")
+        if not (math.isfinite(self.power) and self.power > 1):
+            raise ValueError(f"nominal power must be finite and exceed 1, got {self.power}")
 
     @property
     def K(self) -> int:

@@ -93,10 +93,16 @@ def _parse_list(text: str, conv, name: str) -> list:
 
 
 def _parse_vector(text: str, K: int, name: str) -> np.ndarray:
+    """K finite nonnegative numbers, or a one-line error and exit 2."""
     vals = _parse_list(text, float, name)
     if len(vals) != K:
         _fail(f"{name} needs {K} entries, got {len(vals)}")
-    return np.array(vals)
+    v = np.array(vals)
+    if not np.all(np.isfinite(v)):
+        _fail(f"{name} entries must be finite")
+    if np.any(v < 0):
+        _fail(f"{name} entries must be nonnegative")
+    return v
 
 
 @click.group()
@@ -163,8 +169,6 @@ def membership_cmd(channel, gdof, output):
     """Union membership with certificate; exit 1 when outside."""
     ch = _load(channel)
     d = _parse_vector(gdof, ch.K, "--gdof")
-    if np.any(d < 0):
-        _fail("--gdof entries must be nonnegative")
     verdict = point_in_tin_region(ch, d)
     _dump_json(verdict.to_dict(), output)
     sys.exit(0 if verdict.inside else 1)
@@ -178,8 +182,6 @@ def power_alloc_cmd(channel, gdof, output):
     """Recover power exponents for an all-active target; exit 1 if infeasible."""
     ch = _load(channel)
     d = _parse_vector(gdof, ch.K, "--gdof")
-    if np.any(d < 0):
-        _fail("--gdof entries must be nonnegative")
     cert = recover_power_allocation(ch, d)
     out = cert.to_dict()
     if cert.feasible:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -25,6 +26,7 @@ from .channel_model import SILENT, ChannelMatrix, PowerExponents
 from .potential_graph import (
     EPS_LENGTH,
     MembershipCertificate,
+    build_graph,
     canonical_cycle,  # re-exported: part of this module's interface
     cycle_rhs,
     recover_power_allocation,
@@ -73,21 +75,32 @@ class LinearInequality:
 
 @dataclass(frozen=True, eq=False)
 class Polyhedron:
-    """H-representation of one silent-set region.
+    """H-representation of one silent-set region of a channel.
 
     Silenced users are pinned to zero; every active user has the box
-    ``0 <= d_i <= box_ub[i]``; ``cycles`` holds the sum inequalities in
-    canonical order.
+    ``0 <= d_i <= box_ub[i]`` (its direct exponent ``a_ii``); ``cycles``
+    holds the sum inequalities in canonical order.  Optimizers solve the
+    channel's difference system instead (:meth:`_difference_system`).
     """
 
-    K: int
+    channel: ChannelMatrix
     silent: frozenset
-    box_ub: np.ndarray
     cycles: tuple = field(default=())
+
+    @property
+    def K(self) -> int:
+        return self.channel.K
 
     @property
     def active(self) -> tuple:
         return tuple(i for i in range(self.K) if i not in self.silent)
+
+    @cached_property
+    def box_ub(self) -> np.ndarray:
+        ub = np.diag(self.channel.alpha).copy()
+        ub[list(self.silent)] = 0.0
+        ub.setflags(write=False)
+        return ub
 
     def contains(self, d, tol: float = EPS_LENGTH) -> bool:
         return self.worst_violation(d) <= tol
@@ -105,6 +118,29 @@ class Polyhedron:
             worst = max(worst, -ineq.margin(dv))
         return float(worst)
 
+    @cached_property
+    def _difference_system(self) -> tuple:
+        """LP rows ``A @ (d, r) <= b`` and bounds over the active users' ``(d, r)``.
+
+        Arc ``u -> v`` out of a user in the potential graph of the active
+        sub-channel at ``d = 0`` has length ``L[u, v]``; at ``d`` it is
+        ``L[u, v] - d_u``.  So a potential ``r`` with ground at 0 exists
+        exactly when ``d_u - r_u + r_v <= L[u, v]`` for every such arc (n^2
+        rows for n active users), and the ground arcs give ``r <= 0``.
+        With ``d >= 0`` the projection on ``d`` is the region.
+        """
+        active = list(self.active)
+        n = len(active)
+        L = build_graph(self.channel.restrict(active), np.zeros(n)).lengths[:n]
+        src, dst = np.nonzero(np.isfinite(L))
+        row = np.arange(len(src))
+        A = np.zeros((len(src), 2 * n))
+        A[row, src] = 1.0
+        A[row, n + src] = -1.0
+        to_user = dst < n
+        A[row[to_user], n + dst[to_user]] = 1.0
+        return A, L[src, dst], [(0.0, None)] * n + [(None, 0.0)] * n
+
     def to_dict(self) -> dict:
         return {
             "K": self.K,
@@ -118,19 +154,6 @@ class Polyhedron:
         }
 
 
-def polyhedron_from_dict(data: dict) -> Polyhedron:
-    K = int(data["K"])
-    silent = frozenset(int(i) for i in data.get("silent", []))
-    ub = np.zeros(K)
-    for box in data.get("boxes", []):
-        ub[int(box["user"])] = float(box["ub"])
-    cycles = tuple(
-        LinearInequality(tuple(int(i) for i in c["seq"]), float(c["rhs"]))
-        for c in data.get("cycles", [])
-    )
-    return Polyhedron(K=K, silent=silent, box_ub=ub, cycles=cycles)
-
-
 def polyhedral_region(alpha: ChannelMatrix, silent: Iterable[int] = ()) -> Polyhedron:
     """Region of the relaxed scheme with the given users silenced.
 
@@ -140,13 +163,11 @@ def polyhedral_region(alpha: ChannelMatrix, silent: Iterable[int] = ()) -> Polyh
     S = frozenset(int(i) for i in silent)
     if not S.issubset(range(alpha.K)):
         raise ValueError(f"silent set {sorted(S)} out of range for K={alpha.K}")
-    a = alpha.alpha
     active = [i for i in range(alpha.K) if i not in S]
     cycles = tuple(
         LinearInequality(seq, cycle_rhs(alpha, seq)) for seq in enumerate_cycles(active)
     )
-    ub = np.array([a[i, i] if i in active else 0.0 for i in range(alpha.K)])
-    return Polyhedron(K=alpha.K, silent=S, box_ub=ub, cycles=cycles)
+    return Polyhedron(channel=alpha, silent=S, cycles=cycles)
 
 
 def minimized(poly: Polyhedron, tol: float = 1e-12) -> Polyhedron:
@@ -172,32 +193,11 @@ def minimized(poly: Polyhedron, tol: float = 1e-12) -> Polyhedron:
                         break
         if not implied:
             kept.append(ineq)
-    return Polyhedron(
-        K=poly.K, silent=poly.silent, box_ub=poly.box_ub, cycles=tuple(kept)
-    )
+    return Polyhedron(channel=poly.channel, silent=poly.silent, cycles=tuple(kept))
 
 
 class EmptyPolyhedronError(ValueError):
     """Raised when an operation needs a point of an empty region."""
-
-
-def _lp_bounds(poly: Polyhedron) -> list:
-    return [
-        (0.0, 0.0) if i in poly.silent else (0.0, float(poly.box_ub[i]))
-        for i in range(poly.K)
-    ]
-
-
-def _lp_cycle_system(poly: Polyhedron):
-    if not poly.cycles:
-        return None, None
-    A = np.zeros((len(poly.cycles), poly.K))
-    b = np.zeros(len(poly.cycles))
-    for k, ineq in enumerate(poly.cycles):
-        for u in ineq.users:
-            A[k, u] = 1.0
-        b[k] = ineq.rhs
-    return A, b
 
 
 def _support_lp(poly: Polyhedron, w: np.ndarray) -> tuple:
@@ -205,13 +205,18 @@ def _support_lp(poly: Polyhedron, w: np.ndarray) -> tuple:
 
     Raises :class:`EmptyPolyhedronError` when the region is empty.
     """
-    A, b = _lp_cycle_system(poly)
-    res = linprog(-w, A_ub=A, b_ub=b, bounds=_lp_bounds(poly), method="highs")
-    if res.status == 2:
-        raise EmptyPolyhedronError("region is empty")
-    if not res.success:
-        raise RuntimeError(f"LP failed: {res.message}")
-    point = np.asarray(res.x, dtype=float)
+    active = list(poly.active)
+    n = len(active)
+    point = np.zeros(poly.K)
+    if n:
+        A, b, bounds = poly._difference_system
+        c = np.concatenate([-w[active], np.zeros(n)])
+        res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+        if res.status == 2:
+            raise EmptyPolyhedronError("region is empty")
+        if not res.success:
+            raise RuntimeError(f"LP failed: {res.message}")
+        point[active] = res.x[:n]
     if poly.worst_violation(point) > EPS_LENGTH:
         raise RuntimeError("optimizer returned an uncertifiable point")
     return float(w @ point), point
@@ -232,38 +237,24 @@ def max_weighted_gdof(poly: Polyhedron, weights) -> tuple:
         raise ValueError("weights must be nonnegative")
     value, point = _support_lp(poly, w)
 
-    active = poly.active
-    if active:
-        # max t  s.t.  d in poly, w.d = value, d_i >= t for active i
-        A, b = _lp_cycle_system(poly)
-        n = poly.K
-        c2 = np.zeros(n + 1)
-        c2[n] = -1.0
-        rows = []
-        rhs2 = []
-        if A is not None:
-            for k in range(A.shape[0]):
-                rows.append(np.append(A[k], 0.0))
-                rhs2.append(b[k])
-        for i in active:
-            e = np.zeros(n + 1)
-            e[i] = -1.0
-            e[n] = 1.0
-            rows.append(e)
-            rhs2.append(0.0)
-        A2 = np.vstack(rows)
-        Aeq = np.append(w, 0.0)[None, :]
+    active = list(poly.active)
+    n = len(active)
+    if n:
+        # max t  s.t.  (d, r) in the system, w.d = value, d_i >= t for active i
+        A, b, bounds = poly._difference_system
+        tie = np.hstack([-np.eye(n), np.zeros((n, n)), np.ones((n, 1))])
         res2 = linprog(
-            c2,
-            A_ub=A2,
-            b_ub=np.array(rhs2),
-            A_eq=Aeq,
+            np.append(np.zeros(2 * n), -1.0),
+            A_ub=np.vstack([np.hstack([A, np.zeros((len(A), 1))]), tie]),
+            b_ub=np.concatenate([b, np.zeros(n)]),
+            A_eq=np.concatenate([w[active], np.zeros(n + 1)])[None, :],
             b_eq=np.array([value]),
-            bounds=_lp_bounds(poly) + [(None, None)],
+            bounds=bounds + [(None, None)],
             method="highs",
         )
         if res2.success:
-            point = np.asarray(res2.x[: poly.K], dtype=float)
+            point = np.zeros(poly.K)
+            point[active] = res2.x[:n]
 
     if poly.worst_violation(point) > EPS_LENGTH or abs(float(w @ point) - value) > EPS_LENGTH:
         raise RuntimeError("optimizer returned an uncertifiable point")

@@ -121,6 +121,50 @@ def oracle_contains(alpha: np.ndarray, T, S, tol: float = 1e-9) -> bool:
     return all(oracle_region_margin(alpha, T, v) >= -tol for v in oracle_vertices(alpha, S))
 
 
+def oracle_cycle_lp(alpha: np.ndarray, silent, w) -> float | None:
+    """max ``w . d`` over one silent-set polytope; None when it is empty.
+
+    One LP over the boxes ``0 <= d_i <= a_ii`` of the active users and one
+    sum row per oracle cycle, so it solves the enumerated H-representation,
+    not the potential graph's difference system.
+    """
+    from scipy.optimize import linprog
+
+    K = alpha.shape[0]
+    active = [i for i in range(K) if i not in set(silent)]
+    if not active:
+        return 0.0
+    cycles = oracle_cycles(active)
+    A = np.array([[1.0 if u in seq else 0.0 for u in active] for seq in cycles])
+    b = np.array([oracle_cycle_rhs(alpha, seq) for seq in cycles])
+    res = linprog(
+        -np.asarray(w, dtype=float)[active],
+        A_ub=A if cycles else None,
+        b_ub=b if cycles else None,
+        bounds=[(0.0, alpha[i, i]) for i in active],
+        method="highs",
+    )
+    if res.status == 2:
+        return None
+    assert res.success, res.message
+    return float(-res.fun)
+
+
+def oracle_sum_gdof_assignment(alpha: np.ndarray) -> float:
+    """Sum-GDoF under the optimality condition, by a maximum-weight assignment.
+
+    ``sum a_ii`` minus the heaviest permutation of the cross gains (zero
+    diagonal): a permutation splits into cycles, and each cycle's cross
+    gains are what its region inequality subtracts from the direct sum.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    cross = np.array(alpha, dtype=float)
+    np.fill_diagonal(cross, 0.0)
+    rows, cols = linear_sum_assignment(cross, maximize=True)
+    return float(np.trace(alpha) - cross[rows, cols].sum())
+
+
 def oracle_component_margin(alpha: np.ndarray, S, d, zero_tol: float = 1e-9) -> float:
     """Decision margin of one silent-set component at a nonnegative point.
 

@@ -88,6 +88,10 @@ class TestCyclicQuantities:
         with pytest.raises(ValueError):
             FiniteSnrChannel(ChannelMatrix(EX2_ALPHA), 1.0)
 
+    def test_power_must_be_finite(self):
+        with pytest.raises(ValueError):
+            FiniteSnrChannel(ChannelMatrix(EX2_ALPHA), math.inf)
+
 
 class TestGdofLimits:
     def test_interference_free_limit_is_direct_sum(self):

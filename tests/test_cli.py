@@ -196,6 +196,12 @@ class TestMalformedInput:
              "--workers", "0"],
             ["sweep", "--users", "2", "--coverage", "100", "--trials", "100",
              "--workers", "0"],
+            ["membership", "dense.json", "--gdof", "nan,0.5,0.5"],
+            ["power-alloc", "dense.json", "--gdof", "inf,0.5,0.5"],
+            ["gap-check", "dense.json", "--gdof", "nan,0.1,0.1", "--power", "100"],
+            ["gap-check", "dense.json", "--gdof", "-0.1,0.1,0.1", "--power", "100"],
+            ["gap-check", "dense.json", "--gdof", "0.1,0.1,0.1", "--power", "inf"],
+            ["gdof-limits", "dense.json", "--cycle", "0,1", "--powers", "1e2,inf"],
         ],
     )
     def test_exits_two_with_one_line_error(self, runner, tmp_path, args):

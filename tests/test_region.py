@@ -13,16 +13,18 @@ from tinopt import (
     minimized,
     point_in_tin_region,
     polyhedral_region,
-    polyhedron_from_dict,
     polyhedron_vertices,
     transpose_channel,
 )
-from tinopt.region import EmptyPolyhedronError, poly_contains
+from scipy.optimize import linprog
+from tinopt.region import EmptyPolyhedronError, max_subset_sum, poly_contains
 from conftest import symmetric_two_user
 from _oracles import (
     oracle_contains,
+    oracle_cycle_lp,
     oracle_cycles,
     oracle_in_union,
+    oracle_sum_gdof_assignment,
     oracle_union_band,
     random_channel,
     random_condition_channel,
@@ -99,13 +101,6 @@ class TestPolyhedralRegion:
         pruned = minimized(polyhedral_region(ex2))
         assert len(pruned.cycles) == 4
         assert (0, 2, 1) not in [c.users for c in pruned.cycles]
-
-    def test_dict_round_trip(self, ex2):
-        poly = polyhedral_region(ex2, silent={1})
-        back = polyhedron_from_dict(poly.to_dict())
-        assert back.silent == poly.silent
-        assert back.cycles == poly.cycles
-        assert np.allclose(back.box_ub[list(poly.active)], poly.box_ub[list(poly.active)])
 
 
 class TestRegionDuality:
@@ -298,6 +293,54 @@ class TestMaxWeightedGdof:
             value, point = max_weighted_gdof(poly, w)
             assert poly.worst_violation(point) <= 1e-9
             assert float(w @ point) == pytest.approx(value, abs=1e-9)
+
+    def test_matches_cycle_lp_oracle(self):
+        # the difference-system LPs against an LP over the enumerated cycles
+        rng = np.random.default_rng(61)
+        empties = set()
+        for trial in range(150):
+            K = int(rng.integers(2, 7))
+            gen = random_condition_channel if trial % 2 else random_channel
+            alpha = gen(rng, K)
+            silent = [i for i in range(K) if rng.random() < 0.3]
+            poly = polyhedral_region(ChannelMatrix(alpha), silent)
+            w = rng.uniform(0.0, 1.0, K) * (rng.random(K) < 0.8)
+            users = [i for i in range(K) if rng.random() < 0.5]
+            expected = oracle_cycle_lp(alpha, silent, w)
+            empties.add(expected is None)
+            if expected is None:
+                with pytest.raises(EmptyPolyhedronError):
+                    max_weighted_gdof(poly, w)
+                assert max_subset_sum(poly, users) == -math.inf
+            else:
+                assert max_weighted_gdof(poly, w)[0] == pytest.approx(expected, abs=1e-9)
+                subset = oracle_cycle_lp(alpha, silent, np.isin(np.arange(K), users))
+                assert max_subset_sum(poly, users) == pytest.approx(subset, abs=1e-9)
+        assert empties == {True, False}
+
+    @pytest.mark.parametrize("K", range(2, 8))
+    def test_sum_gdof_matches_assignment_oracle(self, K):
+        rng = np.random.default_rng(67 + K)
+        for _ in range(5):
+            alpha = random_condition_channel(rng, K)
+            value, _ = max_weighted_gdof(polyhedral_region(ChannelMatrix(alpha)), np.ones(K))
+            assert value == pytest.approx(oracle_sum_gdof_assignment(alpha), abs=1e-9)
+
+    def test_lp_size_is_polynomial(self, monkeypatch):
+        # n active users: n^2 rows over (d, r); the tie-break adds n rows and t
+        shapes = []
+
+        def spy(c, A_ub=None, **kwargs):
+            shapes.append(A_ub.shape)
+            return linprog(c, A_ub=A_ub, **kwargs)
+
+        monkeypatch.setattr("tinopt.region.linprog", spy)
+        ch = ChannelMatrix(random_condition_channel(np.random.default_rng(71), 8))
+        full = polyhedral_region(ch)
+        assert len(full.cycles) == 16064
+        max_weighted_gdof(full, np.ones(8))
+        max_subset_sum(polyhedral_region(ch, {0, 1, 2}), [3, 4])
+        assert shapes == [(64, 16), (72, 17), (25, 10)]
 
 
 class TestVertices:
