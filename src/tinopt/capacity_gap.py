@@ -29,7 +29,7 @@ from .channel_model import (
     check_tin_condition,
 )
 from .potential_graph import canonical_cycle, cycle_rhs, recover_power_allocation
-from .region import K_MAX_UNION, enumerate_cycles
+from .region import enumerate_cycles
 
 
 def _log2_sum_pow(exponents_bits) -> float:
@@ -226,8 +226,6 @@ def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:
     linearized form adds log2(3) per cycle position to the GDoF
     right-hand side times log2(P).
     """
-    if ch.K > K_MAX_UNION:
-        raise ValueError(f"cycle family too large beyond K={K_MAX_UNION}")
     L = ch.log2P
     a = ch.channel.alpha
     users = tuple(
@@ -304,11 +302,11 @@ def gap_certificate(
 
     Requires the optimality condition and an achievable (all-active)
     point.  For every constraint of the region, reports the exact and
-    linearized outer bounds (from :func:`rate_outer_bounds`, which refuses
-    K > ``K_MAX_UNION`` before any work), the linearized inner bound, the
-    achieved exact TIN rates under the recovered power allocation, and the
-    analytic gap (1 + log2 K per user, m*log2(3K) per cycle).  Raises if a
-    constraint that is tight at ``d`` shows an empirical gap above its
+    linearized outer bounds (from :func:`rate_outer_bounds`; its cycle
+    enumeration refuses K > ``K_MAX_UNION``), the linearized inner bound,
+    the achieved exact TIN rates under the recovered power allocation, and
+    the analytic gap (1 + log2 K per user, m*log2(3K) per cycle).  Raises
+    if a constraint that is tight at ``d`` shows an empirical gap above its
     analytic value, since that would falsify the certificate.
     """
     bounds = rate_outer_bounds(ch)

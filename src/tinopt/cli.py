@@ -145,10 +145,11 @@ def region_cmd(channel, silent_set, minimize, union_flag, vertices, output):
         _fail("--silent-set must be comma-separated integers")
     try:
         poly = polyhedral_region(ch, silent)
+        if minimize:
+            poly = minimized(poly)
+        doc = poly.to_dict()
     except ValueError as exc:
         _fail(str(exc))
-    if minimize:
-        poly = minimized(poly)
     if vertices:
         try:
             verts = polyhedron_vertices(poly)
@@ -158,7 +159,7 @@ def region_cmd(channel, silent_set, minimize, union_flag, vertices, output):
         for v in verts:
             lines.append(",".join(format(_fmt(x), ".12g") for x in v))
         _emit("\n".join(lines) + "\n", vertices)
-    _dump_json(poly.to_dict(), output)
+    _dump_json(doc, output)
 
 
 @main.command("membership")

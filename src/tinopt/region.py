@@ -15,7 +15,7 @@ serialized regions are byte-stable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
 
@@ -29,11 +29,11 @@ from .potential_graph import (
     build_graph,
     canonical_cycle,  # re-exported: part of this module's interface
     cycle_rhs,
-    recover_power_allocation,
+    decide_membership,
 )
 
-#: Full union enumeration is refused beyond this many users; the inequality
-#: family grows factorially and only single-silent-set queries stay viable.
+#: Cycle enumeration, and so the union and every export of cycle rows, is
+#: refused beyond this many users; the inequality family grows factorially.
 K_MAX_UNION = 12
 
 CyclicSequence = tuple
@@ -44,9 +44,14 @@ def enumerate_cycles(users: Iterable[int]) -> list:
 
     Each sequence is canonicalized (smallest index first), and the list is
     ordered by cycle size then lexicographically.  The count for n users
-    is ``sum_{m=2..n} C(n, m) * (m-1)!``.
+    is ``sum_{m=2..n} C(n, m) * (m-1)!``; more than ``K_MAX_UNION`` users
+    raise ``ValueError``.
     """
     base = sorted(set(int(u) for u in users))
+    if len(base) > K_MAX_UNION:
+        raise ValueError(
+            f"cycle enumeration supports at most {K_MAX_UNION} users, got {len(base)}"
+        )
     out = []
     for m in range(2, len(base) + 1):
         group = []
@@ -66,32 +71,25 @@ class LinearInequality:
     users: CyclicSequence
     rhs: float
 
-    def evaluate(self, d: np.ndarray) -> float:
-        return float(sum(d[u] for u in self.users))
-
-    def margin(self, d: np.ndarray) -> float:
-        return self.rhs - self.evaluate(d)
-
 
 @dataclass(frozen=True, eq=False)
 class Polyhedron:
-    """H-representation of one silent-set region of a channel.
+    """One silent-set region of a channel.
 
     Silenced users are pinned to zero; every active user has the box
-    ``0 <= d_i <= box_ub[i]`` (its direct exponent ``a_ii``); ``cycles``
-    holds the sum inequalities in canonical order.  Optimizers solve the
-    channel's difference system instead (:meth:`_difference_system`).
+    ``0 <= d_i <= box_ub[i]`` (its direct exponent ``a_ii``).  Membership
+    and the optimizers use the channel's potential graph; ``cycles``, the
+    sum inequalities in canonical order, is built on first read.
     """
 
     channel: ChannelMatrix
     silent: frozenset
-    cycles: tuple = field(default=())
 
     @property
     def K(self) -> int:
         return self.channel.K
 
-    @property
+    @cached_property
     def active(self) -> tuple:
         return tuple(i for i in range(self.K) if i not in self.silent)
 
@@ -102,21 +100,26 @@ class Polyhedron:
         ub.setflags(write=False)
         return ub
 
-    def contains(self, d, tol: float = EPS_LENGTH) -> bool:
-        return self.worst_violation(d) <= tol
+    @cached_property
+    def cycles(self) -> tuple:
+        """One inequality per cyclic sequence of active users, in canonical order."""
+        return tuple(
+            LinearInequality(seq, cycle_rhs(self.channel, seq))
+            for seq in enumerate_cycles(self.active)
+        )
 
-    def worst_violation(self, d) -> float:
-        """Largest constraint violation at ``d`` (<= 0 means inside)."""
+    def contains(self, d) -> bool:
+        """Zero-pins and signs within ``EPS_LENGTH``, then the potential graph's circuit test."""
         dv = np.asarray(d, dtype=float)
-        worst = 0.0
-        for i in range(self.K):
-            if i in self.silent:
-                worst = max(worst, abs(dv[i]))
-            else:
-                worst = max(worst, -dv[i], dv[i] - self.box_ub[i])
-        for ineq in self.cycles:
-            worst = max(worst, -ineq.margin(dv))
-        return float(worst)
+        if dv.shape != (self.K,) or not np.all(np.isfinite(dv)):
+            raise ValueError(f"d must be a finite vector of length {self.K}")
+        if np.any(np.abs(dv[list(self.silent)]) > EPS_LENGTH) or np.any(dv < -EPS_LENGTH):
+            return False
+        return _membership(self, dv).feasible
+
+    @cached_property
+    def _active_channel(self) -> ChannelMatrix:
+        return self.channel.restrict(list(self.active))
 
     @cached_property
     def _difference_system(self) -> tuple:
@@ -129,9 +132,8 @@ class Polyhedron:
         rows for n active users), and the ground arcs give ``r <= 0``.
         With ``d >= 0`` the projection on ``d`` is the region.
         """
-        active = list(self.active)
-        n = len(active)
-        L = build_graph(self.channel.restrict(active), np.zeros(n)).lengths[:n]
+        n = len(self.active)
+        L = build_graph(self._active_channel, np.zeros(n)).lengths[:n]
         src, dst = np.nonzero(np.isfinite(L))
         row = np.arange(len(src))
         A = np.zeros((len(src), 2 * n))
@@ -157,17 +159,31 @@ class Polyhedron:
 def polyhedral_region(alpha: ChannelMatrix, silent: Iterable[int] = ()) -> Polyhedron:
     """Region of the relaxed scheme with the given users silenced.
 
-    Emits every cyclic-sequence inequality over the active users,
-    including dominated ones; see :func:`minimized` for pruning.
+    Its ``cycles``, every cyclic-sequence inequality over the active users
+    (dominated ones too, see :func:`minimized`), are built on first read.
     """
     S = frozenset(int(i) for i in silent)
     if not S.issubset(range(alpha.K)):
         raise ValueError(f"silent set {sorted(S)} out of range for K={alpha.K}")
-    active = [i for i in range(alpha.K) if i not in S]
-    cycles = tuple(
-        LinearInequality(seq, cycle_rhs(alpha, seq)) for seq in enumerate_cycles(active)
-    )
-    return Polyhedron(channel=alpha, silent=S, cycles=cycles)
+    return Polyhedron(channel=alpha, silent=S)
+
+
+def _membership(poly: Polyhedron, d: np.ndarray) -> MembershipCertificate:
+    """Circuit test of ``d`` on the potential graph of ``poly``'s active users.
+
+    Silent coordinates of ``d`` are not read.  The certificate is in full-K
+    indices: SILENT powers on silent users, cycles in original indices.
+    """
+    active = poly.active
+    r_full = [SILENT] * poly.K
+    if active:
+        cert = decide_membership(build_graph(poly._active_channel, d[list(active)]))
+        if not cert.feasible:
+            cycle = tuple(active[u] for u in cert.cycle)
+            return replace(cert, cycle=cycle, violated_users=cycle)
+        for pos, user in enumerate(active):
+            r_full[user] = cert.r[pos]
+    return MembershipCertificate(feasible=True, r=PowerExponents(r_full))
 
 
 def minimized(poly: Polyhedron, tol: float = 1e-12) -> Polyhedron:
@@ -193,7 +209,9 @@ def minimized(poly: Polyhedron, tol: float = 1e-12) -> Polyhedron:
                         break
         if not implied:
             kept.append(ineq)
-    return Polyhedron(channel=poly.channel, silent=poly.silent, cycles=tuple(kept))
+    out = Polyhedron(channel=poly.channel, silent=poly.silent)
+    out.__dict__["cycles"] = tuple(kept)  # the same region, exporting the kept rows
+    return out
 
 
 class EmptyPolyhedronError(ValueError):
@@ -217,7 +235,7 @@ def _support_lp(poly: Polyhedron, w: np.ndarray) -> tuple:
         if not res.success:
             raise RuntimeError(f"LP failed: {res.message}")
         point[active] = res.x[:n]
-    if poly.worst_violation(point) > EPS_LENGTH:
+    if not poly.contains(point):
         raise RuntimeError("optimizer returned an uncertifiable point")
     return float(w @ point), point
 
@@ -228,7 +246,7 @@ def max_weighted_gdof(poly: Polyhedron, weights) -> tuple:
     Ties on the optimal face are broken toward the max-min fair point over
     the active users (a second LP restricted to the face), so symmetric
     instances return symmetric maximizers.  The returned point is
-    re-checked against every inequality and the reported value.
+    re-checked by :meth:`Polyhedron.contains` and against the reported value.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (poly.K,):
@@ -256,7 +274,7 @@ def max_weighted_gdof(poly: Polyhedron, weights) -> tuple:
             point = np.zeros(poly.K)
             point[active] = res2.x[:n]
 
-    if poly.worst_violation(point) > EPS_LENGTH or abs(float(w @ point) - value) > EPS_LENGTH:
+    if not poly.contains(point) or abs(float(w @ point) - value) > EPS_LENGTH:
         raise RuntimeError("optimizer returned an uncertifiable point")
     return value, point
 
@@ -266,9 +284,11 @@ def max_subset_sum(poly: Polyhedron, users: Iterable[int]) -> float:
 
     One support LP; no tie-break, since only the value is returned.
     """
+    idx = [int(i) for i in users]
+    if not all(0 <= i < poly.K for i in idx):
+        raise ValueError(f"users {sorted(idx)} out of range for K={poly.K}")
     w = np.zeros(poly.K)
-    for i in users:
-        w[i] = 1.0
+    w[idx] = 1.0
     try:
         value, _ = _support_lp(poly, w)
     except EmptyPolyhedronError:
@@ -284,10 +304,10 @@ def poly_contains(outer: Polyhedron, inner: Polyhedron, tol: float = EPS_LENGTH)
     constraints.  The other outer rows, the inequalities straddling the
     inner silent set and the zero-pins ``d_i <= 0`` of outer silent users
     active in the inner region, are grouped by their support within the
-    inner active set: one support LP per distinct reduced support, checked
-    against the group's smallest right-hand side.  A group with empty
-    reduced support attains 0 on a nonempty inner region; its LP, which
-    tells an empty inner region (-inf), runs only for a negative bound.
+    inner active set and checked against the group's smallest right-hand
+    side.  A group whose inner boxes sum to at most that bound holds
+    without an LP (with empty support, the sum is 0); every other group
+    asks one support LP, which also tells an empty inner region (-inf).
     """
     if outer.K != inner.K:
         raise ValueError("dimension mismatch")
@@ -299,8 +319,8 @@ def poly_contains(outer: Polyhedron, inner: Polyhedron, tol: float = EPS_LENGTH)
             reduced = support & inner_active
             tightest[reduced] = min(ineq.rhs, tightest.get(reduced, ineq.rhs))
     for reduced, rhs in tightest.items():
-        attained = max_subset_sum(inner, reduced) if reduced or rhs < -tol else 0.0
-        if attained > rhs + tol:
+        bound = rhs + tol
+        if inner.box_ub[list(reduced)].sum() > bound and max_subset_sum(inner, reduced) > bound:
             return False
     return True
 
@@ -386,30 +406,8 @@ def point_in_tin_region(alpha: ChannelMatrix, d, tol: float = EPS_LENGTH) -> Tin
     if np.any(dv < 0):
         raise ValueError("GDoF entries must be nonnegative")
     Z = frozenset(i for i in range(alpha.K) if dv[i] <= tol)
-    active = [i for i in range(alpha.K) if i not in Z]
-    if not active:
-        cert = MembershipCertificate(
-            feasible=True, r=PowerExponents([SILENT] * alpha.K)
-        )
-        return TinMembership(True, Z, cert)
-    sub = alpha.restrict(active)
-    sub_cert = recover_power_allocation(sub, dv[active])
-    if sub_cert.feasible:
-        r_full = [SILENT] * alpha.K
-        for pos, user in enumerate(active):
-            r_full[user] = sub_cert.r[pos]
-        cert = MembershipCertificate(feasible=True, r=PowerExponents(r_full))
-        return TinMembership(True, Z, cert)
-    remap = tuple(active[u] for u in sub_cert.cycle)
-    cert = MembershipCertificate(
-        feasible=False,
-        r=None,
-        cycle=remap,
-        violated_users=remap,
-        violated_rhs=sub_cert.violated_rhs,
-        margin=sub_cert.margin,
-    )
-    return TinMembership(False, Z, cert)
+    cert = _membership(Polyhedron(channel=alpha, silent=Z), dv)
+    return TinMembership(cert.feasible, Z, cert)
 
 
 def polyhedron_vertices(poly: Polyhedron, decimals: int = 9) -> np.ndarray:

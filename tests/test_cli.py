@@ -202,6 +202,7 @@ class TestMalformedInput:
             ["gap-check", "dense.json", "--gdof", "-0.1,0.1,0.1", "--power", "100"],
             ["gap-check", "dense.json", "--gdof", "0.1,0.1,0.1", "--power", "inf"],
             ["gdof-limits", "dense.json", "--cycle", "0,1", "--powers", "1e2,inf"],
+            ["region", "big.json"],
         ],
     )
     def test_exits_two_with_one_line_error(self, runner, tmp_path, args):

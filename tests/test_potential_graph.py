@@ -7,6 +7,7 @@ from tinopt import (
     build_graph,
     decide_membership,
     point_in_tin_region,
+    polyhedral_region,
     polyhedral_tin_gdof,
     recover_power_allocation,
 )
@@ -214,6 +215,20 @@ class TestToleranceBand:
         assert_certificate_checks(ch.alpha, d, recover_power_allocation(ch, d))
         assert_certificate_checks(ch.alpha, d, point_in_tin_region(ch, d).certificate)
 
+    def test_polyhedron_contains_takes_the_same_band(self):
+        # a 2-cycle overshot by 9e-10 at K=4: the band shift of 2.5e-10 per
+        # user leaves it violated, and the polyhedron must say so too
+        alpha = np.full((4, 4), 0.1)
+        alpha[0, 1] = alpha[1, 0] = 0.5
+        alpha[2, 3] = alpha[3, 2] = 0.2
+        np.fill_diagonal(alpha, 1.0)
+        ch = ChannelMatrix(alpha)
+        d = np.array([0.5, 0.5 + 9e-10, 0.2, 0.2])
+        verdict = point_in_tin_region(ch, d)
+        assert_certificate_checks(alpha, d, verdict.certificate)
+        assert not verdict.inside and verdict.certificate.cycle == (0, 1)
+        assert polyhedral_region(ch).contains(d) == verdict.inside
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         K=st.integers(2, 6),
@@ -239,3 +254,4 @@ class TestToleranceBand:
         assert_certificate_checks(alpha, d, verdict.certificate)
         if oracle_union_band(alpha, d) > 1e-8:
             assert verdict.inside == oracle_in_union(alpha, d)
+        assert polyhedral_region(ch, verdict.silent).contains(d) == verdict.inside

@@ -24,6 +24,7 @@ from _oracles import (
     oracle_cycle_lp,
     oracle_cycles,
     oracle_in_union,
+    oracle_region_margin,
     oracle_sum_gdof_assignment,
     oracle_union_band,
     random_channel,
@@ -96,6 +97,14 @@ class TestPolyhedralRegion:
     def test_silent_out_of_range(self, ex2):
         with pytest.raises(ValueError):
             polyhedral_region(ex2, silent={5})
+
+    def test_point_and_user_shapes_checked(self):
+        poly = polyhedral_region(ChannelMatrix(np.array([[1.0, 0.1], [0.2, 1.0]])))
+        for d in ([0.1], [0.1, 0.1, 5.0]):
+            with pytest.raises(ValueError):
+                poly.contains(d)
+        with pytest.raises(ValueError):
+            max_subset_sum(poly, [5])
 
     def test_minimized_prunes_dominated_cycle(self, ex2):
         pruned = minimized(polyhedral_region(ex2))
@@ -199,8 +208,8 @@ class TestGeneralRegion:
             d = rng.uniform(0, np.diag(alpha))
             for i in S_large:
                 d[i] = 0.0
-            if small.contains(d, tol=1e-12):
-                assert large.contains(d, tol=1e-9)
+            if small.contains(d):
+                assert large.contains(d)
 
 
 class TestPointInTinRegion:
@@ -291,7 +300,7 @@ class TestMaxWeightedGdof:
             poly = polyhedral_region(ChannelMatrix(alpha))
             w = rng.uniform(0.1, 1.0, K)
             value, point = max_weighted_gdof(poly, w)
-            assert poly.worst_violation(point) <= 1e-9
+            assert oracle_region_margin(alpha, (), point) >= -1e-9
             assert float(w @ point) == pytest.approx(value, abs=1e-9)
 
     def test_matches_cycle_lp_oracle(self):
@@ -341,6 +350,21 @@ class TestMaxWeightedGdof:
         max_weighted_gdof(full, np.ones(8))
         max_subset_sum(polyhedral_region(ch, {0, 1, 2}), [3, 4])
         assert shapes == [(64, 16), (72, 17), (25, 10)]
+
+        # no cycle row is built on the way: K=30 has about 2.5e31 of them
+        def refuse(users):
+            raise AssertionError("cycle rows enumerated")
+
+        monkeypatch.setattr("tinopt.region.enumerate_cycles", refuse)
+        alpha = random_condition_channel(np.random.default_rng(73), 30)
+        poly = polyhedral_region(ChannelMatrix(alpha))
+        value, point = max_weighted_gdof(poly, np.ones(30))
+        assert value == pytest.approx(oracle_sum_gdof_assignment(alpha), abs=1e-9)
+        assert poly.contains(point)
+        assert max_subset_sum(poly, [0, 1]) == pytest.approx(
+            oracle_cycle_lp(alpha, range(2, 30), np.ones(30))
+        )
+        assert shapes[3:] == [(900, 60), (930, 61), (900, 60)]
 
 
 class TestVertices:
