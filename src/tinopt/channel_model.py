@@ -45,6 +45,13 @@ class _Silent:
 SILENT = _Silent()
 
 
+def _check_exponents(a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError("alpha entries must be finite")
+    if np.any(a < 0):
+        raise ValueError("alpha entries must be nonnegative")
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelMatrix:
     """Square matrix of channel strength exponents, receiver-major.
@@ -63,10 +70,7 @@ class ChannelMatrix:
             raise ValueError(f"alpha must be a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("need at least one user")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("alpha entries must be finite")
-        if np.any(a < 0):
-            raise ValueError("alpha entries must be nonnegative")
+        _check_exponents(a)
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
 
@@ -196,6 +200,13 @@ def _check_r(alpha: ChannelMatrix, r: PowerExponents) -> None:
         raise ValueError(f"r has length {len(r)}, channel has K={alpha.K}")
 
 
+def _interference(a: np.ndarray, rv: np.ndarray, heard: np.ndarray) -> np.ndarray:
+    """Per receiver ``i``: ``max(0, max_{j != i, heard[j]} (a_ij + r_j))``."""
+    K = len(rv)
+    cross = np.where(heard & ~np.eye(K, dtype=bool), a + rv, -np.inf)
+    return np.maximum(cross.max(axis=1, initial=-np.inf), 0.0)
+
+
 def tin_gdof(alpha: ChannelMatrix, r: PowerExponents) -> np.ndarray:
     """GDoF achieved per user by treating interference as noise at power ``P**r``.
 
@@ -203,19 +214,11 @@ def tin_gdof(alpha: ChannelMatrix, r: PowerExponents) -> np.ndarray:
     user gets 0 and contributes no interference.  Output entries are >= 0.
     """
     _check_r(alpha, r)
-    K = alpha.K
     a = alpha.alpha
-    d = np.zeros(K)
-    for i in range(K):
-        if r.is_silent(i):
-            continue
-        interf = 0.0
-        for j in range(K):
-            if j == i or r.is_silent(j):
-                continue
-            interf = max(interf, a[i, j] + r[j])
-        d[i] = max(0.0, a[i, i] + r[i] - interf)
-    return d
+    active = r.finite_mask
+    rv = r.finite_array()
+    d = np.maximum(np.diag(a) + rv - _interference(a, rv, active), 0.0)
+    return np.where(active, d, 0.0)
 
 
 def polyhedral_tin_gdof(alpha: ChannelMatrix, r: PowerExponents) -> np.ndarray:
@@ -227,15 +230,23 @@ def polyhedral_tin_gdof(alpha: ChannelMatrix, r: PowerExponents) -> np.ndarray:
     _check_r(alpha, r)
     if not r.all_finite:
         raise ValueError("relaxed GDoF is undefined for SILENT entries")
-    K = alpha.K
     a = alpha.alpha
     rv = r.finite_array()
-    d = np.empty(K)
-    for i in range(K):
-        others = [a[i, j] + rv[j] for j in range(K) if j != i]
-        interf = max(0.0, max(others)) if others else 0.0
-        d[i] = a[i, i] + rv[i] - interf
-    return d
+    return np.diag(a) + rv - _interference(a, rv, r.finite_mask)
+
+
+def condition_margins(a: np.ndarray) -> np.ndarray:
+    """Per-user margins of the optimality condition, over stacked ``(..., K, K)`` exponents.
+
+    ``a_ii - (max_{j != i} a_ji + max_{k != i} a_ik)``: the diagonal is
+    zeroed and each maximum starts from 0, which leaves it unchanged for
+    nonnegative exponents and gives 0 for a single user.
+    """
+    K = a.shape[-1]
+    off = np.where(np.eye(K, dtype=bool), 0.0, a)
+    caused = off.max(axis=-2, initial=0.0)
+    suffered = off.max(axis=-1, initial=0.0)
+    return np.diagonal(a, axis1=-2, axis2=-1) - (caused + suffered)
 
 
 def check_tin_condition(alpha: ChannelMatrix, eps: float = EPS_CONDITION) -> ConditionReport:
@@ -244,17 +255,11 @@ def check_tin_condition(alpha: ChannelMatrix, eps: float = EPS_CONDITION) -> Con
     The test is homogeneous of degree one in the exponents and invariant
     under swapping the roles of transmitters and receivers.
     """
-    a = alpha.alpha
-    K = alpha.K
-    per_user = []
-    margins = []
-    for i in range(K):
-        out_max = max((a[j, i] for j in range(K) if j != i), default=0.0)
-        in_max = max((a[i, k] for k in range(K) if k != i), default=0.0)
-        margin = float(a[i, i] - (out_max + in_max))
-        margins.append(margin)
-        per_user.append(margin >= -eps)
-    return ConditionReport(tuple(per_user), tuple(margins), all(per_user))
+    margins = condition_margins(alpha.alpha)
+    per_user = margins >= -eps
+    return ConditionReport(
+        tuple(per_user.tolist()), tuple(margins.tolist()), bool(per_user.all())
+    )
 
 
 def transpose_channel(alpha: ChannelMatrix) -> ChannelMatrix:
@@ -289,13 +294,25 @@ def from_link_budget(
         raise ValueError("snr must be a vector")
     if x.shape != (K, K):
         raise ValueError(f"inr must be {K}x{K}, got {x.shape}")
-    off = ~np.eye(K, dtype=bool)
-    if np.any(s <= 0) or np.any(x[off] <= 0):
+    np.fill_diagonal(x, s)
+    return ChannelMatrix(link_exponents(x, nominal_P))
+
+
+def link_exponents(gains: np.ndarray, nominal_P) -> np.ndarray:
+    """Strength exponents ``log(max(1, g)) / log(nominal_P)`` of stacked ``(..., K, K)`` gains.
+
+    ``nominal_P`` is one value, or one per matrix (shape ``gains.shape[:-2]``);
+    the caller ensures it exceeds 1.  Every logarithm is ``math.log`` of
+    one entry, so each exponent has the same bits however many matrices
+    are stacked.  Raises ``ValueError`` for a gain that is not positive
+    and for an exponent that is not finite and nonnegative.
+    """
+    g = np.asarray(gains, dtype=float)
+    if np.any(g <= 0):
         raise ValueError("SNR/INR values must be positive")
-    logP = math.log(nominal_P)
-    a = np.zeros((K, K))
-    for k in range(K):
-        for i in range(K):
-            v = s[k] if k == i else x[k, i]
-            a[k, i] = math.log(max(1.0, v)) / logP
-    return ChannelMatrix(a)
+    P = np.asarray(nominal_P, dtype=float)
+    logs = np.fromiter(map(math.log, np.maximum(g, 1.0).ravel().tolist()), float, g.size)
+    log_P = np.fromiter(map(math.log, P.ravel().tolist()), float, P.size)
+    a = logs.reshape(g.shape) / log_P.reshape(P.shape + (1, 1))
+    _check_exponents(a)
+    return a

@@ -261,7 +261,7 @@ def _sim_config(users, coverage, trials, seed, cell_radius, shadowing):
         cell_radius=cell_radius,
         trials=trials,
         master_seed=seed,
-        shadowing_sigma_db=shadowing if shadowing > 0 else None,
+        shadowing_sigma_db=None if shadowing == 0 else shadowing,
     )
 
 
@@ -326,9 +326,9 @@ def simulate_cmd(users, coverage, trials, seed, cell_radius, shadowing, workers,
 def sweep_cmd(users, coverage, trials, seed, cell_radius, shadowing, workers, fmt,
               output):
     """Condition-probability grid, emitted as CSV."""
+    K_values = _parse_list(users, int, "--users")
+    radii = _parse_list(coverage, float, "--coverage")
     try:
-        K_values = [int(x) for x in users.split(",")]
-        radii = [float(x) for x in coverage.split(",")]
         base = _sim_config(max(K_values), max(radii), trials, seed, cell_radius,
                            shadowing)
         rows = sweep(base, K_values, radii, workers=workers)

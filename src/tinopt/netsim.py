@@ -9,7 +9,12 @@ each realization is reduced to a strength-exponent matrix on which the
 per-user optimality condition is evaluated.
 
 Every trial derives its own RNG stream from (master_seed, trial_index),
-so estimates are bit-reproducible.
+so estimates are bit-reproducible.  ``condition_probability`` draws a
+batch of trials (at most 4096 link entries, trials * K * K) one stream
+after another, then computes geometry, path loss, exponents and the
+condition on ``(trials, K, K)`` arrays with the same per-entry operations
+as :func:`sample_network`, so every estimate has the same bytes as one
+computed a trial at a time.  Simulations take at most ``K_MAX_SIM`` users.
 """
 
 from __future__ import annotations
@@ -20,7 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel_model import ChannelMatrix, check_tin_condition, from_link_budget
+from .channel_model import (
+    EPS_CONDITION,
+    ChannelMatrix,
+    condition_margins,
+    from_link_budget,
+    link_exponents,
+)
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -32,6 +43,23 @@ ERCEG_TERRAIN = {
     "B": (4.0, 0.0065, 17.1),
     "C": (3.6, 0.0050, 20.0),
 }
+
+#: Largest user count a simulation accepts.  One trial at K=1000 takes about
+#: 0.33 s and 100 MB, so the shortest run (100 trials) takes about 33 s; at
+#: K=2000 that grows to 1.4 s and 370 MB per trial (README, "Cellular
+#: Monte-Carlo").
+K_MAX_SIM = 1000
+
+#: Link entries (trials * K * K) computed together in ``condition_probability``.
+#: Small enough that a batch's arrays stay within a few hundred kilobytes,
+#: large enough that per-call overhead is shared by tens of trials at K=10.
+_BATCH_LINKS = 4096
+
+_FINITE_FIELDS = (
+    "coverage_radius", "cell_radius", "carrier_freq_mhz", "noise_floor_dbm",
+    "boundary_snr_target_db", "bs_height_m", "rx_height_m", "ref_distance_m",
+    "antenna_gain_db", "min_distance_m",
+)
 
 
 @dataclass(frozen=True)
@@ -59,12 +87,20 @@ class SimConfig:
     min_distance_m: float = 1.0
 
     def __post_init__(self):
+        for name in _FINITE_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0 < self.coverage_radius <= self.cell_radius):
             raise ValueError("need 0 < coverage_radius <= cell_radius")
+        sigma = self.shadowing_sigma_db
+        if sigma is not None and not (0 <= sigma < math.inf):
+            raise ValueError(f"shadowing_sigma_db must be None or finite and >= 0, got {sigma}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.K < 1:
             raise ValueError("K must be >= 1")
+        if self.K > K_MAX_SIM:
+            raise ValueError(f"K must be at most {K_MAX_SIM}, got {self.K}")
         if self.terrain not in ERCEG_TERRAIN:
             raise ValueError(f"unknown terrain {self.terrain!r}")
 
@@ -132,38 +168,67 @@ class NetworkInstance:
         }
 
 
-def _uniform_disk(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    r = radius * np.sqrt(rng.random(n))
-    theta = 2.0 * math.pi * rng.random(n)
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+@dataclass(frozen=True)
+class _Links:
+    """Layouts and link budgets of several trials, stacked along the first axis."""
+
+    tx: np.ndarray  # (n, K, 2) meters
+    rx: np.ndarray  # (n, K, 2) meters
+    pathloss_db: np.ndarray  # (n, K, K), receiver-major
+    gains: np.ndarray  # (n, K, K) linear, not clipped
+    nominal_P: np.ndarray  # (n,)
+
+
+def _disk(radius: float, u_radius: np.ndarray, u_angle: np.ndarray) -> np.ndarray:
+    """Area-uniform points in a disk from two uniform draws per point."""
+    r = radius * np.sqrt(u_radius)
+    theta = 2.0 * math.pi * u_angle
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
+def _sample_links(cfg: SimConfig, trials: Sequence[int]) -> _Links:
+    """The layouts of the given trials, each from its own stream.
+
+    Trial ``t`` draws from ``default_rng([master_seed mod 2**64, t])``, in
+    this order: K radii and K angles for the transmitters, the same for
+    the receiver offsets, then the K-by-K shadowing normals.  Everything
+    after the draws is computed on the whole stack at once, with the same
+    operations per entry as for one trial.
+    """
+    K = cfg.K
+    sigma = cfg.shadowing_sigma_db
+    u = np.empty((len(trials), 4, K))
+    shadow = np.empty((len(trials), K, K)) if sigma else None
+    for k, t in enumerate(trials):
+        rng = np.random.default_rng([cfg.master_seed & 0xFFFFFFFFFFFFFFFF, int(t)])
+        u[k] = rng.random((4, K))  # the same numbers as four calls of K each
+        if sigma:
+            shadow[k] = rng.normal(0.0, sigma, size=(K, K))
+    tx = _disk(cfg.cell_radius, u[:, 0], u[:, 1])
+    rx = tx + _disk(cfg.coverage_radius, u[:, 2], u[:, 3])
+    dist = np.linalg.norm(rx[:, :, None, :] - tx[:, None, :, :], axis=-1)
+    dist = np.maximum(dist, cfg.min_distance_m)
+    pl = erceg_pathloss(dist, cfg)
+    if sigma:
+        pl = pl + shadow
+    gain_db = transmit_power_dbm(cfg) + cfg.antenna_gain_db - pl - cfg.noise_floor_dbm
+    gains = np.power(10.0, gain_db / 10.0)
+    nominal_P = np.maximum(gains.max(axis=(-2, -1)), 2.0)
+    return _Links(tx, rx, pl, gains, nominal_P)
 
 
 def sample_network(cfg: SimConfig, trial_index: int) -> NetworkInstance:
     """One random layout, deterministic in (master_seed, trial_index)."""
-    rng = np.random.default_rng(
-        [cfg.master_seed & 0xFFFFFFFFFFFFFFFF, int(trial_index)]
-    )
-    K = cfg.K
-    tx = _uniform_disk(rng, K, cfg.cell_radius)
-    rx = tx + _uniform_disk(rng, K, cfg.coverage_radius)
-    dist = np.linalg.norm(rx[:, None, :] - tx[None, :, :], axis=2)
-    dist = np.maximum(dist, cfg.min_distance_m)
-    pl = erceg_pathloss(dist, cfg)
-    if cfg.shadowing_sigma_db:
-        pl = pl + rng.normal(0.0, cfg.shadowing_sigma_db, size=pl.shape)
-    ptx = transmit_power_dbm(cfg)
-    gain_db = ptx + cfg.antenna_gain_db - pl - cfg.noise_floor_dbm
-    linear = np.power(10.0, gain_db / 10.0)
-    clipped = np.maximum(1.0, linear)
-    nominal_P = max(2.0, float(clipped.max()))
-    alpha = from_link_budget(np.diag(linear), linear, nominal_P)
+    links = _sample_links(cfg, [trial_index])
+    linear = links.gains[0]
+    nominal_P = float(links.nominal_P[0])
     return NetworkInstance(
-        tx_positions=tx,
-        rx_positions=rx,
-        pathloss_db=pl,
-        snr_inr_linear=clipped,
+        tx_positions=links.tx[0],
+        rx_positions=links.rx[0],
+        pathloss_db=links.pathloss_db[0],
+        snr_inr_linear=np.maximum(1.0, linear),
         nominal_P=nominal_P,
-        alpha=alpha,
+        alpha=from_link_budget(np.diag(linear), linear, nominal_P),
     )
 
 
@@ -191,17 +256,20 @@ def condition_probability(cfg: SimConfig, workers: int = 1) -> ConditionEstimate
 
     The verdict per layout does not depend on the nominal-power policy
     (the condition is homogeneous in the exponents), so the estimate is a
-    pure function of (config, master_seed).  Trials run one after another
-    in this process: ``workers`` (at least 1) changes neither the result
-    nor the speed.
+    pure function of (config, master_seed).  Trials run in batches in
+    this process: ``workers`` (at least 1) changes neither the result nor
+    the speed.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if cfg.trials < 100:
         raise ValueError("need at least 100 trials for the interval to be meaningful")
-    passes = sum(
-        check_tin_condition(sample_network(cfg, t).alpha).overall for t in range(cfg.trials)
-    )
+    per_batch = max(1, _BATCH_LINKS // (cfg.K * cfg.K))
+    passes = 0
+    for lo in range(0, cfg.trials, per_batch):
+        links = _sample_links(cfg, range(lo, min(lo + per_batch, cfg.trials)))
+        margins = condition_margins(link_exponents(links.gains, links.nominal_P))
+        passes += int(np.all(margins >= -EPS_CONDITION, axis=-1).sum())
     lo, hi = _wilson_interval(passes, cfg.trials)
     return ConditionEstimate(
         K=cfg.K,
@@ -222,14 +290,15 @@ def sweep(
 ) -> list:
     """Condition-probability grid over user counts and coverage radii.
 
-    ``workers`` changes neither the result nor the speed.
+    Every grid point's configuration is validated before the first trial
+    runs.  ``workers`` changes neither the result nor the speed.
     """
-    rows = []
-    for K in K_values:
-        for radius in radius_values:
-            cfg = replace(base, K=int(K), coverage_radius=float(radius))
-            rows.append(condition_probability(cfg, workers=workers))
-    return rows
+    cfgs = [
+        replace(base, K=int(K), coverage_radius=float(radius))
+        for K in K_values
+        for radius in radius_values
+    ]
+    return [condition_probability(cfg, workers=workers) for cfg in cfgs]
 
 
 SWEEP_CSV_HEADER = "K,coverage_radius_m,trials,prob,ci_low,ci_high"

@@ -13,10 +13,11 @@ import math
 import numpy as np
 
 
-def forward_gdof(alpha: np.ndarray, R: np.ndarray) -> np.ndarray:
+def forward_gdof(alpha: np.ndarray, R: np.ndarray, clamp: bool = True) -> np.ndarray:
     """Clamped per-user GDoF for a batch of finite power-exponent rows.
 
-    Direct evaluation of d_i = max(0, a_ii + r_i - max(0, max_j(a_ij + r_j))).
+    Direct evaluation of d_i = max(0, a_ii + r_i - max(0, max_j(a_ij + r_j)));
+    ``clamp=False`` drops the outer ``max(0, .)`` (the relaxed GDoF).
     """
     R = np.atleast_2d(R)
     n, K = R.shape
@@ -27,8 +28,37 @@ def forward_gdof(alpha: np.ndarray, R: np.ndarray) -> np.ndarray:
             interf = np.maximum(0.0, np.max(np.column_stack(cols), axis=1))
         else:
             interf = np.zeros(n)
-        D[:, i] = np.maximum(0.0, alpha[i, i] + R[:, i] - interf)
+        D[:, i] = alpha[i, i] + R[:, i] - interf
+        if clamp:
+            D[:, i] = np.maximum(0.0, D[:, i])
     return D
+
+
+def oracle_condition_margins(alpha: np.ndarray) -> list:
+    """Per-user margin a_ii - (strongest caused + strongest suffered), by loops.
+
+    A user with no other user has nothing to cause or suffer (both 0).
+    """
+    a = np.asarray(alpha, dtype=float).tolist()
+    K = len(a)
+    margins = []
+    for i in range(K):
+        caused = max((a[j][i] for j in range(K) if j != i), default=0.0)
+        suffered = max((a[i][k] for k in range(K) if k != i), default=0.0)
+        margins.append(a[i][i] - (caused + suffered))
+    return margins
+
+
+def oracle_trial_verdict(gains: np.ndarray, nominal_P: float, eps: float = 1e-9) -> bool:
+    """Does one layout meet the optimality condition, from its linear link gains?
+
+    Exponents are ``log(max(1, g)) / log(P)``; every user's direct exponent
+    must cover its strongest caused plus strongest suffered exponent,
+    ties within ``eps`` passing.
+    """
+    log_P = math.log(nominal_P)
+    alpha = [[math.log(max(1.0, g)) / log_P for g in row] for row in gains.tolist()]
+    return all(m >= -eps for m in oracle_condition_margins(alpha))
 
 
 def oracle_cycles(users) -> list:

@@ -9,6 +9,7 @@ routines are never checked against themselves.
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +286,10 @@ def test_c09_gdof_limit_convergence():
             assert rep.final_error < 0.02, (a, cyc, rep)
 
 
+#: The sweep CSV as the one-trial-at-a-time implementation wrote it.
+GOLDEN_C10_CSV = Path(__file__).parent / "data" / "c10_sweep.csv"
+
+
 def _sweep_rows(workers: int):
     cfg = SimConfig(K=10, coverage_radius=100.0, trials=2000, master_seed=0)
     return sweep(cfg, [2, 5, 10, 15], [50.0, 100.0, 200.0], workers=workers)
@@ -295,6 +300,7 @@ def test_c10_simulation_target_and_trends():
         t0 = time.perf_counter()
         rows = _sweep_rows(workers=1)
         _STATE["sweep_csv"] = sweep_to_csv(rows)
+        assert _STATE["sweep_csv"] == GOLDEN_C10_CSV.read_text(encoding="utf-8")
         grid = {(r.K, r.coverage_radius): r.prob for r in rows}
         assert 0.4 <= grid[(10, 100.0)] <= 0.6
         for radius in (50.0, 100.0, 200.0):

@@ -16,7 +16,7 @@ from tinopt import (
     transpose_channel,
 )
 from conftest import EX2_ALPHA, symmetric_two_user
-from _oracles import random_channel
+from _oracles import forward_gdof, oracle_condition_margins, random_channel
 
 
 def small_matrices(max_k=4):
@@ -111,6 +111,24 @@ class TestTinGdof:
         with pytest.raises(ValueError):
             tin_gdof(ex2, PowerExponents([0.0]))
 
+    def test_bits_match_forward_oracle(self):
+        # a silent user is a power far below every exponent for the oracle
+        rng = np.random.default_rng(21)
+        for K in (1, 2, 3, 5, 10, 30, 100):
+            for _ in range(20 if K <= 10 else 3):
+                a = random_channel(rng, K)
+                a[rng.random((K, K)) < 0.2] = 0.0
+                r = -rng.uniform(0.0, 2.0, K)
+                r[rng.random(K) < 0.3] = 0.0
+                silent = rng.random(K) < 0.25
+                ch = ChannelMatrix(a)
+                got = tin_gdof(ch, PowerExponents(
+                    [SILENT if s else x for s, x in zip(silent, r)]))
+                want = forward_gdof(a, np.where(silent, -1e6, r))[0]
+                assert got.tobytes() == want.tobytes()
+                relaxed = polyhedral_tin_gdof(ch, PowerExponents(r))
+                assert relaxed.tobytes() == forward_gdof(a, r, clamp=False)[0].tobytes()
+
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -169,6 +187,20 @@ class TestCondition:
     )
     def test_symmetric_threshold_at_half(self, a, expected):
         assert check_tin_condition(symmetric_two_user(a)).overall is expected
+
+    def test_margins_bit_equal_to_loop_oracle(self):
+        rng = np.random.default_rng(17)
+        for K in (1, 2, 3, 4, 7, 12, 40):
+            for _ in range(12):
+                a = random_channel(rng, K)
+                a[rng.random((K, K)) < 0.3] = 0.0
+                if K > 1:
+                    a[-1, :-1] = a[-1, 0]  # tied strongest entries
+                rep = check_tin_condition(ChannelMatrix(a))
+                want = oracle_condition_margins(a)
+                assert np.array(rep.margins).tobytes() == np.array(want).tobytes()
+                assert rep.per_user == tuple(m >= -1e-9 for m in want)
+                assert rep.overall == all(rep.per_user)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
@@ -242,3 +274,5 @@ class TestFromLinkBudget:
             from_link_budget([-1.0], [[1.0]], 10.0)
         with pytest.raises(ValueError):
             from_link_budget([1.0, 1.0], [[1.0, -2.0], [1.0, 1.0]], 10.0)
+        with pytest.raises(ValueError, match="finite"):
+            from_link_budget([1.0, 1.0], [[1.0, math.nan], [1.0, 1.0]], 10.0)

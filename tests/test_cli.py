@@ -1,11 +1,15 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from tinopt import ChannelMatrix, point_in_tin_region, polyhedral_region
 from tinopt.cli import main
+from tinopt.netsim import K_MAX_SIM
 
 
 @pytest.fixture
@@ -210,12 +214,77 @@ class TestMalformedInput:
             a = np.full((K, K), 0.1)
             np.fill_diagonal(a, 1.0)
             (tmp_path / name).write_text(json.dumps(ChannelMatrix(a).to_dict()))
-        result = runner.invoke(main, [str(tmp_path / x) if x.endswith((".json", ".csv")) else x
-                                      for x in args])
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert result.output.startswith("error: ")
-        assert result.output.count("\n") == 1
+        assert_usage_error(runner, [str(tmp_path / x) if x.endswith((".json", ".csv")) else x
+                                    for x in args])
+
+
+def assert_usage_error(runner, args):
+    """Exit 2 with exactly one ``error:`` line, no traceback and no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, args)
+    assert result.exit_code == 2, (args, result.output)
+    assert isinstance(result.exception, SystemExit), (args, result.exception)
+    assert result.output.startswith("error: "), (args, result.output)
+    assert result.output.count("\n") == 1, (args, result.output)
+    assert not caught, (args, [str(w.message) for w in caught])
+
+
+def _rejects(conv, text: str) -> bool:
+    try:
+        conv(text)
+    except ValueError:
+        return True
+    return False
+
+
+#: Radii and shadowing spreads that are not finite, or negative.
+BAD_REALS = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
+    max_value=-5e-324, allow_infinity=False
+)
+BAD_USERS = st.just(0) | st.integers(max_value=-1) | st.integers(K_MAX_SIM + 1, 10**12)
+
+
+def _garbled(conv):
+    return st.text(alphabet="ab.e,- ", max_size=3).filter(
+        lambda t: all(_rejects(conv, x) for x in t.split(",")))
+
+
+def _bad_list(good, bad):
+    """Comma-separated tokens, at least one of them malformed."""
+    return st.tuples(st.lists(good, max_size=2), bad, st.lists(good, max_size=2)).map(
+        lambda parts: ",".join(parts[0] + [parts[1]] + parts[2]))
+
+
+SCALAR_FAULTS = st.one_of(
+    st.tuples(st.sampled_from(["--cell-radius", "--shadowing"]), BAD_REALS.map(repr)),
+    st.tuples(st.just("--trials"), st.integers(max_value=99).map(str)),
+    st.tuples(st.just("--workers"), st.integers(max_value=0).map(str)),
+)
+SIMULATE_FAULTS = st.one_of(
+    SCALAR_FAULTS,
+    st.tuples(st.just("--coverage"), BAD_REALS.map(repr)),
+    st.tuples(st.just("--users"), BAD_USERS.map(str)),
+)
+SWEEP_FAULTS = st.one_of(
+    SCALAR_FAULTS,
+    st.tuples(st.just("--coverage"), _bad_list(
+        st.sampled_from(["50", "100"]), BAD_REALS.map(repr) | _garbled(float))),
+    st.tuples(st.just("--users"), _bad_list(
+        st.sampled_from(["1", "2"]), BAD_USERS.map(str) | _garbled(int))),
+)
+
+
+class TestMonteCarloContract:
+    """Malformed ``simulate``/``sweep`` arguments exit 2 with one ``error:`` line."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(command=st.sampled_from(["simulate", "sweep"]), data=st.data())
+    def test_malformed_arguments_exit_two(self, command, data):
+        option, value = data.draw(SIMULATE_FAULTS if command == "simulate" else SWEEP_FAULTS)
+        opts = {"--users": "2", "--coverage": "100", "--trials": "100", option: value}
+        args = [command] + [x for kv in opts.items() for x in kv]
+        assert_usage_error(CliRunner(), args)
 
 
 class TestSimulation:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tinopt import (
     SimConfig,
@@ -13,7 +14,8 @@ from tinopt import (
     sweep,
     sweep_to_csv,
 )
-from tinopt.netsim import _wilson_interval, transmit_power_dbm
+from tinopt.netsim import K_MAX_SIM, _wilson_interval, transmit_power_dbm
+from _oracles import oracle_trial_verdict
 
 
 def cfg_no_fading(**kw):
@@ -66,6 +68,18 @@ class TestErcegPathloss:
             SimConfig(K=2, coverage_radius=2000.0, cell_radius=1000.0)
         with pytest.raises(ValueError):
             SimConfig(K=2, coverage_radius=100.0, terrain="D")
+        for bad in (
+            dict(shadowing_sigma_db=math.nan),
+            dict(shadowing_sigma_db=math.inf),
+            dict(shadowing_sigma_db=-1.0),
+            dict(cell_radius=math.inf),
+            dict(coverage_radius=math.nan),
+            dict(carrier_freq_mhz=math.nan),
+            dict(K=K_MAX_SIM + 1),
+        ):
+            with pytest.raises(ValueError):
+                SimConfig(**{"K": 2, "coverage_radius": 100.0, **bad})
+        SimConfig(K=K_MAX_SIM, coverage_radius=100.0, shadowing_sigma_db=0.0)
 
 
 class TestSampleNetwork:
@@ -165,3 +179,22 @@ class TestConditionProbability:
         assert sweep_to_csv(rows1).splitlines()[0] == (
             "K,coverage_radius_m,trials,prob,ci_low,ci_high"
         )
+
+
+class TestBatchedTrials:
+    # Trial counts just past a whole number of batches of 4096 link
+    # entries (4096, 1024, 455, 40 and 18 trials at K = 1, 2, 3, 10, 15;
+    # one trial at K = 64 and 100).
+    @pytest.mark.parametrize(
+        "K,trials", [(1, 4097), (2, 1025), (3, 457), (10, 101), (15, 257), (64, 101), (100, 101)]
+    )
+    @settings(max_examples=1, deadline=None, derandomize=True)
+    @given(seed=st.integers(-(2**80), 2**80), shadowing=st.sampled_from([8.0, None]))
+    @example(seed=2**63, shadowing=8.0)
+    @example(seed=-1, shadowing=None)
+    def test_passes_match_per_trial_oracle(self, K, trials, seed, shadowing):
+        cfg = SimConfig(K=K, coverage_radius=100.0, trials=trials, master_seed=seed,
+                        shadowing_sigma_db=shadowing)
+        nets = (sample_network(cfg, t) for t in range(trials))
+        passes = sum(oracle_trial_verdict(n.snr_inr_linear, n.nominal_P) for n in nets)
+        assert condition_probability(cfg).passes == passes
