@@ -12,8 +12,11 @@ a constant independent of power: 1 + log2(K) per user and
 m*log2(3K) per length-m cycle, which is the certified gap.
 
 Cycle rows follow :func:`region.enumerate_cycles` with GDoF right-hand
-sides from :func:`potential_graph.cycle_rhs`, the region's own numbers;
-:func:`gap_certificate` takes its outer bounds from :func:`rate_outer_bounds`.
+sides from :func:`potential_graph.cycle_rhs`, the region's own numbers.
+They are computed one cycle length at a time on ``(c, m)`` arrays, with
+every sum over a cycle's positions added from 0 in position order, so each
+row has the same floats as when computed one cycle at a time.  Per-cycle
+bounds are exported for at most ``K_MAX_EXPORT`` users.
 """
 
 from __future__ import annotations
@@ -28,8 +31,13 @@ from .channel_model import (
     PowerExponents,
     check_tin_condition,
 )
-from .potential_graph import canonical_cycle, cycle_rhs, recover_power_allocation
-from .region import enumerate_cycles
+from .potential_graph import (
+    _sum_positions,
+    canonical_cycle,
+    cycle_rhs,
+    recover_power_allocation,
+)
+from .region import _check_export, cycle_blocks, enumerate_cycles
 
 
 def _log2_sum_pow(exponents_bits) -> float:
@@ -59,14 +67,6 @@ class FiniteSnrChannel:
     def log2P(self) -> float:
         return math.log2(self.power)
 
-    def snr_bits(self, i: int) -> float:
-        """log2 of the direct-link power ratio of user i (>= 0)."""
-        return self.channel.alpha[i, i] * self.log2P
-
-    def inr_bits(self, k: int, i: int) -> float:
-        """log2 of the cross-link power ratio from transmitter i at receiver k."""
-        return self.channel.alpha[k, i] * self.log2P
-
 
 @dataclass(frozen=True)
 class CyclicBoundQuantities:
@@ -89,6 +89,26 @@ class CyclicBoundQuantities:
         return len(self.cycle)
 
 
+def _cycle_terms(ch: FiniteSnrChannel, C: np.ndarray) -> tuple:
+    """``(kappa, beta, gamma, lam, mu)``, each ``(c, m)``, for a block of cycles of one length.
+
+    Position ``j`` of row ``C[k]`` is user ``C[k, j]``; its interferer is the
+    transmitter at position ``j+1`` (indices wrap).
+    """
+    a = ch.channel.alpha
+    L = ch.log2P
+    snr = a[C, C] * L
+    # inr[:, j]: interference caused by position j's transmitter at the
+    # previous position's receiver.
+    inr = a[np.roll(C, 1, axis=1), C] * L
+    lam = np.logaddexp2(0.0, snr)
+    mu = np.logaddexp2(0.0, inr)
+    mu_next = np.roll(mu, -1, axis=1)  # log2(1 + INR_{j+1}), the first step of each chain
+    kappa = np.logaddexp2(mu_next, snr - mu)
+    gamma = np.logaddexp2(mu_next, snr)
+    return kappa, lam - mu, gamma, lam, mu
+
+
 def cyclic_quantities(ch: FiniteSnrChannel, cycle) -> CyclicBoundQuantities:
     seq = tuple(int(u) for u in cycle)
     m = len(seq)
@@ -96,18 +116,7 @@ def cyclic_quantities(ch: FiniteSnrChannel, cycle) -> CyclicBoundQuantities:
         raise ValueError("cycle needs at least two users")
     if len(set(seq)) != m or not set(seq) <= set(range(ch.K)):
         raise ValueError(f"invalid cycle {seq} for K={ch.K}")
-    snr = np.array([ch.snr_bits(u) for u in seq])
-    # inr[j]: interference caused by position j's transmitter at the
-    # previous position's receiver.
-    inr = np.array([ch.inr_bits(seq[j - 1], seq[j]) for j in range(m)])
-    lam = np.array([np.logaddexp2(0.0, s) for s in snr])
-    mu = np.array([np.logaddexp2(0.0, x) for x in inr])
-    beta = lam - mu
-    nxt = lambda j: (j + 1) % m
-    kappa = np.array(
-        [_log2_sum_pow([0.0, inr[nxt(j)], snr[j] - mu[j]]) for j in range(m)]
-    )
-    gamma = np.array([_log2_sum_pow([0.0, inr[nxt(j)], snr[j]]) for j in range(m)])
+    kappa, beta, gamma, lam, mu = (x[0] for x in _cycle_terms(ch, np.array([seq])))
     rho = np.empty(m)
     for j in range(m):
         rest = sum(kappa[t] for t in range(m) if t not in (j, (j - 1) % m))
@@ -219,16 +228,10 @@ class OuterBounds:
     cycle_bounds: tuple
 
 
-def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:
-    """Per-user and per-cycle rate outer bounds at the channel's power.
-
-    The exact per-cycle form is the sum of the kappa quantities; the
-    linearized form adds log2(3) per cycle position to the GDoF
-    right-hand side times log2(P).
-    """
+def _user_bounds(ch: FiniteSnrChannel) -> tuple:
     L = ch.log2P
     a = ch.channel.alpha
-    users = tuple(
+    return tuple(
         RateBound(
             "user",
             (i,),
@@ -237,21 +240,35 @@ def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:
         )
         for i in range(ch.K)
     )
+
+
+def _cycle_bound_blocks(ch: FiniteSnrChannel) -> list:
+    """Per cycle length: the ``(c, m)`` cycles, their GDoF right-hand sides and
+    exact outer bounds (kappa summed per row, as ``kappa.sum()`` sums one cycle)."""
+    return [
+        (C, cycle_rhs(ch.channel, C), _cycle_terms(ch, C)[0].sum(axis=1))
+        for C in cycle_blocks(enumerate_cycles(range(ch.K)))
+    ]
+
+
+def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:
+    """Per-user and per-cycle rate outer bounds at the channel's power.
+
+    The exact per-cycle form is the sum of the kappa quantities; the
+    linearized form adds log2(3) per cycle position to the GDoF
+    right-hand side times log2(P).  Refuses more than ``K_MAX_EXPORT`` users.
+    """
+    _check_export(ch.K)
     cycles = []
-    for seq in enumerate_cycles(range(ch.K)):
-        q = cyclic_quantities(ch, seq)
-        rhs = cycle_rhs(ch.channel, seq)
-        cycles.append(
-            RateBound(
-                "cycle",
-                seq,
-                exact_bits=float(q.kappa.sum()),
-                linear_bits=float(rhs * L + len(seq) * math.log2(3.0)),
-            )
+    for C, rhs, exact in _cycle_bound_blocks(ch):
+        linear = rhs * ch.log2P + C.shape[1] * math.log2(3.0)
+        cycles += (
+            RateBound("cycle", tuple(seq), exact_bits=e, linear_bits=lin)
+            for seq, e, lin in zip(C.tolist(), exact.tolist(), linear.tolist())
         )
     return OuterBounds(
         condition_holds=check_tin_condition(ch.channel).overall,
-        user_bounds=users,
+        user_bounds=_user_bounds(ch),
         cycle_bounds=tuple(cycles),
     )
 
@@ -302,15 +319,16 @@ def gap_certificate(
 
     Requires the optimality condition and an achievable (all-active)
     point.  For every constraint of the region, reports the exact and
-    linearized outer bounds (from :func:`rate_outer_bounds`; its cycle
-    enumeration refuses K > ``K_MAX_UNION``), the linearized inner bound,
-    the achieved exact TIN rates under the recovered power allocation, and
-    the analytic gap (1 + log2 K per user, m*log2(3K) per cycle).  Raises
-    if a constraint that is tight at ``d`` shows an empirical gap above its
-    analytic value, since that would falsify the certificate.
+    linearized outer bounds (the numbers of :func:`rate_outer_bounds`,
+    which refuses more than ``K_MAX_EXPORT`` users), the linearized inner
+    bound, the achieved exact TIN rates under the recovered power
+    allocation, and the analytic gap (1 + log2 K per user, m*log2(3K) per
+    cycle).  Raises if a constraint that is tight at ``d`` shows an
+    empirical gap above its analytic value, since that would falsify the
+    certificate.
     """
-    bounds = rate_outer_bounds(ch)
-    if not bounds.condition_holds:
+    _check_export(ch.K)
+    if not check_tin_condition(ch.channel).overall:
         raise ValueError("gap certificates require the optimality condition")
     dv = np.asarray(d, dtype=float)
     cert = recover_power_allocation(ch.channel, dv)
@@ -326,7 +344,7 @@ def gap_certificate(
     log2K = math.log2(K)
     sigma_user = 1.0 + log2K
     rows = []
-    for i, bound in enumerate(bounds.user_bounds):
+    for i, bound in enumerate(_user_bounds(ch)):
         rows.append(
             ConstraintGap(
                 kind="user",
@@ -340,23 +358,22 @@ def gap_certificate(
                 tight=bool(abs(dv[i] - a[i, i]) <= tight_tol),
             )
         )
-    for bound in bounds.cycle_bounds:
-        seq = bound.users
-        m = len(seq)
-        rhs = cycle_rhs(ch.channel, seq)
-        achieved = float(sum(rates[u] for u in seq))
-        rows.append(
-            ConstraintGap(
-                kind="cycle",
-                users=seq,
-                outer_exact=bound.exact_bits,
-                outer_linear=bound.linear_bits,
-                inner_linear=float(rhs * L - m * log2K),
-                achieved_bits=achieved,
-                analytic_sigma=float(m * math.log2(3.0 * K)),
-                empirical_sigma=float(bound.exact_bits - achieved),
-                tight=bool(abs(sum(dv[u] for u in seq) - rhs) <= tight_tol),
-            )
+    for C, rhs, exact in _cycle_bound_blocks(ch):
+        m = C.shape[1]
+        achieved = _sum_positions(rates[C])
+        columns = (
+            C.tolist(),
+            exact.tolist(),
+            (rhs * L + m * math.log2(3.0)).tolist(),
+            (rhs * L - m * log2K).tolist(),
+            achieved.tolist(),
+            (exact - achieved).tolist(),
+            (np.abs(_sum_positions(dv[C]) - rhs) <= tight_tol).tolist(),
+        )
+        sigma = float(m * math.log2(3.0 * K))
+        rows += (
+            ConstraintGap("cycle", tuple(seq), outer, linear, inner, ach, sigma, emp, tight)
+            for seq, outer, linear, inner, ach, emp, tight in zip(*columns)
         )
     assert sigma_user < math.log2(3.0 * K) + 1e-12
     for row in rows:

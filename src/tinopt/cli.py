@@ -31,7 +31,7 @@ from .netsim import (
 )
 from .potential_graph import recover_power_allocation
 from .region import (
-    K_MAX_UNION,
+    K_MAX_EXPORT,
     general_tin_region,
     minimized,
     point_in_tin_region,
@@ -105,7 +105,26 @@ def _parse_vector(text: str, K: int, name: str) -> np.ndarray:
     return v
 
 
-@click.group()
+class _Main(click.Group):
+    """Click's own usage errors (bad types, unknown options, missing
+    arguments) end like every other malformed input: one ``error:`` line."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.exceptions.NoArgsIsHelpError:
+            raise
+        except click.UsageError as exc:
+            _fail(exc.format_message())
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail(exc.format_message())
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main():
     """Decide when treating interference as noise is GDoF-optimal."""
@@ -133,6 +152,8 @@ def region_cmd(channel, silent_set, minimize, union_flag, vertices, output):
     """Emit the H-representation of the achievable region."""
     ch = _load(channel)
     if union_flag:
+        if ch.K > K_MAX_EXPORT:  # every component's rows are exported
+            _fail(f"--union exports cycle rows for at most {K_MAX_EXPORT} users, got {ch.K}")
         try:
             comps = general_tin_region(ch)
         except ValueError as exc:
@@ -200,8 +221,8 @@ def power_alloc_cmd(channel, gdof, output):
 def gap_check_cmd(channel, gdof, powers, output):
     """Constant-gap report as CSV, one block per nominal power."""
     ch = _load(channel)
-    if ch.K > K_MAX_UNION:
-        _fail(f"gap-check supports at most {K_MAX_UNION} users, got {ch.K}")
+    if ch.K > K_MAX_EXPORT:
+        _fail(f"gap-check supports at most {K_MAX_EXPORT} users, got {ch.K}")
     d = _parse_vector(gdof, ch.K, "--gdof")
     try:
         channels = [FiniteSnrChannel(ch, P) for P in powers]

@@ -50,6 +50,16 @@ ERCEG_TERRAIN = {
 #: Monte-Carlo").
 K_MAX_SIM = 1000
 
+#: Largest coverage or cell radius a simulation accepts [m].  Distances stay
+#: below 3e6 m, so squared distances and path losses (at most about 275 dB)
+#: stay far from overflow; that is 1000 km, beyond any cell of the model.
+RADIUS_MAX_M = 1e6
+
+#: Largest lognormal shadowing spread a simulation accepts [dB].  Ten spreads
+#: plus the path-loss range stay near 10^120 in linear gain, far from
+#: overflow or underflow; published spreads are 4-12 dB.
+SHADOWING_MAX_DB = 100.0
+
 #: Link entries (trials * K * K) computed together in ``condition_probability``.
 #: Small enough that a batch's arrays stay within a few hundred kilobytes,
 #: large enough that per-call overhead is shared by tens of trials at K=10.
@@ -90,11 +100,19 @@ class SimConfig:
         for name in _FINITE_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("coverage_radius", "cell_radius"):
+            if getattr(self, name) > RADIUS_MAX_M:
+                raise ValueError(
+                    f"{name} must be at most {RADIUS_MAX_M:g} m, got {getattr(self, name)}"
+                )
         if not (0 < self.coverage_radius <= self.cell_radius):
             raise ValueError("need 0 < coverage_radius <= cell_radius")
         sigma = self.shadowing_sigma_db
-        if sigma is not None and not (0 <= sigma < math.inf):
-            raise ValueError(f"shadowing_sigma_db must be None or finite and >= 0, got {sigma}")
+        if sigma is not None and not (0 <= sigma <= SHADOWING_MAX_DB):
+            raise ValueError(
+                f"shadowing_sigma_db must be None or between 0 and {SHADOWING_MAX_DB:g} dB, "
+                f"got {sigma}"
+            )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.K < 1:

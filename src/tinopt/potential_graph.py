@@ -130,13 +130,26 @@ def cycle_rhs(alpha: ChannelMatrix, seq) -> float:
     """Right-hand side of the region inequality ``sum_{i in seq} d_i <= rhs``.
 
     ``sum_j a_{s_j s_j} - a_{s_(j-1) s_j}`` over a cyclic sequence (indices
-    wrap); a single user gives the direct power bound ``a_ii``.
+    wrap); a single user gives the direct power bound ``a_ii``.  A ``(c, m)``
+    integer array of ``c`` sequences of one length ``m >= 2`` gives the
+    ``(c,)`` array of their right-hand sides, each summed from 0 in
+    position order like the one-sequence form, so the floats are equal.
     """
     a = alpha.alpha
+    if isinstance(seq, np.ndarray) and seq.ndim == 2:
+        return _sum_positions(a[seq, seq] - a[np.roll(seq, 1, axis=1), seq])
     m = len(seq)
     if m == 1:
         return float(a[seq[0], seq[0]])
     return float(sum(a[seq[j], seq[j]] - a[seq[j - 1], seq[j]] for j in range(m)))
+
+
+def _sum_positions(terms: np.ndarray) -> np.ndarray:
+    """Row sums of a ``(c, m)`` array, added from 0 in column order as Python's ``sum`` adds."""
+    out = np.zeros(len(terms))
+    for j in range(terms.shape[1]):
+        out += terms[:, j]
+    return out
 
 
 def _certificate_from_cycle(graph: PotentialGraph, cycle: list) -> MembershipCertificate:

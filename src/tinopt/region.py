@@ -15,6 +15,7 @@ serialized regions are byte-stable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
@@ -32,9 +33,16 @@ from .potential_graph import (
     decide_membership,
 )
 
-#: Cycle enumeration, and so the union and every export of cycle rows, is
-#: refused beyond this many users; the inequality family grows factorially.
+#: Cycle enumeration, and so the union, is refused beyond this many users;
+#: the inequality family grows factorially.
 K_MAX_UNION = 12
+
+#: Cycle rows are exported (``Polyhedron.to_dict``, :func:`minimized` and the
+#: gap certificates' per-cycle bounds) for at most this many active users,
+#: a limit set from measured cost (README, "Exporting cycle rows"): at 9
+#: users (125,664 rows) ``tinopt region`` takes about 4 s and 350 MB, at 10
+#: users (1,112,073 rows) about 28 s and 2.6 GB.
+K_MAX_EXPORT = 9
 
 CyclicSequence = tuple
 
@@ -62,6 +70,21 @@ def enumerate_cycles(users: Iterable[int]) -> list:
         group.sort()
         out.extend(group)
     return out
+
+
+def cycle_blocks(cycles) -> list:
+    """One ``(c, m)`` integer array per cycle length of a length-sorted cycle list.
+
+    Rows keep the list's order, so the blocks stacked in turn are the list.
+    """
+    return [np.array(list(group), dtype=np.intp) for _, group in itertools.groupby(cycles, key=len)]
+
+
+def _check_export(n_active: int) -> None:
+    if n_active > K_MAX_EXPORT:
+        raise ValueError(
+            f"cycle rows are exported for at most {K_MAX_EXPORT} active users, got {n_active}"
+        )
 
 
 @dataclass(frozen=True)
@@ -103,10 +126,9 @@ class Polyhedron:
     @cached_property
     def cycles(self) -> tuple:
         """One inequality per cyclic sequence of active users, in canonical order."""
-        return tuple(
-            LinearInequality(seq, cycle_rhs(self.channel, seq))
-            for seq in enumerate_cycles(self.active)
-        )
+        seqs = enumerate_cycles(self.active)
+        rhs = [b for C in cycle_blocks(seqs) for b in cycle_rhs(self.channel, C).tolist()]
+        return tuple(map(LinearInequality, seqs, rhs))
 
     def contains(self, d) -> bool:
         """Zero-pins and signs within ``EPS_LENGTH``, then the potential graph's circuit test."""
@@ -144,6 +166,8 @@ class Polyhedron:
         return A, L[src, dst], [(0.0, None)] * n + [(None, 0.0)] * n
 
     def to_dict(self) -> dict:
+        """Boxes and cycle rows; refuses more than ``K_MAX_EXPORT`` active users."""
+        _check_export(len(self.active))
         return {
             "K": self.K,
             "silent": sorted(self.silent),
@@ -191,27 +215,41 @@ def minimized(poly: Polyhedron, tol: float = 1e-12) -> Polyhedron:
 
     ``sum_U d <= b`` is implied by ``sum_U' d <= b'`` with ``U' subset U``
     together with the boxes whenever ``b' + sum_{U \\ U'} ub <= b``; the
-    pure-box implication is the ``U' = empty`` case.  Checks are pairwise
-    and processed in canonical order, so ties keep the earlier inequality.
+    pure-box implication is the ``U' = empty`` case.  Rows are processed in
+    canonical order, so ties keep the earlier inequality.  Supports are bit
+    masks over the active users: box sums are added in ascending user
+    order, each support keeps the smallest right-hand side kept on it, and
+    the best bound from its proper subsets (all of them smaller, so done)
+    is taken once per support.  Refuses more than ``K_MAX_EXPORT`` active
+    users before reading any row.
     """
+    _check_export(len(poly.active))
+    bit = {u: 1 << k for k, u in enumerate(poly.active)}
+    box = [0.0]  # box[U]: sum of ub over U, in ascending user order
+    for ub in poly.box_ub[list(poly.active)].tolist():
+        box += [s + ub for s in box]
+    best = [math.inf] * len(box)  # smallest kept rhs per support
+    best[0] = 0.0  # the empty support, so that the subset bound covers the boxes
+    bound: dict = {}  # support -> min over proper subsets U' of best[U'] + box[U - U']
     kept: list = []
     for ineq in poly.cycles:
-        U = set(ineq.users)
-        box_sum = float(sum(poly.box_ub[i] for i in U))
-        implied = box_sum <= ineq.rhs + tol
-        if not implied:
-            for other in kept:
-                U2 = set(other.users)
-                if U2 <= U:
-                    rest = float(sum(poly.box_ub[i] for i in U - U2))
-                    if other.rhs + rest <= ineq.rhs + tol:
-                        implied = True
-                        break
-        if not implied:
+        U = sum(bit[u] for u in ineq.users)
+        if U not in bound:
+            bound[U] = min(best[S] + box[U ^ S] for S in _proper_submasks(U))
+        if min(bound[U], best[U]) > ineq.rhs + tol:
             kept.append(ineq)
+            best[U] = min(best[U], ineq.rhs)
     out = Polyhedron(channel=poly.channel, silent=poly.silent)
     out.__dict__["cycles"] = tuple(kept)  # the same region, exporting the kept rows
     return out
+
+
+def _proper_submasks(U: int):
+    """Every submask of ``U`` except ``U`` itself, the empty mask last."""
+    S = U
+    while S:
+        S = (S - 1) & U
+        yield S
 
 
 class EmptyPolyhedronError(ValueError):

@@ -83,6 +83,52 @@ def oracle_cycle_rhs(alpha: np.ndarray, seq) -> float:
     )
 
 
+def oracle_minimized(alpha: np.ndarray, silent, tol: float = 1e-12) -> list:
+    """Irredundant cycle rows ``(users, rhs)`` of one silent-set polytope, by a pairwise scan.
+
+    Rows are the oracle cycles in canonical order.  A row is dropped when
+    its box sum, or a kept row on a subset of its users plus the boxes of
+    the users left over, is within ``tol`` of its right-hand side; every
+    row is tested against every kept row, the earlier row winning ties.
+    """
+    K = alpha.shape[0]
+    active = [i for i in range(K) if i not in set(silent)]
+    kept = []
+    for seq in oracle_cycles(active):
+        rhs = oracle_cycle_rhs(alpha, seq)
+        U = set(seq)
+        implied = float(sum(alpha[i, i] for i in U)) <= rhs + tol
+        for users, other in kept:
+            if implied:
+                break
+            if set(users) <= U:
+                rest = float(sum(alpha[i, i] for i in U - set(users)))
+                implied = other + rest <= rhs + tol
+        if not implied:
+            kept.append((seq, rhs))
+    return kept
+
+
+def oracle_cycle_kappa(alpha: np.ndarray, power: float, seq) -> tuple:
+    """Exact and power-linearized outer bound of one cycle, in bits, position by position.
+
+    Position j's kappa is ``log2(1 + INR_(j+1) + SNR_j / (1 + INR_j))``,
+    where INR_j is position j's transmitter heard at position j-1's
+    receiver; each is one scalar ``logaddexp2`` chain, and the exact bound
+    is their numpy sum.  The linear bound is the cycle's GDoF right-hand
+    side times log2(P) plus log2(3) per position.
+    """
+    L = math.log2(power)
+    m = len(seq)
+    snr = [alpha[u, u] * L for u in seq]
+    inr = [alpha[seq[j - 1], seq[j]] * L for j in range(m)]
+    mu = [np.logaddexp2(0.0, x) for x in inr]
+    kappa = np.array(
+        [np.logaddexp2(np.logaddexp2(0.0, inr[(j + 1) % m]), snr[j] - mu[j]) for j in range(m)]
+    )
+    return float(kappa.sum()), float(oracle_cycle_rhs(alpha, seq) * L + m * math.log2(3.0))
+
+
 def oracle_region_margin(alpha: np.ndarray, silent, d) -> float:
     """Smallest constraint margin of the silent-set polyhedron at d.
 

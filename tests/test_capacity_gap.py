@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from tinopt import (
     ChannelMatrix,
@@ -18,8 +20,14 @@ from tinopt import (
     tin_gdof,
     tin_rates,
 )
+from tinopt.cli import main
 from conftest import EX2_ALPHA, symmetric_two_user
-from _oracles import random_condition_channel
+from _oracles import (
+    oracle_cycle_kappa,
+    oracle_cycles,
+    random_channel,
+    random_condition_channel,
+)
 
 
 def dense_condition_channel(rng, K):
@@ -232,6 +240,41 @@ class TestRateOuterBounds:
             expected = r * math.log2(P) + m * math.log2(3)
             assert by_seq[seq].linear_bits == pytest.approx(expected, rel=1e-12)
         assert not ob.condition_holds
+
+
+class TestCycleBoundsOracle:
+    @pytest.mark.parametrize("K", range(2, 9))
+    def test_bit_equal_to_per_cycle_loop(self, K):
+        rng = np.random.default_rng(400 + K)
+        for alpha in (random_channel(rng, K), random_condition_channel(rng, K)):
+            for P in (1e2, 1e4, 1e8):
+                ob = rate_outer_bounds(FiniteSnrChannel(ChannelMatrix(alpha), P))
+                assert [b.users for b in ob.cycle_bounds] == oracle_cycles(range(K))
+                for b in ob.cycle_bounds:
+                    assert (b.exact_bits, b.linear_bits) == oracle_cycle_kappa(alpha, P, b.users)
+
+
+DATA = Path(__file__).parent / "data"
+
+#: Points of the committed channels: weighted-sum optima, so some rows are tight.
+FIXTURE_POINTS = {
+    6: "0.3891,0.6189,0.5416,0.3229,0.4342,0.4503",
+    7: "0.552,0.5251,0.3066,0.3622,0.3873,0.4633,0.3891",
+}
+
+
+class TestGapCheckFixtures:
+    """``gap-check`` bytes of two committed channels, as the per-cycle code wrote them."""
+
+    @pytest.mark.parametrize("K", [6, 7])
+    def test_csv_bytes(self, K, tmp_path, monkeypatch):
+        monkeypatch.chdir(DATA)
+        out = tmp_path / "gap.csv"
+        result = CliRunner().invoke(main, [
+            "gap-check", f"k{K}_condition.json", "--gdof", FIXTURE_POINTS[K],
+            "--power", "1e2", "--power", "1e4", "--power", "1e8", "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (DATA / f"k{K}_condition_gap.csv").read_bytes()
 
 
 class TestGapCertificate:

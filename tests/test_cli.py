@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tinopt import ChannelMatrix, point_in_tin_region, polyhedral_region
 from tinopt.cli import main
-from tinopt.netsim import K_MAX_SIM
+from tinopt.netsim import K_MAX_SIM, RADIUS_MAX_M, SHADOWING_MAX_DB
 
 
 @pytest.fixture
@@ -207,10 +207,18 @@ class TestMalformedInput:
             ["gap-check", "dense.json", "--gdof", "0.1,0.1,0.1", "--power", "inf"],
             ["gdof-limits", "dense.json", "--cycle", "0,1", "--powers", "1e2,inf"],
             ["region", "big.json"],
+            ["region", "big.json", "--silent-set", "0,1,2"],
+            ["region", "ten.json", "--minimize"],
+            ["region", "ten.json", "--union"],
+            ["gap-check", "ten.json", "--gdof", ",".join(["0.1"] * 10), "--power", "100"],
+            ["simulate", "--users", "x", "--coverage", "100"],
+            ["simulate", "--users", "3", "--coverage", "y"],
+            ["region", "dense.json", "--bogus"],
+            ["region"],
         ],
     )
     def test_exits_two_with_one_line_error(self, runner, tmp_path, args):
-        for name, K in (("dense.json", 3), ("five.json", 5), ("big.json", 13)):
+        for name, K in (("dense.json", 3), ("five.json", 5), ("ten.json", 10), ("big.json", 13)):
             a = np.full((K, K), 0.1)
             np.fill_diagonal(a, 1.0)
             (tmp_path / name).write_text(json.dumps(ChannelMatrix(a).to_dict()))
@@ -242,6 +250,9 @@ def _rejects(conv, text: str) -> bool:
 BAD_REALS = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
     max_value=-5e-324, allow_infinity=False
 )
+#: Finite radii and spreads above what a simulation accepts.
+HUGE_RADII = st.floats(min_value=RADIUS_MAX_M, exclude_min=True, allow_infinity=False)
+HUGE_SHADOWING = st.floats(min_value=SHADOWING_MAX_DB, exclude_min=True, allow_infinity=False)
 BAD_USERS = st.just(0) | st.integers(max_value=-1) | st.integers(K_MAX_SIM + 1, 10**12)
 
 
@@ -258,18 +269,20 @@ def _bad_list(good, bad):
 
 SCALAR_FAULTS = st.one_of(
     st.tuples(st.sampled_from(["--cell-radius", "--shadowing"]), BAD_REALS.map(repr)),
+    st.tuples(st.just("--cell-radius"), HUGE_RADII.map(repr)),
+    st.tuples(st.just("--shadowing"), HUGE_SHADOWING.map(repr)),
     st.tuples(st.just("--trials"), st.integers(max_value=99).map(str)),
     st.tuples(st.just("--workers"), st.integers(max_value=0).map(str)),
 )
 SIMULATE_FAULTS = st.one_of(
     SCALAR_FAULTS,
-    st.tuples(st.just("--coverage"), BAD_REALS.map(repr)),
+    st.tuples(st.just("--coverage"), (BAD_REALS | HUGE_RADII).map(repr)),
     st.tuples(st.just("--users"), BAD_USERS.map(str)),
 )
 SWEEP_FAULTS = st.one_of(
     SCALAR_FAULTS,
     st.tuples(st.just("--coverage"), _bad_list(
-        st.sampled_from(["50", "100"]), BAD_REALS.map(repr) | _garbled(float))),
+        st.sampled_from(["50", "100"]), (BAD_REALS | HUGE_RADII).map(repr) | _garbled(float))),
     st.tuples(st.just("--users"), _bad_list(
         st.sampled_from(["1", "2"]), BAD_USERS.map(str) | _garbled(int))),
 )

@@ -14,7 +14,13 @@ from tinopt import (
     sweep,
     sweep_to_csv,
 )
-from tinopt.netsim import K_MAX_SIM, _wilson_interval, transmit_power_dbm
+from tinopt.netsim import (
+    K_MAX_SIM,
+    RADIUS_MAX_M,
+    SHADOWING_MAX_DB,
+    _wilson_interval,
+    transmit_power_dbm,
+)
 from _oracles import oracle_trial_verdict
 
 
@@ -76,10 +82,16 @@ class TestErcegPathloss:
             dict(coverage_radius=math.nan),
             dict(carrier_freq_mhz=math.nan),
             dict(K=K_MAX_SIM + 1),
+            dict(cell_radius=1e300),
+            dict(coverage_radius=1e200, cell_radius=1e200),
+            dict(shadowing_sigma_db=1e4),
         ):
             with pytest.raises(ValueError):
                 SimConfig(**{"K": 2, "coverage_radius": 100.0, **bad})
         SimConfig(K=K_MAX_SIM, coverage_radius=100.0, shadowing_sigma_db=0.0)
+        widest = SimConfig(K=3, coverage_radius=RADIUS_MAX_M, cell_radius=RADIUS_MAX_M,
+                           shadowing_sigma_db=SHADOWING_MAX_DB, trials=100)
+        condition_probability(widest)  # no overflow warning (they are errors here)
 
 
 class TestSampleNetwork:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,14 +17,24 @@ from tinopt import (
     polyhedron_vertices,
     transpose_channel,
 )
+from click.testing import CliRunner
 from scipy.optimize import linprog
-from tinopt.region import EmptyPolyhedronError, max_subset_sum, poly_contains
+from tinopt import capacity_gap, region
+from tinopt.capacity_gap import FiniteSnrChannel, gap_certificate, rate_outer_bounds
+from tinopt.cli import main
+from tinopt.region import (
+    K_MAX_EXPORT,
+    EmptyPolyhedronError,
+    max_subset_sum,
+    poly_contains,
+)
 from conftest import symmetric_two_user
 from _oracles import (
     oracle_contains,
     oracle_cycle_lp,
     oracle_cycles,
     oracle_in_union,
+    oracle_minimized,
     oracle_region_margin,
     oracle_sum_gdof_assignment,
     oracle_union_band,
@@ -110,6 +121,62 @@ class TestPolyhedralRegion:
         pruned = minimized(polyhedral_region(ex2))
         assert len(pruned.cycles) == 4
         assert (0, 2, 1) not in [c.users for c in pruned.cycles]
+
+
+def near_tie_channel(rng, K):
+    """Gains on a 1/8 grid with about a third of the cross gains zero.
+
+    Many cycles share a right-hand side exactly, and a cycle through zero
+    cross gains has a right-hand side exactly equal to its box sum.
+    """
+    a = rng.integers(0, 5, (K, K)) / 8.0
+    a[rng.random((K, K)) < 0.33] = 0.0
+    np.fill_diagonal(a, rng.integers(4, 9, K) / 8.0)
+    return a
+
+
+class TestMinimizedOracle:
+    @pytest.mark.parametrize("K", range(2, 9))
+    def test_kept_rows_match_pairwise_scan(self, K):
+        rng = np.random.default_rng(300 + K)
+        for alpha in (random_channel(rng, K), random_condition_channel(rng, K),
+                      near_tie_channel(rng, K)):
+            silent = [i for i in range(K) if rng.random() < 0.25]
+            poly = polyhedral_region(ChannelMatrix(alpha), silent)
+            kept = [(c.users, c.rhs) for c in minimized(poly).cycles]
+            assert kept == oracle_minimized(alpha, silent)
+
+
+class TestExportLimit:
+    def test_refused_before_enumeration(self, monkeypatch):
+        def no_enumeration(users):
+            raise AssertionError("cycles enumerated")
+
+        monkeypatch.setattr(region, "enumerate_cycles", no_enumeration)
+        monkeypatch.setattr(capacity_gap, "enumerate_cycles", no_enumeration)
+        ch = ChannelMatrix(np.eye(K_MAX_EXPORT + 3) * 0.9 + 0.01)
+        poly = polyhedral_region(ch, [0, 1])
+        fch = FiniteSnrChannel(ch, 100.0)
+        for call in (poly.to_dict, lambda: minimized(poly), lambda: rate_outer_bounds(fch),
+                     lambda: gap_certificate(fch, np.full(ch.K, 0.01))):
+            with pytest.raises(ValueError, match=f"at most {K_MAX_EXPORT}"):
+                call()
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestRegionFixtures:
+    """``region --minimize`` bytes of two committed channels, as the per-row code wrote them."""
+
+    @pytest.mark.parametrize("K", [6, 7])
+    def test_minimized_json_bytes(self, K, tmp_path, monkeypatch):
+        monkeypatch.chdir(DATA)
+        out = tmp_path / "region.json"
+        result = CliRunner().invoke(
+            main, ["region", f"k{K}_condition.json", "--minimize", "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (DATA / f"k{K}_condition_region_min.json").read_bytes()
 
 
 class TestRegionDuality:
