@@ -235,6 +235,32 @@ def polyhedral_tin_gdof(alpha: ChannelMatrix, r: PowerExponents) -> np.ndarray:
     return np.diag(a) + rv - _interference(a, rv, r.finite_mask)
 
 
+def condition_extremes(values: np.ndarray, floor: float) -> np.ndarray:
+    """The ``(..., 3, K)`` extremes the optimality condition reads, from stacked ``(..., K, K)`` values.
+
+    Per user ``i``, the three rows hold the direct value ``v_ii``, the
+    strongest value it causes ``max_{j != i} v_ji`` and the strongest it
+    suffers ``max_{k != i} v_ik``.  Each maximum starts from ``floor``,
+    which also stands in for the diagonal: 0 for exponents, 1 for linear
+    gains (whose exponent is 0).  NaN propagates through every maximum.
+    """
+    K = values.shape[-1]
+    off = np.where(np.eye(K, dtype=bool), floor, values)
+    return np.stack(
+        [
+            np.diagonal(values, axis1=-2, axis2=-1),
+            off.max(axis=-2, initial=floor),
+            off.max(axis=-1, initial=floor),
+        ],
+        axis=-2,
+    )
+
+
+def extreme_margins(x: np.ndarray) -> np.ndarray:
+    """Per-user margins ``direct - (caused + suffered)`` of ``(..., 3, K)`` exponent extremes."""
+    return x[..., 0, :] - (x[..., 1, :] + x[..., 2, :])
+
+
 def condition_margins(a: np.ndarray) -> np.ndarray:
     """Per-user margins of the optimality condition, over stacked ``(..., K, K)`` exponents.
 
@@ -242,11 +268,7 @@ def condition_margins(a: np.ndarray) -> np.ndarray:
     zeroed and each maximum starts from 0, which leaves it unchanged for
     nonnegative exponents and gives 0 for a single user.
     """
-    K = a.shape[-1]
-    off = np.where(np.eye(K, dtype=bool), 0.0, a)
-    caused = off.max(axis=-2, initial=0.0)
-    suffered = off.max(axis=-1, initial=0.0)
-    return np.diagonal(a, axis1=-2, axis2=-1) - (caused + suffered)
+    return extreme_margins(condition_extremes(a, 0.0))
 
 
 def check_tin_condition(alpha: ChannelMatrix, eps: float = EPS_CONDITION) -> ConditionReport:
@@ -298,18 +320,41 @@ def from_link_budget(
     return ChannelMatrix(link_exponents(x, nominal_P))
 
 
-def link_exponents(gains: np.ndarray, nominal_P) -> np.ndarray:
-    """Strength exponents ``log(max(1, g)) / log(nominal_P)`` of stacked ``(..., K, K)`` gains.
-
-    ``nominal_P`` is one value, or one per matrix (shape ``gains.shape[:-2]``);
-    the caller ensures it exceeds 1.  Every logarithm is ``math.log`` of
-    one entry, so each exponent has the same bits however many matrices
-    are stacked.  Raises ``ValueError`` for a gain that is not positive
-    and for an exponent that is not finite and nonnegative.
-    """
-    g = np.asarray(gains, dtype=float)
+def _check_gains(g: np.ndarray) -> None:
     if np.any(g <= 0):
         raise ValueError("SNR/INR values must be positive")
+
+
+def gain_extremes(gains: np.ndarray) -> np.ndarray:
+    """The condition's ``(..., 3, K)`` extremes of stacked ``(..., K, K)`` linear gains.
+
+    Every gain is checked first, as in :func:`link_exponents`; the
+    maxima start from 1, where the clip of :func:`link_exponents` puts
+    every smaller gain.  Clipping, ``math.log`` and division by
+    ``log(nominal_P)`` are monotone, so ``link_exponents`` of the result
+    has the same bits as ``condition_extremes`` of the full exponent
+    matrices, from 3K logarithms per matrix instead of K².  A non-finite
+    gain is a maximum (``inf``) or propagates (NaN), so ``link_exponents``
+    still refuses it.
+    """
+    g = np.asarray(gains, dtype=float)
+    _check_gains(g)
+    return condition_extremes(g, 1.0)
+
+
+def link_exponents(gains: np.ndarray, nominal_P) -> np.ndarray:
+    """Strength exponents ``log(max(1, g)) / log(nominal_P)`` of stacked gains.
+
+    ``gains`` is a stack of ``(..., K, K)`` matrices or of the ``(..., 3, K)``
+    rows of :func:`gain_extremes`; ``nominal_P`` is one value, or one per
+    matrix (shape ``gains.shape[:-2]``), and the caller ensures it exceeds
+    1.  Every logarithm is ``math.log`` of one entry, so each exponent has
+    the same bits however many matrices are stacked.  Raises ``ValueError``
+    for a gain that is not positive and for an exponent that is not finite
+    and nonnegative.
+    """
+    g = np.asarray(gains, dtype=float)
+    _check_gains(g)
     P = np.asarray(nominal_P, dtype=float)
     logs = np.fromiter(map(math.log, np.maximum(g, 1.0).ravel().tolist()), float, g.size)
     log_P = np.fromiter(map(math.log, P.ravel().tolist()), float, P.size)

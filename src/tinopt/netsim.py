@@ -11,10 +11,13 @@ per-user optimality condition is evaluated.
 Every trial derives its own RNG stream from (master_seed, trial_index),
 so estimates are bit-reproducible.  ``condition_probability`` draws a
 batch of trials (at most 4096 link entries, trials * K * K) one stream
-after another, then computes geometry, path loss, exponents and the
-condition on ``(trials, K, K)`` arrays with the same per-entry operations
-as :func:`sample_network`, so every estimate has the same bytes as one
-computed a trial at a time.  Simulations take at most ``K_MAX_SIM`` users.
+after another, then computes geometry, path loss and gains on
+``(trials, K, K)`` arrays with the same per-entry operations as
+:func:`sample_network`.  Each layout's gains are reduced to the three
+extremes per user that the condition reads before any logarithm is
+taken, so every estimate has the same bytes as one computed a trial at a
+time from full exponent matrices.  Simulations take at most ``K_MAX_SIM``
+users.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ import numpy as np
 from .channel_model import (
     EPS_CONDITION,
     ChannelMatrix,
-    condition_margins,
+    extreme_margins,
     from_link_budget,
+    gain_extremes,
     link_exponents,
 )
 
@@ -45,8 +49,8 @@ ERCEG_TERRAIN = {
 }
 
 #: Largest user count a simulation accepts.  One trial at K=1000 takes about
-#: 0.33 s and 100 MB, so the shortest run (100 trials) takes about 33 s; at
-#: K=2000 that grows to 1.4 s and 370 MB per trial (README, "Cellular
+#: 0.12 s and 53 MB, so the shortest run (100 trials) takes about 12 s; at
+#: K=2000 that grows to 0.56 s and 213 MB per trial (README, "Cellular
 #: Monte-Carlo").
 K_MAX_SIM = 1000
 
@@ -54,6 +58,14 @@ K_MAX_SIM = 1000
 #: below 3e6 m, so squared distances and path losses (at most about 275 dB)
 #: stay far from overflow; that is 1000 km, beyond any cell of the model.
 RADIUS_MAX_M = 1e6
+
+#: Smallest coverage (and so cell) radius a simulation accepts [m].  The
+#: boundary calibration scales every gain by the path loss at the coverage
+#: radius, -21.5 dB at 1 mm; with the 275 dB far link and ten shadowing
+#: spreads the smallest gain stays near 10^-130, far from underflow
+#: (README, "Cellular Monte-Carlo").  A millimetre is below the 15 cm
+#: wavelength and the 1 m minimum link distance of the model.
+RADIUS_MIN_M = 1e-3
 
 #: Largest lognormal shadowing spread a simulation accepts [dB].  Ten spreads
 #: plus the path-loss range stay near 10^120 in linear gain, far from
@@ -101,12 +113,13 @@ class SimConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("coverage_radius", "cell_radius"):
-            if getattr(self, name) > RADIUS_MAX_M:
+            if not (RADIUS_MIN_M <= getattr(self, name) <= RADIUS_MAX_M):
                 raise ValueError(
-                    f"{name} must be at most {RADIUS_MAX_M:g} m, got {getattr(self, name)}"
+                    f"{name} must be between {RADIUS_MIN_M:g} and {RADIUS_MAX_M:g} m, "
+                    f"got {getattr(self, name)}"
                 )
-        if not (0 < self.coverage_radius <= self.cell_radius):
-            raise ValueError("need 0 < coverage_radius <= cell_radius")
+        if not (self.coverage_radius <= self.cell_radius):
+            raise ValueError("need coverage_radius <= cell_radius")
         sigma = self.shadowing_sigma_db
         if sigma is not None and not (0 <= sigma <= SHADOWING_MAX_DB):
             raise ValueError(
@@ -286,7 +299,7 @@ def condition_probability(cfg: SimConfig, workers: int = 1) -> ConditionEstimate
     passes = 0
     for lo in range(0, cfg.trials, per_batch):
         links = _sample_links(cfg, range(lo, min(lo + per_batch, cfg.trials)))
-        margins = condition_margins(link_exponents(links.gains, links.nominal_P))
+        margins = extreme_margins(link_exponents(gain_extremes(links.gains), links.nominal_P))
         passes += int(np.all(margins >= -EPS_CONDITION, axis=-1).sum())
     lo, hi = _wilson_interval(passes, cfg.trials)
     return ConditionEstimate(

@@ -15,8 +15,20 @@ from tinopt import (
     tin_gdof,
     transpose_channel,
 )
+from tinopt.channel_model import (
+    EPS_CONDITION,
+    condition_margins,
+    extreme_margins,
+    gain_extremes,
+    link_exponents,
+)
 from conftest import EX2_ALPHA, symmetric_two_user
-from _oracles import forward_gdof, oracle_condition_margins, random_channel
+from _oracles import (
+    forward_gdof,
+    oracle_condition_margins,
+    oracle_trial_verdict,
+    random_channel,
+)
 
 
 def small_matrices(max_k=4):
@@ -276,3 +288,53 @@ class TestFromLinkBudget:
             from_link_budget([1.0, 1.0], [[1.0, -2.0], [1.0, 1.0]], 10.0)
         with pytest.raises(ValueError, match="finite"):
             from_link_budget([1.0, 1.0], [[1.0, math.nan], [1.0, 1.0]], 10.0)
+
+
+def reduced_margins(gains, nominal_P):
+    """The Monte-Carlo path: 3K logarithms per matrix, from each user's extremes."""
+    return extreme_margins(link_exponents(gain_extremes(gains), nominal_P))
+
+
+@st.composite
+def stacked_gains(draw):
+    """``(n, K, K)`` gains over a 1e-100..1e100 range, drawn from a few levels so
+    that the maximum of a row or column often ties with other entries; levels
+    below 1 are clipped.  ``nominal_P`` is one value or one per matrix."""
+    n = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 6))
+    levels = draw(st.lists(st.floats(1e-100, 1e100), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(levels) - 1), min_size=n * K * K,
+                          max_size=n * K * K))
+    gains = np.array(levels)[picks].reshape(n, K, K)
+    per_matrix = st.lists(st.floats(2.0, 1e100), min_size=n, max_size=n).map(np.array)
+    nominal_P = draw(st.floats(2.0, 1e100) | per_matrix)
+    return gains, nominal_P
+
+
+class TestGainExtremes:
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_gains())
+    def test_bit_equal_to_full_exponent_matrices(self, case):
+        gains, nominal_P = case
+        got = reduced_margins(gains, nominal_P)
+        want = condition_margins(link_exponents(gains, nominal_P))
+        assert got.shape == gains.shape[:2]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        P = np.broadcast_to(nominal_P, gains.shape[:1])
+        for g, p, m in zip(gains, P, got):
+            assert bool(np.all(m >= -EPS_CONDITION)) == oracle_trial_verdict(g, float(p))
+
+    def test_single_user(self):
+        assert reduced_margins(np.array([[[0.5]], [[1e6]]]), 1e3).tolist() == [[0.0], [2.0]]
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1e-300, -3.0, math.inf, math.nan])
+    def test_bad_gain_off_the_extremes_raises(self, bad):
+        # entry [1][2] is neither its row's nor its column's largest cross gain
+        g = np.array([[[1e4, 50.0, 40.0],
+                       [60.0, 1e4, 2.0],
+                       [30.0, 70.0, 1e4]]] * 2)
+        g[1, 1, 2] = bad
+        with pytest.raises(ValueError):
+            reduced_margins(g, 1e4)
+        with pytest.raises(ValueError):
+            link_exponents(g, 1e4)

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from tinopt import ChannelMatrix, point_in_tin_region, polyhedral_region
 from tinopt.cli import main
-from tinopt.netsim import K_MAX_SIM, RADIUS_MAX_M, SHADOWING_MAX_DB
+from tinopt.netsim import K_MAX_SIM, RADIUS_MAX_M, RADIUS_MIN_M, SHADOWING_MAX_DB
+
+#: Golden outputs, written from the full K-by-K exponent matrices.
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -252,6 +256,9 @@ BAD_REALS = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
 )
 #: Finite radii and spreads above what a simulation accepts.
 HUGE_RADII = st.floats(min_value=RADIUS_MAX_M, exclude_min=True, allow_infinity=False)
+#: Positive radii below what a simulation accepts, where every gain would underflow.
+TINY_RADII = st.floats(min_value=0.0, max_value=RADIUS_MIN_M, exclude_min=True,
+                       exclude_max=True)
 HUGE_SHADOWING = st.floats(min_value=SHADOWING_MAX_DB, exclude_min=True, allow_infinity=False)
 BAD_USERS = st.just(0) | st.integers(max_value=-1) | st.integers(K_MAX_SIM + 1, 10**12)
 
@@ -276,13 +283,14 @@ SCALAR_FAULTS = st.one_of(
 )
 SIMULATE_FAULTS = st.one_of(
     SCALAR_FAULTS,
-    st.tuples(st.just("--coverage"), (BAD_REALS | HUGE_RADII).map(repr)),
+    st.tuples(st.just("--coverage"), (BAD_REALS | HUGE_RADII | TINY_RADII).map(repr)),
     st.tuples(st.just("--users"), BAD_USERS.map(str)),
 )
 SWEEP_FAULTS = st.one_of(
     SCALAR_FAULTS,
     st.tuples(st.just("--coverage"), _bad_list(
-        st.sampled_from(["50", "100"]), (BAD_REALS | HUGE_RADII).map(repr) | _garbled(float))),
+        st.sampled_from(["50", "100"]),
+        (BAD_REALS | HUGE_RADII | TINY_RADII).map(repr) | _garbled(float))),
     st.tuples(st.just("--users"), _bad_list(
         st.sampled_from(["1", "2"]), BAD_USERS.map(str) | _garbled(int))),
 )
@@ -298,6 +306,11 @@ class TestMonteCarloContract:
         opts = {"--users": "2", "--coverage": "100", "--trials": "100", option: value}
         args = [command] + [x for kv in opts.items() for x in kv]
         assert_usage_error(CliRunner(), args)
+
+    def test_tiny_coverage_names_the_field(self, runner):
+        args = ["simulate", "--users", "3", "--coverage", "1e-300", "--trials", "100"]
+        assert_usage_error(runner, args)
+        assert "coverage_radius" in runner.invoke(main, args).output
 
 
 class TestSimulation:
@@ -331,6 +344,15 @@ class TestSimulation:
         assert out1.read_text().splitlines()[0] == (
             "K,coverage_radius_m,trials,prob,ci_low,ci_high"
         )
+
+    def test_sweep_k100_bytes(self, runner, tmp_path):
+        out = tmp_path / "k100.csv"
+        args = ["sweep", "--users", "2,15,100", "--coverage", "50,200", "--trials", "100",
+                "--seed", "11"]
+        golden = (DATA / "k100_sweep.csv").read_bytes()
+        assert runner.invoke(main, args + ["-o", str(out)]).exit_code == 0
+        assert out.read_bytes() == golden
+        assert runner.invoke(main, args).stdout_bytes == golden
 
     def test_dump_instance(self, runner, tmp_path):
         dump = tmp_path / "inst.json"

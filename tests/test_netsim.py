@@ -17,6 +17,7 @@ from tinopt import (
 from tinopt.netsim import (
     K_MAX_SIM,
     RADIUS_MAX_M,
+    RADIUS_MIN_M,
     SHADOWING_MAX_DB,
     _wilson_interval,
     transmit_power_dbm,
@@ -85,13 +86,22 @@ class TestErcegPathloss:
             dict(cell_radius=1e300),
             dict(coverage_radius=1e200, cell_radius=1e200),
             dict(shadowing_sigma_db=1e4),
+            dict(cell_radius=RADIUS_MIN_M / 2, coverage_radius=RADIUS_MIN_M / 2),
         ):
             with pytest.raises(ValueError):
                 SimConfig(**{"K": 2, "coverage_radius": 100.0, **bad})
+        for tiny in (1e-300, 5e-324, RADIUS_MIN_M / 2, math.nextafter(RADIUS_MIN_M, 0.0)):
+            with pytest.raises(ValueError, match="coverage_radius"):
+                SimConfig(K=3, coverage_radius=tiny, trials=100)
         SimConfig(K=K_MAX_SIM, coverage_radius=100.0, shadowing_sigma_db=0.0)
         widest = SimConfig(K=3, coverage_radius=RADIUS_MAX_M, cell_radius=RADIUS_MAX_M,
                            shadowing_sigma_db=SHADOWING_MAX_DB, trials=100)
         condition_probability(widest)  # no overflow warning (they are errors here)
+        # smallest coverage in the largest cell: no gain underflows to 0, which
+        # the positivity check on every gain would refuse
+        corner = SimConfig(K=3, coverage_radius=RADIUS_MIN_M, cell_radius=RADIUS_MAX_M,
+                           shadowing_sigma_db=SHADOWING_MAX_DB, trials=100)
+        condition_probability(corner)
 
 
 class TestSampleNetwork:
