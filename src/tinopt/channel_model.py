@@ -46,9 +46,9 @@ SILENT = _Silent()
 
 
 def _check_exponents(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("alpha entries must be finite")
-    if np.any(a < 0):
+    if (a < 0).any():
         raise ValueError("alpha entries must be nonnegative")
 
 
@@ -84,7 +84,7 @@ class ChannelMatrix:
     def restrict(self, users: Sequence[int]) -> "ChannelMatrix":
         """Sub-channel over the given users, keeping their order."""
         idx = list(users)
-        return ChannelMatrix(self.alpha[np.ix_(idx, idx)])
+        return ChannelMatrix(self.alpha[idx][:, idx])
 
     def to_dict(self, nominal_P: float | None = None) -> dict:
         d = {"K": self.K, "alpha": [[float(x) for x in row] for row in self.alpha]}
@@ -102,10 +102,13 @@ def channel_from_dict(data: dict) -> ChannelMatrix:
         raise ValueError("channel document must be a JSON object")
     if "alpha" not in data:
         raise ValueError("channel document missing 'alpha'")
-    alpha = data["alpha"]
-    ch = ChannelMatrix(np.array(alpha, dtype=float))
-    if "K" in data and int(data["K"]) != ch.K:
-        raise ValueError(f"declared K={data['K']} does not match alpha shape {ch.K}")
+    try:
+        ch = ChannelMatrix(np.array(data["alpha"], dtype=float))
+    except TypeError:
+        raise ValueError("alpha must be a square matrix of numbers") from None
+    declared = data.get("K", ch.K)
+    if isinstance(declared, bool) or not isinstance(declared, (int, float)) or declared != ch.K:
+        raise ValueError(f"declared K={declared!r} does not match alpha shape {ch.K}")
     return ch
 
 

@@ -59,8 +59,11 @@ def _canon(obj):
 def _emit(text: str, path: str | None) -> None:
     """Write ``text`` to ``path``, or echo it to stdout when no path is given."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail(f"{path}: {exc.strerror}")
     else:
         click.echo(text, nl=False)
 
@@ -151,6 +154,14 @@ def check_condition_cmd(channel, output):
 def region_cmd(channel, silent_set, minimize, union_flag, vertices, output):
     """Emit the H-representation of the achievable region."""
     ch = _load(channel)
+    try:
+        silent = [int(s) for s in silent_set.split(",") if s.strip() != ""]
+    except ValueError:
+        _fail("--silent-set must be comma-separated integers")
+    try:
+        poly = polyhedral_region(ch, silent)  # checked in every mode, --union included
+    except ValueError as exc:
+        _fail(str(exc))
     if union_flag:
         if ch.K > K_MAX_EXPORT:  # every component's rows are exported
             _fail(f"--union exports cycle rows for at most {K_MAX_EXPORT} users, got {ch.K}")
@@ -161,11 +172,6 @@ def region_cmd(channel, silent_set, minimize, union_flag, vertices, output):
         _dump_json({"K": ch.K, "components": [c.to_dict() for c in comps]}, output)
         sys.exit(0)
     try:
-        silent = [int(s) for s in silent_set.split(",") if s.strip() != ""]
-    except ValueError:
-        _fail("--silent-set must be comma-separated integers")
-    try:
-        poly = polyhedral_region(ch, silent)
         if minimize:
             poly = minimized(poly)
         doc = poly.to_dict()

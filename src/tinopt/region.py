@@ -14,6 +14,7 @@ serialized regions are byte-stable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -21,7 +22,7 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .channel_model import SILENT, ChannelMatrix, PowerExponents
 from .potential_graph import (
@@ -33,9 +34,14 @@ from .potential_graph import (
     decide_membership,
 )
 
-#: Cycle enumeration, and so the union, is refused beyond this many users;
-#: the inequality family grows factorially.
-K_MAX_UNION = 12
+#: Cycle enumeration is refused beyond this many users; the inequality
+#: family grows factorially.
+K_MAX_CYCLES = 12
+
+#: :func:`general_tin_region` is refused beyond this many users, a limit set
+#: from measured cost (README, "Regions"): it compares up to 3^K pairs of
+#: silent sets.
+K_MAX_UNION = 9
 
 #: Cycle rows are exported (``Polyhedron.to_dict``, :func:`minimized` and the
 #: gap certificates' per-cycle bounds) for at most this many active users,
@@ -52,13 +58,13 @@ def enumerate_cycles(users: Iterable[int]) -> list:
 
     Each sequence is canonicalized (smallest index first), and the list is
     ordered by cycle size then lexicographically.  The count for n users
-    is ``sum_{m=2..n} C(n, m) * (m-1)!``; more than ``K_MAX_UNION`` users
+    is ``sum_{m=2..n} C(n, m) * (m-1)!``; more than ``K_MAX_CYCLES`` users
     raise ``ValueError``.
     """
     base = sorted(set(int(u) for u in users))
-    if len(base) > K_MAX_UNION:
+    if len(base) > K_MAX_CYCLES:
         raise ValueError(
-            f"cycle enumeration supports at most {K_MAX_UNION} users, got {len(base)}"
+            f"cycle enumeration supports at most {K_MAX_CYCLES} users, got {len(base)}"
         )
     out = []
     for m in range(2, len(base) + 1):
@@ -129,6 +135,11 @@ class Polyhedron:
         seqs = enumerate_cycles(self.active)
         rhs = [b for C in cycle_blocks(seqs) for b in cycle_rhs(self.channel, C).tolist()]
         return tuple(map(LinearInequality, seqs, rhs))
+
+    @cached_property
+    def _support_bounds(self) -> dict:
+        """Certified ``[lower, upper]`` bounds on ``h(U)`` per support (:func:`poly_contains`)."""
+        return {}
 
     def contains(self, d) -> bool:
         """Zero-pins and signs within ``EPS_LENGTH``, then the potential graph's circuit test."""
@@ -339,28 +350,157 @@ def poly_contains(outer: Polyhedron, inner: Polyhedron, tol: float = EPS_LENGTH)
 
     Boxes of the outer region are implied automatically (same ceilings);
     cycle inequalities fully inside the inner active set are shared
-    constraints.  The other outer rows, the inequalities straddling the
-    inner silent set and the zero-pins ``d_i <= 0`` of outer silent users
-    active in the inner region, are grouped by their support within the
-    inner active set and checked against the group's smallest right-hand
-    side.  A group whose inner boxes sum to at most that bound holds
-    without an LP (with empty support, the sum is 0); every other group
-    asks one support LP, which also tells an empty inner region (-inf).
+    constraints.  The other outer rows, the inequalities through a user
+    active in the outer region and silent in the inner one, and the
+    zero-pins ``d_i <= 0`` of outer silent users active in the inner
+    region, are grouped by their support ``U`` within the inner active
+    set.  :func:`_walk_bounds` gives each group's smallest right-hand side
+    without enumerating a row.  A group holds when ``h(U)``, the largest
+    sum over ``U`` in the inner region, is at most that bound plus ``tol``;
+    :func:`_support_exceeds` decides this from certified bounds on ``h(U)``
+    kept on the inner region, and asks a support LP only when they cannot.
     """
     if outer.K != inner.K:
         raise ValueError("dimension mismatch")
-    inner_active = frozenset(inner.active)
-    tightest = {frozenset([i]): 0.0 for i in outer.silent - inner.silent}
-    for ineq in outer.cycles:
-        support = frozenset(ineq.users)
-        if not support <= inner_active:
-            reduced = support & inner_active
-            tightest[reduced] = min(ineq.rhs, tightest.get(reduced, ineq.rhs))
-    for reduced, rhs in tightest.items():
-        bound = rhs + tol
-        if inner.box_ub[list(reduced)].sum() > bound and max_subset_sum(inner, reduced) > bound:
+    a = inner.channel.alpha.tolist()  # the boxes of inner active users are a[u][u]
+    for u in sorted(outer.silent - inner.silent):  # zero-pins
+        if a[u][u] > tol and _support_exceeds(inner, (u,), tol):
             return False
-    return True
+    shared = [u for u in inner.active if u not in outer.silent]
+    through = [e for e in outer.active if e in inner.silent]
+    if not through:
+        return True
+    empty, walks = _walk_bounds(outer.channel.alpha.tolist(), shared, through)
+    if empty < -tol and _support_exceeds(inner, (), empty + tol):  # box sum 0
+        return False
+    box = [0.0]  # box[U]: sum of the boxes over U, in ascending user order
+    for u in shared:
+        box += [b + a[u][u] for b in box]
+    supports = _subsets(tuple(shared))
+    return not any(box[U] > walks[U] + tol and _support_exceeds(inner, supports[U], walks[U] + tol)
+                   for U in range(1, len(box)))
+
+
+@functools.lru_cache(maxsize=None)
+def _subsets(users: tuple) -> tuple:
+    """Every subset of ``users`` as a tuple in their order, indexed by its bit mask."""
+    out = [()]
+    for u in users:
+        out += [U + (u,) for U in out]
+    return tuple(out)
+
+
+def _walk_bounds(a: list, shared: list, through: list) -> tuple:
+    """Smallest weight of a closed walk per set of ``shared`` users it visits.
+
+    A walk visits each user of its support ``U`` (a subset of ``shared``)
+    once, any number of users of ``through``, and no other user; its
+    weight is the sum of its arc weights ``w(p -> q) = a_qq - a_pq``, so
+    a cycle's weight is its ``cycle_rhs``.  Every row through
+    ``through`` is such a walk.  A walk that repeats a ``through`` user
+    splits there into two with disjoint supports, whose weights add, and
+    the support value is subadditive; a walk that passes no ``through``
+    user is a row of the inner region itself.  So walks reject a group
+    exactly when some row does.  A Floyd-Warshall with only ``through``
+    users as intermediates gives the shortest hop between two shared
+    users; then a Held-Karp DP over ``shared`` (Held & Karp 1962) grows
+    each walk from its lowest user, one hop at a time, ``O(2^n n^2)`` for
+    ``n`` shared users.  Returns the bound of the empty support (a cycle of
+    ``through`` users) and the bounds indexed by bit mask over ``shared``
+    (entry 0 unused); ``inf`` where no walk exists.
+    """
+    inf = math.inf
+    n = len(shared)
+    nodes = shared + through
+    D = [[a[q][q] - a[p][q] if p != q else inf for q in nodes] for p in nodes]
+    for k in range(n, len(nodes)):
+        Dk = D[k]
+        for Di in D:
+            dik = Di[k]
+            if dik < inf:
+                Di[:] = [x if x <= dik + y else dik + y for x, y in zip(Di, Dk)]
+    empty = min([D[k][k] for k in range(n, len(nodes))])
+    path = [[inf] * n for _ in range(1 << n)]  # path[mask][u]: from mask's lowest user to u
+    walks = [inf] * (1 << n)
+    for s in range(n):
+        path[1 << s][s] = 0.0
+    for mask, (s, members, grow) in enumerate(_held_karp_steps(n)):
+        best = inf
+        for u in members:
+            x = path[mask][u]
+            if x == inf:
+                continue
+            Du = D[u]
+            if x + Du[s] < best:
+                best = x + Du[s]
+            for v, grown in grow:
+                if x + Du[v] < path[grown][v]:
+                    path[grown][v] = x + Du[v]
+        walks[mask] = best
+    return empty, walks
+
+
+@functools.lru_cache(maxsize=None)
+def _held_karp_steps(n: int) -> tuple:
+    """Per bit mask over ``n`` users: its lowest member, its members, and
+    ``(v, mask | 1 << v)`` for every user ``v`` above the lowest that it lacks."""
+    steps = []
+    for mask in range(1 << n):
+        members = tuple(u for u in range(n) if mask >> u & 1)
+        s = members[0] if members else n
+        grow = tuple((v, mask | 1 << v) for v in range(s + 1, n) if not mask >> v & 1)
+        steps.append((s, members, grow))
+    return tuple(steps)
+
+
+def _support_exceeds(poly: Polyhedron, users: tuple, limit: float) -> bool:
+    """Is the support value ``h(users)`` above ``limit``?
+
+    ``poly._support_bounds`` keeps a certified ``[lower, upper]`` per
+    support, each bound computed on first need: the upper from a disjoint
+    cycle cover, the lower from a witness point; when neither decides, one
+    support LP (:func:`max_subset_sum`) sets both to ``h``.
+    """
+    bounds = poly._support_bounds.setdefault(users, [None, None])
+    if bounds[1] is None:
+        bounds[1] = _cover_bound(poly, users)
+    if bounds[1] <= limit:
+        return False
+    if bounds[0] is None:
+        bounds[0] = _witness_bound(poly, users)
+    if bounds[0] <= limit:
+        bounds[:] = [max_subset_sum(poly, users)] * 2
+    return bounds[0] > limit
+
+
+def _cover_bound(poly: Polyhedron, users: tuple) -> float:
+    """Upper bound on ``h(users)`` from the cheapest disjoint cycle cover of the active users.
+
+    Each cycle of length >= 2 of a cover adds its region inequality, each
+    fixed point in ``users`` its box: a feasible point of the support LP's
+    dual, so by weak duality its cost bounds ``h`` from above.  Fixed
+    points off ``users`` cost 0 and arcs cost ``w``; one
+    ``linear_sum_assignment`` finds the cheapest cover.
+    """
+    a, n = poly.channel.alpha.tolist(), len(poly.active)
+    cost = [[a[q][q] - a[p][q] if p != q else a[p][p] * (p in users) for q in poly.active]
+            for p in poly.active]
+    rows, cols = linear_sum_assignment(np.array(cost).reshape(n, n))
+    return sum((cost[r][c] for r, c in zip(rows.tolist(), cols.tolist())), 0.0)
+
+
+def _witness_bound(poly: Polyhedron, users: tuple) -> float:
+    """Lower bound on ``h(users)``: ``a_ii`` of the user ``i`` in ``users`` with the largest box
+    when ``a_ii e_i`` is a member (0 and the origin for no users), else ``-inf``."""
+    if not poly.active:  # the region is the origin
+        return 0.0
+    point = np.zeros(len(poly.active))
+    if users:
+        box = poly.channel.alpha.diagonal()
+        i = max(users, key=lambda u: box[u])
+        point[poly.active.index(i)] = box[i]
+    graph = build_graph(poly._active_channel, point)  # poly.contains(point), no certificate
+    return float(point.sum()) if decide_membership(graph).feasible else -math.inf
 
 
 @dataclass(frozen=True)
@@ -383,13 +523,14 @@ def general_tin_region(alpha: ChannelMatrix) -> list:
     """All silent-set polyhedra whose union is the TIN-achievable set.
 
     Every component carries a ``subsumed_by`` flag naming the first other
-    silent set whose polyhedron contains it, so the irredundant union is
-    the components with flag ``None``.
+    silent set whose polyhedron contains it (:func:`poly_contains`), so
+    the irredundant union is the components with flag ``None``.  More than
+    ``K_MAX_UNION`` users are refused before any region is built.
     """
     K = alpha.K
     if K > K_MAX_UNION:
         raise ValueError(
-            f"union enumeration supports at most {K_MAX_UNION} users, got {K}"
+            f"the union supports at most {K_MAX_UNION} users, got {K}"
         )
     order = sorted(
         (frozenset(c) for m in range(K + 1) for c in itertools.combinations(range(K), m)),

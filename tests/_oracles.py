@@ -7,6 +7,7 @@ rather than a module against itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -226,6 +227,38 @@ def oracle_cycle_lp(alpha: np.ndarray, silent, w) -> float | None:
     return float(-res.fun)
 
 
+def oracle_poly_contains_rows(alpha: np.ndarray, T, S, tol: float = 1e-9, values=None) -> bool:
+    """Is the silent-set-S polytope inside the silent-set-T one, read from T's cycle rows?
+
+    Every cycle row of T's system whose users leave S's active set, and the
+    zero-pin ``d_i <= 0`` of every user in T but not in S, is grouped by
+    its users within S's active set, keeping the smallest right-hand side.
+    A group holds when its box sum, or else the largest sum over its users
+    in S's polytope (:func:`oracle_cycle_lp`; an empty polytope has none),
+    is at most that right-hand side plus ``tol``.  ``values`` is an
+    optional dict caching those largest sums by ``(S, users)``.
+    """
+    K = alpha.shape[0]
+    S, T = frozenset(S), frozenset(T)
+    inner_active = frozenset(range(K)) - S
+    tightest = {frozenset([i]): 0.0 for i in T - S}
+    for seq in oracle_cycles(sorted(frozenset(range(K)) - T)):
+        support = frozenset(seq)
+        if not support <= inner_active:
+            reduced = support & inner_active
+            rhs = oracle_cycle_rhs(alpha, seq)
+            tightest[reduced] = min(rhs, tightest.get(reduced, rhs))
+    values = {} if values is None else values
+    for reduced, rhs in tightest.items():
+        if sum(alpha[i, i] for i in reduced) <= rhs + tol:
+            continue
+        if (S, reduced) not in values:
+            values[S, reduced] = oracle_cycle_lp(alpha, S, np.isin(np.arange(K), list(reduced)))
+        if values[S, reduced] is not None and values[S, reduced] > rhs + tol:
+            return False
+    return True
+
+
 def oracle_sum_gdof_assignment(alpha: np.ndarray) -> float:
     """Sum-GDoF under the optimality condition, by a maximum-weight assignment.
 
@@ -329,27 +362,22 @@ class GridAchievability:
         if self.K == 1:
             self.best = float(self.alpha[0, 0])  # r=0 achieves the full exponent
             return
-        shape = (self.nbuckets,) * (self.K - 1)
-        table = np.full(shape, -np.inf)
-        nlev = len(self.levels)
-        total = nlev**self.K
-        chunk = 200_000
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            idx = np.unravel_index(np.arange(lo, hi), (nlev,) * self.K)
-            R = np.column_stack([self.levels[ix] for ix in idx])
-            D = forward_gdof(self.alpha, R)
-            keys = np.minimum(
-                (D[:, 1:] / self.bucket).astype(int), self.nbuckets - 1
-            )
-            flat = np.ravel_multi_index(tuple(keys.T), shape)
-            np.maximum.at(table.reshape(-1), flat, D[:, 0])
-        for axis in range(self.K - 1):
-            table = np.flip(
-                np.maximum.accumulate(np.flip(table, axis=axis), axis=axis),
-                axis=axis,
-            )
-        self.table = table
+        table = np.full((self.nbuckets,) * (self.K - 1), -np.inf)
+        # one slice of the grid per level of r_0; each user's GDoF on it by
+        # broadcasting, with forward_gdof's float operations in its order
+        K, a = self.K, self.alpha
+        r = [self.levels.reshape([-1 if k == j else 1 for k in range(1, K)]) for j in range(1, K)]
+        for r0 in self.levels:
+            r_all = [r0] + r
+            D = []
+            for i in range(K):
+                terms = [a[i, j] + r_all[j] for j in range(K) if j != i]
+                interf = functools.reduce(np.maximum, terms)
+                D.append(np.maximum(0.0, a[i, i] + r_all[i] - np.maximum(0.0, interf)))
+            D = np.broadcast_arrays(*D)
+            keys = [np.minimum((d / self.bucket).astype(int), self.nbuckets - 1) for d in D[1:]]
+            np.maximum.at(table, tuple(k.ravel() for k in keys), D[0].ravel())
+        self.table = _suffix_max(table)
 
     def achievable(self, d, slack: float) -> bool:
         """Is some grid point's GDoF >= d - slack componentwise?"""
@@ -368,6 +396,31 @@ class GridAchievability:
         """GDoF tuples of n random grid power vectors (for converse checks)."""
         R = self.levels[rng.integers(0, len(self.levels), size=(n, self.K))]
         return forward_gdof(self.alpha, R)
+
+
+def _suffix_max(table: np.ndarray) -> np.ndarray:
+    """Largest entry over every index at or above each index, axis by axis."""
+    for axis in range(table.ndim):
+        table = np.flip(np.maximum.accumulate(np.flip(table, axis=axis), axis=axis), axis=axis)
+    return table
+
+
+def _chunked_table(grid: GridAchievability) -> np.ndarray:
+    """``grid.table`` as first built: the flat grid through forward_gdof, 200,000 rows at a time."""
+    shape = (grid.nbuckets,) * (grid.K - 1)
+    table = np.full(shape, -np.inf)
+    nlev = len(grid.levels)
+    total = nlev**grid.K
+    chunk = 200_000
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        idx = np.unravel_index(np.arange(lo, hi), (nlev,) * grid.K)
+        R = np.column_stack([grid.levels[ix] for ix in idx])
+        D = forward_gdof(grid.alpha, R)
+        keys = np.minimum((D[:, 1:] / grid.bucket).astype(int), grid.nbuckets - 1)
+        flat = np.ravel_multi_index(tuple(keys.T), shape)
+        np.maximum.at(table.reshape(-1), flat, D[:, 0])
+    return _suffix_max(table)
 
 
 def region_grid_points(alpha: np.ndarray, step: float) -> np.ndarray:

@@ -38,6 +38,7 @@ from tinopt.region import canonical_cycle
 from conftest import EX2_ALPHA, symmetric_two_user
 from _oracles import (
     GridAchievability,
+    _chunked_table,
     oracle_region_margin,
     random_channel,
     random_condition_channel,
@@ -185,6 +186,16 @@ def test_c04_grid_achievability_oracle():
         feasibles, n_points, elapsed = _achievability_battery()
         assert n_points > 2000
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
+
+
+def test_grid_table_matches_chunked_reference():
+    # the broadcast table behind c04 has the bytes of the chunked one it replaced
+    rng = np.random.default_rng(48151623)
+    for idx in range(5):  # K = 2, 3, 4, 2, 3, drawn like the c04 battery
+        K = 2 + idx % 3
+        alpha = random_condition_channel(rng, K)
+        grid = GridAchievability(alpha, delta=0.05)
+        assert grid.table.tobytes() == _chunked_table(grid).tobytes(), alpha
 
 
 def test_c05_power_certificate_soundness():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tinopt import ChannelMatrix, point_in_tin_region, polyhedral_region
 from tinopt.cli import main
+from tinopt.region import K_MAX_EXPORT, K_MAX_UNION
 from tinopt.netsim import K_MAX_SIM, RADIUS_MAX_M, RADIUS_MIN_M, SHADOWING_MAX_DB
 
 #: Golden outputs, written from the full K-by-K exponent matrices.
@@ -311,6 +312,82 @@ class TestMonteCarloContract:
         args = ["simulate", "--users", "3", "--coverage", "1e-300", "--trials", "100"]
         assert_usage_error(runner, args)
         assert "coverage_radius" in runner.invoke(main, args).output
+
+
+def _channel(K: int, cross: float = 0.1) -> dict:
+    a = np.full((K, K), cross)
+    np.fill_diagonal(a, 1.0)
+    return {"K": K, "alpha": a.tolist()}
+
+
+def _with_entry(K: int, i: int, j: int, value: float) -> dict:
+    doc = _channel(K)
+    doc["alpha"][i % K][j % K] = value
+    return doc
+
+
+#: Channel documents that are not a channel: non-finite or negative
+#: exponents, a wrong shape or type of ``alpha``, or a wrong ``K``.
+BAD_CHANNELS = st.one_of(
+    st.builds(_with_entry, st.integers(1, 4), st.integers(0, 3), st.integers(0, 3),
+              st.sampled_from([math.nan, math.inf, -math.inf])
+              | st.floats(max_value=-5e-324, allow_infinity=False)),
+    st.sampled_from([
+        [[1.0, 0.1], [0.1]], [[1.0, 0.1, 0.2], [0.1, 1.0, 0.2]], [[[1.0]]], [[]], [],
+        5.0, "abc", None, {"a": 1.0}, [["x"]], [[None]], [[{"a": 1}]],
+    ]).map(lambda alpha: {"alpha": alpha}),
+    st.sampled_from([3, 0, -1, "x", None, [2], 2.5]).map(lambda K: {**_channel(2), "K": K}),
+    st.sampled_from([[], "alpha", 3, None]),
+    st.just({"K": 2}),
+)
+def _parses(text: str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+#: Files that do not parse as JSON.
+CORRUPT_TEXT = st.text(max_size=12).filter(lambda t: not _parses(t))
+#: ``--silent-set`` lists for a K=3 channel with a malformed or out-of-range entry.
+BAD_SILENT_SETS = _bad_list(
+    st.sampled_from(["0", "1", "2"]),
+    st.integers(3, 10**20).map(str) | st.integers(max_value=-1).map(str)
+    | _garbled(int).filter(lambda t: any(x.strip() for x in t.split(",")))  # blanks are skipped
+    | st.sampled_from(["1.5", "1e2", "0x1"]),
+)
+#: Every mode of ``region``; the vertex CSV goes to the working directory.
+REGION_MODES = st.sampled_from([[], ["--minimize"], ["--union"], ["--vertices", "v.csv"]])
+
+
+class TestRegionContract:
+    """Malformed ``region`` input exits 2 with one ``error:`` line, in every mode."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mode=REGION_MODES, silent=st.sampled_from(["", "0"]), data=st.data())
+    def test_malformed_input_exits_two(self, tmp_path_factory, mode, silent, data):
+        path = tmp_path_factory.mktemp("region") / "ch.json"
+        fault = data.draw(st.sampled_from(["channel", "text", "missing", "silent-set", "oversize"]))
+        if fault == "channel":
+            path.write_text(json.dumps(data.draw(BAD_CHANNELS)))
+        elif fault == "text":
+            path.write_text(data.draw(CORRUPT_TEXT))
+        elif fault == "silent-set":
+            path.write_text(json.dumps(_channel(3)))
+            silent = data.draw(BAD_SILENT_SETS)
+        elif fault == "oversize":
+            # more active users than rows are exported for, or than the union takes
+            K = data.draw(st.sampled_from([K_MAX_EXPORT + 1, K_MAX_UNION + 1, 13]))
+            path.write_text(json.dumps(_channel(K, cross=0.01)))
+            silent = ""
+        with CliRunner().isolated_filesystem(temp_dir=path.parent):
+            assert_usage_error(CliRunner(), ["region", str(path), "--silent-set", silent] + mode)
+
+    def test_unwritable_output_exits_two(self, runner, ex2_path, tmp_path):
+        missing = str(tmp_path / "no" / "such" / "dir" / "out")
+        assert_usage_error(runner, ["region", ex2_path, "-o", missing])
+        assert_usage_error(runner, ["region", ex2_path, "--vertices", missing + ".csv"])
 
 
 class TestSimulation:

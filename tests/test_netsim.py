@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,9 @@ from tinopt import (
     sweep_to_csv,
 )
 from tinopt.netsim import (
+    ERCEG_TERRAIN,
     K_MAX_SIM,
+    PROPAGATION_RANGES,
     RADIUS_MAX_M,
     RADIUS_MIN_M,
     SHADOWING_MAX_DB,
@@ -102,6 +105,38 @@ class TestErcegPathloss:
         corner = SimConfig(K=3, coverage_radius=RADIUS_MIN_M, cell_radius=RADIUS_MAX_M,
                            shadowing_sigma_db=SHADOWING_MAX_DB, trials=100)
         condition_probability(corner)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("boundary_snr_target_db", 4000.0),  # overflowed the gains
+            ("carrier_freq_mhz", -1.0),  # math domain error
+            ("ref_distance_m", 0.0),  # math domain error
+            ("bs_height_m", 1e-300),  # every gain underflowed to 0
+            ("min_distance_m", -5.0),  # accepted silently
+            ("rx_height_m", -3.0),
+            ("antenna_gain_db", 5000.0),
+            ("noise_floor_dbm", math.nan),
+            ("carrier_freq_mhz", math.inf),
+        ],
+    )
+    def test_propagation_constant_out_of_range_names_it(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be between"):
+            SimConfig(K=3, coverage_radius=100.0, trials=100, **{field: value})
+
+    @pytest.mark.parametrize("terrain", sorted(ERCEG_TERRAIN))
+    def test_propagation_range_corners_keep_gains_finite(self, terrain):
+        # every corner of the ranges that moves a gain, at the widest radii
+        # and shadowing: no overflow or underflow warning (errors here), and
+        # no gain rounds to 0, which the positivity check would refuse
+        names = ("carrier_freq_mhz", "boundary_snr_target_db", "bs_height_m",
+                 "ref_distance_m", "min_distance_m")
+        for corner in itertools.product(*(PROPAGATION_RANGES[n] for n in names)):
+            for radii in ((RADIUS_MIN_M, RADIUS_MAX_M), (RADIUS_MAX_M, RADIUS_MAX_M)):
+                cfg = SimConfig(K=2, coverage_radius=radii[0], cell_radius=radii[1], trials=100,
+                                shadowing_sigma_db=SHADOWING_MAX_DB, terrain=terrain,
+                                **dict(zip(names, corner)))
+                condition_probability(cfg)
 
 
 class TestSampleNetwork:
