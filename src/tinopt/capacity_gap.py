@@ -11,12 +11,12 @@ TIN under a recovered power allocation.  Their linearized forms differ by
 a constant independent of power: 1 + log2(K) per user and
 m*log2(3K) per length-m cycle, which is the certified gap.
 
-Cycle rows follow :func:`region.enumerate_cycles` with GDoF right-hand
-sides from :func:`potential_graph.cycle_rhs`, the region's own numbers.
-They are computed one cycle length at a time on ``(c, m)`` arrays, with
+The cycle rows are the all-active region's own: ``Polyhedron.rows``, one
+``(c, m)`` array of sequences per cycle length with their GDoF right-hand
+sides.  Bounds are computed one length at a time on those arrays, with
 every sum over a cycle's positions added from 0 in position order, so each
 row has the same floats as when computed one cycle at a time.  Per-cycle
-bounds are exported for at most ``K_MAX_EXPORT`` users.
+bounds are exported for at most ``region.K_MAX_EXPORT`` users.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .potential_graph import (
     cycle_rhs,
     recover_power_allocation,
 )
-from .region import _check_export, cycle_blocks, enumerate_cycles
+from .region import Polyhedron
 
 
 def _log2_sum_pow(exponents_bits) -> float:
@@ -83,10 +83,6 @@ class CyclicBoundQuantities:
     lam: np.ndarray
     mu: np.ndarray
     rho: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return len(self.cycle)
 
 
 def _cycle_terms(ch: FiniteSnrChannel, C: np.ndarray) -> tuple:
@@ -242,15 +238,6 @@ def _user_bounds(ch: FiniteSnrChannel) -> tuple:
     )
 
 
-def _cycle_bound_blocks(ch: FiniteSnrChannel) -> list:
-    """Per cycle length: the ``(c, m)`` cycles, their GDoF right-hand sides and
-    exact outer bounds (kappa summed per row, as ``kappa.sum()`` sums one cycle)."""
-    return [
-        (C, cycle_rhs(ch.channel, C), _cycle_terms(ch, C)[0].sum(axis=1))
-        for C in cycle_blocks(enumerate_cycles(range(ch.K)))
-    ]
-
-
 def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:
     """Per-user and per-cycle rate outer bounds at the channel's power.
 
@@ -258,9 +245,9 @@ def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:
     linearized form adds log2(3) per cycle position to the GDoF
     right-hand side times log2(P).  Refuses more than ``K_MAX_EXPORT`` users.
     """
-    _check_export(ch.K)
     cycles = []
-    for C, rhs, exact in _cycle_bound_blocks(ch):
+    for C, rhs in Polyhedron(ch.channel, frozenset()).rows:
+        exact = _cycle_terms(ch, C)[0].sum(axis=1)  # per row, as kappa.sum() sums one cycle
         linear = rhs * ch.log2P + C.shape[1] * math.log2(3.0)
         cycles += (
             RateBound("cycle", tuple(seq), exact_bits=e, linear_bits=lin)
@@ -327,7 +314,7 @@ def gap_certificate(
     empirical gap above its analytic value, since that would falsify the
     certificate.
     """
-    _check_export(ch.K)
+    cycle_rows = Polyhedron(ch.channel, frozenset()).rows
     if not check_tin_condition(ch.channel).overall:
         raise ValueError("gap certificates require the optimality condition")
     dv = np.asarray(d, dtype=float)
@@ -358,8 +345,9 @@ def gap_certificate(
                 tight=bool(abs(dv[i] - a[i, i]) <= tight_tol),
             )
         )
-    for C, rhs, exact in _cycle_bound_blocks(ch):
+    for C, rhs in cycle_rows:
         m = C.shape[1]
+        exact = _cycle_terms(ch, C)[0].sum(axis=1)
         achieved = _sum_positions(rates[C])
         columns = (
             C.tolist(),

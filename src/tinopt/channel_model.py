@@ -23,6 +23,10 @@ import numpy as np
 #: measure-zero but float-fragile; a tie within this band counts as a pass.
 EPS_CONDITION = 1e-9
 
+#: Largest accepted strength exponent and GDoF target entry: no sum the
+#: library forms from such values overflows (README, "Numerical conventions").
+EXPONENT_MAX = 1e150
+
 
 class _Silent:
     """Sentinel marking a transmitter with zero power (rate exponent -inf)."""
@@ -50,6 +54,8 @@ def _check_exponents(a: np.ndarray) -> None:
         raise ValueError("alpha entries must be finite")
     if (a < 0).any():
         raise ValueError("alpha entries must be nonnegative")
+    if (a > EXPONENT_MAX).any():
+        raise ValueError(f"alpha entries must be at most {EXPONENT_MAX:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +63,8 @@ class ChannelMatrix:
     """Square matrix of channel strength exponents, receiver-major.
 
     ``alpha[i][j]`` is the strength exponent of the link from transmitter
-    ``j`` to receiver ``i``.  Entries must be finite and nonnegative
-    (negative exponents are clipped to zero upstream, see
+    ``j`` to receiver ``i``.  Entries must be finite, nonnegative and at
+    most ``EXPONENT_MAX`` (negative exponents are clipped to zero upstream, see
     :func:`from_link_budget`).
     """
 

@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .capacity_gap import FiniteSnrChannel, gap_certificate, gdof_limit_checks
 from .channel_model import (
+    EXPONENT_MAX,
     ChannelMatrix,
     check_tin_condition,
     load_channel,
@@ -96,7 +97,7 @@ def _parse_list(text: str, conv, name: str) -> list:
 
 
 def _parse_vector(text: str, K: int, name: str) -> np.ndarray:
-    """K finite nonnegative numbers, or a one-line error and exit 2."""
+    """K finite numbers in ``[0, EXPONENT_MAX]``, or a one-line error and exit 2."""
     vals = _parse_list(text, float, name)
     if len(vals) != K:
         _fail(f"{name} needs {K} entries, got {len(vals)}")
@@ -105,6 +106,8 @@ def _parse_vector(text: str, K: int, name: str) -> np.ndarray:
         _fail(f"{name} entries must be finite")
     if np.any(v < 0):
         _fail(f"{name} entries must be nonnegative")
+    if np.any(v > EXPONENT_MAX):
+        _fail(f"{name} entries must be at most {EXPONENT_MAX:g}")
     return v
 
 
@@ -148,20 +151,15 @@ def check_condition_cmd(channel, output):
 @click.argument("channel", type=click.Path(exists=True))
 @click.option("--silent-set", default="", help="comma-separated 0-based users")
 @click.option("--minimize", is_flag=True, help="prune implied inequalities")
-@click.option("--union", "union_flag", is_flag=True, help="emit all silent-set polyhedra")
+@click.option("--union", "union_flag", is_flag=True,
+              help="emit all silent-set polyhedra; takes no other region option")
 @click.option("--vertices", type=click.Path(), default=None, help="CSV of vertices (K<=4)")
 @click.option("--output", "-o", type=click.Path(), default=None)
 def region_cmd(channel, silent_set, minimize, union_flag, vertices, output):
     """Emit the H-representation of the achievable region."""
+    if union_flag and (silent_set.strip() or minimize or vertices):
+        _fail("--union takes none of --silent-set, --minimize and --vertices")
     ch = _load(channel)
-    try:
-        silent = [int(s) for s in silent_set.split(",") if s.strip() != ""]
-    except ValueError:
-        _fail("--silent-set must be comma-separated integers")
-    try:
-        poly = polyhedral_region(ch, silent)  # checked in every mode, --union included
-    except ValueError as exc:
-        _fail(str(exc))
     if union_flag:
         if ch.K > K_MAX_EXPORT:  # every component's rows are exported
             _fail(f"--union exports cycle rows for at most {K_MAX_EXPORT} users, got {ch.K}")
@@ -171,6 +169,14 @@ def region_cmd(channel, silent_set, minimize, union_flag, vertices, output):
             _fail(str(exc))
         _dump_json({"K": ch.K, "components": [c.to_dict() for c in comps]}, output)
         sys.exit(0)
+    try:
+        silent = [int(s) for s in silent_set.split(",") if s.strip() != ""]
+    except ValueError:
+        _fail("--silent-set must be comma-separated integers")
+    try:
+        poly = polyhedral_region(ch, silent)
+    except ValueError as exc:
+        _fail(str(exc))
     try:
         if minimize:
             poly = minimized(poly)
@@ -254,10 +260,12 @@ def gap_check_cmd(channel, gdof, powers, output):
 @click.argument("channel", type=click.Path(exists=True))
 @click.option("--cycle", required=True, help="comma-separated user cycle")
 @click.option("--powers", default="1e2,1e4,1e8", show_default=True)
-@click.option("--tol", default=0.02, show_default=True)
+@click.option("--tol", default=0.02, show_default=True, help="finite, above 0")
 @click.option("--output", "-o", type=click.Path(), default=None)
 def gdof_limits_cmd(channel, cycle, powers, tol, output):
     """Convergence of normalized outer bounds; exit 1 unless converged."""
+    if not (np.isfinite(tol) and tol > 0):
+        _fail(f"--tol must be a finite number above 0, got {tol}")
     ch = _load(channel)
     seq = _parse_list(cycle, int, "--cycle")
     plist = _parse_list(powers, float, "--powers")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import EPS_CONDITION, ChannelMatrix, PowerExponents
+from .channel_model import EPS_CONDITION, EXPONENT_MAX, ChannelMatrix, PowerExponents
 
 #: A directed circuit whose length is within this band below zero is treated
 #: as nonnegative: boundary points of the region are legitimate members and
@@ -100,18 +100,14 @@ def build_graph(alpha: ChannelMatrix, d) -> PotentialGraph:
     dv = np.array(d, dtype=float)
     if dv.shape != (alpha.K,):
         raise ValueError(f"d has shape {dv.shape}, expected ({alpha.K},)")
-    if not np.all(np.isfinite(dv)):
-        raise ValueError("d entries must be finite")
+    if not np.all(np.abs(dv) <= EXPONENT_MAX):
+        raise ValueError(f"d entries must be finite and at most {EXPONENT_MAX:g} in magnitude")
     K = alpha.K
-    a = alpha.alpha
-    n = K + 1
-    L = np.full((n, n), np.inf)
-    for i in range(K):
-        for j in range(K):
-            if i != j:
-                L[i, j] = a[i, i] - dv[i] - a[i, j]
-        L[i, K] = a[i, i] - dv[i]
-        L[K, i] = 0.0
+    head = alpha.alpha.diagonal() - dv  # a_ii - d_i, the length of user i's arc to ground
+    L = np.zeros((K + 1, K + 1))  # ground -> user: 0
+    L[:K, :K] = head[:, None] - alpha.alpha
+    L[:K, K] = head
+    L.flat[:: K + 2] = np.inf  # no arc from a node to itself
     L.setflags(write=False)
     dv.setflags(write=False)
     return PotentialGraph(alpha=alpha, d=dv, lengths=L)
@@ -126,22 +122,24 @@ def canonical_cycle(seq) -> tuple:
     return t[k:] + t[:k]
 
 
-def cycle_rhs(alpha: ChannelMatrix, seq) -> float:
-    """Right-hand side of the region inequality ``sum_{i in seq} d_i <= rhs``.
+def arc_weights(alpha: ChannelMatrix) -> np.ndarray:
+    """Arc weights ``W[p, q] = a_qq - a_pq``; a cycle weighs its :func:`cycle_rhs`."""
+    return alpha.alpha.diagonal()[None, :] - alpha.alpha
 
-    ``sum_j a_{s_j s_j} - a_{s_(j-1) s_j}`` over a cyclic sequence (indices
-    wrap); a single user gives the direct power bound ``a_ii``.  A ``(c, m)``
-    integer array of ``c`` sequences of one length ``m >= 2`` gives the
-    ``(c,)`` array of their right-hand sides, each summed from 0 in
-    position order like the one-sequence form, so the floats are equal.
+
+def cycle_rhs(alpha: ChannelMatrix, seq):
+    """Right-hand sides of the region inequalities ``sum_{i in seq} d_i <= rhs``.
+
+    A ``(c, m)`` integer array of ``c`` sequences of one length ``m`` gives
+    the ``(c,)`` array of their right-hand sides: the arc weights
+    ``a_{s_j s_j} - a_{s_(j-1) s_j}`` around each sequence (indices wrap),
+    added from 0 in position order; for ``m = 1``, the direct power bound
+    ``a_ii``.  One sequence is the one-row case and gives a float.
     """
-    a = alpha.alpha
-    if isinstance(seq, np.ndarray) and seq.ndim == 2:
-        return _sum_positions(a[seq, seq] - a[np.roll(seq, 1, axis=1), seq])
-    m = len(seq)
-    if m == 1:
-        return float(a[seq[0], seq[0]])
-    return float(sum(a[seq[j], seq[j]] - a[seq[j - 1], seq[j]] for j in range(m)))
+    C = np.array(seq, dtype=np.intp, ndmin=2)
+    rhs = (alpha.alpha[C[:, 0], C[:, 0]] if C.shape[1] == 1
+           else _sum_positions(arc_weights(alpha)[np.roll(C, 1, axis=1), C]))
+    return rhs if np.ndim(seq) == 2 else float(rhs[0])
 
 
 def _sum_positions(terms: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from .channel_model import SILENT, ChannelMatrix, PowerExponents
 from .potential_graph import (
     EPS_LENGTH,
     MembershipCertificate,
+    arc_weights,
     build_graph,
     canonical_cycle,  # re-exported: part of this module's interface
     cycle_rhs,
@@ -50,54 +51,41 @@ K_MAX_UNION = 9
 #: users (1,112,073 rows) about 28 s and 2.6 GB.
 K_MAX_EXPORT = 9
 
-CyclicSequence = tuple
+def cycle_blocks(users: Iterable[int]) -> list:
+    """Every directed cyclic sequence over the users, one ``(c, m)`` array per length ``m >= 2``.
 
-
-def enumerate_cycles(users: Iterable[int]) -> list:
-    """All directed cyclic sequences over every subset of size >= 2.
-
-    Each sequence is canonicalized (smallest index first), and the list is
-    ordered by cycle size then lexicographically.  The count for n users
-    is ``sum_{m=2..n} C(n, m) * (m-1)!``; more than ``K_MAX_CYCLES`` users
-    raise ``ValueError``.
+    The one cycle enumerator.  Sequences start at their smallest user and
+    rows are lexicographic, so the blocks in turn are the canonical order;
+    ``C(n, m) (m-1)!`` rows of length ``m`` for ``n`` users.  More than
+    ``K_MAX_CYCLES`` users raise ``ValueError``.
     """
     base = sorted(set(int(u) for u in users))
     if len(base) > K_MAX_CYCLES:
         raise ValueError(
             f"cycle enumeration supports at most {K_MAX_CYCLES} users, got {len(base)}"
         )
-    out = []
+    blocks = []
     for m in range(2, len(base) + 1):
-        group = []
-        for subset in itertools.combinations(base, m):
-            head, rest = subset[0], subset[1:]
-            for perm in itertools.permutations(rest):
-                group.append((head,) + perm)
-        group.sort()
-        out.extend(group)
-    return out
-
-
-def cycle_blocks(cycles) -> list:
-    """One ``(c, m)`` integer array per cycle length of a length-sorted cycle list.
-
-    Rows keep the list's order, so the blocks stacked in turn are the list.
-    """
-    return [np.array(list(group), dtype=np.intp) for _, group in itertools.groupby(cycles, key=len)]
-
-
-def _check_export(n_active: int) -> None:
-    if n_active > K_MAX_EXPORT:
-        raise ValueError(
-            f"cycle rows are exported for at most {K_MAX_EXPORT} active users, got {n_active}"
+        # after its head, a sequence is an ordered choice of m-1 larger users
+        rows = itertools.chain.from_iterable(
+            (head,) + rest
+            for k, head in enumerate(base)
+            for rest in itertools.permutations(base[k + 1:], m - 1)
         )
+        blocks.append(np.fromiter(rows, dtype=np.intp).reshape(-1, m))
+    return blocks
+
+
+def enumerate_cycles(users: Iterable[int]) -> list:
+    """The sequences of :func:`cycle_blocks` as one list of tuples, in canonical order."""
+    return [tuple(seq) for C in cycle_blocks(users) for seq in C.tolist()]
 
 
 @dataclass(frozen=True)
 class LinearInequality:
     """``sum_{i in users} d_i <= rhs``; users kept in cyclic-sequence order."""
 
-    users: CyclicSequence
+    users: tuple
     rhs: float
 
 
@@ -107,8 +95,9 @@ class Polyhedron:
 
     Silenced users are pinned to zero; every active user has the box
     ``0 <= d_i <= box_ub[i]`` (its direct exponent ``a_ii``).  Membership
-    and the optimizers use the channel's potential graph; ``cycles``, the
-    sum inequalities in canonical order, is built on first read.
+    and the optimizers use the channel's potential graph; ``rows``, the
+    sum inequalities in canonical order as per-length arrays, are built on
+    first read, and ``cycles`` from them when it is read.
     """
 
     channel: ChannelMatrix
@@ -130,11 +119,19 @@ class Polyhedron:
         return ub
 
     @cached_property
+    def rows(self) -> tuple:
+        """Per cycle length, the ``(c, m)`` sequences of :func:`cycle_blocks` over the active
+        users and their ``(c,)`` right-hand sides; more than ``K_MAX_EXPORT`` are refused first."""
+        if len(self.active) > K_MAX_EXPORT:
+            raise ValueError(f"cycle rows are exported for at most {K_MAX_EXPORT} active "
+                             f"users, got {len(self.active)}")
+        return tuple((C, cycle_rhs(self.channel, C)) for C in cycle_blocks(self.active))
+
+    @cached_property
     def cycles(self) -> tuple:
-        """One inequality per cyclic sequence of active users, in canonical order."""
-        seqs = enumerate_cycles(self.active)
-        rhs = [b for C in cycle_blocks(seqs) for b in cycle_rhs(self.channel, C).tolist()]
-        return tuple(map(LinearInequality, seqs, rhs))
+        """:attr:`rows` as one inequality per cyclic sequence, in canonical order."""
+        return tuple(itertools.chain.from_iterable(  # zip of C's columns: its rows as tuples
+            map(LinearInequality, zip(*C.T.tolist()), rhs.tolist()) for C, rhs in self.rows))
 
     @cached_property
     def _support_bounds(self) -> dict:
@@ -178,7 +175,6 @@ class Polyhedron:
 
     def to_dict(self) -> dict:
         """Boxes and cycle rows; refuses more than ``K_MAX_EXPORT`` active users."""
-        _check_export(len(self.active))
         return {
             "K": self.K,
             "silent": sorted(self.silent),
@@ -186,7 +182,9 @@ class Polyhedron:
                 {"user": i, "ub": float(self.box_ub[i])} for i in self.active
             ],
             "cycles": [
-                {"seq": list(c.users), "rhs": float(c.rhs)} for c in self.cycles
+                {"seq": seq, "rhs": b}
+                for C, rhs in self.rows
+                for seq, b in zip(C.tolist(), rhs.tolist())
             ],
         }
 
@@ -230,28 +228,30 @@ def minimized(poly: Polyhedron, tol: float = 1e-12) -> Polyhedron:
     canonical order, so ties keep the earlier inequality.  Supports are bit
     masks over the active users: box sums are added in ascending user
     order, each support keeps the smallest right-hand side kept on it, and
-    the best bound from its proper subsets (all of them smaller, so done)
-    is taken once per support.  Refuses more than ``K_MAX_EXPORT`` active
-    users before reading any row.
+    the best bound from its proper subsets (all of them shorter, so done
+    with) is taken once per support, before its length's rows are read.
+    Refuses more than ``K_MAX_EXPORT`` active users before reading any row.
     """
-    _check_export(len(poly.active))
-    bit = {u: 1 << k for k, u in enumerate(poly.active)}
+    rows = poly.rows
     box = [0.0]  # box[U]: sum of ub over U, in ascending user order
     for ub in poly.box_ub[list(poly.active)].tolist():
         box += [s + ub for s in box]
     best = [math.inf] * len(box)  # smallest kept rhs per support
     best[0] = 0.0  # the empty support, so that the subset bound covers the boxes
-    bound: dict = {}  # support -> min over proper subsets U' of best[U'] + box[U - U']
-    kept: list = []
-    for ineq in poly.cycles:
-        U = sum(bit[u] for u in ineq.users)
-        if U not in bound:
-            bound[U] = min(best[S] + box[U ^ S] for S in _proper_submasks(U))
-        if min(bound[U], best[U]) > ineq.rhs + tol:
-            kept.append(ineq)
-            best[U] = min(best[U], ineq.rhs)
+    kept = []
+    for C, rhs in rows:
+        supports = (1 << np.searchsorted(poly.active, C)).sum(axis=1).tolist()  # bit masks
+        # min over proper subsets U' of best[U'] + box[U - U']
+        bound = {U: min(best[S] + box[U ^ S] for S in _proper_submasks(U))
+                 for U in dict.fromkeys(supports)}
+        keep = []
+        for k, (U, b) in enumerate(zip(supports, rhs.tolist())):
+            if min(bound[U], best[U]) > b + tol:
+                keep.append(k)
+                best[U] = min(best[U], b)
+        kept.append((C[keep], rhs[keep]))
     out = Polyhedron(channel=poly.channel, silent=poly.silent)
-    out.__dict__["cycles"] = tuple(kept)  # the same region, exporting the kept rows
+    out.__dict__["rows"] = tuple(kept)  # the same region, exporting the kept rows
     return out
 
 
@@ -370,7 +370,7 @@ def poly_contains(outer: Polyhedron, inner: Polyhedron, tol: float = EPS_LENGTH)
     through = [e for e in outer.active if e in inner.silent]
     if not through:
         return True
-    empty, walks = _walk_bounds(outer.channel.alpha.tolist(), shared, through)
+    empty, walks = _walk_bounds(arc_weights(outer.channel).tolist(), shared, through)
     if empty < -tol and _support_exceeds(inner, (), empty + tol):  # box sum 0
         return False
     box = [0.0]  # box[U]: sum of the boxes over U, in ascending user order
@@ -390,12 +390,12 @@ def _subsets(users: tuple) -> tuple:
     return tuple(out)
 
 
-def _walk_bounds(a: list, shared: list, through: list) -> tuple:
+def _walk_bounds(W: list, shared: list, through: list) -> tuple:
     """Smallest weight of a closed walk per set of ``shared`` users it visits.
 
     A walk visits each user of its support ``U`` (a subset of ``shared``)
     once, any number of users of ``through``, and no other user; its
-    weight is the sum of its arc weights ``w(p -> q) = a_qq - a_pq``, so
+    weight is the sum of its arc weights ``W`` (:func:`arc_weights`), so
     a cycle's weight is its ``cycle_rhs``.  Every row through
     ``through`` is such a walk.  A walk that repeats a ``through`` user
     splits there into two with disjoint supports, whose weights add, and
@@ -412,7 +412,7 @@ def _walk_bounds(a: list, shared: list, through: list) -> tuple:
     inf = math.inf
     n = len(shared)
     nodes = shared + through
-    D = [[a[q][q] - a[p][q] if p != q else inf for q in nodes] for p in nodes]
+    D = [[W[p][q] if p != q else inf for q in nodes] for p in nodes]
     for k in range(n, len(nodes)):
         Dk = D[k]
         for Di in D:
@@ -479,11 +479,11 @@ def _cover_bound(poly: Polyhedron, users: tuple) -> float:
     Each cycle of length >= 2 of a cover adds its region inequality, each
     fixed point in ``users`` its box: a feasible point of the support LP's
     dual, so by weak duality its cost bounds ``h`` from above.  Fixed
-    points off ``users`` cost 0 and arcs cost ``w``; one
+    points off ``users`` cost 0 and arcs their :func:`arc_weights`; one
     ``linear_sum_assignment`` finds the cheapest cover.
     """
-    a, n = poly.channel.alpha.tolist(), len(poly.active)
-    cost = [[a[q][q] - a[p][q] if p != q else a[p][p] * (p in users) for q in poly.active]
+    a, W, n = poly.channel.alpha.tolist(), arc_weights(poly.channel).tolist(), len(poly.active)
+    cost = [[W[p][q] if p != q else a[p][p] * (p in users) for q in poly.active]
             for p in poly.active]
     rows, cols = linear_sum_assignment(np.array(cost).reshape(n, n))
     return sum((cost[r][c] for r, c in zip(rows.tolist(), cols.tolist())), 0.0)
@@ -601,27 +601,19 @@ def polyhedron_vertices(poly: Polyhedron, decimals: int = 9) -> np.ndarray:
         raise ValueError("vertex enumeration supports at most 4 active users")
     if na == 0:
         return np.zeros((1, poly.K))
-    rows = []
-    rhs = []
-    for k, i in enumerate(active):
-        e = np.zeros(na)
-        e[k] = 1.0
-        rows.append(e)
-        rhs.append(float(poly.box_ub[i]))
-        rows.append(-e)
-        rhs.append(0.0)
-    pos = {u: k for k, u in enumerate(active)}
-    for ineq in poly.cycles:
-        e = np.zeros(na)
-        for u in ineq.users:
-            e[pos[u]] = 1.0
-        rows.append(e)
-        rhs.append(ineq.rhs)
-    A = np.vstack(rows)
-    b = np.array(rhs)
+    eye = np.eye(na)
+    A = [np.stack([eye, -eye], axis=1).reshape(2 * na, na)]  # d_i <= ub_i, -d_i <= 0 per user
+    b = [np.stack([poly.box_ub[list(active)], np.zeros(na)], axis=1).ravel()]
+    for C, rhs in poly.rows:
+        block = np.zeros((len(C), na))
+        block[np.arange(len(C))[:, None], np.searchsorted(active, C)] = 1.0
+        A.append(block)
+        b.append(rhs)
+    A = np.vstack(A)
+    b = np.concatenate(b)
     seen = set()
     verts = []
-    for combo in itertools.combinations(range(len(rows)), na):
+    for combo in itertools.combinations(range(len(A)), na):
         M = A[list(combo)]
         if abs(np.linalg.det(M)) < 1e-12:
             continue

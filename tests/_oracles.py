@@ -84,6 +84,20 @@ def oracle_cycle_rhs(alpha: np.ndarray, seq) -> float:
     )
 
 
+def oracle_graph_lengths(alpha: np.ndarray, d) -> np.ndarray:
+    """Potential-graph arc lengths, one entry at a time: ``(a_ii - d_i) - a_ij`` between
+    users, ``a_ii - d_i`` to ground, 0 from ground, +inf on the diagonal."""
+    K = alpha.shape[0]
+    L = np.full((K + 1, K + 1), np.inf)
+    for i in range(K):
+        for j in range(K):
+            if i != j:
+                L[i, j] = alpha[i, i] - d[i] - alpha[i, j]
+        L[i, K] = alpha[i, i] - d[i]
+        L[K, i] = 0.0
+    return L
+
+
 def oracle_minimized(alpha: np.ndarray, silent, tol: float = 1e-12) -> list:
     """Irredundant cycle rows ``(users, rhs)`` of one silent-set polytope, by a pairwise scan.
 

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -275,6 +276,31 @@ class TestGapCheckFixtures:
             "--power", "1e2", "--power", "1e4", "--power", "1e8", "-o", str(out)])
         assert result.exit_code == 0, result.output
         assert out.read_bytes() == (DATA / f"k{K}_condition_gap.csv").read_bytes()
+
+
+class TestGdofLimitsFixtures:
+    """``gdof-limits`` bytes of a committed channel, as the scalar-branch ``cycle_rhs`` wrote them."""
+
+    @pytest.mark.parametrize("cycle, fixture", [
+        ("0,1,2,3,4,5", "k6_condition_limits.json"),
+        ("3,1", "k6_condition_limits_31.json"),
+    ])
+    def test_json_bytes(self, cycle, fixture, tmp_path, monkeypatch):
+        monkeypatch.chdir(DATA)
+        out = tmp_path / "limits.json"
+        result = CliRunner().invoke(
+            main, ["gdof-limits", "k6_condition.json", "--cycle", cycle, "-o", str(out)])
+        assert result.exit_code == 1, result.output  # neither converges within 0.02
+        assert out.read_bytes() == (DATA / fixture).read_bytes()
+
+    def test_example_fails_the_condition(self, tmp_path):
+        # ex2 fails the optimality condition, so there is no JSON to pin
+        path = tmp_path / "ex2.json"
+        path.write_text(json.dumps(ChannelMatrix(EX2_ALPHA).to_dict()))
+        result = CliRunner().invoke(main, ["gdof-limits", str(path), "--cycle", "0,1,2"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: limit identities require the optimality condition\n"
 
 
 class TestGapCertificate:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tinopt import ChannelMatrix, point_in_tin_region, polyhedral_region
 from tinopt.cli import main
+from tinopt.channel_model import EXPONENT_MAX
 from tinopt.region import K_MAX_EXPORT, K_MAX_UNION
 from tinopt.netsim import K_MAX_SIM, RADIUS_MAX_M, RADIUS_MIN_M, SHADOWING_MAX_DB
 
@@ -220,6 +221,16 @@ class TestMalformedInput:
             ["simulate", "--users", "3", "--coverage", "y"],
             ["region", "dense.json", "--bogus"],
             ["region"],
+            ["region", "dense.json", "--union", "--silent-set", "0"],
+            ["region", "dense.json", "--union", "--minimize"],
+            ["region", "dense.json", "--union", "--vertices", "verts.csv"],
+            ["gdof-limits", "dense.json", "--cycle", "0,1", "--tol", "nan"],
+            ["gdof-limits", "dense.json", "--cycle", "0,1", "--tol", "-1"],
+            ["gdof-limits", "dense.json", "--cycle", "0,1", "--tol", "0"],
+            ["check-condition", "huge.json"],
+            ["region", "huge.json"],
+            ["power-alloc", "dense.json", "--gdof", "1e308,1e308,0"],
+            ["membership", "dense.json", "--gdof", "0.5,2e150,0"],
         ],
     )
     def test_exits_two_with_one_line_error(self, runner, tmp_path, args):
@@ -227,6 +238,7 @@ class TestMalformedInput:
             a = np.full((K, K), 0.1)
             np.fill_diagonal(a, 1.0)
             (tmp_path / name).write_text(json.dumps(ChannelMatrix(a).to_dict()))
+        (tmp_path / "huge.json").write_text('{"K": 2, "alpha": [[0, 1e308], [1e308, 0]]}')
         assert_usage_error(runner, [str(tmp_path / x) if x.endswith((".json", ".csv")) else x
                                     for x in args])
 
@@ -388,6 +400,122 @@ class TestRegionContract:
         missing = str(tmp_path / "no" / "such" / "dir" / "out")
         assert_usage_error(runner, ["region", ex2_path, "-o", missing])
         assert_usage_error(runner, ["region", ex2_path, "--vertices", missing + ".csv"])
+
+
+#: Finite entries above the exponent ceiling.
+OVER_CEILING = st.floats(min_value=EXPONENT_MAX, exclude_min=True, allow_infinity=False)
+#: Vector entries that are not a GDoF target: non-finite, negative or over the ceiling.
+BAD_ENTRIES = (BAD_REALS | OVER_CEILING).map(repr)
+GOOD_ENTRIES = st.sampled_from(["0", "0.1", "0.5", "1", repr(EXPONENT_MAX)])
+
+
+def _vector_faults(K: int):
+    """``--gdof`` values for a K-user channel that must be refused."""
+    good = st.lists(GOOD_ENTRIES, min_size=K - 1, max_size=K - 1)
+    return st.one_of(
+        _bad_list(GOOD_ENTRIES, _garbled(float)),
+        st.tuples(good, BAD_ENTRIES, st.integers(0, K - 1)).map(
+            lambda t: ",".join(t[0][:t[2]] + [t[1]] + t[0][t[2]:])),
+        st.lists(GOOD_ENTRIES, min_size=1, max_size=6).filter(lambda v: len(v) != K).map(
+            ",".join),
+    )
+
+
+def _cycle_faults(K: int):
+    """``--cycle`` values that name no cycle of a K-user channel."""
+    user = st.integers(0, K - 1)
+    return st.one_of(
+        _bad_list(user.map(str), _garbled(int)),
+        st.lists(user, max_size=2).flatmap(lambda us: st.tuples(
+            st.just(us), st.integers(K, 10**20) | st.integers(max_value=-1))).map(
+            lambda t: ",".join(map(str, t[0] + [t[1]]))),
+        st.tuples(user, st.lists(user, max_size=2)).map(
+            lambda t: ",".join(map(str, [t[0], *t[1], t[0]]))),  # a repeated user
+        user.map(str),  # one user is no cycle
+    )
+
+
+POWER_FAULTS = (BAD_REALS | st.floats(max_value=1.0, allow_nan=False)).map(repr)
+
+
+def _verdict_command(data, command: str, K: int, fault: str | None) -> list:
+    """One call of ``command`` on ``ch.json`` (K users), with ``fault`` in one argument."""
+    def pick(kind, bad, good):
+        return data.draw(bad) if fault == kind else data.draw(good)
+
+    vector = pick("vector", _vector_faults(K), st.lists(GOOD_ENTRIES, min_size=K, max_size=K)
+                  .map(",".join))
+    if command == "check-condition":
+        return [command, "ch.json"]
+    if command in ("membership", "power-alloc"):
+        return [command, "ch.json", "--gdof", vector]
+    if command == "gap-check":
+        power = pick("powers", POWER_FAULTS, st.sampled_from(["1e2", "1e8", "1e300"]))
+        return [command, "ch.json", "--gdof", vector, "--power", power]
+    cycle = pick("cycle", _cycle_faults(K), st.permutations(range(K)).flatmap(
+        lambda perm: st.integers(2, K).map(lambda m: ",".join(map(str, perm[:m])))))
+    powers = pick("powers", st.one_of(
+        _bad_list(st.just("1e2"), _garbled(float) | POWER_FAULTS),
+        st.sampled_from(["1e4,1e2", "1e2,1e2"])), st.sampled_from(["1e2,1e4,1e8", "1e3,1e300"]))
+    tol = pick("tol", (BAD_REALS | st.just(0.0)).map(repr), st.sampled_from(["0.02", "1e-12", "5"]))
+    return [command, "ch.json", "--cycle", cycle, "--powers", powers, "--tol", tol]
+
+
+#: The faults each subcommand can be given, besides a bad channel file.
+ARGUMENT_FAULTS = {
+    "check-condition": [],
+    "membership": ["vector"],
+    "power-alloc": ["vector"],
+    "gap-check": ["vector", "powers"],
+    "gdof-limits": ["cycle", "powers", "tol"],
+}
+
+
+class TestVerdictContract:
+    """The five channel subcommands: malformed input exits 2 with one ``error:`` line and
+    no traceback; well-formed input exits 0 or 1 with no traceback and no warning."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(command=st.sampled_from(sorted(ARGUMENT_FAULTS)), data=st.data())
+    def test_malformed_input_exits_two(self, tmp_path_factory, command, data):
+        path = tmp_path_factory.mktemp("verdict") / "ch.json"
+        fault = data.draw(st.sampled_from(["channel", "text", "missing", "ceiling"]
+                                          + ARGUMENT_FAULTS[command]))
+        K = 3
+        if fault == "channel":
+            path.write_text(json.dumps(data.draw(BAD_CHANNELS)))
+        elif fault == "text":
+            path.write_text(data.draw(CORRUPT_TEXT))
+        elif fault == "ceiling":
+            path.write_text(json.dumps(_with_entry(K, data.draw(st.integers(0, 2)),
+                                                   data.draw(st.integers(0, 2)),
+                                                   data.draw(OVER_CEILING))))
+        elif fault != "missing":
+            path.write_text(json.dumps(_channel(K)))
+        args = _verdict_command(data, command, K, fault)
+        with CliRunner().isolated_filesystem(temp_dir=path.parent):
+            assert_usage_error(CliRunner(), [str(path) if a == "ch.json" else a for a in args])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(command=st.sampled_from(sorted(ARGUMENT_FAULTS)), K=st.integers(2, 4), data=st.data())
+    def test_verdicts_exit_zero_or_one(self, tmp_path_factory, command, K, data):
+        path = tmp_path_factory.mktemp("verdict") / "ch.json"
+        cross = 0.1 if command == "gdof-limits" else data.draw(st.sampled_from([0.1, 0.6]))
+        doc = _channel(K, cross)
+        if command != "gdof-limits" and data.draw(st.booleans()):  # an exponent at the ceiling
+            doc = _with_entry(K, data.draw(st.integers(0, K - 1)), data.draw(st.integers(0, K - 1)),
+                              EXPONENT_MAX)
+        path.write_text(json.dumps(doc))
+        args = [str(path) if a == "ch.json" else a
+                for a in _verdict_command(data, command, K, fault=None)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, args)
+        assert result.exit_code in (0, 1), (args, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), \
+            (args, result.exception)
+        assert "Traceback" not in result.output, (args, result.output)
+        assert not caught, (args, [str(w.message) for w in caught])
 
 
 class TestSimulation:

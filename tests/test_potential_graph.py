@@ -12,9 +12,12 @@ from tinopt import (
     recover_power_allocation,
 )
 from conftest import symmetric_two_user
+from tinopt.channel_model import EXPONENT_MAX, SILENT
+from tinopt.potential_graph import cycle_rhs
 from _oracles import (
     forward_gdof,
     oracle_cycle_rhs,
+    oracle_graph_lengths,
     oracle_in_union,
     oracle_region_margin,
     oracle_union_band,
@@ -49,6 +52,57 @@ class TestBuildGraph:
     def test_dimension_mismatch(self, ex2):
         with pytest.raises(ValueError):
             build_graph(ex2, [0.1, 0.2])
+
+    def test_lengths_and_cycle_rhs_bit_equal_to_loops(self):
+        # broadcast lengths against the entry-by-entry loop, and the one-row
+        # block of cycle_rhs against the scalar position-order sum
+        rng = np.random.default_rng(97)
+        for trial in range(300):
+            K = 1 + trial % 11
+            scale = 10.0 ** rng.uniform(-3, 3)
+            alpha = random_channel(rng, K) * scale
+            alpha[rng.random((K, K)) < 0.2] = 0.0
+            d = rng.uniform(-0.5, 1.5, K) * scale
+            got = build_graph(ChannelMatrix(alpha), d).lengths
+            assert got.tobytes() == oracle_graph_lengths(alpha, d).tobytes()
+            seq = tuple(int(u) for u in rng.permutation(K)[: int(rng.integers(1, K + 1))])
+            want = alpha[seq[0], seq[0]] if len(seq) == 1 else oracle_cycle_rhs(alpha, seq)
+            assert np.float64(cycle_rhs(ChannelMatrix(alpha), seq)).tobytes() == \
+                np.float64(want).tobytes()
+
+    def test_targets_above_the_ceiling_refused(self, ex2):
+        for d in ([EXPONENT_MAX * 2, 0.0, 0.0], [0.0, -np.inf, 0.0], [np.nan, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="at most"):
+                build_graph(ex2, d)
+        with pytest.raises(ValueError, match="at most"):
+            recover_power_allocation(ex2, [1e308, 1e308, 0.0])
+        with pytest.raises(ValueError, match="at most"):
+            point_in_tin_region(ex2, [0.5, 1e308, 0.0])
+
+
+class TestExponentCeiling:
+    """Exponents and targets at ``EXPONENT_MAX`` give finite verdicts with no overflow warning
+    (pytest turns a ``RuntimeWarning`` into an error); above it they are refused."""
+
+    @pytest.mark.parametrize("K", [2, 3, 5, 8])
+    def test_no_overflow_at_the_ceiling(self, K):
+        rng = np.random.default_rng(101 + K)
+        for _ in range(10):
+            alpha = EXPONENT_MAX * rng.integers(0, 2, (K, K)).astype(float)
+            ch = ChannelMatrix(alpha)
+            d = EXPONENT_MAX * rng.integers(0, 2, K).astype(float)
+            for cert in (recover_power_allocation(ch, d), point_in_tin_region(ch, d).certificate):
+                if cert.feasible:
+                    assert all(np.isfinite(x) for x in cert.r.values if x is not SILENT)
+                else:
+                    assert np.isfinite(cert.violated_rhs) and np.isfinite(cert.margin)
+            rhs = np.concatenate([b for _, b in polyhedral_region(ch).rows])
+            assert np.all(np.isfinite(rhs))
+
+    def test_channel_above_the_ceiling_refused(self):
+        ChannelMatrix(np.array([[EXPONENT_MAX, 0.0], [EXPONENT_MAX, 0.0]]))
+        with pytest.raises(ValueError, match="at most 1e\\+150"):
+            ChannelMatrix(np.array([[0.0, 1e308], [1e308, 0.0]]))
 
 
 class TestDecideMembership:

@@ -19,7 +19,7 @@ from tinopt import (
 )
 from click.testing import CliRunner
 from scipy.optimize import linprog
-from tinopt import capacity_gap, region
+from tinopt import region
 from tinopt.capacity_gap import FiniteSnrChannel, gap_certificate, rate_outer_bounds
 from tinopt.cli import main
 from tinopt.region import (
@@ -32,6 +32,7 @@ from conftest import symmetric_two_user
 from _oracles import (
     oracle_contains,
     oracle_cycle_lp,
+    oracle_cycle_rhs,
     oracle_cycles,
     oracle_in_union,
     oracle_minimized,
@@ -152,8 +153,7 @@ class TestExportLimit:
         def no_enumeration(users):
             raise AssertionError("cycles enumerated")
 
-        monkeypatch.setattr(region, "enumerate_cycles", no_enumeration)
-        monkeypatch.setattr(capacity_gap, "enumerate_cycles", no_enumeration)
+        monkeypatch.setattr(region, "cycle_blocks", no_enumeration)  # the one enumerator
         ch = ChannelMatrix(np.eye(K_MAX_EXPORT + 3) * 0.9 + 0.01)
         poly = polyhedral_region(ch, [0, 1])
         fch = FiniteSnrChannel(ch, 100.0)
@@ -163,11 +163,62 @@ class TestExportLimit:
                 call()
 
 
+class TestRowArrays:
+    """Every reader of cycle rows takes the per-length arrays: no ``LinearInequality``
+    is made, and each call enumerates the cycles once."""
+
+    def test_readers_build_no_inequality_and_enumerate_once(self, monkeypatch):
+        def no_inequality(*args):
+            raise AssertionError("LinearInequality constructed")
+
+        calls = []
+        enumerate_blocks = region.cycle_blocks
+        monkeypatch.setattr(region, "LinearInequality", no_inequality)
+        monkeypatch.setattr(region, "cycle_blocks",
+                            lambda users: calls.append(users) or enumerate_blocks(users))
+        alpha = random_condition_channel(np.random.default_rng(83), 4)
+        ch = ChannelMatrix(alpha)
+        fch = FiniteSnrChannel(ch, 1e4)
+        point = 0.2 * np.diag(alpha)
+        readers = {
+            "to_dict": lambda: polyhedral_region(ch, [2]).to_dict(),
+            "minimized": lambda: minimized(polyhedral_region(ch)),
+            "polyhedron_vertices": lambda: polyhedron_vertices(polyhedral_region(ch)),
+            "rate_outer_bounds": lambda: rate_outer_bounds(fch),
+            "gap_certificate": lambda: gap_certificate(fch, point),
+        }
+        for name, call in readers.items():
+            calls.clear()
+            call()
+            assert len(calls) == 1, name
+        with pytest.raises(AssertionError, match="LinearInequality"):
+            polyhedral_region(ch).cycles  # only reading .cycles makes them
+
+    def test_cycles_are_the_rows(self):
+        rng = np.random.default_rng(89)
+        for K in range(1, 7):
+            alpha = random_channel(rng, K)
+            poly = polyhedral_region(ChannelMatrix(alpha), [0] if K > 2 else [])
+            rows = [(tuple(seq), b) for C, rhs in poly.rows
+                    for seq, b in zip(C.tolist(), rhs.tolist())]
+            assert rows == [(c.users, c.rhs) for c in poly.cycles]
+            assert [u for u, _ in rows] == oracle_cycles(poly.active)
+            assert [b for _, b in rows] == [oracle_cycle_rhs(alpha, u) for u, _ in rows]
+
+
 DATA = Path(__file__).parent / "data"
 
 
 class TestRegionFixtures:
-    """``region --minimize`` bytes of two committed channels, as the per-row code wrote them."""
+    """``region`` bytes of two committed channels, as the per-row code wrote them."""
+
+    @pytest.mark.parametrize("K", [6, 7])
+    def test_plain_json_bytes(self, K, tmp_path, monkeypatch):
+        monkeypatch.chdir(DATA)
+        out = tmp_path / "region.json"
+        result = CliRunner().invoke(main, ["region", f"k{K}_condition.json", "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (DATA / f"k{K}_condition_region.json").read_bytes()
 
     @pytest.mark.parametrize("K", [6, 7])
     def test_minimized_json_bytes(self, K, tmp_path, monkeypatch):
@@ -422,7 +473,7 @@ class TestMaxWeightedGdof:
         def refuse(users):
             raise AssertionError("cycle rows enumerated")
 
-        monkeypatch.setattr("tinopt.region.enumerate_cycles", refuse)
+        monkeypatch.setattr("tinopt.region.cycle_blocks", refuse)  # the one enumerator
         alpha = random_condition_channel(np.random.default_rng(73), 30)
         poly = polyhedral_region(ChannelMatrix(alpha))
         value, point = max_weighted_gdof(poly, np.ones(30))
