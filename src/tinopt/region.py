@@ -28,7 +28,6 @@ from .channel_model import SILENT, ChannelMatrix, PowerExponents
 from .potential_graph import (
     EPS_LENGTH,
     MembershipCertificate,
-    arc_weights,
     build_graph,
     canonical_cycle,  # re-exported: part of this module's interface
     cycle_rhs,
@@ -40,9 +39,9 @@ from .potential_graph import (
 K_MAX_CYCLES = 12
 
 #: :func:`general_tin_region` is refused beyond this many users, a limit set
-#: from measured cost (README, "Regions"): it compares up to 3^K pairs of
-#: silent sets.
-K_MAX_UNION = 9
+#: from measured cost (README, "Regions"): its 2^K support tables hold 3^K
+#: values, one assignment each, and it compares up to 3^K pairs of tables.
+K_MAX_UNION = 11
 
 #: Cycle rows are exported (``Polyhedron.to_dict``, :func:`minimized` and the
 #: gap certificates' per-cycle bounds) for at most this many active users,
@@ -95,8 +94,9 @@ class Polyhedron:
 
     Silenced users are pinned to zero; every active user has the box
     ``0 <= d_i <= box_ub[i]`` (its direct exponent ``a_ii``).  Membership
-    and the optimizers use the channel's potential graph; ``rows``, the
-    sum inequalities in canonical order as per-length arrays, are built on
+    uses the channel's potential graph, and support values (the optimizers
+    and the union) its cached shortest-path table; ``rows``, the sum
+    inequalities in canonical order as per-length arrays, are built on
     first read, and ``cycles`` from them when it is read.
     """
 
@@ -133,11 +133,6 @@ class Polyhedron:
         return tuple(itertools.chain.from_iterable(  # zip of C's columns: its rows as tuples
             map(LinearInequality, zip(*C.T.tolist()), rhs.tolist()) for C, rhs in self.rows))
 
-    @cached_property
-    def _support_bounds(self) -> dict:
-        """Certified ``[lower, upper]`` bounds on ``h(U)`` per support (:func:`poly_contains`)."""
-        return {}
-
     def contains(self, d) -> bool:
         """Zero-pins and signs within ``EPS_LENGTH``, then the potential graph's circuit test."""
         dv = np.asarray(d, dtype=float)
@@ -172,6 +167,39 @@ class Polyhedron:
         to_user = dst < n
         A[row[to_user], n + dst[to_user]] = 1.0
         return A, L[src, dst], [(0.0, None)] * n + [(None, 0.0)] * n
+
+    @cached_property
+    def _paths(self) -> np.ndarray | None:
+        """The region's dual: shortest-path lengths ``F`` between the active users; None when empty.
+
+        One Floyd-Warshall over the active users plus ground on the
+        potential graph at ``d = 0``.  With no arc from a node to itself,
+        ``F[u, u]`` is the lightest closed walk through ``u``, the box
+        ``a_uu`` through ground included.  The region is empty when the
+        origin is not a member, under the 1e-9 band of :meth:`contains`.
+        Inside that band a closed walk can be slightly below 0; taking it
+        into a path at its own node would compound it, so no path does.
+        With every closed walk at 0 or above that changes nothing.
+        """
+        n = len(self.active)
+        if not self.contains(np.zeros(self.K)):
+            return None
+        if not n:
+            return np.zeros((0, 0))
+        D = build_graph(self._active_channel, np.zeros(n)).lengths.copy()
+        for k in range(n + 1):
+            walk, D[k, k] = D[k, k], np.inf  # no path takes the closed walk at k
+            np.minimum(D, D[:, k, None] + D[k], out=D)
+            D[k, k] = walk
+        return D[:n, :n]
+
+    @cached_property
+    def _support_table(self) -> np.ndarray:
+        """``h(U)`` for every set ``U`` of active users, by bit mask over :attr:`active`."""
+        table = np.empty(1 << len(self.active))
+        for of_m, sets in _masks(len(self.active))[1]:
+            table[of_m] = _support_values(self, sets)
+        return table
 
     def to_dict(self) -> dict:
         """Boxes and cycle rows; refuses more than ``K_MAX_EXPORT`` active users."""
@@ -267,61 +295,152 @@ class EmptyPolyhedronError(ValueError):
     """Raised when an operation needs a point of an empty region."""
 
 
-def _support_lp(poly: Polyhedron, w: np.ndarray) -> tuple:
-    """Maximize ``w . d`` by one LP; ``(value, point)``, the point re-checked.
+@functools.lru_cache(maxsize=None)
+def _masks(n: int) -> tuple:
+    """Every bit mask over ``n`` users (read-only): its bits as a row, lowest first, and
+    per set size ``m`` the masks of that size with their ``(c, m)`` member positions."""
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    size = bits.sum(axis=1)
+    of_size = [np.flatnonzero(size == m) for m in range(n + 1)]
+    by_size = tuple((U, np.nonzero(bits[U])[1].reshape(len(U), m)) for m, U in enumerate(of_size))
+    for a in (bits, *itertools.chain.from_iterable(by_size)):
+        a.setflags(write=False)
+    return bits, by_size
 
-    Raises :class:`EmptyPolyhedronError` when the region is empty.
+
+def _support_values(poly: Polyhedron, sets: np.ndarray) -> np.ndarray:
+    """``h(U)`` per row ``U`` of a ``(c, m)`` array of positions in ``poly.active``; -inf if empty.
+
+    The support LP's dual is a min-cost circulation on the potential graph
+    in which every user of ``U`` carries at least one unit; with unbounded
+    arcs it is the cheapest assignment on ``U`` with the shortest-path
+    costs ``F`` (Ahuja, Magnanti & Orlin, *Network Flows*, ch. 9-12; Kuhn
+    1955), 0 for the empty set.  The origin is a member of a region that
+    is not empty, so ``h >= 0``; a cost below 0 comes from closed walks
+    inside the 1e-9 band and reads 0.
     """
-    active = list(poly.active)
-    n = len(active)
-    point = np.zeros(poly.K)
-    if n:
-        A, b, bounds = poly._difference_system
-        c = np.concatenate([-w[active], np.zeros(n)])
-        res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-        if res.status == 2:
-            raise EmptyPolyhedronError("region is empty")
-        if not res.success:
-            raise RuntimeError(f"LP failed: {res.message}")
-        point[active] = res.x[:n]
-    if not poly.contains(point):
-        raise RuntimeError("optimizer returned an uncertifiable point")
-    return float(w @ point), point
+    F = poly._paths
+    if F is None:
+        return np.full(len(sets), -math.inf)
+    cost = F[sets[:, :, None], sets[:, None, :]]
+    cols = np.array([linear_sum_assignment(M)[1] for M in cost], dtype=np.intp).reshape(sets.shape)
+    return np.maximum(0.0, F[sets, np.take_along_axis(sets, cols, axis=1)].sum(axis=1))
+
+
+def _transport_value(F: np.ndarray, w: np.ndarray) -> float:
+    """Cheapest flow on costs ``F`` with row and column sums ``w`` (every ``w > 0``).
+
+    Successive shortest paths (Ahuja, Magnanti & Orlin, ch. 9): prices
+    ``u``, ``v`` keep the reduced costs ``F - u - v`` nonnegative and zero
+    where flow runs; the start fills the arcs at zero greedily.  Each round
+    a Dijkstra over the columns, from every row with supply left and back
+    through the rows that feed a finished column, finishes all columns at
+    the least distance at once until one has demand left; the prices move
+    by the distances, and the path's bottleneck is sent.  The bottleneck
+    sets the supply, demand or flow that it empties to exactly 0.
+    """
+    n = len(w)
+    v = F.min(axis=0)
+    u = (F - v).min(axis=1)
+    x = np.zeros((n, n))
+    supply, demand = w.copy(), w.copy()
+    for i, j in zip(*np.nonzero(F - u[:, None] - v <= 0)):
+        x[i, j] = delta = min(supply[i], demand[j])
+        supply[i] -= delta
+        demand[j] -= delta
+    cols = np.arange(n)
+    while supply.any() and demand.any():
+        rc = F - u[:, None] - v
+        start = np.flatnonzero(supply > 0)
+        drow = np.full(n, np.inf)
+        drow[start] = 0.0
+        pcol = np.full(n, -1)  # the finished column each reached row was entered from
+        prow = start[rc[start].argmin(axis=0)]  # the row each column's distance comes from
+        dcol = rc[prow, cols]
+        todo = dcol.copy()  # inf once finished
+        while True:
+            D = todo.min()
+            J = np.flatnonzero(todo == D)
+            hit = J[demand[J] > 0]
+            if len(hit):
+                j = hit[0]
+                break
+            todo[J] = np.inf
+            feeds = x[:, J] > 0
+            new = np.flatnonzero(feeds.any(axis=1) & (drow == np.inf))
+            if len(new):
+                drow[new], pcol[new] = D, J[feeds[new].argmax(axis=1)]
+                cand = D + rc[new]
+                k = cand.argmin(axis=0)
+                best = cand[k, cols]
+                better = (best < todo) & (todo < np.inf)
+                todo[better] = dcol[better] = best[better]
+                prow[better] = new[k[better]]
+        u -= np.minimum(drow, D)
+        v += np.minimum(dcol, D)
+        fwd, back, i = [(prow[j], j)], [], prow[j]
+        while pcol[i] >= 0:
+            back.append((i, pcol[i]))
+            i = prow[pcol[i]]
+            fwd.append((i, back[-1][1]))
+        delta = min([supply[i], demand[j]] + [x[e] for e in back])
+        supply[i] -= delta
+        demand[j] -= delta
+        for e in fwd:
+            x[e] += delta
+        for e in back:
+            x[e] -= delta
+    return float((F * x).sum())
 
 
 def max_weighted_gdof(poly: Polyhedron, weights) -> tuple:
     """Maximize ``sum w_i d_i`` over the region; returns ``(value, point)``.
 
-    Ties on the optimal face are broken toward the max-min fair point over
-    the active users (a second LP restricted to the face), so symmetric
-    instances return symmetric maximizers.  The returned point is
-    re-checked by :meth:`Polyhedron.contains` and against the reported value.
+    The value comes from the region's shortest-path table: the cheapest
+    assignment over the active users of weight 1 when every active weight
+    is 0 or 1, else the cheapest transportation (:func:`_transport_value`)
+    over the active users of positive weight, with marginals ``w``.  One
+    LP then breaks ties on the optimal face toward the max-min fair point
+    over the active users, so symmetric instances return symmetric
+    maximizers; it raises ``RuntimeError`` when it does not succeed.  The
+    returned point is re-checked by :meth:`Polyhedron.contains` and
+    against the value.  Raises :class:`EmptyPolyhedronError` when the
+    region is empty.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (poly.K,):
         raise ValueError(f"weights must have length {poly.K}")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    value, point = _support_lp(poly, w)
-
+    F = poly._paths
+    if F is None:
+        raise EmptyPolyhedronError("region is empty")
     active = list(poly.active)
     n = len(active)
+    wa = w[active]
+    if np.isin(wa, (0.0, 1.0)).all():
+        value = float(_support_values(poly, np.flatnonzero(wa)[None, :])[0])
+    else:
+        pos = np.flatnonzero(wa > 0)
+        value = max(0.0, _transport_value(F[np.ix_(pos, pos)], wa[pos]))
+
+    point = np.zeros(poly.K)
     if n:
         # max t  s.t.  (d, r) in the system, w.d = value, d_i >= t for active i
         A, b, bounds = poly._difference_system
         tie = np.hstack([-np.eye(n), np.zeros((n, n)), np.ones((n, 1))])
-        res2 = linprog(
+        res = linprog(
             np.append(np.zeros(2 * n), -1.0),
             A_ub=np.vstack([np.hstack([A, np.zeros((len(A), 1))]), tie]),
             b_ub=np.concatenate([b, np.zeros(n)]),
-            A_eq=np.concatenate([w[active], np.zeros(n + 1)])[None, :],
+            A_eq=np.concatenate([wa, np.zeros(n + 1)])[None, :],
             b_eq=np.array([value]),
             bounds=bounds + [(None, None)],
             method="highs",
         )
-        if res2.success:
-            point = np.zeros(poly.K)
-            point[active] = res2.x[:n]
+        if not res.success:
+            raise RuntimeError(f"LP failed: {res.message}")
+        point[active] = res.x[:n]
 
     if not poly.contains(point) or abs(float(w @ point) - value) > EPS_LENGTH:
         raise RuntimeError("optimizer returned an uncertifiable point")
@@ -331,176 +450,43 @@ def max_weighted_gdof(poly: Polyhedron, weights) -> tuple:
 def max_subset_sum(poly: Polyhedron, users: Iterable[int]) -> float:
     """sup of ``sum_{i in users} d_i`` over the region (-inf when empty).
 
-    One support LP; no tie-break, since only the value is returned.
+    One assignment on the region's shortest-path table over the active
+    ``users``; no LP.
     """
     idx = [int(i) for i in users]
     if not all(0 <= i < poly.K for i in idx):
         raise ValueError(f"users {sorted(idx)} out of range for K={poly.K}")
-    w = np.zeros(poly.K)
-    w[idx] = 1.0
-    try:
-        value, _ = _support_lp(poly, w)
-    except EmptyPolyhedronError:
-        return float("-inf")
-    return value
+    pos = [k for k, u in enumerate(poly.active) if u in idx]
+    return float(_support_values(poly, np.array([pos], dtype=np.intp))[0])
 
 
 def poly_contains(outer: Polyhedron, inner: Polyhedron, tol: float = EPS_LENGTH) -> bool:
-    """Exact containment test ``inner subset outer`` for these 0/1 systems.
+    """Exact containment test ``inner subset outer`` from the two regions' support tables.
 
-    Boxes of the outer region are implied automatically (same ceilings);
-    cycle inequalities fully inside the inner active set are shared
-    constraints.  The other outer rows, the inequalities through a user
-    active in the outer region and silent in the inner one, and the
-    zero-pins ``d_i <= 0`` of outer silent users active in the inner
-    region, are grouped by their support ``U`` within the inner active
-    set.  :func:`_walk_bounds` gives each group's smallest right-hand side
-    without enumerating a row.  A group holds when ``h(U)``, the largest
-    sum over ``U`` in the inner region, is at most that bound plus ``tol``;
-    :func:`_support_exceeds` decides this from certified bounds on ``h(U)``
-    kept on the inner region, and asks a support LP only when they cannot.
+    Both regions are down-closed with 0/1 rows, so each is exactly
+    ``{d >= 0 : sum_U d <= h(U) for every U}`` with ``h`` its support
+    value (:func:`max_subset_sum`).  So ``inner`` lies in ``outer`` exactly
+    when ``h_inner({i}) <= tol`` for every outer silent user ``i`` active
+    inside, and ``h_inner(U) <= h_outer(U) + tol`` for every set ``U`` of
+    users active in both, the empty set included: an empty region has
+    ``h = -inf`` everywhere, so an empty outer region contains only an
+    empty inner one.  Pinning users of a down-closed region to 0 does not
+    change its support on the others, so each table depends on its own
+    region alone (:attr:`Polyhedron._support_table`).
     """
     if outer.K != inner.K:
         raise ValueError("dimension mismatch")
-    a = inner.channel.alpha.tolist()  # the boxes of inner active users are a[u][u]
-    for u in sorted(outer.silent - inner.silent):  # zero-pins
-        if a[u][u] > tol and _support_exceeds(inner, (u,), tol):
-            return False
+    pinned = [k for k, u in enumerate(inner.active) if u in outer.silent]
+    if any(inner._support_table[1 << k] > tol for k in pinned):
+        return False
     shared = [u for u in inner.active if u not in outer.silent]
-    through = [e for e in outer.active if e in inner.silent]
-    if not through:
-        return True
-    empty, walks = _walk_bounds(arc_weights(outer.channel).tolist(), shared, through)
-    if empty < -tol and _support_exceeds(inner, (), empty + tol):  # box sum 0
-        return False
-    box = [0.0]  # box[U]: sum of the boxes over U, in ascending user order
-    for u in shared:
-        box += [b + a[u][u] for b in box]
-    supports = _subsets(tuple(shared))
-    return not any(box[U] > walks[U] + tol and _support_exceeds(inner, supports[U], walks[U] + tol)
-                   for U in range(1, len(box)))
+    return bool(np.all(_table_on(inner, shared) <= _table_on(outer, shared) + tol))
 
 
-@functools.lru_cache(maxsize=None)
-def _subsets(users: tuple) -> tuple:
-    """Every subset of ``users`` as a tuple in their order, indexed by its bit mask."""
-    out = [()]
-    for u in users:
-        out += [U + (u,) for U in out]
-    return tuple(out)
-
-
-def _walk_bounds(W: list, shared: list, through: list) -> tuple:
-    """Smallest weight of a closed walk per set of ``shared`` users it visits.
-
-    A walk visits each user of its support ``U`` (a subset of ``shared``)
-    once, any number of users of ``through``, and no other user; its
-    weight is the sum of its arc weights ``W`` (:func:`arc_weights`), so
-    a cycle's weight is its ``cycle_rhs``.  Every row through
-    ``through`` is such a walk.  A walk that repeats a ``through`` user
-    splits there into two with disjoint supports, whose weights add, and
-    the support value is subadditive; a walk that passes no ``through``
-    user is a row of the inner region itself.  So walks reject a group
-    exactly when some row does.  A Floyd-Warshall with only ``through``
-    users as intermediates gives the shortest hop between two shared
-    users; then a Held-Karp DP over ``shared`` (Held & Karp 1962) grows
-    each walk from its lowest user, one hop at a time, ``O(2^n n^2)`` for
-    ``n`` shared users.  Returns the bound of the empty support (a cycle of
-    ``through`` users) and the bounds indexed by bit mask over ``shared``
-    (entry 0 unused); ``inf`` where no walk exists.
-    """
-    inf = math.inf
-    n = len(shared)
-    nodes = shared + through
-    D = [[W[p][q] if p != q else inf for q in nodes] for p in nodes]
-    for k in range(n, len(nodes)):
-        Dk = D[k]
-        for Di in D:
-            dik = Di[k]
-            if dik < inf:
-                Di[:] = [x if x <= dik + y else dik + y for x, y in zip(Di, Dk)]
-    empty = min([D[k][k] for k in range(n, len(nodes))])
-    path = [[inf] * n for _ in range(1 << n)]  # path[mask][u]: from mask's lowest user to u
-    walks = [inf] * (1 << n)
-    for s in range(n):
-        path[1 << s][s] = 0.0
-    for mask, (s, members, grow) in enumerate(_held_karp_steps(n)):
-        best = inf
-        for u in members:
-            x = path[mask][u]
-            if x == inf:
-                continue
-            Du = D[u]
-            if x + Du[s] < best:
-                best = x + Du[s]
-            for v, grown in grow:
-                if x + Du[v] < path[grown][v]:
-                    path[grown][v] = x + Du[v]
-        walks[mask] = best
-    return empty, walks
-
-
-@functools.lru_cache(maxsize=None)
-def _held_karp_steps(n: int) -> tuple:
-    """Per bit mask over ``n`` users: its lowest member, its members, and
-    ``(v, mask | 1 << v)`` for every user ``v`` above the lowest that it lacks."""
-    steps = []
-    for mask in range(1 << n):
-        members = tuple(u for u in range(n) if mask >> u & 1)
-        s = members[0] if members else n
-        grow = tuple((v, mask | 1 << v) for v in range(s + 1, n) if not mask >> v & 1)
-        steps.append((s, members, grow))
-    return tuple(steps)
-
-
-def _support_exceeds(poly: Polyhedron, users: tuple, limit: float) -> bool:
-    """Is the support value ``h(users)`` above ``limit``?
-
-    ``poly._support_bounds`` keeps a certified ``[lower, upper]`` per
-    support, each bound computed on first need: the upper from a disjoint
-    cycle cover, the lower from a witness point; when neither decides, one
-    support LP (:func:`max_subset_sum`) sets both to ``h``.
-    """
-    bounds = poly._support_bounds.setdefault(users, [None, None])
-    if bounds[1] is None:
-        bounds[1] = _cover_bound(poly, users)
-    if bounds[1] <= limit:
-        return False
-    if bounds[0] is None:
-        bounds[0] = _witness_bound(poly, users)
-    if bounds[0] <= limit:
-        bounds[:] = [max_subset_sum(poly, users)] * 2
-    return bounds[0] > limit
-
-
-def _cover_bound(poly: Polyhedron, users: tuple) -> float:
-    """Upper bound on ``h(users)`` from the cheapest disjoint cycle cover of the active users.
-
-    Each cycle of length >= 2 of a cover adds its region inequality, each
-    fixed point in ``users`` its box: a feasible point of the support LP's
-    dual, so by weak duality its cost bounds ``h`` from above.  Fixed
-    points off ``users`` cost 0 and arcs their :func:`arc_weights`; one
-    ``linear_sum_assignment`` finds the cheapest cover.
-    """
-    a, W, n = poly.channel.alpha.tolist(), arc_weights(poly.channel).tolist(), len(poly.active)
-    cost = [[W[p][q] if p != q else a[p][p] * (p in users) for q in poly.active]
-            for p in poly.active]
-    rows, cols = linear_sum_assignment(np.array(cost).reshape(n, n))
-    return sum((cost[r][c] for r, c in zip(rows.tolist(), cols.tolist())), 0.0)
-
-
-def _witness_bound(poly: Polyhedron, users: tuple) -> float:
-    """Lower bound on ``h(users)``: ``a_ii`` of the user ``i`` in ``users`` with the largest box
-    when ``a_ii e_i`` is a member (0 and the origin for no users), else ``-inf``."""
-    if not poly.active:  # the region is the origin
-        return 0.0
-    point = np.zeros(len(poly.active))
-    if users:
-        box = poly.channel.alpha.diagonal()
-        i = max(users, key=lambda u: box[u])
-        point[poly.active.index(i)] = box[i]
-    graph = build_graph(poly._active_channel, point)  # poly.contains(point), no certificate
-    return float(point.sum()) if decide_membership(graph).feasible else -math.inf
+def _table_on(poly: Polyhedron, users: list) -> np.ndarray:
+    """``poly``'s support table on the subsets of its active ``users``, by mask over ``users``."""
+    pos = np.array([poly.active.index(u) for u in users], dtype=np.intp)
+    return poly._support_table[_masks(len(pos))[0] @ (1 << pos)]
 
 
 @dataclass(frozen=True)
@@ -523,7 +509,8 @@ def general_tin_region(alpha: ChannelMatrix) -> list:
     """All silent-set polyhedra whose union is the TIN-achievable set.
 
     Every component carries a ``subsumed_by`` flag naming the first other
-    silent set whose polyhedron contains it (:func:`poly_contains`), so
+    silent set whose polyhedron contains it (:func:`poly_contains`, which
+    compares the two regions' support tables; no LP and no cycle row), so
     the irredundant union is the components with flag ``None``.  More than
     ``K_MAX_UNION`` users are refused before any region is built.
     """

@@ -203,6 +203,20 @@ def oracle_vertices(alpha: np.ndarray, silent) -> list:
     return verts
 
 
+def oracle_support_value(alpha: np.ndarray, silent, W) -> np.ndarray:
+    """max ``w . d`` over one silent-set polytope (<= 4 active users), with no LP solver.
+
+    One value per row ``w`` of ``W``: the largest ``w . v`` over the
+    :func:`oracle_vertices`, since a bounded polytope attains it at a
+    vertex; -inf when the polytope is empty.
+    """
+    verts = oracle_vertices(alpha, silent)
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    if not verts:
+        return np.full(len(W), -math.inf)
+    return (W @ np.array(verts).T).max(axis=1)
+
+
 def oracle_contains(alpha: np.ndarray, T, S, tol: float = 1e-9) -> bool:
     """Is the silent-set-S polytope inside the silent-set-T one (T subset S)?
 

@@ -93,6 +93,17 @@ class TestRegion:
         surviving = [c["silent"] for c in doc["components"] if c["subsumed_by"] is None]
         assert surviving == [[], [2]]
 
+    def test_union_near_the_band(self, runner, tmp_path):
+        # cycle (0, 1) has right-hand side -2e-9: empty under the 1e-9 band, feasible to HiGHS
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"K": 3, "alpha": [[0.8, 1.2, 1.1], [1.000000002, 1.4, 0.6],
+                                                      [0.8, 0.1, 0.6]]}))
+        result = runner.invoke(main, ["region", str(path), "--union"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        flags = [c["subsumed_by"] for c in doc["components"]]
+        assert flags == [None, None, [], [], [0], None, None, [0]]
+
     def test_silent_set(self, runner, ex2_path):
         result = runner.invoke(main, ["region", ex2_path, "--silent-set", "2"])
         doc = json.loads(result.output)

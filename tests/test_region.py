@@ -454,7 +454,8 @@ class TestMaxWeightedGdof:
             assert value == pytest.approx(oracle_sum_gdof_assignment(alpha), abs=1e-9)
 
     def test_lp_size_is_polynomial(self, monkeypatch):
-        # n active users: n^2 rows over (d, r); the tie-break adds n rows and t
+        # the tie-break is the one LP: n^2 rows over (d, r) for n active users, n rows and t;
+        # values come from the shortest-path table, so max_subset_sum solves none
         shapes = []
 
         def spy(c, A_ub=None, **kwargs):
@@ -467,7 +468,7 @@ class TestMaxWeightedGdof:
         assert len(full.cycles) == 16064
         max_weighted_gdof(full, np.ones(8))
         max_subset_sum(polyhedral_region(ch, {0, 1, 2}), [3, 4])
-        assert shapes == [(64, 16), (72, 17), (25, 10)]
+        assert shapes == [(72, 17)]
 
         # no cycle row is built on the way: K=30 has about 2.5e31 of them
         def refuse(users):
@@ -482,7 +483,50 @@ class TestMaxWeightedGdof:
         assert max_subset_sum(poly, [0, 1]) == pytest.approx(
             oracle_cycle_lp(alpha, range(2, 30), np.ones(30))
         )
-        assert shapes[3:] == [(900, 60), (930, 61), (900, 60)]
+        assert shapes[1:] == [(930, 61)]
+
+
+class TestNearBand:
+    """A two-user cycle whose right-hand side lies between HiGHS's 1e-7 and the 1e-9 band."""
+
+    @staticmethod
+    def union_flags(ch):
+        return [None if c.subsumed_by is None else sorted(c.subsumed_by)
+                for c in general_tin_region(ch)]
+
+    @pytest.mark.parametrize("excess", [2e-9, 5e-8])
+    def test_empty_under_the_band(self, excess):
+        ch = ChannelMatrix(np.array([[1.0, 1.0], [1.0 + excess, 1.0]]))
+        poly = polyhedral_region(ch)
+        assert not poly.contains([0.0, 0.0])
+        with pytest.raises(EmptyPolyhedronError):
+            max_weighted_gdof(poly, [1.0, 1.0])
+        assert max_subset_sum(poly, [0, 1]) == max_subset_sum(poly, []) == -math.inf
+        assert self.union_flags(ch) == [None, None, None, [0]]
+
+    def test_inside_the_band(self):
+        # right-hand side -5e-10: the origin is a member, so every support value is 0
+        ch = ChannelMatrix(np.array([[1.0, 1.0], [1.0 + 5e-10, 1.0]]))
+        poly = polyhedral_region(ch)
+        assert oracle_cycle_rhs(ch.alpha, (0, 1)) == pytest.approx(-5e-10, abs=1e-15)
+        assert max_subset_sum(poly, [0, 1]) == max_subset_sum(poly, [0]) == 0.0
+        value, point = max_weighted_gdof(poly, [1.0, 1.0])
+        assert value == 0.0 and poly.contains(point)
+        assert self.union_flags(ch) == [None, None, None, []]
+
+    def test_random_unions_answer(self):
+        rng = np.random.default_rng(83)
+        for trial in range(60):
+            K = 2 + trial % 3
+            alpha = random_channel(rng, K)
+            i, j = rng.choice(K, 2, replace=False)
+            alpha[i, j] = min(alpha[i, j], alpha[i, i])
+            alpha[j, i] = alpha[i, i] + alpha[j, j] - alpha[i, j] + (2e-9, 5e-8)[trial % 2]
+            ch = ChannelMatrix(alpha)
+            for comp in general_tin_region(ch):
+                empty = max_subset_sum(comp.polyhedron, []) == -math.inf
+                assert empty == (not comp.polyhedron.contains(np.zeros(K)))
+                assert empty or {i, j} & comp.silent, (alpha, comp.silent)
 
 
 class TestVertices:

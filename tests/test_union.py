@@ -17,16 +17,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from tinopt import ChannelMatrix, general_tin_region, polyhedral_region
+from tinopt import ChannelMatrix, general_tin_region, max_weighted_gdof, polyhedral_region
 from tinopt import region
-from tinopt.region import K_MAX_UNION, poly_contains
+from tinopt.region import K_MAX_UNION, EmptyPolyhedronError, max_subset_sum, poly_contains
 from _oracles import (
     oracle_condition_margins,
     oracle_cycle_lp,
+    oracle_cycle_rhs,
+    oracle_cycles,
     oracle_poly_contains_rows,
-    oracle_region_margin,
+    oracle_support_value,
     random_channel,
 )
 
@@ -132,43 +133,88 @@ class TestDecisionPath:
                     verdicts.add(expected)
         assert verdicts == {True, False}
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_cover_bound_is_above_the_support_lp(self, data):
-        alpha, silent, users = data.draw(channel_and_support())
-        value = oracle_cycle_lp(alpha, silent, np.isin(np.arange(len(alpha)), users))
-        bound = region._cover_bound(polyhedral_region(ChannelMatrix(alpha), silent), users)
-        assert value is None or bound >= value - 1e-9, (alpha, silent, users, bound, value)
+    def test_support_values_match_the_oracles(self):
+        # 0/1, real and zero weights, empty regions included: the vertex oracle
+        # (no LP solver) up to 4 active users, the cycle-row LP from 5 to 7
+        rng = np.random.default_rng(89)
+        seen = set()
+        for trial in range(60):
+            K = 2 + trial % 6
+            alpha = random_channel(rng, K, cross_max=(0.6, 1.2, 2.0)[trial % 3])
+            alpha[trial % K, trial % K] *= trial % 4 != 3  # some zero direct gains
+            silent = [i for i in range(K) if rng.random() < 0.3]
+            small = K - len(silent) <= 4
+            poly = polyhedral_region(ChannelMatrix(alpha), silent)
+            users = [i for i in range(K) if rng.random() < 0.5]
+            ones = np.isin(np.arange(K), users).astype(float)
+            real = rng.uniform(0.0, 1.0, K) * (rng.random(K) < 0.8)
+            weights = {"0/1": ones, "real": real, "zero": np.zeros(K)}
+            if small:
+                values = oracle_support_value(alpha, silent, list(weights.values()))
+            else:
+                values = [oracle_cycle_lp(alpha, silent, w) for w in weights.values()]
+            for (kind, w), expected in zip(weights.items(), values):
+                expected = -math.inf if expected is None else float(expected)
+                seen.add((kind, small, expected == -math.inf))
+                if expected == -math.inf:
+                    with pytest.raises(EmptyPolyhedronError):
+                        max_weighted_gdof(poly, w)
+                else:
+                    assert max_weighted_gdof(poly, w)[0] == pytest.approx(expected, abs=1e-9)
+                if kind == "0/1":
+                    assert max_subset_sum(poly, users) == pytest.approx(expected, abs=1e-9)
+        assert seen == {(kind, small, empty) for kind in ("0/1", "real", "zero")
+                        for small in (True, False) for empty in (True, False)}
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_witness_verdict_matches_the_row_margin(self, data):
-        alpha, silent, users = data.draw(channel_and_support())
-        point = np.zeros(len(alpha))
-        if users:
-            i = max(users, key=lambda u: alpha[u, u])
-            point[i] = alpha[i, i]
-        value = region._witness_bound(polyhedral_region(ChannelMatrix(alpha), silent), users)
-        margin = oracle_region_margin(alpha, silent, point)
-        if abs(margin) > 1e-8:
-            assert (value > -math.inf) == (margin > 0), (alpha, silent, users, margin)
-        if value > -math.inf:
-            assert value == point.sum()
+    def test_union_and_subset_sums_solve_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(region, "linprog", no_lp)
+        alpha = design_channel(np.random.default_rng(79), 7, False)
+        ch = ChannelMatrix(alpha)
+        flags = [c.subsumed_by for c in general_tin_region(ch)]
+        assert len(flags) == 2 ** 7 and None in flags and flags.count(None) < len(flags)
+        for silent, users in [((), range(7)), ((0, 3), [1, 2, 3]), ((1,), [0])]:
+            assert max_subset_sum(polyhedral_region(ch, silent), users) == pytest.approx(
+                oracle_cycle_lp(alpha, silent, np.isin(np.arange(7), list(users))), abs=1e-9)
 
 
-@st.composite
-def channel_and_support(draw):
-    """A channel (K 2-7, no condition assumed, some zero direct gains, some
-    empty regions), a silent set and a set of its active users."""
-    K = draw(st.integers(2, 7))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    alpha = random_channel(rng, K, cross_max=draw(st.sampled_from([0.6, 1.2, 2.0])))
-    for i in draw(st.sets(st.integers(0, K - 1), max_size=2)):
-        alpha[i, i] = 0.0
-    silent = draw(st.sets(st.integers(0, K - 1), max_size=K - 1))
-    active = [i for i in range(K) if i not in silent]
-    users = tuple(sorted(draw(st.sets(st.sampled_from(active)))))
-    return alpha, frozenset(silent), users
+class TestScaleEquivariance:
+    """Regions are homogeneous: ``region(2^k alpha) = 2^k region(alpha)``.
+
+    Scaling by a power of two is exact in binary floating point, and the
+    support values are sums and minima of the channel's entries, so they
+    scale bit for bit.  The flags compare values within the absolute 1e-9
+    band, so they keep only at scales where no gap between two values
+    shrinks into it: here from 2^-1 up.
+    """
+
+    VALUE_SCALES = (-40, -20, -1, 1, 13, 100, 300, 490)
+    FLAG_SCALES = (-1, 1, 13, 100, 300, 490)
+
+    @pytest.mark.parametrize("K", range(2, 9))
+    def test_values_bit_equal_and_flags_kept(self, K):
+        rng = np.random.default_rng(97 + K)
+        while True:  # every cycle's right-hand side at least 1e-3: no region near empty
+            alpha = design_channel(rng, K, False)
+            if min(oracle_cycle_rhs(alpha, seq) for seq in oracle_cycles(range(K))) >= 1e-3:
+                break
+        sets = [list(U) for m in range(K + 1) for U in itertools.combinations(range(K), m)]
+        silents = [(), (0,), (K - 1,), tuple(range(1, K, 2))]
+
+        def values(scale):
+            ch = ChannelMatrix(alpha * scale)
+            polys = [polyhedral_region(ch, S) for S in silents]
+            return [max_subset_sum(p, U) for p in polys for U in sets]
+
+        base = values(1.0)
+        for k in self.VALUE_SCALES:
+            assert values(2.0 ** k) == [v * 2.0 ** k for v in base], k
+        if K <= 7:
+            flags = union_flags(alpha)
+            for k in self.FLAG_SCALES:
+                assert union_flags(alpha * 2.0 ** k) == flags, k
 
 
 def write_fixture(path) -> None:
