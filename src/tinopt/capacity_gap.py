@@ -40,12 +40,8 @@ from .potential_graph import (
 from .region import Polyhedron
 
 
-def _log2_sum_pow(exponents_bits) -> float:
-    """log2(sum_k 2**e_k) computed stably."""
-    acc = None
-    for e in exponents_bits:
-        acc = e if acc is None else float(np.logaddexp2(acc, e))
-    return acc
+#: Largest final normalized error at which :meth:`LimitReport.converged` holds.
+CONVERGENCE_TOL = 0.02
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +131,7 @@ class LimitReport:
     monotone: bool
     final_error: float
 
-    def converged(self, tol: float = 0.02) -> bool:
+    def converged(self, tol: float = CONVERGENCE_TOL) -> bool:
         return self.monotone and self.final_error < tol
 
 
@@ -187,24 +183,21 @@ def gdof_limit_checks(alpha: ChannelMatrix, cycle, powers) -> LimitReport:
 def tin_rates(ch: FiniteSnrChannel, r: PowerExponents) -> np.ndarray:
     """Exact Shannon rates of TIN at power exponents ``r`` (bits per use).
 
-    Silent users transmit nothing: zero rate, zero interference.
+    Silent users transmit nothing: zero rate, zero interference.  Each
+    user's noise-plus-interference exponent is one ``logaddexp2`` reduction
+    over a row that starts at 0 (the noise), with silent transmitters and
+    the user's own signal at ``-inf``.
     """
     if len(r) != ch.K:
         raise ValueError(f"r has length {len(r)}, channel has K={ch.K}")
-    a = ch.channel.alpha
     L = ch.log2P
-    rates = np.zeros(ch.K)
-    for i in range(ch.K):
-        if r.is_silent(i):
-            continue
-        interf = [0.0]
-        for j in range(ch.K):
-            if j != i and not r.is_silent(j):
-                interf.append((a[i, j] + r[j]) * L)
-        den = _log2_sum_pow(interf)
-        sig = (a[i, i] + r[i]) * L
-        rates[i] = np.logaddexp2(0.0, sig - den)
-    return rates
+    silent = ~r.finite_mask
+    e = (ch.channel.alpha + np.where(silent, 0.0, r.finite_array())) * L
+    sig = np.diag(e).copy()
+    e[:, silent] = -np.inf
+    np.fill_diagonal(e, -np.inf)
+    den = np.logaddexp2.reduce(np.hstack([np.zeros((ch.K, 1)), e]), axis=1)
+    return np.where(silent, 0.0, np.logaddexp2(0.0, sig - den))
 
 
 @dataclass(frozen=True)

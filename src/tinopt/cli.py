@@ -1,12 +1,14 @@
 """Command-line front end; every subcommand is a thin adapter over the library.
 
 Exit codes: 0 success, 1 infeasible/violated result (so shell pipelines
-can branch on it), 2 malformed input.  Numeric output is formatted to 12
+can branch on it), 2 malformed input: any ``ValueError`` the library
+raises ends in one ``error:`` line.  Numeric output is formatted to 12
 significant digits so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from typing import NoReturn
@@ -15,21 +17,21 @@ import click
 import numpy as np
 
 from . import __version__
-from .capacity_gap import FiniteSnrChannel, gap_certificate, gdof_limit_checks
+from .capacity_gap import (
+    CONVERGENCE_TOL,
+    FiniteSnrChannel,
+    gap_certificate,
+    gdof_limit_checks,
+)
 from .channel_model import (
     EXPONENT_MAX,
     ChannelMatrix,
     check_tin_condition,
     load_channel,
+    polyhedral_tin_gdof,
+    tin_gdof,
 )
-from .netsim import (
-    SWEEP_CSV_HEADER,
-    SimConfig,
-    condition_probability,
-    sample_network,
-    sweep,
-    sweep_to_csv,
-)
+from .netsim import SimConfig, condition_probability, sample_network, sweep, sweep_to_csv
 from .potential_graph import recover_power_allocation
 from .region import (
     K_MAX_EXPORT,
@@ -39,7 +41,6 @@ from .region import (
     polyhedral_region,
     polyhedron_vertices,
 )
-from .channel_model import polyhedral_tin_gdof, tin_gdof
 
 
 def _fmt(x) -> float:
@@ -55,6 +56,10 @@ def _canon(obj):
     if isinstance(obj, (list, tuple)):
         return [_canon(v) for v in obj]
     return obj
+
+
+def _csv_line(values) -> str:
+    return ",".join(v if isinstance(v, str) else format(_fmt(v), ".12g") for v in values)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -113,7 +118,8 @@ def _parse_vector(text: str, K: int, name: str) -> np.ndarray:
 
 class _Main(click.Group):
     """Click's own usage errors (bad types, unknown options, missing
-    arguments) end like every other malformed input: one ``error:`` line."""
+    arguments) and the library's ``ValueError`` end like every other
+    malformed input: one ``error:`` line and exit 2."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -128,6 +134,8 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except click.UsageError as exc:
             _fail(exc.format_message())
+        except ValueError as exc:
+            _fail(str(exc))
 
 
 @click.group(cls=_Main)
@@ -163,34 +171,20 @@ def region_cmd(channel, silent_set, minimize, union_flag, vertices, output):
     if union_flag:
         if ch.K > K_MAX_EXPORT:  # every component's rows are exported
             _fail(f"--union exports cycle rows for at most {K_MAX_EXPORT} users, got {ch.K}")
-        try:
-            comps = general_tin_region(ch)
-        except ValueError as exc:
-            _fail(str(exc))
+        comps = general_tin_region(ch)
         _dump_json({"K": ch.K, "components": [c.to_dict() for c in comps]}, output)
-        sys.exit(0)
+        return
     try:
         silent = [int(s) for s in silent_set.split(",") if s.strip() != ""]
     except ValueError:
         _fail("--silent-set must be comma-separated integers")
-    try:
-        poly = polyhedral_region(ch, silent)
-    except ValueError as exc:
-        _fail(str(exc))
-    try:
-        if minimize:
-            poly = minimized(poly)
-        doc = poly.to_dict()
-    except ValueError as exc:
-        _fail(str(exc))
+    poly = polyhedral_region(ch, silent)
+    if minimize:
+        poly = minimized(poly)
+    doc = poly.to_dict()
     if vertices:
-        try:
-            verts = polyhedron_vertices(poly)
-        except ValueError as exc:
-            _fail(str(exc))
         lines = [",".join(f"d{i}" for i in range(ch.K))]
-        for v in verts:
-            lines.append(",".join(format(_fmt(x), ".12g") for x in v))
+        lines += map(_csv_line, polyhedron_vertices(poly))
         _emit("\n".join(lines) + "\n", vertices)
     _dump_json(doc, output)
 
@@ -236,23 +230,17 @@ def gap_check_cmd(channel, gdof, powers, output):
     if ch.K > K_MAX_EXPORT:
         _fail(f"gap-check supports at most {K_MAX_EXPORT} users, got {ch.K}")
     d = _parse_vector(gdof, ch.K, "--gdof")
-    try:
-        channels = [FiniteSnrChannel(ch, P) for P in powers]
-    except ValueError as exc:
-        _fail(str(exc))
+    channels = [FiniteSnrChannel(ch, P) for P in powers]
     lines = [
         "instance_id,constraint_type,users,P,analytic_sigma,"
         "empirical_sigma,bound_bits,achieved_bits"
     ]
     for fch in channels:
-        try:
+        try:  # a failed condition or a point outside the region is a verdict
             report = gap_certificate(fch, d)
         except (ValueError, ArithmeticError) as exc:
             _fail(str(exc), code=1)
-        for row in report.csv_rows(instance_id=channel):
-            lines.append(",".join(
-                v if isinstance(v, str) else format(_fmt(v), ".12g") for v in row.values()
-            ))
+        lines += (_csv_line(row.values()) for row in report.csv_rows(instance_id=channel))
     _emit("\n".join(lines) + "\n", output)
 
 
@@ -260,7 +248,7 @@ def gap_check_cmd(channel, gdof, powers, output):
 @click.argument("channel", type=click.Path(exists=True))
 @click.option("--cycle", required=True, help="comma-separated user cycle")
 @click.option("--powers", default="1e2,1e4,1e8", show_default=True)
-@click.option("--tol", default=0.02, show_default=True, help="finite, above 0")
+@click.option("--tol", default=CONVERGENCE_TOL, show_default=True, help="finite, above 0")
 @click.option("--output", "-o", type=click.Path(), default=None)
 def gdof_limits_cmd(channel, cycle, powers, tol, output):
     """Convergence of normalized outer bounds; exit 1 unless converged."""
@@ -269,24 +257,29 @@ def gdof_limits_cmd(channel, cycle, powers, tol, output):
     ch = _load(channel)
     seq = _parse_list(cycle, int, "--cycle")
     plist = _parse_list(powers, float, "--powers")
-    try:
-        report = gdof_limit_checks(ch, seq, plist)
-    except ValueError as exc:
-        _fail(str(exc))
-    _dump_json(
-        {
-            "cycle": list(report.cycle),
-            "powers": list(report.powers),
-            "kappa_sum_limit": report.kappa_sum_limit,
-            "kappa_sum_errors": list(report.kappa_sum_errors),
-            "rho_limits": list(report.rho_limits),
-            "rho_errors": [list(e) for e in report.rho_errors],
-            "monotone": report.monotone,
-            "final_error": report.final_error,
-        },
-        output,
-    )
+    report = gdof_limit_checks(ch, seq, plist)
+    _dump_json(dataclasses.asdict(report), output)
     sys.exit(0 if report.converged(tol) else 1)
+
+
+_SIM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+
+
+def _sim_options(command):
+    """The options ``simulate`` and ``sweep`` share, defaults from :class:`SimConfig`."""
+    for option in reversed([
+        click.option("--trials", type=int, default=_SIM_DEFAULTS["trials"], show_default=True),
+        click.option("--seed", type=int, default=_SIM_DEFAULTS["master_seed"],
+                     show_default=True),
+        click.option("--cell-radius", type=float, default=_SIM_DEFAULTS["cell_radius"],
+                     show_default=True),
+        click.option("--shadowing", type=float, default=_SIM_DEFAULTS["shadowing_sigma_db"],
+                     show_default=True, help="lognormal sigma [dB]; 0 disables fading"),
+        click.option("--workers", type=int, default=1, show_default=True,
+                     help="at least 1; changes neither results nor speed"),
+    ]):
+        command = option(command)
+    return command
 
 
 def _sim_config(users, coverage, trials, seed, cell_radius, shadowing):
@@ -300,19 +293,19 @@ def _sim_config(users, coverage, trials, seed, cell_radius, shadowing):
     )
 
 
-SHADOWING_DEFAULT = 8.0
+def _estimate_doc(est, passes: bool) -> dict:
+    """One estimate as a JSON row; ``passes`` keeps the pass count."""
+    doc = {"coverage_radius_m" if k == "coverage_radius" else k: v
+           for k, v in dataclasses.asdict(est).items()}
+    if not passes:
+        del doc["passes"]
+    return doc
 
 
 @main.command("simulate")
 @click.option("--users", type=int, required=True)
 @click.option("--coverage", type=float, required=True, help="coverage radius [m]")
-@click.option("--trials", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--cell-radius", type=float, default=1000.0, show_default=True)
-@click.option("--shadowing", type=float, default=SHADOWING_DEFAULT, show_default=True,
-              help="lognormal sigma [dB]; 0 disables fading")
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="at least 1; changes neither results nor speed")
+@_sim_options
 @click.option("--dump-instance", type=click.Path(), default=None,
               help="write trial 0 layout as JSON")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
@@ -321,40 +314,20 @@ SHADOWING_DEFAULT = 8.0
 def simulate_cmd(users, coverage, trials, seed, cell_radius, shadowing, workers,
                  dump_instance, fmt, output):
     """Estimate the probability that the optimality condition holds."""
-    try:
-        cfg = _sim_config(users, coverage, trials, seed, cell_radius, shadowing)
-        est = condition_probability(cfg, workers=workers)
-    except ValueError as exc:
-        _fail(str(exc))
+    cfg = _sim_config(users, coverage, trials, seed, cell_radius, shadowing)
+    est = condition_probability(cfg, workers=workers)
     if dump_instance:
         _dump_json(sample_network(cfg, 0).to_dict(), dump_instance)
     if fmt == "csv":
         _emit(sweep_to_csv([est]), output)
-        return
-    _dump_json(
-        {
-            "K": est.K,
-            "coverage_radius_m": est.coverage_radius,
-            "trials": est.trials,
-            "passes": est.passes,
-            "prob": est.prob,
-            "ci_low": est.ci_low,
-            "ci_high": est.ci_high,
-        },
-        output,
-    )
+    else:
+        _dump_json(_estimate_doc(est, passes=True), output)
 
 
 @main.command("sweep")
 @click.option("--users", required=True, help="comma-separated user counts")
 @click.option("--coverage", required=True, help="comma-separated radii [m]")
-@click.option("--trials", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--cell-radius", type=float, default=1000.0, show_default=True)
-@click.option("--shadowing", type=float, default=SHADOWING_DEFAULT, show_default=True,
-              help="lognormal sigma [dB]; 0 disables fading")
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="at least 1; changes neither results nor speed")
+@_sim_options
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv",
               show_default=True)
 @click.option("--output", "-o", type=click.Path(), default=None)
@@ -363,31 +336,12 @@ def sweep_cmd(users, coverage, trials, seed, cell_radius, shadowing, workers, fm
     """Condition-probability grid, emitted as CSV."""
     K_values = _parse_list(users, int, "--users")
     radii = _parse_list(coverage, float, "--coverage")
-    try:
-        base = _sim_config(max(K_values), max(radii), trials, seed, cell_radius,
-                           shadowing)
-        rows = sweep(base, K_values, radii, workers=workers)
-    except ValueError as exc:
-        _fail(str(exc))
+    base = _sim_config(max(K_values), max(radii), trials, seed, cell_radius, shadowing)
+    rows = sweep(base, K_values, radii, workers=workers)
     if fmt == "json":
-        _dump_json(
-            [
-                {
-                    "K": r.K,
-                    "coverage_radius_m": r.coverage_radius,
-                    "trials": r.trials,
-                    "prob": r.prob,
-                    "ci_low": r.ci_low,
-                    "ci_high": r.ci_high,
-                }
-                for r in rows
-            ],
-            output,
-        )
-        return
-    text = sweep_to_csv(rows)
-    assert text.startswith(SWEEP_CSV_HEADER)
-    _emit(text, output)
+        _dump_json([_estimate_doc(r, passes=False) for r in rows], output)
+    else:
+        _emit(sweep_to_csv(rows), output)
 
 
 if __name__ == "__main__":

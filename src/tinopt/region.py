@@ -34,20 +34,16 @@ from .potential_graph import (
     decide_membership,
 )
 
-#: Cycle enumeration is refused beyond this many users; the inequality
-#: family grows factorially.
-K_MAX_CYCLES = 12
-
 #: :func:`general_tin_region` is refused beyond this many users, a limit set
 #: from measured cost (README, "Regions"): its 2^K support tables hold 3^K
 #: values, one assignment each, and it compares up to 3^K pairs of tables.
 K_MAX_UNION = 11
 
-#: Cycle rows are exported (``Polyhedron.to_dict``, :func:`minimized` and the
-#: gap certificates' per-cycle bounds) for at most this many active users,
-#: a limit set from measured cost (README, "Exporting cycle rows"): at 9
-#: users (125,664 rows) ``tinopt region`` takes about 4 s and 350 MB, at 10
-#: users (1,112,073 rows) about 28 s and 2.6 GB.
+#: Cycles are enumerated, and cycle rows exported (``Polyhedron.to_dict``,
+#: :func:`minimized` and the gap certificates' per-cycle bounds), for at most
+#: this many users, a limit set from measured cost (README, "Exporting cycle
+#: rows"): at 9 users (125,664 rows) ``tinopt region`` takes about 4 s and
+#: 350 MB, at 10 users (1,112,073 rows) about 28 s and 2.6 GB.
 K_MAX_EXPORT = 9
 
 def cycle_blocks(users: Iterable[int]) -> list:
@@ -56,12 +52,12 @@ def cycle_blocks(users: Iterable[int]) -> list:
     The one cycle enumerator.  Sequences start at their smallest user and
     rows are lexicographic, so the blocks in turn are the canonical order;
     ``C(n, m) (m-1)!`` rows of length ``m`` for ``n`` users.  More than
-    ``K_MAX_CYCLES`` users raise ``ValueError``.
+    ``K_MAX_EXPORT`` users raise ``ValueError`` before any is enumerated.
     """
     base = sorted(set(int(u) for u in users))
-    if len(base) > K_MAX_CYCLES:
+    if len(base) > K_MAX_EXPORT:
         raise ValueError(
-            f"cycle enumeration supports at most {K_MAX_CYCLES} users, got {len(base)}"
+            f"cycle enumeration supports at most {K_MAX_EXPORT} users, got {len(base)}"
         )
     blocks = []
     for m in range(2, len(base) + 1):
@@ -511,8 +507,12 @@ def general_tin_region(alpha: ChannelMatrix) -> list:
     Every component carries a ``subsumed_by`` flag naming the first other
     silent set whose polyhedron contains it (:func:`poly_contains`, which
     compares the two regions' support tables; no LP and no cycle row), so
-    the irredundant union is the components with flag ``None``.  More than
-    ``K_MAX_UNION`` users are refused before any region is built.
+    the irredundant union is the components with flag ``None``.  Of two
+    equal regions only the earlier silent set in the canonical order stays
+    unflagged: a later silent set flags ``S`` only when ``S``'s region does
+    not also contain its own.  So following flags always ends at an
+    unflagged component.  More than ``K_MAX_UNION`` users are refused
+    before any region is built.
     """
     K = alpha.K
     if K > K_MAX_UNION:
@@ -527,13 +527,14 @@ def general_tin_region(alpha: ChannelMatrix) -> list:
     diag = np.diag(alpha.alpha)
     degenerate = {i for i in range(K) if diag[i] <= 1e-12}
     components = []
-    for S in order:
+    for k, S in enumerate(order):
         forced_zero = S | degenerate
         subsumed_by = None
-        for T in order:
-            if T == S or not T.issubset(forced_zero):
+        for j, T in enumerate(order):
+            if j == k or not T.issubset(forced_zero):
                 continue
-            if poly_contains(polys[T], polys[S]):
+            if poly_contains(polys[T], polys[S]) and not (
+                    j > k and poly_contains(polys[S], polys[T])):  # equal: the earlier stays
                 subsumed_by = T
                 break
         components.append(RegionComponent(S, polys[S], subsumed_by))

@@ -144,6 +144,27 @@ def oracle_cycle_kappa(alpha: np.ndarray, power: float, seq) -> tuple:
     return float(kappa.sum()), float(oracle_cycle_rhs(alpha, seq) * L + m * math.log2(3.0))
 
 
+def oracle_tin_rates(alpha: np.ndarray, power: float, r) -> np.ndarray:
+    """Exact TIN rates in bits, one user and one scalar ``logaddexp2`` at a time.
+
+    ``r`` holds a float exponent per user, or None for a silent one.  Each
+    receiver's denominator starts at the noise (exponent 0) and folds in
+    the other active transmitters in ascending order.
+    """
+    L = math.log2(power)
+    K = len(r)
+    rates = np.zeros(K)
+    for i in range(K):
+        if r[i] is None:
+            continue
+        den = 0.0
+        for j in range(K):
+            if j != i and r[j] is not None:
+                den = float(np.logaddexp2(den, (alpha[i, j] + r[j]) * L))
+        rates[i] = np.logaddexp2(0.0, (alpha[i, i] + r[i]) * L - den)
+    return rates
+
+
 def oracle_region_margin(alpha: np.ndarray, silent, d) -> float:
     """Smallest constraint margin of the silent-set polyhedron at d.
 

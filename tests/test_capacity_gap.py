@@ -26,6 +26,7 @@ from conftest import EX2_ALPHA, symmetric_two_user
 from _oracles import (
     oracle_cycle_kappa,
     oracle_cycles,
+    oracle_tin_rates,
     random_channel,
     random_condition_channel,
 )
@@ -178,6 +179,17 @@ class TestTinRates:
         # noise floor (exponent 0 still contributes unit power)
         expected = math.log2(1 + 1e4 ** 0.9 / 2)
         assert rates[1] == pytest.approx(expected, rel=1e-12)
+
+    def test_bit_equal_to_the_scalar_oracle(self):
+        rng = np.random.default_rng(29)
+        for _ in range(600):
+            K = int(rng.integers(1, 9))
+            alpha = random_channel(rng, K)
+            r = [None if rng.random() < 0.2 else float(-rng.uniform(0, 1)) for _ in range(K)]
+            P = 10.0 ** rng.uniform(0.5, 12)
+            rates = tin_rates(FiniteSnrChannel(ChannelMatrix(alpha), P),
+                              PowerExponents([SILENT if x is None else x for x in r]))
+            assert rates.tolist() == oracle_tin_rates(alpha, P, r).tolist()
 
     def test_lower_bound_from_recovered_powers(self):
         rng = np.random.default_rng(79)

@@ -254,6 +254,46 @@ class TestMalformedInput:
                                     for x in args])
 
 
+class TestOneRefusalPath:
+    """A ``ValueError`` from the library exits 2 with its message as the one ``error:`` line."""
+
+    GDOF = ["--gdof", "0.1,0.1,0.1"]
+
+    @pytest.mark.parametrize("target,args", [
+        ("check_tin_condition", ["check-condition", "ch.json"]),
+        ("general_tin_region", ["region", "ch.json", "--union"]),
+        ("polyhedral_region", ["region", "ch.json"]),
+        ("minimized", ["region", "ch.json", "--minimize"]),
+        ("polyhedron_vertices", ["region", "ch.json", "--vertices", "v.csv"]),
+        ("point_in_tin_region", ["membership", "ch.json"] + GDOF),
+        ("recover_power_allocation", ["power-alloc", "ch.json"] + GDOF),
+        ("FiniteSnrChannel", ["gap-check", "ch.json", "--power", "100"] + GDOF),
+        ("gdof_limit_checks", ["gdof-limits", "ch.json", "--cycle", "0,1"]),
+        ("condition_probability", ["simulate", "--users", "2", "--coverage", "100"]),
+        ("sweep", ["sweep", "--users", "2", "--coverage", "100"]),
+    ])
+    def test_library_refusal_exits_two(self, runner, monkeypatch, ex2_path, tmp_path,
+                                       target, args):
+        def refuse(*args, **kwargs):
+            raise ValueError("refused: the library's own words")
+
+        monkeypatch.setattr(f"tinopt.cli.{target}", refuse)
+        args = [ex2_path if a == "ch.json" else str(tmp_path / a) if a == "v.csv" else a
+                for a in args]
+        assert_usage_error(runner, args)
+        assert runner.invoke(main, args).output == "error: refused: the library's own words\n"
+
+    @pytest.mark.parametrize("error", [ValueError, ArithmeticError])
+    def test_gap_certificate_refusal_is_a_verdict(self, runner, monkeypatch, ex2_path, error):
+        def refuse(*args, **kwargs):
+            raise error("point is outside")
+
+        monkeypatch.setattr("tinopt.cli.gap_certificate", refuse)
+        result = runner.invoke(main, ["gap-check", ex2_path, "--power", "100"] + self.GDOF)
+        assert result.exit_code == 1
+        assert result.output == "error: point is outside\n"
+
+
 def assert_usage_error(runner, args):
     """Exit 2 with exactly one ``error:`` line, no traceback and no warning."""
     with warnings.catch_warnings(record=True) as caught:

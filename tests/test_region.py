@@ -69,6 +69,11 @@ class TestEnumerateCycles:
     def test_matches_independent_enumeration(self):
         assert set(enumerate_cycles(range(5))) == set(oracle_cycles(range(5)))
 
+    def test_refused_above_the_export_limit(self):
+        assert len(enumerate_cycles(range(K_MAX_EXPORT))) == cycle_count(K_MAX_EXPORT)
+        with pytest.raises(ValueError, match=f"at most {K_MAX_EXPORT} users, got 10"):
+            enumerate_cycles(range(10))
+
     def test_canonical_rotation(self):
         assert canonical_cycle((3, 1, 2)) == (1, 2, 3)
         with pytest.raises(ValueError):

@@ -4,7 +4,15 @@
 subsumed_by)`` pairs that ``general_tin_region`` gave for them when every
 row group was still decided from the enumerated cycle rows; regenerate
 the file only from that implementation, with
-``python tests/test_union.py tests/data/union_flags.json``.
+``python tests/test_union.py tests/data/union_flags.json``, then apply the
+one hand edit below.
+
+That implementation flagged each of two equal regions by the other.  In
+record 87 (0-based; ``a_22 = 0``) the regions of ``{}`` and ``{2}`` are
+equal, and it flagged ``{}`` by ``{2}`` and ``{2}`` by ``{}``, which left
+no unflagged component.  Of two equal regions only the earlier silent set
+now stays unflagged, so that record's ``{}`` reads ``null`` where the
+generated file has ``[2]``.
 """
 
 from __future__ import annotations
@@ -18,7 +26,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tinopt import ChannelMatrix, general_tin_region, max_weighted_gdof, polyhedral_region
+from tinopt import (
+    ChannelMatrix,
+    check_tin_condition,
+    general_tin_region,
+    max_weighted_gdof,
+    polyhedral_region,
+)
 from tinopt import region
 from tinopt.region import K_MAX_UNION, EmptyPolyhedronError, max_subset_sum, poly_contains
 from _oracles import (
@@ -94,6 +108,23 @@ class TestUnionFlags:
     def test_fixture_channels_come_from_the_generator(self):
         records = json.loads(FIXTURE.read_text())
         assert [r["alpha"] for r in records] == [a.tolist() for a in fixture_channels()]
+
+    def test_flags_end_at_an_unflagged_component(self):
+        """No flag cycle, and under the condition the all-active component is unflagged."""
+        channels = [np.array(r["alpha"]) for r in json.loads(FIXTURE.read_text())] + [
+            np.array(a, dtype=float) for a in (
+                [[0, 0], [0, 1]], [[0, 0, 0], [0, 1, 0.2], [0, 0.3, 1]], [[1e-13, 0], [0, 1]])]
+        for alpha in channels:
+            ch = ChannelMatrix(alpha)
+            flag = {c.silent: c.subsumed_by for c in general_tin_region(ch)}
+            for S in flag:
+                seen = {S}
+                while flag[S] is not None:
+                    S = flag[S]
+                    assert S not in seen, alpha
+                    seen.add(S)
+            if check_tin_condition(ch).overall:
+                assert flag[frozenset()] is None, alpha
 
     def test_union_builds_no_rows(self):
         rng = np.random.default_rng(61)
