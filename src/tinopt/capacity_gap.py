@@ -44,6 +44,10 @@ from .region import Polyhedron
 CONVERGENCE_TOL = 0.02
 
 
+class ConditionNotMetError(ValueError):
+    """Raised when a limit or certificate needs the optimality condition and the channel fails it."""
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteSnrChannel:
     """A strength-exponent matrix pinned to a concrete finite nominal power > 1."""
@@ -141,9 +145,9 @@ def gdof_limit_checks(alpha: ChannelMatrix, cycle, powers) -> LimitReport:
     Valid only under the optimality condition, where the normalized cycle
     bound tends to the region inequality's right-hand side and each rho
     tends to that value plus the direct exponent of the excluded user.
+    The cycle and the powers are checked first (``ValueError``); a channel
+    that fails the condition then raises :class:`ConditionNotMetError`.
     """
-    if not check_tin_condition(alpha).overall:
-        raise ValueError("limit identities require the optimality condition")
     seq = canonical_cycle(cycle)
     P_list = [float(p) for p in powers]
     if any(p <= 1 for p in P_list) or any(
@@ -152,6 +156,8 @@ def gdof_limit_checks(alpha: ChannelMatrix, cycle, powers) -> LimitReport:
         raise ValueError("powers must be increasing and exceed 1")
     # cyclic_quantities validates the cycle, so run it before indexing alpha
     quantities = [cyclic_quantities(FiniteSnrChannel(alpha, P), seq) for P in P_list]
+    if not check_tin_condition(alpha).overall:  # a verdict, after the input is known valid
+        raise ConditionNotMetError("limit identities require the optimality condition")
     a = alpha.alpha
     m = len(seq)
     kappa_limit = cycle_rhs(alpha, seq)
@@ -297,11 +303,11 @@ def gap_certificate(
 ) -> GapReport:
     """Certify the constant gap at one region point.
 
-    Requires the optimality condition and an achievable (all-active)
-    point.  For every constraint of the region, reports the exact and
-    linearized outer bounds (the numbers of :func:`rate_outer_bounds`,
-    which refuses more than ``K_MAX_EXPORT`` users), the linearized inner
-    bound, the achieved exact TIN rates under the recovered power
+    Requires the optimality condition (else :class:`ConditionNotMetError`)
+    and an achievable (all-active) point.  For every constraint of the
+    region, reports the exact and linearized outer bounds (the numbers of
+    :func:`rate_outer_bounds`, which refuses more than ``K_MAX_EXPORT``
+    users), the linearized inner bound, the achieved exact TIN rates under the recovered power
     allocation, and the analytic gap (1 + log2 K per user, m*log2(3K) per
     cycle).  Raises if a constraint that is tight at ``d`` shows an
     empirical gap above its analytic value, since that would falsify the
@@ -309,7 +315,7 @@ def gap_certificate(
     """
     cycle_rows = Polyhedron(ch.channel, frozenset()).rows
     if not check_tin_condition(ch.channel).overall:
-        raise ValueError("gap certificates require the optimality condition")
+        raise ConditionNotMetError("gap certificates require the optimality condition")
     dv = np.asarray(d, dtype=float)
     cert = recover_power_allocation(ch.channel, dv)
     if not cert.feasible:

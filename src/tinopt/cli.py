@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .capacity_gap import (
     CONVERGENCE_TOL,
+    ConditionNotMetError,
     FiniteSnrChannel,
     gap_certificate,
     gdof_limit_checks,
@@ -257,7 +258,10 @@ def gdof_limits_cmd(channel, cycle, powers, tol, output):
     ch = _load(channel)
     seq = _parse_list(cycle, int, "--cycle")
     plist = _parse_list(powers, float, "--powers")
-    report = gdof_limit_checks(ch, seq, plist)
+    try:
+        report = gdof_limit_checks(ch, seq, plist)
+    except ConditionNotMetError as exc:  # a verdict, as in gap-check
+        _fail(str(exc), code=1)
     _dump_json(dataclasses.asdict(report), output)
     sys.exit(0 if report.converged(tol) else 1)
 

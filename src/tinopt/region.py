@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .channel_model import SILENT, ChannelMatrix, PowerExponents
 from .potential_graph import (
@@ -36,7 +35,8 @@ from .potential_graph import (
 
 #: :func:`general_tin_region` is refused beyond this many users, a limit set
 #: from measured cost (README, "Regions"): its 2^K support tables hold 3^K
-#: values, one assignment each, and it compares up to 3^K pairs of tables.
+#: values, each table from one assignment DP, and it compares up to 3^K pairs
+#: of tables.
 K_MAX_UNION = 11
 
 #: Cycles are enumerated, and cycle rows exported (``Polyhedron.to_dict``,
@@ -45,6 +45,13 @@ K_MAX_UNION = 11
 #: rows"): at 9 users (125,664 rows) ``tinopt region`` takes about 4 s and
 #: 350 MB, at 10 users (1,112,073 rows) about 28 s and 2.6 GB.
 K_MAX_EXPORT = 9
+
+#: Newton steps of :func:`max_weighted_gdof`'s max-min tie-break before it
+#: gives up; each step uses a new line below a concave piecewise-linear
+#: function, and a handful settle every measured case (README, "Numerical
+#: conventions").
+NEWTON_STEPS_MAX = 64
+
 
 def cycle_blocks(users: Iterable[int]) -> list:
     """Every directed cyclic sequence over the users, one ``(c, m)`` array per length ``m >= 2``.
@@ -143,58 +150,44 @@ class Polyhedron:
         return self.channel.restrict(list(self.active))
 
     @cached_property
-    def _difference_system(self) -> tuple:
-        """LP rows ``A @ (d, r) <= b`` and bounds over the active users' ``(d, r)``.
-
-        Arc ``u -> v`` out of a user in the potential graph of the active
-        sub-channel at ``d = 0`` has length ``L[u, v]``; at ``d`` it is
-        ``L[u, v] - d_u``.  So a potential ``r`` with ground at 0 exists
-        exactly when ``d_u - r_u + r_v <= L[u, v]`` for every such arc (n^2
-        rows for n active users), and the ground arcs give ``r <= 0``.
-        With ``d >= 0`` the projection on ``d`` is the region.
-        """
-        n = len(self.active)
-        L = build_graph(self._active_channel, np.zeros(n)).lengths[:n]
-        src, dst = np.nonzero(np.isfinite(L))
-        row = np.arange(len(src))
-        A = np.zeros((len(src), 2 * n))
-        A[row, src] = 1.0
-        A[row, n + src] = -1.0
-        to_user = dst < n
-        A[row[to_user], n + dst[to_user]] = 1.0
-        return A, L[src, dst], [(0.0, None)] * n + [(None, 0.0)] * n
-
-    @cached_property
     def _paths(self) -> np.ndarray | None:
         """The region's dual: shortest-path lengths ``F`` between the active users; None when empty.
 
-        One Floyd-Warshall over the active users plus ground on the
-        potential graph at ``d = 0``.  With no arc from a node to itself,
-        ``F[u, u]`` is the lightest closed walk through ``u``, the box
-        ``a_uu`` through ground included.  The region is empty when the
-        origin is not a member, under the 1e-9 band of :meth:`contains`.
-        Inside that band a closed walk can be slightly below 0; taking it
-        into a path at its own node would compound it, so no path does.
-        With every closed walk at 0 or above that changes nothing.
+        :func:`_shortest_paths` on the potential graph at ``d = 0``.  The
+        region is empty when the origin is not a member, under the 1e-9
+        band of :meth:`contains`.
         """
-        n = len(self.active)
         if not self.contains(np.zeros(self.K)):
             return None
-        if not n:
+        if not self.active:
             return np.zeros((0, 0))
-        D = build_graph(self._active_channel, np.zeros(n)).lengths.copy()
-        for k in range(n + 1):
-            walk, D[k, k] = D[k, k], np.inf  # no path takes the closed walk at k
-            np.minimum(D, D[:, k, None] + D[k], out=D)
-            D[k, k] = walk
-        return D[:n, :n]
+        return _shortest_paths(self._active_channel, 0.0)[0]
 
     @cached_property
     def _support_table(self) -> np.ndarray:
-        """``h(U)`` for every set ``U`` of active users, by bit mask over :attr:`active`."""
-        table = np.empty(1 << len(self.active))
-        for of_m, sets in _masks(len(self.active))[1]:
-            table[of_m] = _support_values(self, sets)
+        """``h(U)`` for every set ``U`` of active users, by bit mask over :attr:`active`.
+
+        The cheapest assignment on ``F[U, U]`` (Kuhn 1955), clamped at 0 as
+        in :func:`max_subset_sum`, for all ``U`` at once: one dynamic
+        program over pairs of a row set and a column set of one size, the
+        highest row of the set matched last.  Row costs are added in
+        ascending row order, from 0.  -inf everywhere when the region is empty.
+        """
+        F = self._paths
+        n = len(self.active)
+        if F is None:
+            return np.full(1 << n, -math.inf)
+        table = np.empty(1 << n)
+        rank = np.empty(1 << n, dtype=np.intp)  # a mask's index among the masks of its size
+        best = np.zeros((1, 1))  # by (row set, column set) ranks, sets of the last size
+        for of_m, members in _masks(n)[1]:
+            rank[of_m] = np.arange(len(of_m))
+            if members.shape[1]:
+                top = members[:, -1]
+                rows = rank[of_m ^ (1 << top)]  # the row set without its top row
+                cols = rank[of_m[:, None] ^ (1 << members)]  # the column set without each member
+                best = (best[rows[:, None, None], cols] + F[top[:, None, None], members]).min(axis=2)
+            table[of_m] = np.maximum(0.0, best.diagonal())
         return table
 
     def to_dict(self) -> dict:
@@ -291,6 +284,16 @@ class EmptyPolyhedronError(ValueError):
     """Raised when an operation needs a point of an empty region."""
 
 
+class UncertifiedPointError(ArithmeticError):
+    """Raised when :func:`max_weighted_gdof` cannot certify its point.
+
+    Either the point fails the 1e-9 re-check, which happens once rounding
+    in sums of exponents exceeds that absolute band (README, "Numerical
+    conventions"), or the max-min tie-break has not settled after
+    ``NEWTON_STEPS_MAX`` Newton steps.
+    """
+
+
 @functools.lru_cache(maxsize=None)
 def _masks(n: int) -> tuple:
     """Every bit mask over ``n`` users (read-only): its bits as a row, lowest first, and
@@ -304,40 +307,59 @@ def _masks(n: int) -> tuple:
     return bits, by_size
 
 
-def _support_values(poly: Polyhedron, sets: np.ndarray) -> np.ndarray:
-    """``h(U)`` per row ``U`` of a ``(c, m)`` array of positions in ``poly.active``; -inf if empty.
+def _shortest_paths(channel: ChannelMatrix, level: float, departures: bool = False) -> tuple:
+    """Shortest-path lengths ``F`` between the users of the potential graph at ``d = level * 1``.
 
-    The support LP's dual is a min-cost circulation on the potential graph
-    in which every user of ``U`` carries at least one unit; with unbounded
-    arcs it is the cheapest assignment on ``U`` with the shortest-path
-    costs ``F`` (Ahuja, Magnanti & Orlin, *Network Flows*, ch. 9-12; Kuhn
-    1955), 0 for the empty set.  The origin is a member of a region that
-    is not empty, so ``h >= 0``; a cost below 0 comes from closed walks
-    inside the 1e-9 band and reads 0.
+    One Floyd-Warshall over the users plus ground.  With no arc from a
+    node to itself, ``F[u, u]`` is the lightest closed walk through ``u``,
+    the box through ground included.  Inside the 1e-9 band a closed walk
+    can be slightly below 0; taking it into a path at its own node would
+    compound it, so no path does.  With every closed walk at 0 or above
+    that changes nothing.  With ``departures``, also ``H``: the arcs out
+    of a user on each path (every arc but ground's), the fewest among
+    paths of equal length; else ``H`` is None.
     """
-    F = poly._paths
-    if F is None:
-        return np.full(len(sets), -math.inf)
-    cost = F[sets[:, :, None], sets[:, None, :]]
-    cols = np.array([linear_sum_assignment(M)[1] for M in cost], dtype=np.intp).reshape(sets.shape)
-    return np.maximum(0.0, F[sets, np.take_along_axis(sets, cols, axis=1)].sum(axis=1))
+    n = channel.K
+    D = build_graph(channel, np.full(n, level)).lengths.copy()
+    H = None
+    if departures:
+        H = np.ones_like(D)
+        H[n] = 0.0
+    for k in range(n + 1):
+        walk, D[k, k] = D[k, k], np.inf  # no path takes the closed walk at k
+        via = D[:, k, None] + D[k]
+        if H is None:
+            np.minimum(D, via, out=D)
+        else:
+            hops = H[:, k, None] + H[k]
+            better = (via < D) | ((via == D) & (hops < H))
+            D[better], H[better] = via[better], hops[better]
+        D[k, k] = walk
+    return D[:n, :n], None if H is None else H[:n, :n]
 
 
-def _transport_value(F: np.ndarray, w: np.ndarray) -> float:
+def _transport(F: np.ndarray, w: np.ndarray, prices: tuple | None = None) -> tuple:
     """Cheapest flow on costs ``F`` with row and column sums ``w`` (every ``w > 0``).
 
-    Successive shortest paths (Ahuja, Magnanti & Orlin, ch. 9): prices
-    ``u``, ``v`` keep the reduced costs ``F - u - v`` nonnegative and zero
-    where flow runs; the start fills the arcs at zero greedily.  Each round
-    a Dijkstra over the columns, from every row with supply left and back
-    through the rows that feed a finished column, finishes all columns at
-    the least distance at once until one has demand left; the prices move
-    by the distances, and the path's bottleneck is sent.  The bottleneck
-    sets the supply, demand or flow that it empties to exactly 0.
+    Returns ``(value, x, (u, v))``: the cost, the flow and the prices.
+    Successive shortest paths (Ahuja, Magnanti & Orlin, *Network Flows*,
+    ch. 9): prices ``u``, ``v`` keep the reduced costs ``F - u - v``
+    nonnegative and zero where flow runs.  They start from ``prices``
+    when given (dual feasible for ``F``: for costs that only grew since
+    they were found), else from the row and column minima; the start
+    fills the arcs at zero greedily.  Each round a Dijkstra over the
+    columns, from every row with supply left and back through the rows
+    that feed a finished column, finishes all columns at the least
+    distance at once until one has demand left; the prices move by the
+    distances, and the path's bottleneck is sent.  The bottleneck sets the
+    supply, demand or flow that it empties to exactly 0.
     """
     n = len(w)
-    v = F.min(axis=0)
-    u = (F - v).min(axis=1)
+    if prices is None:
+        v = F.min(axis=0, initial=math.inf)
+        u = (F - v).min(axis=1, initial=math.inf)
+    else:
+        u, v = (p.copy() for p in prices)
     x = np.zeros((n, n))
     supply, demand = w.copy(), w.copy()
     for i, j in zip(*np.nonzero(F - u[:, None] - v <= 0)):
@@ -386,22 +408,124 @@ def _transport_value(F: np.ndarray, w: np.ndarray) -> float:
             x[e] += delta
         for e in back:
             x[e] -= delta
-    return float((F * x).sum())
+    return float((F * x).sum()), x, (u, v)
+
+
+def _arrival_slack(F: np.ndarray, x: np.ndarray, prices: tuple) -> np.ndarray:
+    """A point ``e >= 0`` with ``w . e`` the transport's cost, every cycle of ``F`` within its length.
+
+    Complementary slackness for the flow ``x`` of :func:`_transport`:
+    each user ``j`` is an arrival node and a departure node, with arcs
+    departure ``i`` -> arrival ``j`` of length ``F[i, j]``, back along
+    every arc that carries flow at ``-F[i, j]``, and arrival ``j`` ->
+    departure ``j`` at 0.  With ``x`` optimal this residual graph has no
+    negative cycle, so Bellman-Ford from the transport's prices (arrival
+    ``v``, departure ``-u``) gives potentials ``p``, and ``e = p_arrival -
+    p_departure``: 0 or above by the arcs at 0, and along any cycle of
+    users ``sum e <= sum F``.  Rounds stop when no potential moves, at
+    most one per node.
+    """
+    m = len(F)
+    R = np.full((2 * m, 2 * m), np.inf)  # arrivals 0..m-1, then departures
+    R[m:, :m] = F
+    R[:m, m:] = np.where(x.T > 0, -F.T, np.inf)
+    arrive = np.arange(m)
+    R[arrive, m + arrive] = np.minimum(0.0, R[arrive, m + arrive])
+    u, v = prices
+    p = np.concatenate([v, -u])
+    for _ in range(2 * m):
+        nxt = np.minimum(p, (p[:, None] + R).min(axis=0))
+        if np.array_equal(nxt, p):
+            break
+        p = nxt
+    return p[:m] - p[m:]
+
+
+def _max_level(channel: ChannelMatrix) -> float:
+    """The largest ``t`` with ``t * 1`` in the region (no band): the minimum cycle mean.
+
+    Ground's arcs are 0, so a walk through ground folds into the arc of
+    the user before it: on the users alone, ``u -> v`` weighs the shorter
+    of ``u``'s arcs to ``v`` and to ground, and the loop at ``u`` its arc
+    to ground.  Every arc leaves a user, so at ``d = t * 1`` each loses
+    ``t``.  Karp's minimum cycle mean (Karp 1978) over walks of up to K arcs.
+    """
+    n = channel.K
+    L = build_graph(channel, np.zeros(n)).lengths
+    M = np.minimum(L[:n, :n], L[:n, n, None])
+    D = np.zeros((n + 1, n))  # D[k, v]: the lightest walk of k arcs ending at v
+    for k in range(n):
+        D[k + 1] = (D[k][:, None] + M).min(axis=0)
+    return float(((D[n] - D[:n]) / (n - np.arange(n))[:, None]).max(axis=0).min())
+
+
+def _max_min_point(poly: Polyhedron, w: np.ndarray, value: float) -> np.ndarray:
+    """The active coordinates of a maximizer of ``w . d`` whose least coordinate is largest.
+
+    At level ``t`` the points ``d >= t * 1`` of the region are ``t * 1 + e``
+    with ``e >= 0`` in the region of the potential graph at ``d = t * 1``,
+    so the best value among them is ``t W + T(F_t)``: ``W = sum w``, and
+    ``T`` the transportation cost (:func:`_transport`) on that graph's
+    paths ``F_t``.  ``phi(t) = t W + T(F_t) - value`` is concave, 0 up to
+    the max-min level ``t*`` and below 0 after it.  Newton's method from
+    the right (Dinkelbach's, for the parametric problem) starts at
+    ``min(value / W, t_max)``, ``t_max`` from :func:`_max_level`, and takes
+    the slope ``W - sum x_ij H_ij`` of the flow's own paths.  ``phi`` is
+    the least of finitely many lines, one per flow and choice of paths;
+    the step follows the current one, which lies on or above ``phi``, so
+    no step passes ``t*`` and no line is used twice.  Each step's prices
+    start the next, since ``F_t`` only grows as ``t`` falls.  The point is
+    ``t* * 1 + e`` with ``e`` from :func:`_arrival_slack`, 0 on users of
+    weight 0.  The level stays at 0 or above (the region has ``d >= 0``)
+    unless ``t_max`` is below 0, where a cycle dips into the 1e-9 band and
+    ``t_max`` is the one level left; a value of 0 gives the origin, and
+    all weights 0 give ``max(0, t_max) * 1``.  Raises
+    :class:`UncertifiedPointError` after ``NEWTON_STEPS_MAX`` steps.
+    """
+    n = len(w)
+    W = float(w.sum())
+    top = _max_level(poly._active_channel)
+    if W == 0.0:
+        return np.full(n, max(0.0, top))
+    if value == 0.0:
+        return np.zeros(n)
+    pos = np.flatnonzero(w > 0)
+    sub = np.ix_(pos, pos)
+    floor = min(0.0, top)
+    t = max(floor, min(value / W, top))
+    prices = None
+    for _ in range(NEWTON_STEPS_MAX):
+        F, H = _shortest_paths(poly._active_channel, t, departures=True)
+        cost, x, prices = _transport(F[sub], w[pos], prices)
+        phi = t * W + cost - value
+        # phi is exactly 0 at t*; what is left is rounding in the sums
+        if t == floor or phi >= -2.0 ** -50 * (abs(t) * W + abs(cost) + value):
+            break
+        slope = W - float((x * H[sub]).sum())
+        below = max(floor, t - phi / slope) if slope < 0 else t
+        if below >= t:
+            break
+        t = below
+    else:
+        raise UncertifiedPointError(
+            f"the max-min tie-break did not settle in {NEWTON_STEPS_MAX} Newton steps")
+    d = np.full(n, t)
+    d[pos] += _arrival_slack(F[sub], x, prices)
+    return d
 
 
 def max_weighted_gdof(poly: Polyhedron, weights) -> tuple:
     """Maximize ``sum w_i d_i`` over the region; returns ``(value, point)``.
 
-    The value comes from the region's shortest-path table: the cheapest
-    assignment over the active users of weight 1 when every active weight
-    is 0 or 1, else the cheapest transportation (:func:`_transport_value`)
-    over the active users of positive weight, with marginals ``w``.  One
-    LP then breaks ties on the optimal face toward the max-min fair point
-    over the active users, so symmetric instances return symmetric
-    maximizers; it raises ``RuntimeError`` when it does not succeed.  The
-    returned point is re-checked by :meth:`Polyhedron.contains` and
-    against the value.  Raises :class:`EmptyPolyhedronError` when the
-    region is empty.
+    The value is the cheapest transportation (:func:`_transport`) on the
+    region's shortest-path table over the active users of positive
+    weight, with marginals ``w``, read as 0 when below 0; no LP.  Among
+    the maximizers the point is a max-min fair one over the active users
+    (:func:`_max_min_point`), so symmetric instances return symmetric
+    maximizers; silent users are exactly 0.  The point is re-checked by
+    :meth:`Polyhedron.contains` and against the value within 1e-9.
+    Raises :class:`EmptyPolyhedronError` when the region is empty and
+    :class:`UncertifiedPointError` when the point fails its re-check.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (poly.K,):
@@ -412,48 +536,37 @@ def max_weighted_gdof(poly: Polyhedron, weights) -> tuple:
     if F is None:
         raise EmptyPolyhedronError("region is empty")
     active = list(poly.active)
-    n = len(active)
     wa = w[active]
-    if np.isin(wa, (0.0, 1.0)).all():
-        value = float(_support_values(poly, np.flatnonzero(wa)[None, :])[0])
-    else:
-        pos = np.flatnonzero(wa > 0)
-        value = max(0.0, _transport_value(F[np.ix_(pos, pos)], wa[pos]))
-
+    pos = np.flatnonzero(wa > 0)
+    value = max(0.0, _transport(F[np.ix_(pos, pos)], wa[pos])[0])
     point = np.zeros(poly.K)
-    if n:
-        # max t  s.t.  (d, r) in the system, w.d = value, d_i >= t for active i
-        A, b, bounds = poly._difference_system
-        tie = np.hstack([-np.eye(n), np.zeros((n, n)), np.ones((n, 1))])
-        res = linprog(
-            np.append(np.zeros(2 * n), -1.0),
-            A_ub=np.vstack([np.hstack([A, np.zeros((len(A), 1))]), tie]),
-            b_ub=np.concatenate([b, np.zeros(n)]),
-            A_eq=np.concatenate([wa, np.zeros(n + 1)])[None, :],
-            b_eq=np.array([value]),
-            bounds=bounds + [(None, None)],
-            method="highs",
-        )
-        if not res.success:
-            raise RuntimeError(f"LP failed: {res.message}")
-        point[active] = res.x[:n]
-
+    if active:
+        point[active] = _max_min_point(poly, wa, value)
     if not poly.contains(point) or abs(float(w @ point) - value) > EPS_LENGTH:
-        raise RuntimeError("optimizer returned an uncertifiable point")
+        raise UncertifiedPointError("optimizer returned an uncertifiable point")
     return value, point
 
 
 def max_subset_sum(poly: Polyhedron, users: Iterable[int]) -> float:
     """sup of ``sum_{i in users} d_i`` over the region (-inf when empty).
 
-    One assignment on the region's shortest-path table over the active
-    ``users``; no LP.
+    The support LP's dual is a min-cost circulation on the potential graph
+    in which every user of ``users`` carries at least one unit; with
+    unbounded arcs it is the cheapest assignment on those active users with
+    the shortest-path costs ``F`` (Ahuja, Magnanti & Orlin, *Network
+    Flows*, ch. 9-12; Kuhn 1955), 0 for the empty set, solved as the
+    transportation with unit marginals (:func:`_transport`).  The origin
+    is a member of a region that is not empty, so the value is 0 or above;
+    a cost below 0 comes from closed walks inside the 1e-9 band and reads 0.
     """
     idx = [int(i) for i in users]
     if not all(0 <= i < poly.K for i in idx):
         raise ValueError(f"users {sorted(idx)} out of range for K={poly.K}")
+    F = poly._paths
+    if F is None:
+        return -math.inf
     pos = [k for k, u in enumerate(poly.active) if u in idx]
-    return float(_support_values(poly, np.array([pos], dtype=np.intp))[0])
+    return max(0.0, _transport(F[np.ix_(pos, pos)], np.ones(len(pos)))[0])
 
 
 def poly_contains(outer: Polyhedron, inner: Polyhedron, tol: float = EPS_LENGTH) -> bool:

@@ -276,6 +276,39 @@ def oracle_cycle_lp(alpha: np.ndarray, silent, w) -> float | None:
     return float(-res.fun)
 
 
+def oracle_max_min_level(alpha: np.ndarray, silent, w) -> float | None:
+    """The largest least active coordinate among the maximizers of ``w . d``; None when empty.
+
+    Two LPs over the enumerated rows of :func:`oracle_cycle_lp`: its value
+    ``V``, then ``max t`` with ``w . d >= V`` and ``d_i >= t`` for every
+    active user.
+    """
+    from scipy.optimize import linprog
+
+    K = alpha.shape[0]
+    active = [i for i in range(K) if i not in set(silent)]
+    value = oracle_cycle_lp(alpha, silent, w)
+    if value is None or not active:
+        return value if value is None else 0.0
+    n = len(active)
+    rows = [[1.0 if u in seq else 0.0 for u in active] + [0.0] for seq in oracle_cycles(active)]
+    rhs = [oracle_cycle_rhs(alpha, seq) for seq in oracle_cycles(active)]
+    rows.append([-float(w[i]) for i in active] + [0.0])
+    rhs.append(-value)
+    for k in range(n):  # t - d_k <= 0
+        rows.append([-1.0 if j == k else 0.0 for j in range(n)] + [1.0])
+        rhs.append(0.0)
+    res = linprog(
+        np.append(np.zeros(n), -1.0),
+        A_ub=np.array(rows),
+        b_ub=np.array(rhs),
+        bounds=[(0.0, alpha[i, i]) for i in active] + [(None, None)],
+        method="highs",
+    )
+    assert res.success, res.message
+    return float(res.x[-1])
+
+
 def oracle_poly_contains_rows(alpha: np.ndarray, T, S, tol: float = 1e-9, values=None) -> bool:
     """Is the silent-set-S polytope inside the silent-set-T one, read from T's cycle rows?
 

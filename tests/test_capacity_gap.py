@@ -310,7 +310,7 @@ class TestGdofLimitsFixtures:
         path = tmp_path / "ex2.json"
         path.write_text(json.dumps(ChannelMatrix(EX2_ALPHA).to_dict()))
         result = CliRunner().invoke(main, ["gdof-limits", str(path), "--cycle", "0,1,2"])
-        assert result.exit_code == 2
+        assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == "error: limit identities require the optimality condition\n"
 

@@ -197,9 +197,14 @@ class TestGdofLimits:
         assert doc["monotone"] is True
         assert doc["final_error"] < 0.02
 
-    def test_condition_violation_exits_two(self, runner, ex2_path):
+    def test_condition_violation_exits_one(self, runner, ex2_path):
+        # a failed condition is a verdict, as in gap-check; a malformed cycle is still refused
         result = runner.invoke(main, ["gdof-limits", ex2_path, "--cycle", "0,1"])
+        assert result.exit_code == 1
+        assert result.stderr == "error: limit identities require the optimality condition\n"
+        result = runner.invoke(main, ["gdof-limits", ex2_path, "--cycle", "0,5"])
         assert result.exit_code == 2
+        assert result.stderr == "error: invalid cycle (0, 5) for K=3\n"
 
 
 class TestMalformedInput:

@@ -18,13 +18,13 @@ from tinopt import (
     transpose_channel,
 )
 from click.testing import CliRunner
-from scipy.optimize import linprog
 from tinopt import region
 from tinopt.capacity_gap import FiniteSnrChannel, gap_certificate, rate_outer_bounds
 from tinopt.cli import main
 from tinopt.region import (
     K_MAX_EXPORT,
     EmptyPolyhedronError,
+    UncertifiedPointError,
     max_subset_sum,
     poly_contains,
 )
@@ -35,6 +35,7 @@ from _oracles import (
     oracle_cycle_rhs,
     oracle_cycles,
     oracle_in_union,
+    oracle_max_min_level,
     oracle_minimized,
     oracle_region_margin,
     oracle_sum_gdof_assignment,
@@ -458,24 +459,8 @@ class TestMaxWeightedGdof:
             value, _ = max_weighted_gdof(polyhedral_region(ChannelMatrix(alpha)), np.ones(K))
             assert value == pytest.approx(oracle_sum_gdof_assignment(alpha), abs=1e-9)
 
-    def test_lp_size_is_polynomial(self, monkeypatch):
-        # the tie-break is the one LP: n^2 rows over (d, r) for n active users, n rows and t;
-        # values come from the shortest-path table, so max_subset_sum solves none
-        shapes = []
-
-        def spy(c, A_ub=None, **kwargs):
-            shapes.append(A_ub.shape)
-            return linprog(c, A_ub=A_ub, **kwargs)
-
-        monkeypatch.setattr("tinopt.region.linprog", spy)
-        ch = ChannelMatrix(random_condition_channel(np.random.default_rng(71), 8))
-        full = polyhedral_region(ch)
-        assert len(full.cycles) == 16064
-        max_weighted_gdof(full, np.ones(8))
-        max_subset_sum(polyhedral_region(ch, {0, 1, 2}), [3, 4])
-        assert shapes == [(72, 17)]
-
-        # no cycle row is built on the way: K=30 has about 2.5e31 of them
+    def test_no_cycle_row_is_built(self, monkeypatch):
+        # values and points come from the shortest-path table: K=30 has about 2.5e31 cycle rows
         def refuse(users):
             raise AssertionError("cycle rows enumerated")
 
@@ -488,7 +473,56 @@ class TestMaxWeightedGdof:
         assert max_subset_sum(poly, [0, 1]) == pytest.approx(
             oracle_cycle_lp(alpha, range(2, 30), np.ones(30))
         )
-        assert shapes[1:] == [(930, 61)]
+
+
+class TestMaxMinTieBreak:
+    """The point of ``max_weighted_gdof`` is a maximizer whose least active coordinate is largest."""
+
+    def test_level_matches_the_lp_oracle(self):
+        # 0/1, real and zero weights, weight on silent users only, silent sets, empty regions
+        rng = np.random.default_rng(103)
+        seen = set()
+        for trial in range(180):
+            K = 2 + trial % 6
+            alpha = (random_channel, random_condition_channel)[trial % 2](rng, K)
+            silent = [i for i in range(K) if rng.random() < 0.3]
+            kind = ("0/1", "real", "zero", "silent only")[trial % 4]
+            w = {
+                "0/1": (rng.random(K) < 0.6).astype(float),
+                "real": rng.uniform(0.0, 1.0, K) * (rng.random(K) < 0.8),
+                "zero": np.zeros(K),
+                "silent only": np.isin(np.arange(K), silent).astype(float),
+            }[kind]
+            poly = polyhedral_region(ChannelMatrix(alpha), silent)
+            level = oracle_max_min_level(alpha, silent, w)
+            if level is None:
+                with pytest.raises(EmptyPolyhedronError):
+                    max_weighted_gdof(poly, w)
+                continue
+            value, point = max_weighted_gdof(poly, w)
+            active = [i for i in range(K) if i not in silent]
+            assert all(point[i] == 0.0 for i in silent)
+            assert poly.contains(point)
+            assert float(w @ point) == pytest.approx(value, abs=1e-9)
+            if active:
+                assert point[active].min() == pytest.approx(level, abs=1e-9), (alpha, silent, w)
+                seen.add(kind)
+        assert seen == {"0/1", "real", "zero", "silent only"}
+
+    def test_zero_weights_give_the_largest_level(self, ex2):
+        # W = 0: every point is a maximizer, so the point is t_max * 1 with t_max
+        # the smallest mean of a cycle, here (a_00 - a_01 + a_11 - a_12 + a_22 - a_20) / 3
+        value, point = max_weighted_gdof(polyhedral_region(ex2), np.zeros(3))
+        assert value == 0.0
+        np.testing.assert_allclose(point, np.full(3, 1.4 / 3), atol=1e-12)
+
+    def test_newton_step_cap_raises_a_documented_error(self, monkeypatch, ex2):
+        poly = polyhedral_region(ex2)
+        w = [0.3, 1.0, 0.2]  # the first level, value / W, is above t*: a second step is needed
+        max_weighted_gdof(poly, w)
+        monkeypatch.setattr(region, "NEWTON_STEPS_MAX", 1)
+        with pytest.raises(UncertifiedPointError, match="Newton steps"):
+            max_weighted_gdof(poly, w)
 
 
 class TestNearBand:

@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -197,18 +199,34 @@ class TestDecisionPath:
         assert seen == {(kind, small, empty) for kind in ("0/1", "real", "zero")
                         for small in (True, False) for empty in (True, False)}
 
-    def test_union_and_subset_sums_solve_no_lp(self, monkeypatch):
-        def no_lp(*args, **kwargs):
-            raise AssertionError("an LP was solved")
-
-        monkeypatch.setattr(region, "linprog", no_lp)
+    def test_numpy_alone(self):
+        # no LP solver and no scipy: the CLI's import, both optimizers and a K=7 union
         alpha = design_channel(np.random.default_rng(79), 7, False)
-        ch = ChannelMatrix(alpha)
-        flags = [c.subsumed_by for c in general_tin_region(ch)]
-        assert len(flags) == 2 ** 7 and None in flags and flags.count(None) < len(flags)
-        for silent, users in [((), range(7)), ((0, 3), [1, 2, 3]), ((1,), [0])]:
-            assert max_subset_sum(polyhedral_region(ch, silent), users) == pytest.approx(
+        code = f"""if True:
+            import json, sys
+            import numpy as np
+            import tinopt.cli
+            from tinopt import ChannelMatrix, general_tin_region, max_weighted_gdof, polyhedral_region
+            from tinopt.region import max_subset_sum
+            ch = ChannelMatrix(np.array({alpha.tolist()}))
+            flags = [c.subsumed_by is None for c in general_tin_region(ch)]
+            sums = [max_subset_sum(polyhedral_region(ch, s), u)
+                    for s, u in [((), range(7)), ((0, 3), [1, 2, 3]), ((1,), [0])]]
+            value = max_weighted_gdof(polyhedral_region(ch, (2,)), np.arange(7.0))[0]
+            print(json.dumps([flags, sums, value, "scipy.optimize" in sys.modules]))
+        """
+        src = str(Path(region.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        flags, sums, value, imported = json.loads(proc.stdout)
+        assert not imported
+        assert len(flags) == 2 ** 7 and 0 < flags.count(True) < len(flags)
+        for (silent, users), got in zip([((), range(7)), ((0, 3), [1, 2, 3]), ((1,), [0])], sums):
+            assert got == pytest.approx(
                 oracle_cycle_lp(alpha, silent, np.isin(np.arange(7), list(users))), abs=1e-9)
+        assert value == pytest.approx(oracle_cycle_lp(alpha, (2,), np.arange(7.0)), abs=1e-9)
 
 
 class TestScaleEquivariance:
@@ -246,6 +264,31 @@ class TestScaleEquivariance:
             flags = union_flags(alpha)
             for k in self.FLAG_SCALES:
                 assert union_flags(alpha * 2.0 ** k) == flags, k
+
+
+    @pytest.mark.parametrize("K", range(2, 9))
+    def test_optimizer_answers_at_every_scale(self, K):
+        # value and point bit-equal times 2^k, the point certified (max_weighted_gdof re-checks
+        # it against the 1e-9 band, which rounding in sums of exponents outgrows from about 2^26)
+        rng = np.random.default_rng(101 + K)
+        while True:
+            alpha = design_channel(rng, K, False)
+            if min(oracle_cycle_rhs(alpha, seq) for seq in oracle_cycles(range(K))) >= 1e-3:
+                break
+        for w in (np.ones(K), rng.uniform(0.1, 1.0, K)):
+            base, base_point = max_weighted_gdof(polyhedral_region(ChannelMatrix(alpha)), w)
+            for k in range(-40, 21):
+                poly = polyhedral_region(ChannelMatrix(alpha * 2.0 ** k))
+                value, point = max_weighted_gdof(poly, w)
+                assert value == base * 2.0 ** k, k
+                assert np.array_equal(point, base_point * 2.0 ** k), k
+                assert poly.contains(point)
+
+    def test_optimizer_answers_near_the_exponent_ceiling(self):
+        poly = polyhedral_region(ChannelMatrix(np.array([[1e150, 5e149], [5e149, 1e150]])))
+        value, point = max_weighted_gdof(poly, [1.0, 1.0])
+        assert value == 1e150
+        assert point.tolist() == [5e149, 5e149]
 
 
 def write_fixture(path) -> None:
