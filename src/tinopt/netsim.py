@@ -12,17 +12,20 @@ Every trial derives its own RNG stream from (master_seed, trial_index),
 so estimates are bit-reproducible.  ``condition_probability`` draws a
 batch of trials (at most 4096 link entries, trials * K * K) one stream
 after another, then computes geometry, path loss and gains on
-``(trials, K, K)`` arrays with the same per-entry operations as
-:func:`sample_network`.  Each layout's gains are reduced to the three
-extremes per user that the condition reads before any logarithm is
-taken, so every estimate has the same bytes as one computed a trial at a
-time from full exponent matrices.  Simulations take at most ``K_MAX_SIM``
-users.
+``(trials, K, K)`` arrays, the largest it builds, with the same
+per-entry operations as :func:`sample_network`: distances from
+per-coordinate differences, and one path-loss logarithm per link plus
+one more for each link below the reference distance.  Each layout's
+gains are reduced to the three extremes per user that the condition
+reads before any logarithm is taken, so every estimate has the same
+bytes as one computed a trial at a time from full exponent matrices.
+Simulations take at most ``K_MAX_SIM`` users.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -49,8 +52,8 @@ ERCEG_TERRAIN = {
 }
 
 #: Largest user count a simulation accepts.  One trial at K=1000 takes about
-#: 0.12 s and 53 MB, so the shortest run (100 trials) takes about 12 s; at
-#: K=2000 that grows to 0.56 s and 213 MB per trial (README, "Cellular
+#: 0.06 s and 24 MB, so the shortest run (100 trials) takes about 6 s; at
+#: K=2000 that grows to 0.26 s and 96 MB per trial (README, "Cellular
 #: Monte-Carlo").
 K_MAX_SIM = 1000
 
@@ -73,8 +76,10 @@ RADIUS_MIN_M = 1e-3
 SHADOWING_MAX_DB = 100.0
 
 #: Link entries (trials * K * K) computed together in ``condition_probability``.
-#: Small enough that a batch's arrays stay within a few hundred kilobytes,
-#: large enough that per-call overhead is shared by tens of trials at K=10.
+#: The largest arrays are ``(trials, K, K)`` float64, 32 KB each up to K=64
+#: (one trial of K*K*8 bytes above), so a batch stays within a few hundred
+#: kilobytes; large enough that per-call overhead is shared by tens of trials
+#: at K=10.
 _BATCH_LINKS = 4096
 
 #: Accepted range, ends included, of each propagation constant that only the
@@ -93,6 +98,11 @@ PROPAGATION_RANGES = {
     "antenna_gain_db": (-300.0, 300.0),
     "min_distance_m": (1e-3, 1e3),
 }
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer; ``bool`` is refused although it subclasses ``int``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -138,6 +148,9 @@ class SimConfig:
                 f"shadowing_sigma_db must be None or between 0 and {SHADOWING_MAX_DB:g} dB, "
                 f"got {sigma}"
             )
+        for name in ("K", "trials", "master_seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.K < 1:
@@ -157,27 +170,30 @@ class SimConfig:
         return a - b * self.bs_height_m + c / self.bs_height_m
 
 
-def _free_space_db(distance_m, wavelength_m: float):
-    return 20.0 * np.log10(4.0 * math.pi * np.asarray(distance_m) / wavelength_m)
-
-
 def erceg_pathloss(distance_m, cfg: SimConfig):
     """Median path loss in dB at the given distance(s).
 
     Above the reference distance: free-space loss at the reference point
     plus the terrain slope times the log-distance; below it: plain free
     space (the log-slope is only specified from the reference distance
-    out).  Shadowing, when enabled, is drawn during network sampling, not
-    here.
+    out).  Every entry takes one logarithm for the log-distance branch,
+    and only entries below the reference distance take a second one,
+    for free space, written over the first.  Shadowing, when enabled, is
+    drawn during network sampling, not here.  Raises ``ValueError``
+    unless every distance is positive and finite.
     """
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("distance must be positive")
+    if d.size and not (d.min() > 0.0 and d.max() < math.inf):
+        raise ValueError("distance must be positive and finite")
     d0 = cfg.ref_distance_m
     A = 20.0 * math.log10(4.0 * math.pi * d0 / cfg.wavelength_m)
-    above = A + 10.0 * cfg.pathloss_slope * np.log10(np.maximum(d, d0) / d0)
-    below = _free_space_db(np.minimum(d, d0), cfg.wavelength_m)
-    out = np.where(d >= d0, above, below)
+    out = np.divide(d, d0, out=np.empty(d.shape))
+    np.log10(out, out=out)
+    out *= 10.0 * cfg.pathloss_slope
+    out += A
+    near = d < d0
+    if near.any():
+        out[near] = 20.0 * np.log10(4.0 * math.pi * d[near] / cfg.wavelength_m)
     return float(out) if np.isscalar(distance_m) else out
 
 
@@ -229,14 +245,29 @@ def _disk(radius: float, u_radius: np.ndarray, u_angle: np.ndarray) -> np.ndarra
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
-def _sample_links(cfg: SimConfig, trials: Sequence[int]) -> _Links:
+def _link_distances(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
+    """Receiver-major ``(n, K, K)`` distances ``sqrt(dx*dx + dy*dy)`` from stacked positions.
+
+    The bits of ``np.linalg.norm`` over each pair's coordinate
+    differences, without building the ``(n, K, K, 2)`` difference array.
+    """
+    dist = rx[:, :, None, 0] - tx[:, None, :, 0]
+    dy = rx[:, :, None, 1] - tx[:, None, :, 1]
+    dist *= dist
+    dy *= dy
+    dist += dy
+    return np.sqrt(dist, out=dist)
+
+
+def _sample_links(cfg: SimConfig, trials: Sequence[int], power_dbm: float) -> _Links:
     """The layouts of the given trials, each from its own stream.
 
     Trial ``t`` draws from ``default_rng([master_seed mod 2**64, t])``, in
     this order: K radii and K angles for the transmitters, the same for
     the receiver offsets, then the K-by-K shadowing normals.  Everything
     after the draws is computed on the whole stack at once, with the same
-    operations per entry as for one trial.
+    operations per entry as for one trial.  ``power_dbm`` is
+    :func:`transmit_power_dbm`, computed once by the caller.
     """
     K = cfg.K
     sigma = cfg.shadowing_sigma_db
@@ -249,20 +280,27 @@ def _sample_links(cfg: SimConfig, trials: Sequence[int]) -> _Links:
             shadow[k] = rng.normal(0.0, sigma, size=(K, K))
     tx = _disk(cfg.cell_radius, u[:, 0], u[:, 1])
     rx = tx + _disk(cfg.coverage_radius, u[:, 2], u[:, 3])
-    dist = np.linalg.norm(rx[:, :, None, :] - tx[:, None, :, :], axis=-1)
-    dist = np.maximum(dist, cfg.min_distance_m)
+    dist = _link_distances(tx, rx)
+    np.maximum(dist, cfg.min_distance_m, out=dist)
     pl = erceg_pathloss(dist, cfg)
     if sigma:
-        pl = pl + shadow
-    gain_db = transmit_power_dbm(cfg) + cfg.antenna_gain_db - pl - cfg.noise_floor_dbm
-    gains = np.power(10.0, gain_db / 10.0)
+        pl += shadow
+    gains = np.subtract(power_dbm + cfg.antenna_gain_db, pl, out=dist)  # distances are spent
+    gains -= cfg.noise_floor_dbm
+    gains /= 10.0
+    np.power(10.0, gains, out=gains)
     nominal_P = np.maximum(gains.max(axis=(-2, -1)), 2.0)
     return _Links(tx, rx, pl, gains, nominal_P)
 
 
 def sample_network(cfg: SimConfig, trial_index: int) -> NetworkInstance:
-    """One random layout, deterministic in (master_seed, trial_index)."""
-    links = _sample_links(cfg, [trial_index])
+    """One random layout, deterministic in (master_seed, trial_index).
+
+    Raises ``ValueError`` unless ``trial_index`` is a nonnegative integer.
+    """
+    if not _is_integer(trial_index) or trial_index < 0:
+        raise ValueError(f"trial_index must be a nonnegative integer, got {trial_index!r}")
+    links = _sample_links(cfg, [trial_index], transmit_power_dbm(cfg))
     linear = links.gains[0]
     nominal_P = float(links.nominal_P[0])
     return NetworkInstance(
@@ -308,9 +346,10 @@ def condition_probability(cfg: SimConfig, workers: int = 1) -> ConditionEstimate
     if cfg.trials < 100:
         raise ValueError("need at least 100 trials for the interval to be meaningful")
     per_batch = max(1, _BATCH_LINKS // (cfg.K * cfg.K))
+    power_dbm = transmit_power_dbm(cfg)
     passes = 0
     for lo in range(0, cfg.trials, per_batch):
-        links = _sample_links(cfg, range(lo, min(lo + per_batch, cfg.trials)))
+        links = _sample_links(cfg, range(lo, min(lo + per_batch, cfg.trials)), power_dbm)
         margins = extreme_margins(link_exponents(gain_extremes(links.gains), links.nominal_P))
         passes += int(np.all(margins >= -EPS_CONDITION, axis=-1).sum())
     lo, hi = _wilson_interval(passes, cfg.trials)

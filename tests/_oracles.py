@@ -62,6 +62,68 @@ def oracle_trial_verdict(gains: np.ndarray, nominal_P: float, eps: float = 1e-9)
     return all(m >= -eps for m in oracle_condition_margins(alpha))
 
 
+#: Erceg et al. terrain constants (a, b [1/m], c [m]) of the slope a - b*h + c/h.
+_ERCEG = {"A": (4.6, 0.0075, 12.6), "B": (4.0, 0.0065, 17.1), "C": (3.6, 0.0050, 20.0)}
+
+
+def oracle_layout(cfg, t: int) -> dict:
+    """Trial ``t`` of a ``SimConfig``: redrawn, then computed link by link.
+
+    The stream is ``default_rng([master_seed mod 2**64, t])``: four calls of
+    K uniforms (transmitter radii and angles, receiver-offset radii and
+    angles), then K-by-K shadowing normals when the spread is nonzero.
+    Each pair's distance is ``math.sqrt(dx*dx + dy*dy)``, clamped at the
+    minimum distance; its path loss is free space below the reference
+    distance and the terrain log-slope from it on, with ``math.log10``;
+    transmit power puts the median SNR at the coverage radius on target.
+    Returns positions, path loss (receiver-major, shadowing included),
+    linear gains and the nominal power ``max(2, largest gain)``.
+    """
+    K = cfg.K
+    rng = np.random.default_rng([cfg.master_seed % 2**64, t])
+    u = [rng.random(K).tolist() for _ in range(4)]
+    sigma = cfg.shadowing_sigma_db
+    shadow = rng.normal(0.0, sigma, size=(K, K)).tolist() if sigma else [[0.0] * K] * K
+
+    def disk(radius, u_radius, u_angle):
+        r = radius * math.sqrt(u_radius)
+        theta = 2.0 * math.pi * u_angle
+        return [r * math.cos(theta), r * math.sin(theta)]
+
+    tx = [disk(cfg.cell_radius, u[0][i], u[1][i]) for i in range(K)]
+    rx = [[x + ox, y + oy] for (x, y), (ox, oy) in
+          zip(tx, (disk(cfg.coverage_radius, u[2][i], u[3][i]) for i in range(K)))]
+
+    lam = 299792458.0 / (cfg.carrier_freq_mhz * 1e6)
+    a, b, c = _ERCEG[cfg.terrain]
+    slope = a - b * cfg.bs_height_m + c / cfg.bs_height_m
+    d0 = cfg.ref_distance_m
+
+    def pathloss(d):
+        if d < d0:
+            return 20.0 * math.log10(4.0 * math.pi * d / lam)
+        return 20.0 * math.log10(4.0 * math.pi * d0 / lam) + 10.0 * slope * math.log10(d / d0)
+
+    power = cfg.noise_floor_dbm + cfg.boundary_snr_target_db + pathloss(cfg.coverage_radius) \
+        - cfg.antenna_gain_db
+    gain_db = power + cfg.antenna_gain_db - cfg.noise_floor_dbm
+    pl = []
+    for (xr, yr), shadow_row in zip(rx, shadow):
+        row = []
+        for (xt, yt), s in zip(tx, shadow_row):
+            dx, dy = xr - xt, yr - yt
+            row.append(pathloss(max(math.sqrt(dx * dx + dy * dy), cfg.min_distance_m)) + s)
+        pl.append(row)
+    gains = [[10.0 ** ((gain_db - v) / 10.0) for v in row] for row in pl]
+    return {
+        "tx": np.array(tx),
+        "rx": np.array(rx),
+        "pathloss_db": np.array(pl),
+        "gains": np.array(gains),
+        "nominal_P": max(2.0, max(map(max, gains))),
+    }
+
+
 def oracle_cycles(users) -> list:
     """Every directed cyclic class over subsets of size >= 2, one rep each.
 

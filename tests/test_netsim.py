@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +25,13 @@ from tinopt.netsim import (
     RADIUS_MAX_M,
     RADIUS_MIN_M,
     SHADOWING_MAX_DB,
+    _link_distances,
     _wilson_interval,
     transmit_power_dbm,
 )
-from _oracles import oracle_trial_verdict
+from _oracles import oracle_layout, oracle_trial_verdict
+
+DATA = Path(__file__).parent / "data"
 
 
 def cfg_no_fading(**kw):
@@ -71,6 +77,21 @@ class TestErcegPathloss:
         with pytest.raises(ValueError):
             erceg_pathloss(0.0, cfg_no_fading())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.0, [1.0, math.nan],
+                                     [math.inf, 5.0], np.array([[3.0, 2.0], [math.nan, 1.0]])])
+    def test_rejects_nonfinite_distance(self, bad):
+        # nan used to come back as nan and inf as inf
+        with pytest.raises(ValueError, match="^distance must be positive"):
+            erceg_pathloss(bad, cfg_no_fading())
+
+    def test_scalar_array_and_empty_inputs(self):
+        cfg = cfg_no_fading()
+        d = np.array([0.5, 99.0, 100.0, 101.0, 4000.0])
+        pl = erceg_pathloss(d, cfg)
+        assert [erceg_pathloss(float(x), cfg) for x in d] == pl.tolist()
+        assert isinstance(erceg_pathloss(50.0, cfg), float)
+        assert erceg_pathloss(np.empty((0, 3)), cfg).shape == (0, 3)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(K=0, coverage_radius=100.0)
@@ -97,6 +118,8 @@ class TestErcegPathloss:
             with pytest.raises(ValueError, match="coverage_radius"):
                 SimConfig(K=3, coverage_radius=tiny, trials=100)
         SimConfig(K=K_MAX_SIM, coverage_radius=100.0, shadowing_sigma_db=0.0)
+        SimConfig(K=np.int64(3), coverage_radius=100.0, trials=np.int32(100),
+                  master_seed=np.uint64(2**63))
         widest = SimConfig(K=3, coverage_radius=RADIUS_MAX_M, cell_radius=RADIUS_MAX_M,
                            shadowing_sigma_db=SHADOWING_MAX_DB, trials=100)
         condition_probability(widest)  # no overflow warning (they are errors here)
@@ -124,6 +147,26 @@ class TestErcegPathloss:
         with pytest.raises(ValueError, match=f"^{field} must be between"):
             SimConfig(K=3, coverage_radius=100.0, trials=100, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("K", 1.5),  # raised TypeError inside condition_probability
+            ("trials", 100.5),  # the same
+            ("K", True),  # accepted as K=1
+            ("trials", True),
+            ("K", 3.0),
+            ("K", "3"),
+            ("K", None),
+            ("trials", np.float64(200.0)),
+            ("master_seed", 0.5),
+            ("master_seed", False),
+        ],
+    )
+    def test_non_integer_count_names_it(self, field, value):
+        base = {"K": 3, "coverage_radius": 100.0, "trials": 100}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SimConfig(**{**base, field: value})
+
     @pytest.mark.parametrize("terrain", sorted(ERCEG_TERRAIN))
     def test_propagation_range_corners_keep_gains_finite(self, terrain):
         # every corner of the ranges that moves a gain, at the widest radii
@@ -143,11 +186,24 @@ class TestSampleNetwork:
     def test_deterministic_per_trial(self):
         cfg = SimConfig(K=5, coverage_radius=150.0, trials=100, master_seed=42)
         a = sample_network(cfg, 13)
-        b = sample_network(cfg, 13)
+        b = sample_network(cfg, np.int64(13))
         assert np.array_equal(a.tx_positions, b.tx_positions)
         assert np.array_equal(a.alpha.alpha, b.alpha.alpha)
         c = sample_network(cfg, 14)
         assert not np.array_equal(c.tx_positions, a.tx_positions)
+
+    @pytest.mark.parametrize("bad", [1.5, True, False, "3", -1, np.int64(-2), None, 2.0])
+    def test_rejects_bad_trial_index(self, bad):
+        # 1.5, True and "3" used to run trials 1, 1 and 3; -1 raised numpy's own error
+        with pytest.raises(ValueError, match="^trial_index must be a nonnegative integer"):
+            sample_network(cfg_no_fading(), bad)
+
+    def test_link_distances_are_norm_bits(self):
+        rng = np.random.default_rng(5)
+        for scale in (1e-3, 1.0, 1e3, 2e6):
+            tx, rx = rng.uniform(-scale, scale, size=(2, 3, 17, 2))
+            want = np.linalg.norm(rx[:, :, None, :] - tx[:, None, :, :], axis=-1)
+            assert np.array_equal(_link_distances(tx, rx), want)
 
     def test_geometry_constraints(self):
         cfg = cfg_no_fading(K=6)
@@ -238,6 +294,32 @@ class TestConditionProbability:
         )
 
 
+class TestLayoutOracle:
+    # Coverage radii below, at and above the 100 m reference distance, and
+    # a minimum distance that clamps many own links.
+    @pytest.mark.parametrize(
+        "K,coverage,shadowing,seed,extra",
+        [
+            (1, 5.0, None, 0, {}),
+            (2, 1e-3, 100.0, -1, {}),
+            (3, 50.0, 8.0, 2**63, {}),
+            (6, 100.0, 0.0, 7, {}),
+            (6, 99.5, 8.0, 2**80, {"terrain": "A", "ref_distance_m": 1e4}),
+            (9, 250.0, 8.0, 3, {"terrain": "C", "min_distance_m": 200.0}),
+            (12, 1000.0, None, 11, {"carrier_freq_mhz": 1.0, "cell_radius": 5000.0}),
+        ],
+    )
+    def test_sample_network_matches_oracle(self, K, coverage, shadowing, seed, extra):
+        cfg = SimConfig(K=K, coverage_radius=coverage, trials=100, master_seed=seed,
+                        shadowing_sigma_db=shadowing, **extra)
+        for t in (0, 1, 17):
+            got, want = sample_network(cfg, t), oracle_layout(cfg, t)
+            assert np.array_equal(got.tx_positions, want["tx"])
+            assert np.array_equal(got.rx_positions, want["rx"])
+            np.testing.assert_allclose(got.pathloss_db, want["pathloss_db"], rtol=1e-12, atol=0)
+            assert got.nominal_P == pytest.approx(want["nominal_P"], rel=1e-9)
+
+
 class TestBatchedTrials:
     # Trial counts just past a whole number of batches of 4096 link
     # entries (4096, 1024, 455, 40 and 18 trials at K = 1, 2, 3, 10, 15;
@@ -246,12 +328,44 @@ class TestBatchedTrials:
         "K,trials", [(1, 4097), (2, 1025), (3, 457), (10, 101), (15, 257), (64, 101), (100, 101)]
     )
     @settings(max_examples=1, deadline=None, derandomize=True)
-    @given(seed=st.integers(-(2**80), 2**80), shadowing=st.sampled_from([8.0, None]))
-    @example(seed=2**63, shadowing=8.0)
-    @example(seed=-1, shadowing=None)
-    def test_passes_match_per_trial_oracle(self, K, trials, seed, shadowing):
-        cfg = SimConfig(K=K, coverage_radius=100.0, trials=trials, master_seed=seed,
+    @given(seed=st.integers(-(2**80), 2**80), shadowing=st.sampled_from([8.0, None]),
+           coverage=st.sampled_from([5.0, 100.0, 250.0]))
+    @example(seed=2**63, shadowing=8.0, coverage=100.0)
+    @example(seed=-1, shadowing=None, coverage=5.0)
+    def test_passes_match_per_trial_oracle(self, K, trials, seed, shadowing, coverage):
+        cfg = SimConfig(K=K, coverage_radius=coverage, trials=trials, master_seed=seed,
                         shadowing_sigma_db=shadowing)
-        nets = (sample_network(cfg, t) for t in range(trials))
-        passes = sum(oracle_trial_verdict(n.snr_inr_linear, n.nominal_P) for n in nets)
+        layouts = (oracle_layout(cfg, t) for t in range(trials))
+        passes = sum(oracle_trial_verdict(o["gains"], o["nominal_P"]) for o in layouts)
         assert condition_probability(cfg).passes == passes
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestMonteCarloBytes:
+    """Bytes recorded before distances and path losses were computed per coordinate."""
+
+    FIXTURE = json.loads((DATA / "netsim_bytes.json").read_text())
+
+    @pytest.mark.parametrize("sweep_doc", FIXTURE["sweeps"],
+                             ids=lambda d: f"seed{d['master_seed']}-sigma{d['shadowing_sigma_db']}")
+    def test_sweep_csv_bytes(self, sweep_doc):
+        base = SimConfig(K=2, coverage_radius=100.0, trials=self.FIXTURE["trials"],
+                         master_seed=int(sweep_doc["master_seed"]),
+                         shadowing_sigma_db=sweep_doc["shadowing_sigma_db"])
+        rows = sweep(base, self.FIXTURE["K_values"], self.FIXTURE["coverage_radii_m"])
+        assert sweep_to_csv(rows) == sweep_doc["csv"]
+
+    def test_sample_network_digests(self):
+        for net in self.FIXTURE["networks"]:
+            cfg = SimConfig(K=net["K"], coverage_radius=net["coverage_radius_m"], trials=100,
+                            master_seed=int(net["master_seed"]),
+                            shadowing_sigma_db=net["shadowing_sigma_db"])
+            inst = sample_network(cfg, net["trial"])
+            got = {name: _sha256(getattr(inst, name)) for name in
+                   ("tx_positions", "rx_positions", "pathloss_db", "snr_inr_linear")}
+            got["alpha"] = _sha256(inst.alpha.alpha)
+            got["nominal_P"] = float(inst.nominal_P).hex()
+            assert got == net["sha256"], net
