@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,6 +48,11 @@ class _Silent:
 
 
 SILENT = _Silent()
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer; ``bool`` is refused although it subclasses ``int``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_exponents(a: np.ndarray) -> None:
@@ -280,14 +286,15 @@ def condition_margins(a: np.ndarray) -> np.ndarray:
     return extreme_margins(condition_extremes(a, 0.0))
 
 
-def check_tin_condition(alpha: ChannelMatrix, eps: float = EPS_CONDITION) -> ConditionReport:
+def check_tin_condition(alpha: ChannelMatrix) -> ConditionReport:
     """Decide, per user, whether TIN with power control is GDoF-optimal.
 
-    The test is homogeneous of degree one in the exponents and invariant
+    A user passes when its margin is at least ``-EPS_CONDITION``.  The
+    test is homogeneous of degree one in the exponents and invariant
     under swapping the roles of transmitters and receivers.
     """
     margins = condition_margins(alpha.alpha)
-    per_user = margins >= -eps
+    per_user = margins >= -EPS_CONDITION
     return ConditionReport(
         tuple(per_user.tolist()), tuple(margins.tolist()), bool(per_user.all())
     )

@@ -25,7 +25,6 @@ Simulations take at most ``K_MAX_SIM`` users.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -34,6 +33,7 @@ import numpy as np
 from .channel_model import (
     EPS_CONDITION,
     ChannelMatrix,
+    _is_integer,
     extreme_margins,
     from_link_budget,
     gain_extremes,
@@ -87,22 +87,16 @@ _BATCH_LINKS = 4096
 #: terrain slope between 3.3 and 5.8 on every terrain) linear gains stay
 #: between about 10^-164 and 10^161 (README, "Cellular Monte-Carlo").
 #: Noise floor and antenna gain cancel out of every gain; their ranges keep
-#: the intermediate dB sums small.  The receiver height enters no formula.
+#: the intermediate dB sums small.
 PROPAGATION_RANGES = {
     "carrier_freq_mhz": (1.0, 1e5),
     "noise_floor_dbm": (-300.0, 300.0),
     "boundary_snr_target_db": (-200.0, 200.0),
     "bs_height_m": (10.0, 100.0),
-    "rx_height_m": (0.1, 100.0),
     "ref_distance_m": (1.0, 1e4),
     "antenna_gain_db": (-300.0, 300.0),
     "min_distance_m": (1e-3, 1e3),
 }
-
-
-def _is_integer(value) -> bool:
-    """An int or numpy integer; ``bool`` is refused although it subclasses ``int``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -124,7 +118,6 @@ class SimConfig:
     shadowing_sigma_db: float | None = 8.0
     terrain: str = "B"
     bs_height_m: float = 30.0
-    rx_height_m: float = 2.0
     ref_distance_m: float = 100.0
     antenna_gain_db: float = 0.0
     min_distance_m: float = 1.0
@@ -178,8 +171,9 @@ def erceg_pathloss(distance_m, cfg: SimConfig):
     space (the log-slope is only specified from the reference distance
     out).  Every entry takes one logarithm for the log-distance branch,
     and only entries below the reference distance take a second one,
-    for free space, written over the first.  Shadowing, when enabled, is
-    drawn during network sampling, not here.  Raises ``ValueError``
+    for free space, written over the first.  Receivers sit at the model's
+    2 m reference height, which needs no correction.  Shadowing, when
+    enabled, is drawn during network sampling, not here.  Raises ``ValueError``
     unless every distance is positive and finite.
     """
     d = np.asarray(distance_m, dtype=float)
@@ -373,10 +367,10 @@ def sweep(
     """Condition-probability grid over user counts and coverage radii.
 
     Every grid point's configuration is validated before the first trial
-    runs.  ``workers`` changes neither the result nor the speed.
+    runs, each ``K`` as given.  ``workers`` changes neither the result nor the speed.
     """
     cfgs = [
-        replace(base, K=int(K), coverage_radius=float(radius))
+        replace(base, K=K, coverage_radius=float(radius))
         for K in K_values
         for radius in radius_values
     ]

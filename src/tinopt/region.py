@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channel_model import SILENT, ChannelMatrix, PowerExponents
+from .channel_model import EXPONENT_MAX, SILENT, ChannelMatrix, PowerExponents, _is_integer
 from .potential_graph import (
     EPS_LENGTH,
     MembershipCertificate,
@@ -206,16 +206,25 @@ class Polyhedron:
         }
 
 
+def _user_indices(users: Iterable[int], K: int, name: str) -> list:
+    """The distinct ``users``, sorted; ``ValueError`` unless each is an integer in ``range(K)``."""
+    idx = list(users)
+    if not all(map(_is_integer, idx)):
+        raise ValueError(f"{name} must be integer user indices, got {idx!r}")
+    idx = sorted({int(i) for i in idx})
+    if idx and not (idx[0] >= 0 and idx[-1] < K):
+        raise ValueError(f"{name} {idx} out of range for K={K}")
+    return idx
+
+
 def polyhedral_region(alpha: ChannelMatrix, silent: Iterable[int] = ()) -> Polyhedron:
     """Region of the relaxed scheme with the given users silenced.
 
     Its ``cycles``, every cyclic-sequence inequality over the active users
     (dominated ones too, see :func:`minimized`), are built on first read.
+    Silent users must be integer indices in range, not ``bool``.
     """
-    S = frozenset(int(i) for i in silent)
-    if not S.issubset(range(alpha.K)):
-        raise ValueError(f"silent set {sorted(S)} out of range for K={alpha.K}")
-    return Polyhedron(channel=alpha, silent=S)
+    return Polyhedron(channel=alpha, silent=frozenset(_user_indices(silent, alpha.K, "silent set")))
 
 
 def _membership(poly: Polyhedron, d: np.ndarray) -> MembershipCertificate:
@@ -236,18 +245,18 @@ def _membership(poly: Polyhedron, d: np.ndarray) -> MembershipCertificate:
     return MembershipCertificate(feasible=True, r=PowerExponents(r_full))
 
 
-def minimized(poly: Polyhedron, tol: float = 1e-12) -> Polyhedron:
+def minimized(poly: Polyhedron) -> Polyhedron:
     """Drop cycle inequalities implied by the boxes or by a kept inequality.
 
     ``sum_U d <= b`` is implied by ``sum_U' d <= b'`` with ``U' subset U``
-    together with the boxes whenever ``b' + sum_{U \\ U'} ub <= b``; the
-    pure-box implication is the ``U' = empty`` case.  Rows are processed in
-    canonical order, so ties keep the earlier inequality.  Supports are bit
-    masks over the active users: box sums are added in ascending user
-    order, each support keeps the smallest right-hand side kept on it, and
-    the best bound from its proper subsets (all of them shorter, so done
-    with) is taken once per support, before its length's rows are read.
-    Refuses more than ``K_MAX_EXPORT`` active users before reading any row.
+    and the boxes when ``b' + sum_{U \\ U'} ub <= b + 1e-12`` (the boxes
+    alone: ``U' = empty``); the slack is rounding in these short sums, not
+    the 1e-9 band.  Rows go in canonical order, so ties keep the earlier
+    inequality.  Supports are bit masks over the active users: box sums
+    are added in ascending user order, each support keeps its smallest
+    kept right-hand side, and the best bound from its proper subsets (all
+    shorter, so done with) is taken once per support, before its length's
+    rows are read.  Refuses more than ``K_MAX_EXPORT`` active users first.
     """
     rows = poly.rows
     box = [0.0]  # box[U]: sum of ub over U, in ascending user order
@@ -263,7 +272,7 @@ def minimized(poly: Polyhedron, tol: float = 1e-12) -> Polyhedron:
                  for U in dict.fromkeys(supports)}
         keep = []
         for k, (U, b) in enumerate(zip(supports, rhs.tolist())):
-            if min(bound[U], best[U]) > b + tol:
+            if min(bound[U], best[U]) > b + 1e-12:
                 keep.append(k)
                 best[U] = min(best[U], b)
         kept.append((C[keep], rhs[keep]))
@@ -517,24 +526,27 @@ def _max_min_point(poly: Polyhedron, w: np.ndarray, value: float) -> np.ndarray:
 def max_weighted_gdof(poly: Polyhedron, weights) -> tuple:
     """Maximize ``sum w_i d_i`` over the region; returns ``(value, point)``.
 
-    The value is the cheapest transportation (:func:`_transport`) on the
-    region's shortest-path table over the active users of positive
+    Weights in ``[0, EXPONENT_MAX]`` are scaled exactly by a power of two
+    to below 1.  The value is the cheapest transportation (:func:`_transport`)
+    on the region's shortest-path table over the active users of positive
     weight, with marginals ``w``, read as 0 when below 0; no LP.  Among
     the maximizers the point is a max-min fair one over the active users
     (:func:`_max_min_point`), so symmetric instances return symmetric
     maximizers; silent users are exactly 0.  The point is re-checked by
-    :meth:`Polyhedron.contains` and against the value within 1e-9.
+    :meth:`Polyhedron.contains` and against the scaled value within 1e-9.
     Raises :class:`EmptyPolyhedronError` when the region is empty and
     :class:`UncertifiedPointError` when the point fails its re-check.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (poly.K,):
         raise ValueError(f"weights must have length {poly.K}")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    if not np.all((w >= 0) & (w <= EXPONENT_MAX)):  # NaN fails both
+        raise ValueError(f"weights must be nonnegative, finite and at most {EXPONENT_MAX:g}")
     F = poly._paths
     if F is None:
         raise EmptyPolyhedronError("region is empty")
+    e = max(0, math.frexp(float(w.max()))[1])
+    w = np.ldexp(w, -e)  # exact: the value scales by 2^-e, the point not at all
     active = list(poly.active)
     wa = w[active]
     pos = np.flatnonzero(wa > 0)
@@ -544,7 +556,7 @@ def max_weighted_gdof(poly: Polyhedron, weights) -> tuple:
         point[active] = _max_min_point(poly, wa, value)
     if not poly.contains(point) or abs(float(w @ point) - value) > EPS_LENGTH:
         raise UncertifiedPointError("optimizer returned an uncertifiable point")
-    return value, point
+    return math.ldexp(value, e), point
 
 
 def max_subset_sum(poly: Polyhedron, users: Iterable[int]) -> float:
@@ -557,11 +569,10 @@ def max_subset_sum(poly: Polyhedron, users: Iterable[int]) -> float:
     Flows*, ch. 9-12; Kuhn 1955), 0 for the empty set, solved as the
     transportation with unit marginals (:func:`_transport`).  The origin
     is a member of a region that is not empty, so the value is 0 or above;
-    a cost below 0 comes from closed walks inside the 1e-9 band and reads 0.
+    a cost below 0 comes from closed walks inside the 1e-9 band and reads
+    0.  Users must be integer indices in range, not ``bool``.
     """
-    idx = [int(i) for i in users]
-    if not all(0 <= i < poly.K for i in idx):
-        raise ValueError(f"users {sorted(idx)} out of range for K={poly.K}")
+    idx = _user_indices(users, poly.K, "users")
     F = poly._paths
     if F is None:
         return -math.inf
@@ -569,14 +580,14 @@ def max_subset_sum(poly: Polyhedron, users: Iterable[int]) -> float:
     return max(0.0, _transport(F[np.ix_(pos, pos)], np.ones(len(pos)))[0])
 
 
-def poly_contains(outer: Polyhedron, inner: Polyhedron, tol: float = EPS_LENGTH) -> bool:
+def poly_contains(outer: Polyhedron, inner: Polyhedron) -> bool:
     """Exact containment test ``inner subset outer`` from the two regions' support tables.
 
     Both regions are down-closed with 0/1 rows, so each is exactly
     ``{d >= 0 : sum_U d <= h(U) for every U}`` with ``h`` its support
     value (:func:`max_subset_sum`).  So ``inner`` lies in ``outer`` exactly
-    when ``h_inner({i}) <= tol`` for every outer silent user ``i`` active
-    inside, and ``h_inner(U) <= h_outer(U) + tol`` for every set ``U`` of
+    when ``h_inner({i}) <= EPS_LENGTH`` for every outer silent user ``i`` active
+    inside, and ``h_inner(U) <= h_outer(U) + EPS_LENGTH`` for every set ``U`` of
     users active in both, the empty set included: an empty region has
     ``h = -inf`` everywhere, so an empty outer region contains only an
     empty inner one.  Pinning users of a down-closed region to 0 does not
@@ -586,10 +597,10 @@ def poly_contains(outer: Polyhedron, inner: Polyhedron, tol: float = EPS_LENGTH)
     if outer.K != inner.K:
         raise ValueError("dimension mismatch")
     pinned = [k for k, u in enumerate(inner.active) if u in outer.silent]
-    if any(inner._support_table[1 << k] > tol for k in pinned):
+    if any(inner._support_table[1 << k] > EPS_LENGTH for k in pinned):
         return False
     shared = [u for u in inner.active if u not in outer.silent]
-    return bool(np.all(_table_on(inner, shared) <= _table_on(outer, shared) + tol))
+    return bool(np.all(_table_on(inner, shared) <= _table_on(outer, shared) + EPS_LENGTH))
 
 
 def _table_on(poly: Polyhedron, users: list) -> np.ndarray:
@@ -624,8 +635,9 @@ def general_tin_region(alpha: ChannelMatrix) -> list:
     equal regions only the earlier silent set in the canonical order stays
     unflagged: a later silent set flags ``S`` only when ``S``'s region does
     not also contain its own.  So following flags always ends at an
-    unflagged component.  More than ``K_MAX_UNION`` users are refused
-    before any region is built.
+    unflagged component.  Containers of ``S`` silence only ``S`` and users
+    whose direct exponent is at most 1e-12, zero up to rounding.  More than
+    ``K_MAX_UNION`` users are refused before any region is built.
     """
     K = alpha.K
     if K > K_MAX_UNION:
@@ -672,29 +684,31 @@ class TinMembership:
         return out
 
 
-def point_in_tin_region(alpha: ChannelMatrix, d, tol: float = EPS_LENGTH) -> TinMembership:
+def point_in_tin_region(alpha: ChannelMatrix, d) -> TinMembership:
     """Decide whether a nonnegative tuple is TIN-achievable.
 
-    Only the silent set equal to the point's zero coordinates needs
-    checking: forcing extra coordinates of a candidate silent set to zero
-    only removes cycle constraints, so membership in any smaller-support
-    component implies membership in the zero-set component.
+    Only the silent set equal to the point's zero coordinates (at most
+    ``EPS_LENGTH``) needs checking: forcing extra coordinates of a silent
+    set to zero only removes cycle constraints, so membership in any
+    smaller-support component implies membership in the zero-set component.
     """
     dv = np.asarray(d, dtype=float)
     if dv.shape != (alpha.K,):
         raise ValueError(f"d has shape {dv.shape}, expected ({alpha.K},)")
     if np.any(dv < 0):
         raise ValueError("GDoF entries must be nonnegative")
-    Z = frozenset(i for i in range(alpha.K) if dv[i] <= tol)
+    Z = frozenset(i for i in range(alpha.K) if dv[i] <= EPS_LENGTH)
     cert = _membership(Polyhedron(channel=alpha, silent=Z), dv)
     return TinMembership(cert.feasible, Z, cert)
 
 
-def polyhedron_vertices(poly: Polyhedron, decimals: int = 9) -> np.ndarray:
+def polyhedron_vertices(poly: Polyhedron) -> np.ndarray:
     """Vertex enumeration by brute-force tight-set intersection (small K).
 
     Intended for CSV export and plotting; refuses more than 4 active
-    users, where the inequality family is still tiny.
+    users, where the inequality family is still tiny.  A tight set's rows
+    are integer, so a determinant below 1e-12 is 0 up to rounding; vertices
+    equal to 9 decimals, the 1e-9 band, are one.
     """
     active = poly.active
     na = len(active)
@@ -721,7 +735,7 @@ def polyhedron_vertices(poly: Polyhedron, decimals: int = 9) -> np.ndarray:
         x = np.linalg.solve(M, b[list(combo)])
         if np.any(A @ x > b + EPS_LENGTH):
             continue
-        key = tuple(np.round(x, decimals))
+        key = tuple(np.round(x, 9))
         if key in seen:
             continue
         seen.add(key)

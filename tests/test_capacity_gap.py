@@ -146,6 +146,17 @@ class TestGdofLimits:
         with pytest.raises(ValueError):
             gdof_limit_checks(ex2, (0, 1, 2), [1e2, 1e4])
 
+    def test_empty_powers_refused_before_work(self, monkeypatch):
+        # raised IndexError after computing every quantity
+        from tinopt import capacity_gap
+
+        def no_work(*args):
+            raise AssertionError("quantities computed")
+
+        monkeypatch.setattr(capacity_gap, "cyclic_quantities", no_work)
+        with pytest.raises(ValueError, match="^powers must not be empty"):
+            gdof_limit_checks(ChannelMatrix(np.diag([1.0, 1.0])), (0, 1), [])
+
     def test_powers_must_increase(self):
         ch = ChannelMatrix(np.diag([1.0, 1.0]))
         with pytest.raises(ValueError):
@@ -350,7 +361,7 @@ class TestGapCertificate:
             )
             d = np.maximum(d, 0) * (1 - 1e-9)
             P = float(rng.choice([1e2, 1e4, 1e6]))
-            report = gap_certificate(FiniteSnrChannel(alpha, P), d, tight_tol=1e-6)
+            report = gap_certificate(FiniteSnrChannel(alpha, P), d)
             tight = [r for r in report.rows if r.tight]
             assert tight, "optimum must saturate some constraint"
             for row in tight:

@@ -137,7 +137,6 @@ class TestErcegPathloss:
             ("ref_distance_m", 0.0),  # math domain error
             ("bs_height_m", 1e-300),  # every gain underflowed to 0
             ("min_distance_m", -5.0),  # accepted silently
-            ("rx_height_m", -3.0),
             ("antenna_gain_db", 5000.0),
             ("noise_floor_dbm", math.nan),
             ("carrier_freq_mhz", math.inf),
@@ -283,6 +282,14 @@ class TestConditionProbability:
         a = condition_probability(cfg, workers=1)
         b = condition_probability(cfg, workers=4)
         assert a == b
+
+    @pytest.mark.parametrize("K", [2.5, True, 3.0, "3"])
+    def test_sweep_passes_K_unchanged(self, K):
+        # sweep ran int(K): 2.5 ran K=2 and True ran K=1
+        cfg = SimConfig(K=3, coverage_radius=100.0, trials=100)
+        with pytest.raises(ValueError, match="^K must be an integer"):
+            sweep(cfg, [K], [100.0])
+        assert sweep(cfg, [np.int64(2)], [100.0])[0].K == 2
 
     def test_sweep_csv_stable_bytes(self):
         cfg = SimConfig(K=3, coverage_radius=100.0, trials=120, master_seed=5)

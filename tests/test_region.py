@@ -116,6 +116,16 @@ class TestPolyhedralRegion:
         with pytest.raises(ValueError):
             polyhedral_region(ex2, silent={5})
 
+    @pytest.mark.parametrize("bad", [[0.5], [True], [False], ["0"], [np.float64(1.0)]])
+    def test_non_integer_user_index_refused(self, ex2, bad):
+        # [0.5] silenced, and summed, user 0
+        with pytest.raises(ValueError, match="^silent set must be integer user indices"):
+            polyhedral_region(ex2, bad)
+        with pytest.raises(ValueError, match="^users must be integer user indices"):
+            max_subset_sum(polyhedral_region(ex2), bad)
+        assert polyhedral_region(ex2, np.array([2, 2])).silent == {2}
+        assert max_subset_sum(polyhedral_region(ex2), [np.int64(0)]) == 1.0
+
     def test_point_and_user_shapes_checked(self):
         poly = polyhedral_region(ChannelMatrix(np.array([[1.0, 0.1], [0.2, 1.0]])))
         for d in ([0.1], [0.1, 0.1, 5.0]):
@@ -403,6 +413,12 @@ class TestMaxWeightedGdof:
     def test_negative_weight_rejected(self, ex2):
         with pytest.raises(ValueError):
             max_weighted_gdof(polyhedral_region(ex2), [1.0, -1.0, 0.0])
+
+    @pytest.mark.parametrize("w", [[math.nan, 1.0, 1.0], [math.inf, 1.0, 1.0], [1.0, 1.0, 2e150]])
+    def test_non_finite_or_huge_weight_rejected(self, ex2, w):
+        # NaN read as 0, inf ended in an argmin of an empty sequence
+        with pytest.raises(ValueError, match="^weights must be nonnegative, finite and at most"):
+            max_weighted_gdof(polyhedral_region(ex2), w)
 
     def test_empty_region_raises(self):
         # mutual strong interference leaves no nonnegative relaxed point

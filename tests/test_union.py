@@ -284,6 +284,24 @@ class TestScaleEquivariance:
                 assert np.array_equal(point, base_point * 2.0 ** k), k
                 assert poly.contains(point)
 
+    @pytest.mark.parametrize("K", range(2, 8))
+    def test_optimizer_weight_scale_free(self, K):
+        # weights 2^k w give 2^k times the value and the same point: the weights are
+        # scaled exactly to below 1 first, so the 1e-9 re-check never sees their scale
+        rng = np.random.default_rng(107 + K)
+        while True:
+            alpha = design_channel(rng, K, False)
+            if min(oracle_cycle_rhs(alpha, seq) for seq in oracle_cycles(range(K))) >= 1e-3:
+                break
+        poly = polyhedral_region(ChannelMatrix(alpha))
+        zero_weight = rng.uniform(0.1, 2.0, K) * (np.arange(K) > 0)
+        for w in (rng.uniform(0.1, 2.0, K), rng.uniform(0.5, 2.0, K), zero_weight):
+            base, base_point = max_weighted_gdof(poly, w)
+            for k in range(-40, 61):
+                value, point = max_weighted_gdof(poly, w * 2.0 ** k)
+                assert value == base * 2.0 ** k, k
+                assert np.array_equal(point, base_point), k
+
     def test_optimizer_answers_near_the_exponent_ceiling(self):
         poly = polyhedral_region(ChannelMatrix(np.array([[1e150, 5e149], [5e149, 1e150]])))
         value, point = max_weighted_gdof(poly, [1.0, 1.0])
