@@ -11,12 +11,14 @@ TIN under a recovered power allocation.  Their linearized forms differ by
 a constant independent of power: 1 + log2(K) per user and
 m*log2(3K) per length-m cycle, which is the certified gap.
 
-The cycle rows are the all-active region's own: ``Polyhedron.rows``, one
-``(c, m)`` array of sequences per cycle length with their GDoF right-hand
-sides.  Bounds are computed one length at a time on those arrays, with
-every sum over a cycle's positions added from 0 in position order, so each
-row has the same floats as when computed one cycle at a time.  Per-cycle
-bounds are exported for at most ``region.K_MAX_EXPORT`` users.
+:func:`rate_outer_bounds` and :func:`gap_certificate` read one block
+builder: the users as one ``(K, 1)`` block of length-1 sequences, then
+the all-active region's ``Polyhedron.rows``, one ``(c, m)`` block per
+cycle length, each with its GDoF right-hand sides and outer bounds.  A
+user is the m = 1 case of every row formula.  Every sum over a row's
+positions is added from 0 in position order, so each row has the same
+floats as when computed one constraint at a time.  Per-cycle bounds are
+exported for at most ``region.K_MAX_EXPORT`` users.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ import numpy as np
 from .channel_model import (
     ChannelMatrix,
     PowerExponents,
+    _is_integer,
     check_tin_condition,
 )
 from .potential_graph import (
+    _smallest_first,
     _sum_positions,
-    canonical_cycle,
     cycle_rhs,
     recover_power_allocation,
 )
@@ -105,13 +108,32 @@ def _cycle_terms(ch: FiniteSnrChannel, C: np.ndarray) -> tuple:
     return kappa, lam - mu, gamma, lam, mu
 
 
-def cyclic_quantities(ch: FiniteSnrChannel, cycle) -> CyclicBoundQuantities:
-    seq = tuple(int(u) for u in cycle)
-    m = len(seq)
-    if m < 2:
+def _cycle_users(cycle, K: int) -> tuple:
+    """``cycle`` as a tuple of ints, in its order.
+
+    ``ValueError`` unless it lists at least two distinct integer users
+    (``int`` or numpy integer, not ``bool``) in ``range(K)``.
+    """
+    seq = tuple(cycle)
+    if not all(map(_is_integer, seq)):
+        raise ValueError(f"cycle must be integer user indices, got {seq!r}")
+    seq = tuple(map(int, seq))
+    if len(set(seq)) != len(seq):
+        raise ValueError(f"cycle entries must be distinct, got {seq}")
+    if len(seq) < 2:
         raise ValueError("cycle needs at least two users")
-    if len(set(seq)) != m or not set(seq) <= set(range(ch.K)):
-        raise ValueError(f"invalid cycle {seq} for K={ch.K}")
+    if not set(seq) <= set(range(K)):
+        raise ValueError(f"invalid cycle {seq} for K={K}")
+    return seq
+
+
+def cyclic_quantities(ch: FiniteSnrChannel, cycle) -> CyclicBoundQuantities:
+    """The quantities of one cycle, positions in the given order (see :func:`_cycle_users`)."""
+    return _quantities(ch, _cycle_users(cycle, ch.K))
+
+
+def _quantities(ch: FiniteSnrChannel, seq: tuple) -> CyclicBoundQuantities:
+    m = len(seq)
     kappa, beta, gamma, lam, mu = (x[0] for x in _cycle_terms(ch, np.array([seq])))
     rho = np.empty(m)
     for j in range(m):
@@ -150,7 +172,7 @@ def gdof_limit_checks(alpha: ChannelMatrix, cycle, powers) -> LimitReport:
     :class:`ConditionNotMetError`.  Errors that grow by at most 1e-12,
     rounding alone, still count as monotone.
     """
-    seq = canonical_cycle(cycle)
+    seq = _smallest_first(_cycle_users(cycle, alpha.K))
     P_list = [float(p) for p in powers]
     if not P_list:
         raise ValueError("powers must not be empty")
@@ -158,8 +180,7 @@ def gdof_limit_checks(alpha: ChannelMatrix, cycle, powers) -> LimitReport:
         P_list[i] >= P_list[i + 1] for i in range(len(P_list) - 1)
     ):
         raise ValueError("powers must be increasing and exceed 1")
-    # cyclic_quantities validates the cycle, so run it before indexing alpha
-    quantities = [cyclic_quantities(FiniteSnrChannel(alpha, P), seq) for P in P_list]
+    quantities = [_quantities(FiniteSnrChannel(alpha, P), seq) for P in P_list]
     if not check_tin_condition(alpha).overall:  # a verdict, after the input is known valid
         raise ConditionNotMetError("limit identities require the optimality condition")
     a = alpha.alpha
@@ -227,18 +248,19 @@ class OuterBounds:
     cycle_bounds: tuple
 
 
-def _user_bounds(ch: FiniteSnrChannel) -> tuple:
+def _bound_blocks(ch: FiniteSnrChannel):
+    """``(C, rhs, exact, linear)`` per block: sequences, right-hand sides, outer bounds in bits.
+
+    Users first, ``log2(1 + SNR_i)`` and ``a_ii log2(P) + 1``; then each
+    cycle length, the kappa sum and ``rhs log2(P) + m log2(3)``.  The cycle
+    rows refuse more than ``K_MAX_EXPORT`` users.
+    """
     L = ch.log2P
-    a = ch.channel.alpha
-    return tuple(
-        RateBound(
-            "user",
-            (i,),
-            exact_bits=float(np.logaddexp2(0.0, a[i, i] * L)),
-            linear_bits=float(a[i, i] * L + 1.0),
-        )
-        for i in range(ch.K)
-    )
+    a_ii = ch.channel.alpha.diagonal()
+    yield np.arange(ch.K)[:, None], a_ii, np.logaddexp2(0.0, a_ii * L), a_ii * L + 1.0
+    for C, rhs in Polyhedron(ch.channel, frozenset()).rows:
+        # per row, as kappa.sum() sums one cycle
+        yield C, rhs, _cycle_terms(ch, C)[0].sum(axis=1), rhs * L + C.shape[1] * math.log2(3.0)
 
 
 def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:
@@ -248,18 +270,15 @@ def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:
     linearized form adds log2(3) per cycle position to the GDoF
     right-hand side times log2(P).  Refuses more than ``K_MAX_EXPORT`` users.
     """
-    cycles = []
-    for C, rhs in Polyhedron(ch.channel, frozenset()).rows:
-        exact = _cycle_terms(ch, C)[0].sum(axis=1)  # per row, as kappa.sum() sums one cycle
-        linear = rhs * ch.log2P + C.shape[1] * math.log2(3.0)
-        cycles += (
-            RateBound("cycle", tuple(seq), exact_bits=e, linear_bits=lin)
-            for seq, e, lin in zip(C.tolist(), exact.tolist(), linear.tolist())
-        )
+    bounds = [
+        RateBound("user" if C.shape[1] == 1 else "cycle", tuple(seq), exact_bits=e, linear_bits=lin)
+        for C, _, exact, linear in _bound_blocks(ch)
+        for seq, e, lin in zip(C.tolist(), exact.tolist(), linear.tolist())
+    ]
     return OuterBounds(
         condition_holds=check_tin_condition(ch.channel).overall,
-        user_bounds=_user_bounds(ch),
-        cycle_bounds=tuple(cycles),
+        user_bounds=tuple(bounds[:ch.K]),
+        cycle_bounds=tuple(bounds[ch.K:]),
     )
 
 
@@ -274,6 +293,12 @@ class ConstraintGap:
     analytic_sigma: float
     empirical_sigma: float
     tight: bool
+
+
+#: Header of the gap CSV: the keys of :meth:`GapReport.csv_rows`, in order.
+GAP_CSV_HEADER = (
+    "instance_id,constraint_type,users,P,analytic_sigma,empirical_sigma,bound_bits,achieved_bits"
+)
 
 
 @dataclass(frozen=True)
@@ -317,7 +342,7 @@ def gap_certificate(ch: FiniteSnrChannel, d) -> GapReport:
     slightly inside the region still flag their binding rows as tight.
     """
     slack = 1e-6
-    cycle_rows = Polyhedron(ch.channel, frozenset()).rows
+    blocks = list(_bound_blocks(ch))  # refuses more than K_MAX_EXPORT users, before any verdict
     if not check_tin_condition(ch.channel).overall:
         raise ConditionNotMetError("gap certificates require the optimality condition")
     dv = np.asarray(d, dtype=float)
@@ -328,49 +353,23 @@ def gap_certificate(ch: FiniteSnrChannel, d) -> GapReport:
             f"{cert.violated_users} exceeds {cert.violated_rhs}"
         )
     K = ch.K
-    L = ch.log2P
-    a = ch.channel.alpha
     rates = tin_rates(ch, cert.r)
     log2K = math.log2(K)
-    sigma_user = 1.0 + log2K
     rows = []
-    for i, bound in enumerate(_user_bounds(ch)):
-        rows.append(
-            ConstraintGap(
-                kind="user",
-                users=(i,),
-                outer_exact=bound.exact_bits,
-                outer_linear=bound.linear_bits,
-                inner_linear=float(a[i, i] * L - log2K),
-                achieved_bits=float(rates[i]),
-                analytic_sigma=sigma_user,
-                empirical_sigma=float(bound.exact_bits - rates[i]),
-                tight=bool(abs(dv[i] - a[i, i]) <= slack),
-            )
-        )
-    for C, rhs in cycle_rows:
+    for C, rhs, exact, linear in blocks:
         m = C.shape[1]
-        exact = _cycle_terms(ch, C)[0].sum(axis=1)
+        kind, sigma = ("user", 1.0 + log2K) if m == 1 else ("cycle", m * math.log2(3.0 * K))
         achieved = _sum_positions(rates[C])
-        columns = (
-            C.tolist(),
-            exact.tolist(),
-            (rhs * L + m * math.log2(3.0)).tolist(),
-            (rhs * L - m * log2K).tolist(),
-            achieved.tolist(),
-            (exact - achieved).tolist(),
-            (np.abs(_sum_positions(dv[C]) - rhs) <= slack).tolist(),
-        )
-        sigma = float(m * math.log2(3.0 * K))
+        empirical = exact - achieved
+        tight = np.abs(_sum_positions(dv[C]) - rhs) <= slack
+        bad = np.flatnonzero(tight & (empirical > sigma + slack))
+        if bad.size:  # the first violated row, in row order
+            raise ArithmeticError(f"certificate violated on {kind} {tuple(C[bad[0]].tolist())}: "
+                                  f"{float(empirical[bad[0]])} > {sigma}")
+        inner = rhs * ch.log2P - m * log2K
+        columns = (C, exact, linear, inner, achieved, empirical, tight)
         rows += (
-            ConstraintGap("cycle", tuple(seq), outer, linear, inner, ach, sigma, emp, tight)
-            for seq, outer, linear, inner, ach, emp, tight in zip(*columns)
+            ConstraintGap(kind, tuple(seq), outer, lin, inn, ach, sigma, emp, is_tight)
+            for seq, outer, lin, inn, ach, emp, is_tight in zip(*(x.tolist() for x in columns))
         )
-    assert sigma_user < math.log2(3.0 * K)
-    for row in rows:
-        if row.tight and row.empirical_sigma > row.analytic_sigma + slack:
-            raise ArithmeticError(
-                f"certificate violated on {row.kind} {row.users}: "
-                f"{row.empirical_sigma} > {row.analytic_sigma}"
-            )
     return GapReport(K=K, power=ch.power, d=tuple(float(x) for x in dv), r=cert.r, rows=tuple(rows))

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .capacity_gap import (
     CONVERGENCE_TOL,
+    GAP_CSV_HEADER,
     ConditionNotMetError,
     FiniteSnrChannel,
     gap_certificate,
@@ -232,10 +233,7 @@ def gap_check_cmd(channel, gdof, powers, output):
         _fail(f"gap-check supports at most {K_MAX_EXPORT} users, got {ch.K}")
     d = _parse_vector(gdof, ch.K, "--gdof")
     channels = [FiniteSnrChannel(ch, P) for P in powers]
-    lines = [
-        "instance_id,constraint_type,users,P,analytic_sigma,"
-        "empirical_sigma,bound_bits,achieved_bits"
-    ]
+    lines = [GAP_CSV_HEADER]
     for fch in channels:
         try:  # a failed condition or a point outside the region is a verdict
             report = gap_certificate(fch, d)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import EPS_CONDITION, EXPONENT_MAX, ChannelMatrix, PowerExponents
+from .channel_model import EPS_CONDITION, EXPONENT_MAX, ChannelMatrix, PowerExponents, _is_integer
 
 #: A directed circuit whose length is within this band below zero is treated
 #: as nonnegative: boundary points of the region are legitimate members and
@@ -114,10 +114,22 @@ def build_graph(alpha: ChannelMatrix, d) -> PotentialGraph:
 
 
 def canonical_cycle(seq) -> tuple:
-    """Rotate a cyclic sequence so its smallest index comes first."""
-    t = tuple(int(x) for x in seq)
+    """Rotate a cyclic sequence so its smallest index comes first.
+
+    ``ValueError`` unless the sequence is nonempty and its entries are
+    distinct integers (``int`` or numpy integer, not ``bool``).
+    """
+    t = tuple(seq)
+    if not t or not all(map(_is_integer, t)):
+        raise ValueError(f"cycle must be nonempty integer user indices, got {t!r}")
+    t = tuple(map(int, t))
     if len(t) != len(set(t)):
         raise ValueError(f"cycle entries must be distinct, got {t}")
+    return _smallest_first(t)
+
+
+def _smallest_first(t: tuple) -> tuple:
+    """The rotation of ``t`` that starts at its smallest entry."""
     k = t.index(min(t))
     return t[k:] + t[:k]
 
@@ -159,7 +171,7 @@ def _certificate_from_cycle(graph: PotentialGraph, cycle: list) -> MembershipCer
     reported inequality is always either a direct power bound or a
     user-circuit bound.
     """
-    users = canonical_cycle(v for v in cycle if v != graph.ground)
+    users = _smallest_first(tuple(v for v in cycle if v != graph.ground))  # distinct ints
     rhs = cycle_rhs(graph.alpha, users)
     attained = float(sum(graph.d[u] for u in users))
     return MembershipCertificate(

@@ -58,10 +58,14 @@ def cycle_blocks(users: Iterable[int]) -> list:
 
     The one cycle enumerator.  Sequences start at their smallest user and
     rows are lexicographic, so the blocks in turn are the canonical order;
-    ``C(n, m) (m-1)!`` rows of length ``m`` for ``n`` users.  More than
-    ``K_MAX_EXPORT`` users raise ``ValueError`` before any is enumerated.
+    ``C(n, m) (m-1)!`` rows of length ``m`` for ``n`` users.  Users that are
+    not integers (``int`` or numpy integer, not ``bool``), or more than
+    ``K_MAX_EXPORT`` of them, raise ``ValueError`` before any is enumerated.
     """
-    base = sorted(set(int(u) for u in users))
+    base = list(users)
+    if not all(map(_is_integer, base)):
+        raise ValueError(f"users must be integer user indices, got {base!r}")
+    base = sorted({int(u) for u in base})
     if len(base) > K_MAX_EXPORT:
         raise ValueError(
             f"cycle enumeration supports at most {K_MAX_EXPORT} users, got {len(base)}"

@@ -186,6 +186,16 @@ def oracle_minimized(alpha: np.ndarray, silent, tol: float = 1e-12) -> list:
     return kept
 
 
+def oracle_user_bound(alpha: np.ndarray, power: float, i: int) -> tuple:
+    """Exact and power-linearized outer bound of user ``i`` alone, in bits.
+
+    The exact bound is ``log2(1 + SNR_i)``, one scalar ``logaddexp2``; the
+    linear bound is ``a_ii log2(P) + 1``.
+    """
+    L = math.log2(power)
+    return float(np.logaddexp2(0.0, alpha[i, i] * L)), float(alpha[i, i] * L + 1.0)
+
+
 def oracle_cycle_kappa(alpha: np.ndarray, power: float, seq) -> tuple:
     """Exact and power-linearized outer bound of one cycle, in bits, position by position.
 

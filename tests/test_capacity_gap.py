@@ -21,12 +21,14 @@ from tinopt import (
     tin_gdof,
     tin_rates,
 )
+from tinopt.capacity_gap import GAP_CSV_HEADER
 from tinopt.cli import main
 from conftest import EX2_ALPHA, symmetric_two_user
 from _oracles import (
     oracle_cycle_kappa,
     oracle_cycles,
     oracle_tin_rates,
+    oracle_user_bound,
     random_channel,
     random_condition_channel,
 )
@@ -93,6 +95,10 @@ class TestCyclicQuantities:
             cyclic_quantities(ch, (0, 0))
         with pytest.raises(ValueError):
             cyclic_quantities(ch, (0, 5))
+        for cycle in [(0.9, True), (0.5, 1.2), "01", (0, 1.0)]:  # were truncated by int()
+            with pytest.raises(ValueError, match="^cycle must be integer user indices"):
+                cyclic_quantities(ch, cycle)
+        assert cyclic_quantities(ch, np.array([2, 0])).cycle == (2, 0)
 
     def test_power_must_exceed_one(self):
         with pytest.raises(ValueError):
@@ -153,9 +159,24 @@ class TestGdofLimits:
         def no_work(*args):
             raise AssertionError("quantities computed")
 
-        monkeypatch.setattr(capacity_gap, "cyclic_quantities", no_work)
+        monkeypatch.setattr(capacity_gap, "_cycle_terms", no_work)
         with pytest.raises(ValueError, match="^powers must not be empty"):
             gdof_limit_checks(ChannelMatrix(np.diag([1.0, 1.0])), (0, 1), [])
+
+    def test_cycle_checked_first_and_once(self, ex2, monkeypatch):
+        from tinopt import capacity_gap
+
+        ch = ChannelMatrix(np.diag([1.0, 1.0, 1.0]))
+        for cycle in [(0.5, 1.2), "21", (True, 0), (0, 9), (1, 1), (0,), ()]:
+            with pytest.raises(ValueError, match="cycle"):  # before the empty powers
+                gdof_limit_checks(ch, cycle, [])
+        with pytest.raises(ValueError, match="^powers"):  # before the verdict
+            gdof_limit_checks(ex2, (0, 1), [])
+        calls = []
+        check = capacity_gap._cycle_users
+        monkeypatch.setattr(capacity_gap, "_cycle_users", lambda *a: calls.append(a) or check(*a))
+        assert gdof_limit_checks(ch, (np.int64(2), 1), [1e2, 1e4, 1e8]).cycle == (1, 2)
+        assert len(calls) == 1
 
     def test_powers_must_increase(self):
         ch = ChannelMatrix(np.diag([1.0, 1.0]))
@@ -271,11 +292,20 @@ class TestCycleBoundsOracle:
     def test_bit_equal_to_per_cycle_loop(self, K):
         rng = np.random.default_rng(400 + K)
         for alpha in (random_channel(rng, K), random_condition_channel(rng, K)):
+            seqs = oracle_cycles(range(K))
             for P in (1e2, 1e4, 1e8):
-                ob = rate_outer_bounds(FiniteSnrChannel(ChannelMatrix(alpha), P))
-                assert [b.users for b in ob.cycle_bounds] == oracle_cycles(range(K))
-                for b in ob.cycle_bounds:
-                    assert (b.exact_bits, b.linear_bits) == oracle_cycle_kappa(alpha, P, b.users)
+                fch = FiniteSnrChannel(ChannelMatrix(alpha), P)
+                ob = rate_outer_bounds(fch)
+                assert [b.users for b in ob.user_bounds] == [(i,) for i in range(K)]
+                assert [b.users for b in ob.cycle_bounds] == seqs
+                want = [oracle_user_bound(alpha, P, i) for i in range(K)] + [
+                    oracle_cycle_kappa(alpha, P, seq) for seq in seqs]
+                bounds = ob.user_bounds + ob.cycle_bounds
+                assert [(b.exact_bits, b.linear_bits) for b in bounds] == want
+                if ob.condition_holds:  # the certificate's rows carry the same bounds
+                    rows = gap_certificate(fch, np.zeros(K)).rows
+                    assert [r.users for r in rows] == [b.users for b in bounds]
+                    assert [(r.outer_exact, r.outer_linear) for r in rows] == want
 
 
 DATA = Path(__file__).parent / "data"
@@ -392,6 +422,7 @@ class TestGapCertificate:
         report = gap_certificate(FiniteSnrChannel(alpha, 100.0), [0.5, 0.5])
         rows = report.csv_rows("inst0")
         assert len(rows) == 2 + 1  # two users, one 2-cycle
+        assert GAP_CSV_HEADER.split(",") == list(rows[0])
         assert set(rows[0]) == {
             "instance_id",
             "constraint_type",

@@ -77,8 +77,19 @@ class TestEnumerateCycles:
 
     def test_canonical_rotation(self):
         assert canonical_cycle((3, 1, 2)) == (1, 2, 3)
+        assert canonical_cycle(np.array([3, 1])) == (1, 3)
         with pytest.raises(ValueError):
             canonical_cycle((1, 1, 2))
+        for seq in [(), (1.5, 0.2), (True, 2), "21"]:  # empty ended in min()'s error
+            with pytest.raises(ValueError, match="^cycle must be nonempty integer user indices"):
+                canonical_cycle(seq)
+
+    def test_non_integer_users_refused(self):
+        # were truncated by int(): [0.5, 1, 2.7] enumerated users 0, 1, 2
+        for users in [[0.5, 1, 2.7], [True, 2], "012"]:
+            with pytest.raises(ValueError, match="^users must be integer user indices"):
+                enumerate_cycles(users)
+        assert enumerate_cycles(np.array([2, 0])) == [(0, 2)]
 
 
 class TestPolyhedralRegion:
