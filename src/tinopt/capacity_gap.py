@@ -31,6 +31,7 @@ import numpy as np
 from .channel_model import (
     ChannelMatrix,
     PowerExponents,
+    _check_r,
     _is_integer,
     check_tin_condition,
 )
@@ -219,8 +220,7 @@ def tin_rates(ch: FiniteSnrChannel, r: PowerExponents) -> np.ndarray:
     over a row that starts at 0 (the noise), with silent transmitters and
     the user's own signal at ``-inf``.
     """
-    if len(r) != ch.K:
-        raise ValueError(f"r has length {len(r)}, channel has K={ch.K}")
+    _check_r(ch.channel, r)
     L = ch.log2P
     silent = ~r.finite_mask
     e = (ch.channel.alpha + np.where(silent, 0.0, r.finite_array())) * L

@@ -90,9 +90,6 @@ class ChannelMatrix:
     def K(self) -> int:
         return self.alpha.shape[0]
 
-    def transpose(self) -> "ChannelMatrix":
-        return ChannelMatrix(self.alpha.T)
-
     def restrict(self, users: Sequence[int]) -> "ChannelMatrix":
         """Sub-channel over the given users, keeping their order."""
         idx = list(users)
@@ -302,7 +299,7 @@ def check_tin_condition(alpha: ChannelMatrix) -> ConditionReport:
 
 def transpose_channel(alpha: ChannelMatrix) -> ChannelMatrix:
     """Swap the roles of transmitters and receivers (matrix transpose)."""
-    return alpha.transpose()
+    return ChannelMatrix(alpha.alpha.T)
 
 
 def from_link_budget(

@@ -1,12 +1,14 @@
 """Monte-Carlo cellular layouts: how often is TIN provably optimal?
 
 Base stations drop uniformly over a circular cell, each serving one
-mobile placed uniformly inside its coverage disk.  Link gains follow the
-Erceg suburban path-loss model (terrain-dependent log-distance slope
-above a reference distance, free space below it), transmit powers are
-calibrated so the median SNR at the coverage boundary hits a target, and
-each realization is reduced to a strength-exponent matrix on which the
-per-user optimality condition is evaluated.
+mobile placed uniformly inside its coverage disk.  Link gains follow one
+fixed path-loss model, Erceg et al.'s suburban model on terrain B with a
+30 m base station at 2 GHz (log-distance slope above a 100 m reference
+distance, free space below it); transmit powers are calibrated so the
+median SNR at the coverage boundary is 0 dB, and each realization is
+reduced to a strength-exponent matrix on which the per-user optimality
+condition is evaluated.  The model's constants are module constants;
+``SimConfig`` holds only what a caller sets.
 
 Every trial derives its own RNG stream from (master_seed, trial_index),
 so estimates are bit-reproducible.  ``condition_probability`` draws a
@@ -25,6 +27,7 @@ Simulations take at most ``K_MAX_SIM`` users.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -42,14 +45,20 @@ from .channel_model import (
 
 SPEED_OF_LIGHT = 299792458.0
 
-#: Erceg terrain categories: (a, b [1/m], c [m]) in the slope
-#: gamma = a - b*h_b + c/h_b.  Category B covers hilly terrain with light
-#: tree density (equivalently flat with moderate-to-heavy density).
-ERCEG_TERRAIN = {
-    "A": (4.6, 0.0075, 12.6),
-    "B": (4.0, 0.0065, 17.1),
-    "C": (3.6, 0.0050, 20.0),
-}
+#: The fixed propagation model.  Erceg et al. terrain B (hilly with light tree
+#: density) gives the log-distance slope gamma = a - b*h_b + c/h_b with
+#: a = 4.0, b = 0.0065 /m, c = 17.1 m and a 30 m base station; the carrier is
+#: 2 GHz.  The slope applies from the reference distance on, free space below
+#: it, and link distances are clamped up to the minimum distance.  Transmit
+#: powers put the median SNR at the coverage radius on the boundary target
+#: over the noise floor; noise floor and antenna gain cancel out of every gain.
+PATHLOSS_SLOPE = 4.0 - 0.0065 * 30.0 + 17.1 / 30.0
+WAVELENGTH_M = SPEED_OF_LIGHT / (2000.0 * 1e6)
+REF_DISTANCE_M = 100.0
+MIN_DISTANCE_M = 1.0
+NOISE_FLOOR_DBM = -110.0
+BOUNDARY_SNR_TARGET_DB = 0.0
+ANTENNA_GAIN_DB = 0.0
 
 #: Largest user count a simulation accepts.  One trial at K=1000 takes about
 #: 0.06 s and 24 MB, so the shortest run (100 trials) takes about 6 s; at
@@ -82,31 +91,18 @@ SHADOWING_MAX_DB = 100.0
 #: at K=10.
 _BATCH_LINKS = 4096
 
-#: Accepted range, ends included, of each propagation constant that only the
-#: library sets.  Anywhere in these ranges (base-station heights keep the
-#: terrain slope between 3.3 and 5.8 on every terrain) linear gains stay
-#: between about 10^-164 and 10^161 (README, "Cellular Monte-Carlo").
-#: Noise floor and antenna gain cancel out of every gain; their ranges keep
-#: the intermediate dB sums small.
-PROPAGATION_RANGES = {
-    "carrier_freq_mhz": (1.0, 1e5),
-    "noise_floor_dbm": (-300.0, 300.0),
-    "boundary_snr_target_db": (-200.0, 200.0),
-    "bs_height_m": (10.0, 100.0),
-    "ref_distance_m": (1.0, 1e4),
-    "antenna_gain_db": (-300.0, 300.0),
-    "min_distance_m": (1e-3, 1e3),
-}
+def _is_real(value) -> bool:
+    """An int, float or numpy real; ``bool`` is refused although it subclasses ``int``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """What a simulation varies, each field a ``simulate`` option; the model is fixed."""
+
     K: int
     coverage_radius: float
     cell_radius: float = 1000.0
-    carrier_freq_mhz: float = 2000.0
-    noise_floor_dbm: float = -110.0
-    boundary_snr_target_db: float = 0.0
     trials: int = 1000
     master_seed: int = 0
     #: Lognormal shadowing spread.  8 dB sits inside the published
@@ -116,26 +112,22 @@ class SimConfig:
     #: reference distance and the pass probability at (K=10, r=100m)
     #: lands near 0.62 instead of the expected ~0.5.
     shadowing_sigma_db: float | None = 8.0
-    terrain: str = "B"
-    bs_height_m: float = 30.0
-    ref_distance_m: float = 100.0
-    antenna_gain_db: float = 0.0
-    min_distance_m: float = 1.0
 
     def __post_init__(self):
-        for name, (lo, hi) in PROPAGATION_RANGES.items():
-            value = getattr(self, name)
-            if not (lo <= value <= hi):
-                raise ValueError(f"{name} must be between {lo:g} and {hi:g}, got {value}")
         for name in ("coverage_radius", "cell_radius"):
-            if not (RADIUS_MIN_M <= getattr(self, name) <= RADIUS_MAX_M):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not (RADIUS_MIN_M <= value <= RADIUS_MAX_M):
                 raise ValueError(
                     f"{name} must be between {RADIUS_MIN_M:g} and {RADIUS_MAX_M:g} m, "
-                    f"got {getattr(self, name)}"
+                    f"got {value}"
                 )
         if not (self.coverage_radius <= self.cell_radius):
             raise ValueError("need coverage_radius <= cell_radius")
         sigma = self.shadowing_sigma_db
+        if sigma is not None and not _is_real(sigma):
+            raise ValueError(f"shadowing_sigma_db must be None or a real number, got {sigma!r}")
         if sigma is not None and not (0 <= sigma <= SHADOWING_MAX_DB):
             raise ValueError(
                 f"shadowing_sigma_db must be None or between 0 and {SHADOWING_MAX_DB:g} dB, "
@@ -150,54 +142,43 @@ class SimConfig:
             raise ValueError("K must be >= 1")
         if self.K > K_MAX_SIM:
             raise ValueError(f"K must be at most {K_MAX_SIM}, got {self.K}")
-        if self.terrain not in ERCEG_TERRAIN:
-            raise ValueError(f"unknown terrain {self.terrain!r}")
-
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / (self.carrier_freq_mhz * 1e6)
-
-    @property
-    def pathloss_slope(self) -> float:
-        a, b, c = ERCEG_TERRAIN[self.terrain]
-        return a - b * self.bs_height_m + c / self.bs_height_m
 
 
-def erceg_pathloss(distance_m, cfg: SimConfig):
+def erceg_pathloss(distance_m):
     """Median path loss in dB at the given distance(s).
 
-    Above the reference distance: free-space loss at the reference point
-    plus the terrain slope times the log-distance; below it: plain free
-    space (the log-slope is only specified from the reference distance
-    out).  Every entry takes one logarithm for the log-distance branch,
-    and only entries below the reference distance take a second one,
-    for free space, written over the first.  Receivers sit at the model's
-    2 m reference height, which needs no correction.  Shadowing, when
-    enabled, is drawn during network sampling, not here.  Raises ``ValueError``
-    unless every distance is positive and finite.
+    At and above ``REF_DISTANCE_M``: free-space loss at the reference
+    point plus ``PATHLOSS_SLOPE`` times the log-distance; below it: plain
+    free space (the log-slope is only specified from the reference
+    distance out).  Every entry takes one logarithm for the log-distance
+    branch, and only entries below the reference distance take a second
+    one, for free space, written over the first.  Receivers sit at the
+    model's 2 m reference height, which needs no correction.  Shadowing,
+    when enabled, is drawn during network sampling, not here.  Raises
+    ``ValueError`` unless every distance is positive and finite.
     """
     d = np.asarray(distance_m, dtype=float)
     if d.size and not (d.min() > 0.0 and d.max() < math.inf):
         raise ValueError("distance must be positive and finite")
-    d0 = cfg.ref_distance_m
-    A = 20.0 * math.log10(4.0 * math.pi * d0 / cfg.wavelength_m)
+    d0 = REF_DISTANCE_M
+    A = 20.0 * math.log10(4.0 * math.pi * d0 / WAVELENGTH_M)
     out = np.divide(d, d0, out=np.empty(d.shape))
     np.log10(out, out=out)
-    out *= 10.0 * cfg.pathloss_slope
+    out *= 10.0 * PATHLOSS_SLOPE
     out += A
     near = d < d0
     if near.any():
-        out[near] = 20.0 * np.log10(4.0 * math.pi * d[near] / cfg.wavelength_m)
+        out[near] = 20.0 * np.log10(4.0 * math.pi * d[near] / WAVELENGTH_M)
     return float(out) if np.isscalar(distance_m) else out
 
 
 def transmit_power_dbm(cfg: SimConfig) -> float:
-    """Power making the median boundary SNR equal the configured target."""
+    """Transmit power [dBm] putting the median SNR at the coverage radius on target."""
     return (
-        cfg.noise_floor_dbm
-        + cfg.boundary_snr_target_db
-        + erceg_pathloss(cfg.coverage_radius, cfg)
-        - cfg.antenna_gain_db
+        NOISE_FLOOR_DBM
+        + BOUNDARY_SNR_TARGET_DB
+        + erceg_pathloss(cfg.coverage_radius)
+        - ANTENNA_GAIN_DB
     )
 
 
@@ -275,12 +256,12 @@ def _sample_links(cfg: SimConfig, trials: Sequence[int], power_dbm: float) -> _L
     tx = _disk(cfg.cell_radius, u[:, 0], u[:, 1])
     rx = tx + _disk(cfg.coverage_radius, u[:, 2], u[:, 3])
     dist = _link_distances(tx, rx)
-    np.maximum(dist, cfg.min_distance_m, out=dist)
-    pl = erceg_pathloss(dist, cfg)
+    np.maximum(dist, MIN_DISTANCE_M, out=dist)
+    pl = erceg_pathloss(dist)
     if sigma:
         pl += shadow
-    gains = np.subtract(power_dbm + cfg.antenna_gain_db, pl, out=dist)  # distances are spent
-    gains -= cfg.noise_floor_dbm
+    gains = np.subtract(power_dbm + ANTENNA_GAIN_DB, pl, out=dist)  # distances are spent
+    gains -= NOISE_FLOOR_DBM
     gains /= 10.0
     np.power(10.0, gains, out=gains)
     nominal_P = np.maximum(gains.max(axis=(-2, -1)), 2.0)
@@ -326,17 +307,23 @@ class ConditionEstimate:
     ci_high: float
 
 
+def _check_workers(workers) -> None:
+    if not _is_integer(workers):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def condition_probability(cfg: SimConfig, workers: int = 1) -> ConditionEstimate:
     """Fraction of random layouts where the optimality condition holds.
 
     The verdict per layout does not depend on the nominal-power policy
     (the condition is homogeneous in the exponents), so the estimate is a
     pure function of (config, master_seed).  Trials run in batches in
-    this process: ``workers`` (at least 1) changes neither the result nor
-    the speed.
+    this process: ``workers`` (an integer, at least 1) changes neither the
+    result nor the speed.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
     if cfg.trials < 100:
         raise ValueError("need at least 100 trials for the interval to be meaningful")
     per_batch = max(1, _BATCH_LINKS // (cfg.K * cfg.K))
@@ -367,14 +354,16 @@ def sweep(
     """Condition-probability grid over user counts and coverage radii.
 
     Every grid point's configuration is validated before the first trial
-    runs, each ``K`` as given.  ``workers`` changes neither the result nor the speed.
+    runs, each ``K`` and radius as given, and then ``workers``, once, also
+    for an empty grid.  ``workers`` changes neither the result nor the speed.
     """
     cfgs = [
-        replace(base, K=K, coverage_radius=float(radius))
+        replace(base, K=K, coverage_radius=radius)
         for K in K_values
         for radius in radius_values
     ]
-    return [condition_probability(cfg, workers=workers) for cfg in cfgs]
+    _check_workers(workers)
+    return [condition_probability(cfg) for cfg in cfgs]
 
 
 SWEEP_CSV_HEADER = "K,coverage_radius_m,trials,prob,ci_low,ci_high"

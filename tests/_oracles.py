@@ -62,10 +62,6 @@ def oracle_trial_verdict(gains: np.ndarray, nominal_P: float, eps: float = 1e-9)
     return all(m >= -eps for m in oracle_condition_margins(alpha))
 
 
-#: Erceg et al. terrain constants (a, b [1/m], c [m]) of the slope a - b*h + c/h.
-_ERCEG = {"A": (4.6, 0.0075, 12.6), "B": (4.0, 0.0065, 17.1), "C": (3.6, 0.0050, 20.0)}
-
-
 def oracle_layout(cfg, t: int) -> dict:
     """Trial ``t`` of a ``SimConfig``: redrawn, then computed link by link.
 
@@ -94,25 +90,27 @@ def oracle_layout(cfg, t: int) -> dict:
     rx = [[x + ox, y + oy] for (x, y), (ox, oy) in
           zip(tx, (disk(cfg.coverage_radius, u[2][i], u[3][i]) for i in range(K)))]
 
-    lam = 299792458.0 / (cfg.carrier_freq_mhz * 1e6)
-    a, b, c = _ERCEG[cfg.terrain]
-    slope = a - b * cfg.bs_height_m + c / cfg.bs_height_m
-    d0 = cfg.ref_distance_m
+    # Erceg et al. terrain B, slope a - b*h + c/h with a 30 m base station,
+    # 2 GHz, 100 m reference distance, 1 m minimum distance, 0 dB boundary
+    # SNR over a -110 dBm noise floor, 0 dB antenna gain.
+    lam = 299792458.0 / (2000.0 * 1e6)
+    slope = 4.0 - 0.0065 * 30.0 + 17.1 / 30.0
+    d0 = 100.0
+    noise, target, antenna = -110.0, 0.0, 0.0
 
     def pathloss(d):
         if d < d0:
             return 20.0 * math.log10(4.0 * math.pi * d / lam)
         return 20.0 * math.log10(4.0 * math.pi * d0 / lam) + 10.0 * slope * math.log10(d / d0)
 
-    power = cfg.noise_floor_dbm + cfg.boundary_snr_target_db + pathloss(cfg.coverage_radius) \
-        - cfg.antenna_gain_db
-    gain_db = power + cfg.antenna_gain_db - cfg.noise_floor_dbm
+    power = noise + target + pathloss(cfg.coverage_radius) - antenna
+    gain_db = power + antenna - noise
     pl = []
     for (xr, yr), shadow_row in zip(rx, shadow):
         row = []
         for (xt, yt), s in zip(tx, shadow_row):
             dx, dy = xr - xt, yr - yt
-            row.append(pathloss(max(math.sqrt(dx * dx + dy * dy), cfg.min_distance_m)) + s)
+            row.append(pathloss(max(math.sqrt(dx * dx + dy * dy), 1.0)) + s)
         pl.append(row)
     gains = [[10.0 ** ((gain_db - v) / 10.0) for v in row] for row in pl]
     return {

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -8,11 +9,17 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from tinopt import ChannelMatrix, point_in_tin_region, polyhedral_region
+from tinopt import ChannelMatrix, SimConfig, point_in_tin_region, polyhedral_region
 from tinopt.cli import main
 from tinopt.channel_model import EXPONENT_MAX
 from tinopt.region import K_MAX_EXPORT, K_MAX_UNION
-from tinopt.netsim import K_MAX_SIM, RADIUS_MAX_M, RADIUS_MIN_M, SHADOWING_MAX_DB
+from tinopt.netsim import (
+    K_MAX_SIM,
+    RADIUS_MAX_M,
+    RADIUS_MIN_M,
+    SHADOWING_MAX_DB,
+    condition_probability,
+)
 
 #: Golden outputs, written from the full K-by-K exponent matrices.
 DATA = Path(__file__).parent / "data"
@@ -625,3 +632,16 @@ class TestSimulation:
         assert result.exit_code == 0
         doc = json.loads(dump.read_text())
         assert doc["K"] == 2 and "alpha" in doc and "tx" in doc
+
+    def test_every_sim_config_field_is_a_simulate_option(self, runner, monkeypatch):
+        # a SimConfig field that no option sets is a knob without a caller
+        seen = []
+        monkeypatch.setattr("tinopt.cli.condition_probability", lambda cfg, workers: (
+            seen.append(cfg) or condition_probability(cfg, workers)))
+        args = ["simulate", "--users", "2", "--coverage", "50", "--cell-radius", "700",
+                "--trials", "101", "--seed", "5", "--shadowing", "6"]
+        assert runner.invoke(main, args).exit_code == 0
+        want = {"K": 2, "coverage_radius": 50.0, "cell_radius": 700.0, "trials": 101,
+                "master_seed": 5, "shadowing_sigma_db": 6.0}
+        assert {f.name for f in dataclasses.fields(SimConfig)} == set(want)
+        assert seen == [SimConfig(**want)]

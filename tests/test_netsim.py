@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 from pathlib import Path
@@ -18,13 +17,18 @@ from tinopt import (
     sweep,
     sweep_to_csv,
 )
+from tinopt import netsim
 from tinopt.netsim import (
-    ERCEG_TERRAIN,
+    ANTENNA_GAIN_DB,
+    BOUNDARY_SNR_TARGET_DB,
     K_MAX_SIM,
-    PROPAGATION_RANGES,
+    NOISE_FLOOR_DBM,
+    PATHLOSS_SLOPE,
     RADIUS_MAX_M,
     RADIUS_MIN_M,
+    REF_DISTANCE_M,
     SHADOWING_MAX_DB,
+    WAVELENGTH_M,
     _link_distances,
     _wilson_interval,
     transmit_power_dbm,
@@ -43,69 +47,57 @@ def cfg_no_fading(**kw):
 
 class TestErcegPathloss:
     def test_reference_distance_continuity(self):
-        cfg = cfg_no_fading()
-        d0 = cfg.ref_distance_m
-        A = 20 * math.log10(4 * math.pi * d0 / cfg.wavelength_m)
-        assert erceg_pathloss(d0, cfg) == pytest.approx(A, rel=1e-12)
+        d0 = REF_DISTANCE_M
+        A = 20 * math.log10(4 * math.pi * d0 / WAVELENGTH_M)
+        assert erceg_pathloss(d0) == pytest.approx(A, rel=1e-12)
         # approaching from below (free space) meets the same anchor
-        assert erceg_pathloss(d0 - 1e-9, cfg) == pytest.approx(A, abs=1e-6)
+        assert erceg_pathloss(d0 - 1e-9) == pytest.approx(A, abs=1e-6)
 
     def test_monotone_in_distance(self):
-        cfg = cfg_no_fading()
         d = np.linspace(1.0, 5000.0, 400)
-        pl = erceg_pathloss(d, cfg)
+        pl = erceg_pathloss(d)
         assert np.all(np.diff(pl) > 0)
 
     def test_double_reference_distance_slope(self):
-        cfg = cfg_no_fading()
-        d0 = cfg.ref_distance_m
-        expected = erceg_pathloss(d0, cfg) + 10 * cfg.pathloss_slope * math.log10(2)
-        assert erceg_pathloss(2 * d0, cfg) == pytest.approx(expected, rel=1e-12)
+        d0 = REF_DISTANCE_M
+        expected = erceg_pathloss(d0) + 10 * PATHLOSS_SLOPE * math.log10(2)
+        assert erceg_pathloss(2 * d0) == pytest.approx(expected, rel=1e-12)
 
     def test_category_b_slope_value(self):
-        cfg = cfg_no_fading()
-        assert cfg.terrain == "B"
-        assert cfg.pathloss_slope == pytest.approx(4.0 - 0.0065 * 30 + 17.1 / 30)
-
-    def test_other_categories(self):
-        a = cfg_no_fading(terrain="A").pathloss_slope
-        c = cfg_no_fading(terrain="C").pathloss_slope
-        b = cfg_no_fading().pathloss_slope
-        assert a > b > c  # heavier terrain decays faster
+        # terrain B at a 30 m base station: 4.0 - 0.195 + 0.57; 15 cm at 2 GHz
+        assert PATHLOSS_SLOPE == pytest.approx(4.375, rel=1e-12)
+        assert WAVELENGTH_M == pytest.approx(0.149896229, rel=1e-9)
+        assert erceg_pathloss(REF_DISTANCE_M) == pytest.approx(78.4684, abs=1e-4)
 
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError):
-            erceg_pathloss(0.0, cfg_no_fading())
+            erceg_pathloss(0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.0, [1.0, math.nan],
                                      [math.inf, 5.0], np.array([[3.0, 2.0], [math.nan, 1.0]])])
     def test_rejects_nonfinite_distance(self, bad):
         # nan used to come back as nan and inf as inf
         with pytest.raises(ValueError, match="^distance must be positive"):
-            erceg_pathloss(bad, cfg_no_fading())
+            erceg_pathloss(bad)
 
     def test_scalar_array_and_empty_inputs(self):
-        cfg = cfg_no_fading()
         d = np.array([0.5, 99.0, 100.0, 101.0, 4000.0])
-        pl = erceg_pathloss(d, cfg)
-        assert [erceg_pathloss(float(x), cfg) for x in d] == pl.tolist()
-        assert isinstance(erceg_pathloss(50.0, cfg), float)
-        assert erceg_pathloss(np.empty((0, 3)), cfg).shape == (0, 3)
+        pl = erceg_pathloss(d)
+        assert [erceg_pathloss(float(x)) for x in d] == pl.tolist()
+        assert isinstance(erceg_pathloss(50.0), float)
+        assert erceg_pathloss(np.empty((0, 3))).shape == (0, 3)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(K=0, coverage_radius=100.0)
         with pytest.raises(ValueError):
             SimConfig(K=2, coverage_radius=2000.0, cell_radius=1000.0)
-        with pytest.raises(ValueError):
-            SimConfig(K=2, coverage_radius=100.0, terrain="D")
         for bad in (
             dict(shadowing_sigma_db=math.nan),
             dict(shadowing_sigma_db=math.inf),
             dict(shadowing_sigma_db=-1.0),
             dict(cell_radius=math.inf),
             dict(coverage_radius=math.nan),
-            dict(carrier_freq_mhz=math.nan),
             dict(K=K_MAX_SIM + 1),
             dict(cell_radius=1e300),
             dict(coverage_radius=1e200, cell_radius=1e200),
@@ -120,6 +112,8 @@ class TestErcegPathloss:
         SimConfig(K=K_MAX_SIM, coverage_radius=100.0, shadowing_sigma_db=0.0)
         SimConfig(K=np.int64(3), coverage_radius=100.0, trials=np.int32(100),
                   master_seed=np.uint64(2**63))
+        SimConfig(K=3, coverage_radius=np.float64(100.0), cell_radius=np.int64(1000),
+                  shadowing_sigma_db=np.float32(8.0))
         widest = SimConfig(K=3, coverage_radius=RADIUS_MAX_M, cell_radius=RADIUS_MAX_M,
                            shadowing_sigma_db=SHADOWING_MAX_DB, trials=100)
         condition_probability(widest)  # no overflow warning (they are errors here)
@@ -128,23 +122,6 @@ class TestErcegPathloss:
         corner = SimConfig(K=3, coverage_radius=RADIUS_MIN_M, cell_radius=RADIUS_MAX_M,
                            shadowing_sigma_db=SHADOWING_MAX_DB, trials=100)
         condition_probability(corner)
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("boundary_snr_target_db", 4000.0),  # overflowed the gains
-            ("carrier_freq_mhz", -1.0),  # math domain error
-            ("ref_distance_m", 0.0),  # math domain error
-            ("bs_height_m", 1e-300),  # every gain underflowed to 0
-            ("min_distance_m", -5.0),  # accepted silently
-            ("antenna_gain_db", 5000.0),
-            ("noise_floor_dbm", math.nan),
-            ("carrier_freq_mhz", math.inf),
-        ],
-    )
-    def test_propagation_constant_out_of_range_names_it(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be between"):
-            SimConfig(K=3, coverage_radius=100.0, trials=100, **{field: value})
 
     @pytest.mark.parametrize(
         "field,value",
@@ -166,19 +143,26 @@ class TestErcegPathloss:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             SimConfig(**{**base, field: value})
 
-    @pytest.mark.parametrize("terrain", sorted(ERCEG_TERRAIN))
-    def test_propagation_range_corners_keep_gains_finite(self, terrain):
-        # every corner of the ranges that moves a gain, at the widest radii
-        # and shadowing: no overflow or underflow warning (errors here), and
-        # no gain rounds to 0, which the positivity check would refuse
-        names = ("carrier_freq_mhz", "boundary_snr_target_db", "bs_height_m",
-                 "ref_distance_m", "min_distance_m")
-        for corner in itertools.product(*(PROPAGATION_RANGES[n] for n in names)):
-            for radii in ((RADIUS_MIN_M, RADIUS_MAX_M), (RADIUS_MAX_M, RADIUS_MAX_M)):
-                cfg = SimConfig(K=2, coverage_radius=radii[0], cell_radius=radii[1], trials=100,
-                                shadowing_sigma_db=SHADOWING_MAX_DB, terrain=terrain,
-                                **dict(zip(names, corner)))
-                condition_probability(cfg)
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("coverage_radius", True),  # accepted as a 1 m radius
+            ("coverage_radius", "50"),  # TypeError: '<=' not supported
+            ("coverage_radius", None),
+            ("cell_radius", [1000.0]),
+            ("cell_radius", np.bool_(True)),
+            ("shadowing_sigma_db", True),  # accepted as a 1 dB spread
+            ("shadowing_sigma_db", "8"),
+            ("shadowing_sigma_db", 8j),
+        ],
+    )
+    def test_non_real_radius_or_spread_names_it(self, field, value):
+        base = {"K": 3, "coverage_radius": 100.0, "trials": 100}
+        with pytest.raises(ValueError, match=f"^{field} must be (None or )?a real number"):
+            SimConfig(**{**base, field: value})
+        if field == "coverage_radius":  # sweep ran float(radius): True ran a 1 m radius
+            with pytest.raises(ValueError, match="^coverage_radius must be a real number"):
+                sweep(SimConfig(**base), [2], [value])
 
 
 class TestSampleNetwork:
@@ -218,10 +202,8 @@ class TestSampleNetwork:
         # median SNR at exactly the coverage radius equals the 0 dB target
         cfg = cfg_no_fading()
         ptx = transmit_power_dbm(cfg)
-        snr_db = ptx + cfg.antenna_gain_db - erceg_pathloss(
-            cfg.coverage_radius, cfg
-        ) - cfg.noise_floor_dbm
-        assert snr_db == pytest.approx(cfg.boundary_snr_target_db, abs=1e-9)
+        snr_db = ptx + ANTENNA_GAIN_DB - erceg_pathloss(cfg.coverage_radius) - NOISE_FLOOR_DBM
+        assert snr_db == pytest.approx(BOUNDARY_SNR_TARGET_DB, abs=1e-9)
 
     def test_clipping_and_exponent_range(self):
         cfg = SimConfig(K=8, coverage_radius=300.0, trials=100, master_seed=3)
@@ -282,6 +264,32 @@ class TestConditionProbability:
         a = condition_probability(cfg, workers=1)
         b = condition_probability(cfg, workers=4)
         assert a == b
+        assert condition_probability(cfg, workers=np.int64(2)) == a
+
+    @pytest.mark.parametrize(
+        "workers,message",
+        [
+            (True, "an integer"),  # accepted as 1
+            (1.5, "an integer"),  # accepted
+            (2.0, "an integer"),
+            ("2", "an integer"),  # TypeError: '<' not supported
+            (None, "an integer"),
+            (0, ">= 1"),
+            (np.int64(-3), ">= 1"),
+        ],
+    )
+    def test_bad_workers_refused_before_any_trial(self, monkeypatch, workers, message):
+        cfg = SimConfig(K=3, coverage_radius=100.0, trials=100)
+
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(netsim, "_sample_links", no_trials)
+        with pytest.raises(ValueError, match=f"^workers must be {message}"):
+            condition_probability(cfg, workers=workers)
+        for K_values in ([2, 3], []):  # an empty grid used to return [] unchecked
+            with pytest.raises(ValueError, match=f"^workers must be {message}"):
+                sweep(cfg, K_values, [100.0], workers=workers)
 
     @pytest.mark.parametrize("K", [2.5, True, 3.0, "3"])
     def test_sweep_passes_K_unchanged(self, K):
@@ -290,6 +298,7 @@ class TestConditionProbability:
         with pytest.raises(ValueError, match="^K must be an integer"):
             sweep(cfg, [K], [100.0])
         assert sweep(cfg, [np.int64(2)], [100.0])[0].K == 2
+        assert sweep(cfg, [2], [100]) == sweep(cfg, [2], [100.0])
 
     def test_sweep_csv_stable_bytes(self):
         cfg = SimConfig(K=3, coverage_radius=100.0, trials=120, master_seed=5)
@@ -302,8 +311,8 @@ class TestConditionProbability:
 
 
 class TestLayoutOracle:
-    # Coverage radii below, at and above the 100 m reference distance, and
-    # a minimum distance that clamps many own links.
+    # Coverage radii below, at and above the 100 m reference distance; at
+    # 1 mm coverage the 1 m minimum distance clamps every own link.
     @pytest.mark.parametrize(
         "K,coverage,shadowing,seed,extra",
         [
@@ -311,9 +320,9 @@ class TestLayoutOracle:
             (2, 1e-3, 100.0, -1, {}),
             (3, 50.0, 8.0, 2**63, {}),
             (6, 100.0, 0.0, 7, {}),
-            (6, 99.5, 8.0, 2**80, {"terrain": "A", "ref_distance_m": 1e4}),
-            (9, 250.0, 8.0, 3, {"terrain": "C", "min_distance_m": 200.0}),
-            (12, 1000.0, None, 11, {"carrier_freq_mhz": 1.0, "cell_radius": 5000.0}),
+            (6, 99.5, 8.0, 2**80, {}),
+            (9, 250.0, 8.0, 3, {"cell_radius": 250.0}),
+            (12, 1000.0, None, 11, {"cell_radius": 5000.0}),
         ],
     )
     def test_sample_network_matches_oracle(self, K, coverage, shadowing, seed, extra):
