@@ -31,6 +31,7 @@ import numpy as np
 from .channel_model import (
     ChannelMatrix,
     PowerExponents,
+    _check_power,
     _check_r,
     _is_integer,
     check_tin_condition,
@@ -60,8 +61,7 @@ class FiniteSnrChannel:
     power: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.power) and self.power > 1):
-            raise ValueError(f"nominal power must be finite and exceed 1, got {self.power}")
+        _check_power(self.power, "nominal power")
 
     @property
     def K(self) -> int:
@@ -174,13 +174,11 @@ def gdof_limit_checks(alpha: ChannelMatrix, cycle, powers) -> LimitReport:
     rounding alone, still count as monotone.
     """
     seq = _smallest_first(_cycle_users(cycle, alpha.K))
-    P_list = [float(p) for p in powers]
+    P_list = [_check_power(p, "powers") for p in powers]
     if not P_list:
         raise ValueError("powers must not be empty")
-    if any(p <= 1 for p in P_list) or any(
-        P_list[i] >= P_list[i + 1] for i in range(len(P_list) - 1)
-    ):
-        raise ValueError("powers must be increasing and exceed 1")
+    if any(P_list[i] >= P_list[i + 1] for i in range(len(P_list) - 1)):
+        raise ValueError("powers must be increasing")
     quantities = [_quantities(FiniteSnrChannel(alpha, P), seq) for P in P_list]
     if not check_tin_condition(alpha).overall:  # a verdict, after the input is known valid
         raise ConditionNotMetError("limit identities require the optimality condition")
@@ -212,23 +210,19 @@ def gdof_limit_checks(alpha: ChannelMatrix, cycle, powers) -> LimitReport:
     )
 
 
-def tin_rates(ch: FiniteSnrChannel, r: PowerExponents) -> np.ndarray:
+def tin_rates(ch: FiniteSnrChannel, r) -> np.ndarray:
     """Exact Shannon rates of TIN at power exponents ``r`` (bits per use).
 
-    Silent users transmit nothing: zero rate, zero interference.  Each
-    user's noise-plus-interference exponent is one ``logaddexp2`` reduction
-    over a row that starts at 0 (the noise), with silent transmitters and
-    the user's own signal at ``-inf``.
+    ``r`` as in :func:`channel_model.tin_gdof`; SILENT is exponent ``-inf``:
+    zero rate, zero interference.  Each user's noise-plus-interference
+    exponent is one ``logaddexp2`` reduction over a row that starts at 0
+    (the noise), with the user's own signal at ``-inf``.
     """
-    _check_r(ch.channel, r)
-    L = ch.log2P
-    silent = ~r.finite_mask
-    e = (ch.channel.alpha + np.where(silent, 0.0, r.finite_array())) * L
+    e = (ch.channel.alpha + _check_r(ch.channel, r)) * ch.log2P
     sig = np.diag(e).copy()
-    e[:, silent] = -np.inf
     np.fill_diagonal(e, -np.inf)
     den = np.logaddexp2.reduce(np.hstack([np.zeros((ch.K, 1)), e]), axis=1)
-    return np.where(silent, 0.0, np.logaddexp2(0.0, sig - den))
+    return np.logaddexp2(0.0, sig - den)
 
 
 @dataclass(frozen=True)

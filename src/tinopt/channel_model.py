@@ -6,7 +6,8 @@ transmitter ``j`` to receiver ``i``, on the scale where the direct link of
 a reference user at nominal power ``P`` has exponent 1.  Transmit powers
 are expressed the same way, as per-user exponents ``r_i <= 0`` (power
 ``P**r_i``), with a dedicated ``SILENT`` sentinel for a switched-off
-transmitter.
+transmitter, whose exponent is ``-inf`` in the rate formulas.  Exponents,
+nominal powers and power allocations each have one check here.
 """
 
 from __future__ import annotations
@@ -55,13 +56,27 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_exponents(a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
-        raise ValueError("alpha entries must be finite")
-    if (a < 0).any():
-        raise ValueError("alpha entries must be nonnegative")
-    if (a > EXPONENT_MAX).any():
-        raise ValueError(f"alpha entries must be at most {EXPONENT_MAX:g}")
+def _check_exponents(a: np.ndarray, name: str = "alpha") -> None:
+    """The one check of strength exponents and GDoF targets: in ``[0, EXPONENT_MAX]``, not NaN."""
+    if not ((a >= 0) & (a <= EXPONENT_MAX)).all():  # NaN fails both
+        raise ValueError(f"{name} must be nonnegative, finite and at most {EXPONENT_MAX:g}")
+
+
+def _exponent_vector(values, K: int, name: str) -> np.ndarray:
+    """``values`` as a float vector of ``K`` entries that :func:`_check_exponents` accepts."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (K,):
+        raise ValueError(f"{name} needs {K} entries, got {len(v) if v.ndim == 1 else v.shape}")
+    _check_exponents(v, name)
+    return v
+
+
+def _check_power(P, name: str) -> float:
+    """A nominal power as a float; ``ValueError`` unless it is finite and above 1."""
+    x = float(P)
+    if not (math.isfinite(x) and x > 1):
+        raise ValueError(f"{name} must be finite and exceed 1, got {P}")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,18 +184,9 @@ class PowerExponents:
         return self.values[i] is SILENT
 
     @property
-    def finite_mask(self) -> np.ndarray:
-        return np.array([v is not SILENT for v in self.values], dtype=bool)
-
-    @property
-    def all_finite(self) -> bool:
-        return bool(self.finite_mask.all())
-
-    def finite_array(self) -> np.ndarray:
-        """Finite entries with silent slots filled by NaN (callers must mask)."""
-        return np.array(
-            [np.nan if v is SILENT else v for v in self.values], dtype=float
-        )
+    def exponents(self) -> np.ndarray:
+        """The entries as floats, ``-inf`` for SILENT: power ``P**-inf = 0``."""
+        return np.array([-math.inf if v is SILENT else v for v in self.values])
 
     def to_jsonable(self) -> list:
         return [None if v is SILENT else float(v) for v in self.values]
@@ -207,44 +213,43 @@ class ConditionReport:
         }
 
 
-def _check_r(alpha: ChannelMatrix, r: PowerExponents) -> None:
+def _check_r(alpha: ChannelMatrix, r) -> np.ndarray:
+    """The :attr:`PowerExponents.exponents` of ``r`` (floats <= 0 and SILENT), one per user."""
+    r = PowerExponents(r)
     if len(r) != alpha.K:
         raise ValueError(f"r has length {len(r)}, channel has K={alpha.K}")
+    return r.exponents
 
 
-def _interference(a: np.ndarray, rv: np.ndarray, heard: np.ndarray) -> np.ndarray:
-    """Per receiver ``i``: ``max(0, max_{j != i, heard[j]} (a_ij + r_j))``."""
-    K = len(rv)
-    cross = np.where(heard & ~np.eye(K, dtype=bool), a + rv, -np.inf)
+def _interference(a: np.ndarray, rv: np.ndarray) -> np.ndarray:
+    """Per receiver ``i``: ``max(0, max_{j != i} (a_ij + r_j))``; a silent ``r_j = -inf`` adds nothing."""
+    cross = np.where(np.eye(len(rv), dtype=bool), -np.inf, a + rv)
     return np.maximum(cross.max(axis=1, initial=-np.inf), 0.0)
 
 
-def tin_gdof(alpha: ChannelMatrix, r: PowerExponents) -> np.ndarray:
+def tin_gdof(alpha: ChannelMatrix, r) -> np.ndarray:
     """GDoF achieved per user by treating interference as noise at power ``P**r``.
 
-    d_i = max(0, a_ii + r_i - max(0, max_{j != i}(a_ij + r_j))); a silent
-    user gets 0 and contributes no interference.  Output entries are >= 0.
+    d_i = max(0, a_ii + r_i - max(0, max_{j != i}(a_ij + r_j))), SILENT read
+    as ``r_i = -inf``: 0 and no interference.  ``r`` is a :class:`PowerExponents`
+    or a sequence of floats <= 0 and SILENT.  Output entries are >= 0.
     """
-    _check_r(alpha, r)
     a = alpha.alpha
-    active = r.finite_mask
-    rv = r.finite_array()
-    d = np.maximum(np.diag(a) + rv - _interference(a, rv, active), 0.0)
-    return np.where(active, d, 0.0)
+    rv = _check_r(alpha, r)
+    return np.maximum(np.diag(a) + rv - _interference(a, rv), 0.0)
 
 
-def polyhedral_tin_gdof(alpha: ChannelMatrix, r: PowerExponents) -> np.ndarray:
+def polyhedral_tin_gdof(alpha: ChannelMatrix, r) -> np.ndarray:
     """Relaxed per-user GDoF without the clamp at zero; entries may be negative.
 
     Requires every power exponent finite: the relaxation has no notion of a
     silent user.  Componentwise never exceeds :func:`tin_gdof`.
     """
-    _check_r(alpha, r)
-    if not r.all_finite:
-        raise ValueError("relaxed GDoF is undefined for SILENT entries")
     a = alpha.alpha
-    rv = r.finite_array()
-    return np.diag(a) + rv - _interference(a, rv, r.finite_mask)
+    rv = _check_r(alpha, r)
+    if np.isneginf(rv).any():
+        raise ValueError("relaxed GDoF is undefined for SILENT entries")
+    return np.diag(a) + rv - _interference(a, rv)
 
 
 def condition_extremes(values: np.ndarray, floor: float) -> np.ndarray:
@@ -315,13 +320,12 @@ def from_link_budget(
     Args:
         snr: length-K positive linear SNRs (direct links).
         inr: K-by-K positive linear INRs (cross links; diagonal ignored).
-        nominal_P: reference power, must exceed 1.
+        nominal_P: reference power, finite and above 1.
 
     Returns:
         ChannelMatrix with ``alpha = log(clipped value) / log(nominal_P)``.
     """
-    if not (nominal_P > 1):
-        raise ValueError(f"nominal_P must exceed 1, got {nominal_P}")
+    nominal_P = _check_power(nominal_P, "nominal_P")
     s = np.array(snr, dtype=float)
     x = np.array(inr, dtype=float)
     K = s.shape[0]

@@ -26,8 +26,8 @@ from .capacity_gap import (
     gdof_limit_checks,
 )
 from .channel_model import (
-    EXPONENT_MAX,
     ChannelMatrix,
+    _exponent_vector,
     check_tin_condition,
     load_channel,
     polyhedral_tin_gdof,
@@ -104,18 +104,8 @@ def _parse_list(text: str, conv, name: str) -> list:
 
 
 def _parse_vector(text: str, K: int, name: str) -> np.ndarray:
-    """K finite numbers in ``[0, EXPONENT_MAX]``, or a one-line error and exit 2."""
-    vals = _parse_list(text, float, name)
-    if len(vals) != K:
-        _fail(f"{name} needs {K} entries, got {len(vals)}")
-    v = np.array(vals)
-    if not np.all(np.isfinite(v)):
-        _fail(f"{name} entries must be finite")
-    if np.any(v < 0):
-        _fail(f"{name} entries must be nonnegative")
-    if np.any(v > EXPONENT_MAX):
-        _fail(f"{name} entries must be at most {EXPONENT_MAX:g}")
-    return v
+    """K comma-separated exponents (``channel_model._exponent_vector``); else exit 2."""
+    return _exponent_vector(_parse_list(text, float, name), K, name)
 
 
 class _Main(click.Group):

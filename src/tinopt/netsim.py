@@ -21,7 +21,7 @@ one more for each link below the reference distance.  Each layout's
 gains are reduced to the three extremes per user that the condition
 reads before any logarithm is taken, so every estimate has the same
 bytes as one computed a trial at a time from full exponent matrices.
-Simulations take at most ``K_MAX_SIM`` users.
+Simulations take at most ``K_MAX_SIM`` users and ``LINKS_MAX_SIM`` links.
 """
 
 from __future__ import annotations
@@ -65,6 +65,11 @@ ANTENNA_GAIN_DB = 0.0
 #: K=2000 that grows to 0.26 s and 96 MB per trial (README, "Cellular
 #: Monte-Carlo").
 K_MAX_SIM = 1000
+
+#: Largest link count (trials * K * K) a simulation accepts: the default 1000
+#: trials at ``K_MAX_SIM``, about a minute.  The longest run it admits is 1e9
+#: trials at K=1, about 7 hours (README, "Cellular Monte-Carlo").
+LINKS_MAX_SIM = 10**9
 
 #: Largest coverage or cell radius a simulation accepts [m].  Distances stay
 #: below 3e6 m, so squared distances and path losses (at most about 275 dB)
@@ -142,6 +147,9 @@ class SimConfig:
             raise ValueError("K must be >= 1")
         if self.K > K_MAX_SIM:
             raise ValueError(f"K must be at most {K_MAX_SIM}, got {self.K}")
+        links = int(self.trials) * int(self.K) ** 2
+        if links > LINKS_MAX_SIM:
+            raise ValueError(f"trials * K * K must be at most {LINKS_MAX_SIM:g}, got {links}")
 
 
 def erceg_pathloss(distance_m):

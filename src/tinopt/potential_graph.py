@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import EPS_CONDITION, EXPONENT_MAX, ChannelMatrix, PowerExponents, _is_integer
+from .channel_model import (EPS_CONDITION, EXPONENT_MAX, ChannelMatrix, PowerExponents,
+                            _exponent_vector, _is_integer)
 
 #: A directed circuit whose length is within this band below zero is treated
 #: as nonnegative: boundary points of the region are legitimate members and
@@ -286,7 +287,4 @@ def recover_power_allocation(alpha: ChannelMatrix, d) -> MembershipCertificate:
     On success the returned exponents satisfy componentwise
     ``polyhedral_tin_gdof(alpha, r) >= d`` up to :data:`EPS_LENGTH`.
     """
-    dv = np.asarray(d, dtype=float)
-    if np.any(dv < 0):
-        raise ValueError("GDoF targets must be nonnegative")
-    return decide_membership(build_graph(alpha, dv))
+    return decide_membership(build_graph(alpha, _exponent_vector(d, alpha.K, "d")))

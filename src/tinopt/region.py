@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channel_model import EXPONENT_MAX, SILENT, ChannelMatrix, PowerExponents, _is_integer
+from .channel_model import SILENT, ChannelMatrix, PowerExponents, _exponent_vector, _is_integer
 from .potential_graph import (
     EPS_LENGTH,
     MembershipCertificate,
@@ -541,11 +541,7 @@ def max_weighted_gdof(poly: Polyhedron, weights) -> tuple:
     Raises :class:`EmptyPolyhedronError` when the region is empty and
     :class:`UncertifiedPointError` when the point fails its re-check.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (poly.K,):
-        raise ValueError(f"weights must have length {poly.K}")
-    if not np.all((w >= 0) & (w <= EXPONENT_MAX)):  # NaN fails both
-        raise ValueError(f"weights must be nonnegative, finite and at most {EXPONENT_MAX:g}")
+    w = _exponent_vector(weights, poly.K, "weights")
     F = poly._paths
     if F is None:
         raise EmptyPolyhedronError("region is empty")
@@ -696,11 +692,7 @@ def point_in_tin_region(alpha: ChannelMatrix, d) -> TinMembership:
     set to zero only removes cycle constraints, so membership in any
     smaller-support component implies membership in the zero-set component.
     """
-    dv = np.asarray(d, dtype=float)
-    if dv.shape != (alpha.K,):
-        raise ValueError(f"d has shape {dv.shape}, expected ({alpha.K},)")
-    if np.any(dv < 0):
-        raise ValueError("GDoF entries must be nonnegative")
+    dv = _exponent_vector(d, alpha.K, "d")
     Z = frozenset(i for i in range(alpha.K) if dv[i] <= EPS_LENGTH)
     cert = _membership(Polyhedron(channel=alpha, silent=Z), dv)
     return TinMembership(cert.feasible, Z, cert)
@@ -747,4 +739,4 @@ def polyhedron_vertices(poly: Polyhedron) -> np.ndarray:
         full[list(active)] = x
         verts.append(full)
     verts.sort(key=lambda v: tuple(v))
-    return np.array(verts)
+    return np.array(verts).reshape(-1, poly.K)  # (0, K) for an empty region

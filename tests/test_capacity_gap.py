@@ -183,6 +183,13 @@ class TestGdofLimits:
         with pytest.raises(ValueError):
             gdof_limit_checks(ch, (0, 1), [1e4, 1e2])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 1.0, -math.inf])
+    def test_each_power_checked(self, bad):
+        # an infinite power passed the old check and was refused as a "nominal power"
+        ch = ChannelMatrix(np.diag([1.0, 1.0]))
+        with pytest.raises(ValueError, match="^powers must be finite and exceed 1"):
+            gdof_limit_checks(ch, (0, 1), [1e2, bad])
+
     def test_collapse_identity_under_condition(self):
         # max{0, cross-out, direct - cross-in} equals direct - cross-in
         rng = np.random.default_rng(73)
@@ -222,6 +229,14 @@ class TestTinRates:
             rates = tin_rates(FiniteSnrChannel(ChannelMatrix(alpha), P),
                               PowerExponents([SILENT if x is None else x for x in r]))
             assert rates.tolist() == oracle_tin_rates(alpha, P, r).tolist()
+    def test_plain_list_same_bytes_as_power_exponents(self):
+        # a list ended in AttributeError: 'list' object has no attribute 'finite_mask'
+        rng = np.random.default_rng(31)
+        for K in (1, 2, 4, 8):
+            ch = FiniteSnrChannel(ChannelMatrix(random_channel(rng, K)), 1e4)
+            r = [SILENT if rng.random() < 0.3 else float(-rng.uniform(0, 1)) for _ in range(K)]
+            assert tin_rates(ch, r).tobytes() == tin_rates(ch, PowerExponents(r)).tobytes()
+
 
     def test_lower_bound_from_recovered_powers(self):
         rng = np.random.default_rng(79)

@@ -149,6 +149,23 @@ class TestTinGdof:
             r = PowerExponents(-rng.uniform(0, 3, K))
             assert np.all(tin_gdof(ch, r) >= 0)
 
+    def test_plain_list_same_bytes_as_power_exponents(self):
+        # a list ended in AttributeError: 'list' object has no attribute 'finite_mask'
+        rng = np.random.default_rng(43)
+        for K in (1, 2, 3, 5, 10):
+            ch = ChannelMatrix(random_channel(rng, K))
+            r = [float(x) for x in -rng.uniform(0, 2, K)]
+            with_silent = [SILENT if s else x for s, x in zip(rng.random(K) < 0.3, r)]
+            for values in (with_silent, r, tuple(r)):
+                assert tin_gdof(ch, values).tobytes() == \
+                    tin_gdof(ch, PowerExponents(values)).tobytes()
+            assert polyhedral_tin_gdof(ch, r).tobytes() == \
+                polyhedral_tin_gdof(ch, PowerExponents(r)).tobytes()
+            with pytest.raises(ValueError, match="SILENT"):
+                polyhedral_tin_gdof(ch, r[:-1] + [SILENT])
+            with pytest.raises(ValueError, match="must be <= 0"):
+                tin_gdof(ch, [0.5] + r[1:])
+
 
 class TestPolyhedralGdof:
     def test_single_user_negative_allowed(self):
@@ -288,6 +305,12 @@ class TestFromLinkBudget:
             from_link_budget([1.0, 1.0], [[1.0, -2.0], [1.0, 1.0]], 10.0)
         with pytest.raises(ValueError, match="finite"):
             from_link_budget([1.0, 1.0], [[1.0, math.nan], [1.0, 1.0]], 10.0)
+
+    @pytest.mark.parametrize("P", [math.inf, math.nan])
+    def test_non_finite_power_refused(self, P):
+        # an infinite power gave an all-zero channel
+        with pytest.raises(ValueError, match="^nominal_P must be finite and exceed 1"):
+            from_link_budget([10.0, 10.0], [[1.0, 2.0], [2.0, 1.0]], P)
 
 
 def reduced_margins(gains, nominal_P):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import warnings
@@ -383,6 +384,13 @@ class TestMonteCarloContract:
         args = [command] + [x for kv in opts.items() for x in kv]
         assert_usage_error(CliRunner(), args)
 
+    def test_trial_count_bounded_before_any_trial(self, runner, monkeypatch):
+        monkeypatch.setattr("tinopt.netsim._sample_links", lambda *args: pytest.fail("a trial ran"))
+        for command in ("simulate", "sweep"):
+            args = [command, "--users", str(K_MAX_SIM), "--coverage", "100", "--trials", "1001"]
+            assert_usage_error(runner, args)
+            assert "trials * K * K must be at most" in runner.invoke(main, args).output
+
     def test_tiny_coverage_names_the_field(self, runner):
         args = ["simulate", "--users", "3", "--coverage", "1e-300", "--trials", "100"]
         assert_usage_error(runner, args)
@@ -645,3 +653,26 @@ class TestSimulation:
                 "master_seed": 5, "shadowing_sigma_db": 6.0}
         assert {f.name for f in dataclasses.fields(SimConfig)} == set(want)
         assert seen == [SimConfig(**want)]
+
+
+class TestCliBytes:
+    """Stdout and exit codes of the channel subcommands, recorded before the exponent, power
+    and power-allocation checks were merged into one helper each: seeded K 1-5 channels
+    (under the condition, random, sparse), points inside, outside and on the boundary, and
+    malformed vectors, powers, cycles, silent sets and channels, whose exit codes alone are
+    recorded."""
+
+    FIXTURE = json.loads((DATA / "cli_bytes.json").read_text())
+
+    @pytest.mark.parametrize("doc", FIXTURE["channels"],
+                             ids=lambda d: f"K{len(d['channel']['alpha'])}")
+    def test_stdout_and_exit_codes(self, runner, tmp_path, doc):
+        with runner.isolated_filesystem(temp_dir=tmp_path):  # gap-check prints the path
+            Path("ch.json").write_text(json.dumps(doc["channel"]))
+            results = [(args, exit_code, digest, runner.invoke(main, args))
+                       for args, exit_code, *digest in doc["cases"]]
+        for args, exit_code, digest, result in results:
+            assert result.exit_code == exit_code, (args, result.output)
+            if digest:
+                assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest[0], \
+                    (args, result.stdout)

@@ -22,6 +22,7 @@ from tinopt.netsim import (
     ANTENNA_GAIN_DB,
     BOUNDARY_SNR_TARGET_DB,
     K_MAX_SIM,
+    LINKS_MAX_SIM,
     NOISE_FLOOR_DBM,
     PATHLOSS_SLOPE,
     RADIUS_MAX_M,
@@ -265,6 +266,20 @@ class TestConditionProbability:
         b = condition_probability(cfg, workers=4)
         assert a == b
         assert condition_probability(cfg, workers=np.int64(2)) == a
+
+    def test_trials_bounded_before_any_trial(self, monkeypatch):
+        # trials had no upper bound: 10**15 trials at K=1000 were accepted
+        SimConfig(K=K_MAX_SIM, coverage_radius=100.0, trials=LINKS_MAX_SIM // K_MAX_SIM**2)
+        SimConfig(K=1, coverage_radius=100.0, trials=LINKS_MAX_SIM)
+        monkeypatch.setattr(netsim, "_sample_links", lambda *args: pytest.fail("a trial ran"))
+        for K, trials in [(K_MAX_SIM, 10**15), (K_MAX_SIM, np.int64(10**15)),
+                          (K_MAX_SIM, LINKS_MAX_SIM // K_MAX_SIM**2 + 1), (1, LINKS_MAX_SIM + 1),
+                          (10, 10**7 + 1)]:
+            with pytest.raises(ValueError, match=r"^trials \* K \* K must be at most 1e\+09"):
+                SimConfig(K=K, coverage_radius=100.0, trials=trials)
+        cfg = SimConfig(K=2, coverage_radius=100.0, trials=10**8)
+        with pytest.raises(ValueError, match=r"^trials \* K \* K"):
+            sweep(cfg, [2, 4], [100.0])  # 4e8 and 1.6e9 links
 
     @pytest.mark.parametrize(
         "workers,message",

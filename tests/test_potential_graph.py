@@ -6,6 +6,7 @@ from tinopt import (
     ChannelMatrix,
     build_graph,
     decide_membership,
+    max_weighted_gdof,
     point_in_tin_region,
     polyhedral_region,
     polyhedral_tin_gdof,
@@ -103,6 +104,22 @@ class TestExponentCeiling:
         ChannelMatrix(np.array([[EXPONENT_MAX, 0.0], [EXPONENT_MAX, 0.0]]))
         with pytest.raises(ValueError, match="at most 1e\\+150"):
             ChannelMatrix(np.array([[0.0, 1e308], [1e308, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, np.inf, 2 * EXPONENT_MAX])
+    def test_one_exponent_message_everywhere(self, ex2, bad):
+        # four checks had four wordings, and NaN passed the sign test
+        d = [0.1, bad, 0.1]
+        message = "must be nonnegative, finite and at most 1e\\+150$"
+        with pytest.raises(ValueError, match="^alpha " + message):
+            ChannelMatrix(np.diag(d))
+        for call in (point_in_tin_region, recover_power_allocation):
+            with pytest.raises(ValueError, match="^d " + message):
+                call(ex2, d)
+        with pytest.raises(ValueError, match="^weights " + message):
+            max_weighted_gdof(polyhedral_region(ex2), d)
+        for call in (point_in_tin_region, recover_power_allocation):
+            with pytest.raises(ValueError, match="^d needs 3 entries, got 2$"):
+                call(ex2, d[:2])
 
 
 class TestDecideMembership:

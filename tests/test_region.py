@@ -612,3 +612,8 @@ class TestVertices:
         ch = ChannelMatrix(np.eye(5))
         with pytest.raises(ValueError):
             polyhedron_vertices(polyhedral_region(ch))
+
+    def test_empty_region_has_K_columns(self):
+        # the cycle right-hand side is -2, so no point is a member; the shape was (0,)
+        poly = polyhedral_region(ChannelMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
+        assert polyhedron_vertices(poly).shape == (0, 2)
