@@ -10,8 +10,13 @@ reduced to a strength-exponent matrix on which the per-user optimality
 condition is evaluated.  The model's constants are module constants;
 ``SimConfig`` holds only what a caller sets.
 
-Every trial derives its own RNG stream from (master_seed, trial_index),
-so estimates are bit-reproducible.  ``condition_probability`` draws a
+Every trial draws from its own RNG stream, bit for bit the stream of
+``default_rng([master_seed mod 2**64, trial_index])``, so estimates are
+bit-reproducible.  That stream's PCG64 state is derived in closed form
+from numpy's ``SeedSequence`` and PCG64 seeding arithmetic, a block of
+trials at a time, and set on one ``Generator`` per call, so no trial
+builds a generator of its own (``tests/test_netsim.py::TestTrialStreams``
+fails if numpy ever seeds differently).  ``condition_probability`` draws a
 batch of trials (at most 4096 link entries, trials * K * K) one stream
 after another, then computes geometry, path loss and gains on
 ``(trials, K, K)`` arrays, the largest it builds, with the same
@@ -26,6 +31,7 @@ Simulations take at most ``K_MAX_SIM`` users and ``LINKS_MAX_SIM`` links.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -68,7 +74,8 @@ K_MAX_SIM = 1000
 
 #: Largest link count (trials * K * K) a simulation accepts: the default 1000
 #: trials at ``K_MAX_SIM``, about a minute.  The longest run it admits is 1e9
-#: trials at K=1, about 7 hours (README, "Cellular Monte-Carlo").
+#: trials at K=1, about 2.5 hours at 9 us per trial (README, "Cellular
+#: Monte-Carlo").
 LINKS_MAX_SIM = 10**9
 
 #: Largest coverage or cell radius a simulation accepts [m].  Distances stay
@@ -95,6 +102,23 @@ SHADOWING_MAX_DB = 100.0
 #: kilobytes; large enough that per-call overhead is shared by tens of trials
 #: at K=10.
 _BATCH_LINKS = 4096
+
+#: Trials whose stream states are derived together, in one vectorized pass of
+#: about 0.3 ms (at most 1024 states held at once, whatever the trial count).
+#: Blocks are independent of the link batches, which hold one trial each
+#: from K=65 up.
+_STREAM_BLOCK = 1024
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+# and PCG64's 128-bit multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
 
 def _is_real(value) -> bool:
     """An int, float or numpy real; ``bool`` is refused although it subclasses ``int``."""
@@ -242,22 +266,113 @@ def _link_distances(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
-def _sample_links(cfg: SimConfig, trials: Sequence[int], power_dbm: float) -> _Links:
-    """The layouts of the given trials, each from its own stream.
+def _uint32_words(n: int) -> list:
+    """A nonnegative int as ``SeedSequence`` reads it: 32-bit words, lowest first; 0 is ``[0]``."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
 
-    Trial ``t`` draws from ``default_rng([master_seed mod 2**64, t])``, in
-    this order: K radii and K angles for the transmitters, the same for
-    the receiver offsets, then the K-by-K shadowing normals.  Everything
+
+def _hasher(const: int, mult: int):
+    """``SeedSequence``'s ``hashmix``, with its running hash constant starting at ``const``."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * mult) & _MASK32
+        value = (value * const) & _MASK32
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _generate_state(entropy: list) -> list:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` in closed form.
+
+    ``entropy`` is the list of 32-bit words ``SeedSequence`` assembles from
+    its seed.  Each word is a Python int or a ``uint64`` array, and so is
+    each of the four words returned.  Every product and difference is
+    masked to 32 bits at once: a product of two words stays below 2**64,
+    and a ``uint64`` difference that wrapped masks to the same word as a
+    Python int's, so the same arithmetic serves both, and a block of
+    trials whose words are arrays takes one pass.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    # A pool word with no entropy word mixes 0, as SeedSequence pads it.
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashout = _hasher(_INIT_B, _MULT_B)
+    out = [hashout(pool[i % 4]) for i in range(8)]
+    return [out[2 * k] | (out[2 * k + 1] << 32) for k in range(4)]
+
+
+def _stream_state(words) -> dict:
+    """The state of ``PCG64`` seeded with the four words of :func:`_generate_state`.
+
+    The first two words are the 128-bit ``initstate`` and the last two
+    ``initseq``, high word first; PCG64's seeding sets
+    ``inc = (initseq << 1) | 1`` and steps from 0, adds ``initstate`` and
+    steps again.  ``has_uint32`` and ``uinteger`` are reset, so no buffered
+    half of an earlier stream's 64-bit draw carries over.
+    """
+    w0, w1, w2, w3 = words
+    inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
+    state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _trial_streams(master_seed: int, trials: range):
+    """The stream state of each trial in ``trials``, in order, ``_STREAM_BLOCK`` derived at once.
+
+    A block's indices go in as ``uint64`` arrays of two words each (the
+    high one 0 below 2**32): with the seed's one or two words the entropy
+    fills at most ``SeedSequence``'s four-word pool, where a zero word and
+    a missing one mix the same.
+    """
+    seed = _uint32_words(int(master_seed) & _MASK64)
+    for lo in range(trials.start, trials.stop, _STREAM_BLOCK):
+        t = np.arange(lo, min(lo + _STREAM_BLOCK, trials.stop), dtype=np.uint64)
+        words = _generate_state(seed + [t & _MASK32, t >> 32])
+        yield from map(_stream_state, zip(*(w.tolist() for w in words)))
+
+
+def _stream_generator() -> np.random.Generator:
+    """One ``Generator`` for a call's trials; each trial sets its own state before drawing."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def _sample_links(cfg: SimConfig, streams: Sequence[dict], rng: np.random.Generator,
+                  power_dbm: float) -> _Links:
+    """The layouts of the trials whose stream states are ``streams``, drawn from ``rng``.
+
+    Trial ``t``'s state (from :func:`_trial_streams`) makes ``rng`` draw
+    what ``default_rng([master_seed mod 2**64, t])`` would, in this
+    order: K radii and K angles for the transmitters, the same for the
+    receiver offsets, then the K-by-K shadowing normals.  Everything
     after the draws is computed on the whole stack at once, with the same
     operations per entry as for one trial.  ``power_dbm`` is
     :func:`transmit_power_dbm`, computed once by the caller.
     """
     K = cfg.K
     sigma = cfg.shadowing_sigma_db
-    u = np.empty((len(trials), 4, K))
-    shadow = np.empty((len(trials), K, K)) if sigma else None
-    for k, t in enumerate(trials):
-        rng = np.random.default_rng([cfg.master_seed & 0xFFFFFFFFFFFFFFFF, int(t)])
+    u = np.empty((len(streams), 4, K))
+    shadow = np.empty((len(streams), K, K)) if sigma else None
+    bitgen = rng.bit_generator
+    for k, state in enumerate(streams):
+        bitgen.state = state
         u[k] = rng.random((4, K))  # the same numbers as four calls of K each
         if sigma:
             shadow[k] = rng.normal(0.0, sigma, size=(K, K))
@@ -283,7 +398,9 @@ def sample_network(cfg: SimConfig, trial_index: int) -> NetworkInstance:
     """
     if not _is_integer(trial_index) or trial_index < 0:
         raise ValueError(f"trial_index must be a nonnegative integer, got {trial_index!r}")
-    links = _sample_links(cfg, [trial_index], transmit_power_dbm(cfg))
+    entropy = _uint32_words(int(cfg.master_seed) & _MASK64) + _uint32_words(int(trial_index))
+    stream = _stream_state(_generate_state(entropy))
+    links = _sample_links(cfg, [stream], _stream_generator(), transmit_power_dbm(cfg))
     linear = links.gains[0]
     nominal_P = float(links.nominal_P[0])
     return NetworkInstance(
@@ -336,9 +453,11 @@ def condition_probability(cfg: SimConfig, workers: int = 1) -> ConditionEstimate
         raise ValueError("need at least 100 trials for the interval to be meaningful")
     per_batch = max(1, _BATCH_LINKS // (cfg.K * cfg.K))
     power_dbm = transmit_power_dbm(cfg)
+    streams = _trial_streams(cfg.master_seed, range(cfg.trials))
+    rng = _stream_generator()
     passes = 0
-    for lo in range(0, cfg.trials, per_batch):
-        links = _sample_links(cfg, range(lo, min(lo + per_batch, cfg.trials)), power_dbm)
+    while batch := list(itertools.islice(streams, per_batch)):
+        links = _sample_links(cfg, batch, rng, power_dbm)
         margins = extreme_margins(link_exponents(gain_extremes(links.gains), links.nominal_P))
         passes += int(np.all(margins >= -EPS_CONDITION, axis=-1).sum())
     lo, hi = _wilson_interval(passes, cfg.trials)

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +373,98 @@ class TestBatchedTrials:
         layouts = (oracle_layout(cfg, t) for t in range(trials))
         passes = sum(oracle_trial_verdict(o["gains"], o["nominal_P"]) for o in layouts)
         assert condition_probability(cfg).passes == passes
+
+
+class TestTrialStreams:
+    """Each trial's stream is ``default_rng([master_seed mod 2**64, t])``, bit for bit.
+
+    The states are derived from numpy's seeding arithmetic rather than
+    asked of numpy, so a numpy release that seeds differently fails here.
+    """
+
+    INDICES = [0, 1, 2**32 - 1, 2**32, 2**40, 2**64, 2**100]
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -(2**32), 2**80 + 3, -(2**81) - 5]
+    )
+    def test_state_is_numpy_seeding(self, seed):
+        for t in self.INDICES:
+            want = np.random.PCG64(np.random.SeedSequence([seed % 2**64, t])).state
+            entropy = netsim._uint32_words(seed % 2**64) + netsim._uint32_words(t)
+            assert netsim._stream_state(netsim._generate_state(entropy)) == want, t
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, -1, np.int64(-7), 2**80 + 3])
+    def test_blocks_are_numpy_seeding(self, seed, monkeypatch):
+        # blocks of three, so ranges cross block boundaries; indices around
+        # 2**32, where an index gains its second word
+        monkeypatch.setattr(netsim, "_STREAM_BLOCK", 3)
+        for trials in (range(0, 8), range(2**32 - 4, 2**32 + 3), range(2**40, 2**40 + 2)):
+            got = list(netsim._trial_streams(seed, trials))
+            want = [np.random.PCG64(np.random.SeedSequence([int(seed) % 2**64, t])).state
+                    for t in trials]
+            assert got == want
+
+    @pytest.mark.parametrize("K", [1, 7, 64])
+    def test_reused_generator_draws_as_default_rng(self, K):
+        seed = 2**63 + 11
+        rng = netsim._stream_generator()
+        for t, state in zip(range(3, 7), netsim._trial_streams(seed, range(3, 7))):
+            rng.bit_generator.state = state
+            fresh = np.random.default_rng([seed % 2**64, t])
+            for draw in (
+                lambda g: g.integers(2**32, size=1, dtype=np.uint32),
+                lambda g: g.random((4, K)),
+                lambda g: g.normal(size=(K, K)),
+                # an odd count leaves half a 64-bit word for the next trial
+                # to discard
+                lambda g: g.integers(2**32, size=3, dtype=np.uint32),
+            ):
+                assert np.array_equal(draw(rng), draw(fresh)), t
+
+    def test_large_trial_index_and_numpy_seed(self):
+        cfg = SimConfig(K=4, coverage_radius=150.0, trials=100, master_seed=np.int64(-5))
+        want = oracle_layout(replace(cfg, master_seed=-5), 2**100)
+        got = sample_network(cfg, 2**100)
+        assert np.array_equal(got.tx_positions, want["tx"])
+        assert np.array_equal(got.rx_positions, want["rx"])
+
+    def test_no_generator_per_trial(self, monkeypatch):
+        built = Counter()
+        for name in ("default_rng", "SeedSequence", "PCG64", "Generator"):
+            def counting(*args, _real=getattr(np.random, name), _name=name, **kwargs):
+                built[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, counting)
+        blocks = []
+        derive = netsim._generate_state
+
+        def spy(entropy):
+            blocks.append(max(np.size(word) for word in entropy))
+            return derive(entropy)
+
+        monkeypatch.setattr(netsim, "_generate_state", spy)
+        # K=1: three blocks of states for 2500 trials; K=80: one block for
+        # 101 trials, although each link batch holds one trial
+        for K, trials, want in [(1, 2500, [1024, 1024, 452]), (80, 101, [101])]:
+            built.clear()
+            blocks.clear()
+            condition_probability(SimConfig(K=K, coverage_radius=100.0, trials=trials))
+            assert built == {"PCG64": 1, "Generator": 1}
+            assert blocks == want
+
+    def test_concurrent_callers_keep_their_streams(self):
+        cfgs = [SimConfig(K=K, coverage_radius=100.0, trials=300, master_seed=seed)
+                for K, seed in [(3, 1), (5, 2), (8, 3), (12, 4)]]
+        want = [condition_probability(cfg) for cfg in cfgs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(condition_probability, cfgs * 3, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 3
 
 
 def _sha256(a: np.ndarray) -> str:
