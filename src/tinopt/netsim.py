@@ -31,11 +31,12 @@ Simulations take at most ``K_MAX_SIM`` users and ``LINKS_MAX_SIM`` links.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -349,30 +350,60 @@ def _trial_streams(master_seed: int, trials: range):
         yield from map(_stream_state, zip(*(w.tolist() for w in words)))
 
 
-def _stream_generator() -> np.random.Generator:
-    """One ``Generator`` for a call's trials; each trial sets its own state before drawing."""
-    return np.random.Generator(np.random.PCG64(0))
+@functools.cache
+def _state_words_type() -> type:
+    """A seed type whose four ``uint64`` state words are given, as :func:`_generate_state`
+    returns them.
+
+    ``PCG64`` seeded with one asks for exactly these words, so it starts
+    where ``PCG64(SeedSequence(entropy))`` would, without hashing anything.
+    The type is made on first use: numpy loads ``np.random`` lazily, and a
+    base class from it at import would load it in every process.
+    """
+
+    class StateWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = np.array(words, dtype=np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
 
 
-def _sample_links(cfg: SimConfig, streams: Sequence[dict], rng: np.random.Generator,
+def _stream_generator(words=(0, 0, 0, 0)) -> np.random.Generator:
+    """A ``Generator`` on the stream whose state words are ``words``.
+
+    A call's trials share one and set each trial's state before drawing.
+    """
+    return np.random.Generator(np.random.PCG64(_state_words_type()(words)))
+
+
+def _on_streams(rng: np.random.Generator, streams):
+    """``rng`` once per state of ``streams``, set to that state before it is yielded."""
+    bitgen = rng.bit_generator
+    for state in streams:
+        bitgen.state = state
+        yield rng
+
+
+def _sample_links(cfg: SimConfig, trials: int, rngs: Iterable[np.random.Generator],
                   power_dbm: float) -> _Links:
-    """The layouts of the trials whose stream states are ``streams``, drawn from ``rng``.
+    """The layouts of ``trials`` trials, the k-th drawn from the k-th generator of ``rngs``.
 
-    Trial ``t``'s state (from :func:`_trial_streams`) makes ``rng`` draw
-    what ``default_rng([master_seed mod 2**64, t])`` would, in this
-    order: K radii and K angles for the transmitters, the same for the
-    receiver offsets, then the K-by-K shadowing normals.  Everything
-    after the draws is computed on the whole stack at once, with the same
-    operations per entry as for one trial.  ``power_dbm`` is
-    :func:`transmit_power_dbm`, computed once by the caller.
+    Trial ``t``'s generator draws what ``default_rng([master_seed mod
+    2**64, t])`` would, in this order: K radii and K angles for the
+    transmitters, the same for the receiver offsets, then the K-by-K
+    shadowing normals.  Everything after the draws is computed on the
+    whole stack at once, with the same operations per entry as for one
+    trial.  ``power_dbm`` is :func:`transmit_power_dbm`, computed once by
+    the caller.
     """
     K = cfg.K
     sigma = cfg.shadowing_sigma_db
-    u = np.empty((len(streams), 4, K))
-    shadow = np.empty((len(streams), K, K)) if sigma else None
-    bitgen = rng.bit_generator
-    for k, state in enumerate(streams):
-        bitgen.state = state
+    u = np.empty((trials, 4, K))
+    shadow = np.empty((trials, K, K)) if sigma else None
+    for k, rng in enumerate(rngs):
         u[k] = rng.random((4, K))  # the same numbers as four calls of K each
         if sigma:
             shadow[k] = rng.normal(0.0, sigma, size=(K, K))
@@ -399,8 +430,8 @@ def sample_network(cfg: SimConfig, trial_index: int) -> NetworkInstance:
     if not _is_integer(trial_index) or trial_index < 0:
         raise ValueError(f"trial_index must be a nonnegative integer, got {trial_index!r}")
     entropy = _uint32_words(int(cfg.master_seed) & _MASK64) + _uint32_words(int(trial_index))
-    stream = _stream_state(_generate_state(entropy))
-    links = _sample_links(cfg, [stream], _stream_generator(), transmit_power_dbm(cfg))
+    rng = _stream_generator(_generate_state(entropy))
+    links = _sample_links(cfg, 1, [rng], transmit_power_dbm(cfg))
     linear = links.gains[0]
     nominal_P = float(links.nominal_P[0])
     return NetworkInstance(
@@ -457,7 +488,7 @@ def condition_probability(cfg: SimConfig, workers: int = 1) -> ConditionEstimate
     rng = _stream_generator()
     passes = 0
     while batch := list(itertools.islice(streams, per_batch)):
-        links = _sample_links(cfg, batch, rng, power_dbm)
+        links = _sample_links(cfg, len(batch), _on_streams(rng, batch), power_dbm)
         margins = extreme_margins(link_exponents(gain_extremes(links.gains), links.nominal_P))
         passes += int(np.all(margins >= -EPS_CONDITION, axis=-1).sum())
     lo, hi = _wilson_interval(passes, cfg.trials)

@@ -151,7 +151,7 @@ class Polyhedron:
 
     @cached_property
     def _active_channel(self) -> ChannelMatrix:
-        return self.channel.restrict(list(self.active))
+        return self.channel.restrict(list(self.active)) if self.silent else self.channel
 
     @cached_property
     def _paths(self) -> np.ndarray | None:

@@ -158,6 +158,66 @@ def oracle_graph_lengths(alpha: np.ndarray, d) -> np.ndarray:
     return L
 
 
+def oracle_jacobi_bellman_ford(lengths: np.ndarray, ground: int, tol: float) -> tuple:
+    """Bellman-Ford from ``ground`` in Jacobi rounds, one arc at a time in Python floats.
+
+    A round reads only the previous round's distances: node ``v`` takes
+    ``dist[u] + L[u][v]`` from the lowest-index source ``u`` among the
+    smallest, and moves only when that is strictly below ``dist[v]``.
+    After ``n - 1`` rounds (a round that moves nothing repeats for ever,
+    so the rounds may stop there), ``(dist, None)`` when every slack
+    ``dist[v] - min_u(dist[u] + L[u][v])`` is at most ``tol``.  Else one
+    more round, and ``(dist, circuits)``: the circuit of every predecessor
+    walk that closes one, walks started at every node in order of
+    decreasing slack after that round (lowest index on ties), each circuit
+    in arc order from the first node the walk met twice.
+    """
+    L = lengths.tolist()
+    n = len(L)
+    dist = [math.inf] * n
+    dist[ground] = 0.0
+    pred = [-1] * n
+
+    def best_in_arcs(old):
+        out = []
+        for v in range(n):
+            best, src = old[0] + L[0][v], 0
+            for u in range(1, n):
+                cand = old[u] + L[u][v]
+                if cand < best:
+                    best, src = cand, u
+            out.append((best, src))
+        return out
+
+    def round_():
+        moved = False
+        for v, (best, src) in enumerate(best_in_arcs(list(dist))):
+            if best < dist[v]:
+                dist[v], pred[v] = best, src
+                moved = True
+        return moved
+
+    def slacks():
+        return [dist[v] - best for v, (best, _) in enumerate(best_in_arcs(dist))]
+
+    for _ in range(n - 1):
+        if not round_():
+            break
+    if max(slacks()) <= tol:
+        return np.array(dist), None
+    round_()
+    s = slacks()
+    circuits = []
+    for start in sorted(range(n), key=lambda v: (-s[v], v)):
+        path, x = [], start
+        while x != -1 and x not in path:
+            path.append(x)
+            x = pred[x]
+        if x != -1:
+            circuits.append(path[path.index(x):][::-1])
+    return np.array(dist), circuits
+
+
 def oracle_minimized(alpha: np.ndarray, silent, tol: float = 1e-12) -> list:
     """Irredundant cycle rows ``(users, rhs)`` of one silent-set polytope, by a pairwise scan.
 

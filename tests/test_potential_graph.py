@@ -13,13 +13,15 @@ from tinopt import (
     recover_power_allocation,
 )
 from conftest import symmetric_two_user
+from tinopt import potential_graph
 from tinopt.channel_model import EXPONENT_MAX, SILENT
-from tinopt.potential_graph import cycle_rhs
+from tinopt.potential_graph import EPS_LENGTH, _bellman_ford, cycle_rhs
 from _oracles import (
     forward_gdof,
     oracle_cycle_rhs,
     oracle_graph_lengths,
     oracle_in_union,
+    oracle_jacobi_bellman_ford,
     oracle_region_margin,
     oracle_union_band,
     random_channel,
@@ -326,3 +328,143 @@ class TestToleranceBand:
         if oracle_union_band(alpha, d) > 1e-8:
             assert verdict.inside == oracle_in_union(alpha, d)
         assert polyhedral_region(ch, verdict.silent).contains(d) == verdict.inside
+
+
+def _cert_bytes(cert) -> tuple:
+    """A certificate's fields, floats as their bytes."""
+    r = None if cert.r is None else np.array(
+        [np.nan if v is None else v for v in cert.r.to_jsonable()]).tobytes()
+    floats = [None if x is None else np.float64(x).tobytes()
+              for x in (cert.violated_rhs, cert.margin)]
+    return (cert.feasible, r, cert.cycle, cert.violated_users, *floats)
+
+
+def _band_lengths(L: np.ndarray) -> np.ndarray:
+    """The band pass's graph: every arc out of a user longer by ``EPS_LENGTH / K``."""
+    band = L.copy()
+    band[:-1] += EPS_LENGTH / (len(L) - 1)
+    return band
+
+
+def _oracle_certificate(alpha: np.ndarray, d: np.ndarray, passes: list) -> tuple:
+    """The certificate ``decide_membership`` builds, read off the Jacobi oracle's output.
+
+    Appends to ``passes`` the name of each pass run, so callers can tell
+    which cases reached the band pass.
+    """
+    K = len(d)
+    L = oracle_graph_lengths(alpha, d)
+
+    def feasible(dist):
+        return (True, np.array([min(0.0, float(x - dist[K])) for x in dist[:K]]).tobytes(),
+                None, None, None, None)
+
+    def from_cycle(c):
+        users = tuple(int(v) for v in c if v != K)
+        k = users.index(min(users))
+        users = users[k:] + users[:k]
+        rhs = alpha[users[0], users[0]] if len(users) == 1 else oracle_cycle_rhs(alpha, users)
+        margin = rhs - float(sum(d[u] for u in users))
+        return (False, None, users, users, np.float64(rhs).tobytes(), np.float64(margin).tobytes())
+
+    passes.append("plain")
+    dist, circuits = oracle_jacobi_bellman_ford(L, K, 0.5 * EPS_LENGTH)
+    if circuits is None:
+        return feasible(dist)
+    for c in circuits:
+        if sum(L[c[k], c[(k + 1) % len(c)]] for k in range(len(c))) < -EPS_LENGTH:
+            return from_cycle(c)
+    passes.append("band")
+    dist, circuits = oracle_jacobi_bellman_ford(_band_lengths(L), K, 0.5 * EPS_LENGTH / K)
+    for c in circuits or ():
+        cert = from_cycle(c)
+        if np.frombuffer(cert[5])[0] < 0:
+            return cert
+    return feasible(dist)
+
+
+#: Offsets that put a boundary target on, inside or outside the 1e-9 band.
+ORACLE_OFFSETS = (0.0, 1e-12, -1e-12, 5e-10, -5e-10, 7.5e-10, 1e-6, -1e-6)
+
+
+def _oracle_cases():
+    """Seeded (alpha, d) pairs: boundary points at every offset, negative targets, and
+    integer channels, where sources tie exactly; fewer at the larger sizes."""
+    rng = np.random.default_rng(2020)
+    for K, count in ((1, 24), (2, 40), (4, 40), (10, 24), (30, 8), (100, 3)):
+        for case in range(count):
+            kind = case % 3
+            if kind == 2:  # integer exponents: candidates tie between sources
+                alpha = rng.integers(0, 3, (K, K)).astype(float)
+                np.fill_diagonal(alpha, rng.integers(2, 4, K))
+                d = rng.integers(-1, 3, K).astype(float)
+            else:
+                alpha = random_channel(rng, K)
+                r = -rng.uniform(0.0, 0.5, K)
+                r[rng.random(K) < 0.3] = 0.0
+                offset = ORACLE_OFFSETS[case % len(ORACLE_OFFSETS)]
+                d = forward_gdof(alpha, r, clamp=False)[0] + offset
+                if kind == 1:
+                    d -= rng.uniform(0.0, 1.0, K) * (rng.random(K) < 0.3)  # some negative
+            yield K, alpha, d
+
+
+class TestJacobiRounds:
+    """The round kernel against a loop oracle: same distances, same circuits, same certificates.
+
+    Which circuit a non-member reports depends on the exact iteration
+    (Jacobi rounds, strict improvement, lowest source on ties, K + 1
+    rounds), so the kernel must reproduce it bit for bit.
+    """
+
+    @pytest.mark.parametrize("K", [1, 2, 4, 10, 30, 100])
+    def test_distances_and_circuits_match_the_oracle(self, K):
+        for _, alpha, d in filter(lambda c: c[0] == K, _oracle_cases()):
+            L = oracle_graph_lengths(alpha, d)
+            for lengths, tol in ((L, 0.5 * EPS_LENGTH), (_band_lengths(L), 0.5 * EPS_LENGTH / K)):
+                dist, circuits = _bellman_ford(lengths, K, tol)
+                want_dist, want_circuits = oracle_jacobi_bellman_ford(lengths, K, tol)
+                assert dist.tobytes() == want_dist.tobytes(), (alpha, d)
+                assert (circuits if circuits is None else list(circuits)) == want_circuits
+
+    def test_certificates_match_the_oracle(self):
+        passes = []
+        for _, alpha, d in _oracle_cases():
+            cert = decide_membership(build_graph(ChannelMatrix(alpha), d))
+            assert _cert_bytes(cert) == _oracle_certificate(alpha, d, passes), (alpha, d)
+        # a cycle bound overshot by 7.5e-10: no circuit is shorter than -1e-9
+        alpha = symmetric_two_user(0.5).alpha
+        d = np.array([0.5, 0.5 + 7.5e-10])
+        cert = decide_membership(build_graph(ChannelMatrix(alpha), d))
+        assert _cert_bytes(cert) == _oracle_certificate(alpha, d, passes)
+        assert passes[-1] == "band"
+        assert passes.count("band") >= 2  # one seeded case besides this one
+
+    def test_rounds_of_a_non_member_and_of_a_member(self, monkeypatch):
+        rounds, scans = [], []
+        relax, slack = potential_graph._relax, potential_graph._slack
+
+        def spy_relax(*args):
+            rounds.append(relax(*args))
+            return rounds[-1]
+
+        def spy_slack(*args):
+            scans.append(1)
+            return slack(*args)
+
+        monkeypatch.setattr(potential_graph, "_relax", spy_relax)
+        monkeypatch.setattr(potential_graph, "_slack", spy_slack)
+        rng = np.random.default_rng(30)
+        K = 30
+        ch = ChannelMatrix(random_channel(rng, K))
+        # every user at its direct bound: each 2-cycle with a cross gain is violated
+        assert not decide_membership(build_graph(ch, np.diag(ch.alpha))).feasible
+        assert len(rounds) == K + 1 and all(rounds[:K])  # no band pass, no early stop
+        rounds.clear()
+        scans.clear()
+        # 1e-6 below the relaxed GDoF of a power vector
+        r = -rng.uniform(0.0, 0.5, K)
+        d = forward_gdof(ch.alpha, r, clamp=False)[0] - 1e-6
+        assert decide_membership(build_graph(ch, d)).feasible
+        assert rounds[-1] is False and all(rounds[:-1]) and len(rounds) <= K
+        assert scans == []  # a round that moved nothing leaves every slack at most 0
