@@ -165,6 +165,13 @@ class PowerExponents:
     def zeros(cls, K: int) -> "PowerExponents":
         return cls([0.0] * K)
 
+    @classmethod
+    def _of_checked(cls, values: tuple) -> "PowerExponents":
+        """Wrap a tuple of Python floats <= 0 and SILENT, finite by construction, unchecked."""
+        r = object.__new__(cls)
+        r.values = values
+        return r
+
     def __len__(self) -> int:
         return len(self.values)
 

@@ -98,12 +98,26 @@ class MembershipCertificate:
 
 def build_graph(alpha: ChannelMatrix, d) -> PotentialGraph:
     """Assemble the graph for a channel and a GDoF target (negative d allowed)."""
-    dv = np.array(d, dtype=float)
+    dv = np.asarray(d, dtype=float)
     if dv.shape != (alpha.K,):
         raise ValueError(f"d has shape {dv.shape}, expected ({alpha.K},)")
+    _check_targets(dv)
+    return _graph(alpha, dv)
+
+
+def _check_targets(dv: np.ndarray) -> None:
+    """Targets may be negative: ``ValueError`` unless every ``|d_i| <= EXPONENT_MAX`` (not NaN)."""
     if not np.all(np.abs(dv) <= EXPONENT_MAX):
         raise ValueError(f"d entries must be finite and at most {EXPONENT_MAX:g} in magnitude")
+
+
+def _graph(alpha: ChannelMatrix, dv: np.ndarray) -> PotentialGraph:
+    """:func:`build_graph` without its input check, for a float vector that passed it.
+
+    The graph keeps a read-only copy of ``dv``.
+    """
     K = alpha.K
+    dv = dv.copy()
     head = alpha.alpha.diagonal() - dv  # a_ii - d_i, the length of user i's arc to ground
     L = np.zeros((K + 1, K + 1))  # ground -> user: 0
     L[:K, :K] = head[:, None] - alpha.alpha
@@ -147,16 +161,29 @@ def cycle_rhs(alpha: ChannelMatrix, seq):
     the ``(c,)`` array of their right-hand sides: the arc weights
     ``a_{s_j s_j} - a_{s_(j-1) s_j}`` around each sequence (indices wrap),
     added from 0 in position order; for ``m = 1``, the direct power bound
-    ``a_ii``.  One sequence is the one-row case and gives a float.
+    ``a_ii``.  One sequence gives a float by the same additions, one per
+    position, without forming :func:`arc_weights`.
     """
+    if np.ndim(seq) != 2:
+        return _sequence_rhs(alpha.alpha, tuple(seq))
     C = np.array(seq, dtype=np.intp, ndmin=2)
-    rhs = (alpha.alpha[C[:, 0], C[:, 0]] if C.shape[1] == 1
-           else _sum_positions(arc_weights(alpha)[np.roll(C, 1, axis=1), C]))
-    return rhs if np.ndim(seq) == 2 else float(rhs[0])
+    if C.shape[1] == 1:
+        return alpha.alpha[C[:, 0], C[:, 0]]
+    return _sum_positions(arc_weights(alpha)[np.roll(C, 1, axis=1), C])
+
+
+def _sequence_rhs(a: np.ndarray, seq: tuple) -> float:
+    """One row of :func:`cycle_rhs`: ``a_ii`` for one user, else ``a_qq - a_pq`` per arc from 0.0."""
+    if len(seq) == 1:
+        return a.item(seq[0], seq[0])
+    rhs = 0.0
+    for p, q in zip(seq[-1:] + seq[:-1], seq):
+        rhs += a.item(q, q) - a.item(p, q)
+    return rhs
 
 
 def _sum_positions(terms: np.ndarray) -> np.ndarray:
-    """Row sums of a ``(c, m)`` array, added from 0 in column order as Python's ``sum`` adds."""
+    """Row sums of a ``(c, m)`` array: from 0.0, one IEEE addition per column, in column order."""
     out = np.zeros(len(terms))
     for j in range(terms.shape[1]):
         out += terms[:, j]
@@ -205,7 +232,7 @@ def _extract_cycle(pred: np.ndarray, start: int) -> list | None:
 
 
 def _relax(into: np.ndarray, dist: np.ndarray, pred: np.ndarray, cand: np.ndarray,
-           rows: np.ndarray) -> bool:
+           rows: np.ndarray, tol: float | None = None) -> bool:
     """One Jacobi round in place; True when some node improved.
 
     Every node takes its best in-arc over the old distances:
@@ -213,15 +240,20 @@ def _relax(into: np.ndarray, dist: np.ndarray, pred: np.ndarray, cand: np.ndarra
     length table, so ``into[v, u]`` is the arc ``u -> v``), and a node
     moves only on a strictly smaller candidate, to the lowest source index
     among equal ones.  ``cand`` is the pass's ``(n, n)`` scratch buffer and
-    ``rows`` its flat row offsets.
+    ``rows`` its flat row offsets.  With ``tol``, the round first tests the
+    slacks ``dist - best`` it has just computed: when every one is at most
+    ``tol`` it moves no node and returns False, else it is applied as usual
+    (and moves some node, since ``tol >= 0``).
     """
     np.add(into, dist, out=cand)
     src = cand.argmin(axis=1)
     best = cand.take(rows + src)
+    if tol is not None and (dist - best).max() <= tol:
+        return False
     improved = best < dist
     np.copyto(dist, best, where=improved)
     np.copyto(pred, src, where=improved)
-    return bool(improved.any())
+    return bool(np.count_nonzero(improved))
 
 
 def _slack(into: np.ndarray, dist: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -234,10 +266,11 @@ def _bellman_ford(lengths: np.ndarray, ground: int, tol: float) -> tuple:
     The rounds are Jacobi rounds (see :func:`_relax`) and stop at the
     first one that moves no node; every slack is then at most 0, since
     ground's 0-length arcs reach every node in the first round.  Otherwise
-    one more round is relaxed, and the circuits come lazily from
-    predecessor walks started at every node in order of decreasing slack
-    (first index on ties).  Which circuit comes first depends on this
-    exact iteration, so certificates do too.
+    one more round is swept: it returns at once when every slack is at
+    most ``tol`` and is applied when one is not, and the circuits come
+    lazily from predecessor walks started at every node in order of
+    decreasing slack after it (first index on ties).  Which circuit comes
+    first depends on this exact iteration, so certificates do too.
     """
     n = len(lengths)
     into = np.ascontiguousarray(lengths.T)
@@ -249,18 +282,24 @@ def _bellman_ford(lengths: np.ndarray, ground: int, tol: float) -> tuple:
     for _ in range(n - 1):
         if not _relax(into, dist, pred, cand, rows):
             return dist, None
-    if _slack(into, dist, cand).max() <= tol:
+    if not _relax(into, dist, pred, cand, rows, tol):
         return dist, None
-    _relax(into, dist, pred, cand, rows)
     order = np.argsort(-_slack(into, dist, cand), kind="stable")
     walks = (_extract_cycle(pred, int(v)) for v in order)
     return dist, (c for c in walks if c is not None)
 
 
 def _feasible(graph: PotentialGraph, dist: np.ndarray) -> MembershipCertificate:
-    """Potentials normalized to ground 0; a round-off residue above 0 is clamped."""
-    shift = dist[graph.ground]
-    r = PowerExponents([min(0.0, float(dist[i] - shift)) for i in range(graph.K)])
+    """Potentials normalized to ground 0; a round-off residue above 0 is clamped.
+
+    The clamp keeps ``min(0.0, x)``'s zero: +0.0 for a residue of 0.0 or
+    -0.0 (``np.minimum`` would keep -0.0), one shared float object, so a
+    certificate holds a new float only per user below ground.  The
+    entries are finite and at most 0 by construction, so the allocation
+    skips its per-entry check.
+    """
+    x = (dist[: graph.K] - dist[graph.ground]).tolist()
+    r = PowerExponents._of_checked(tuple(v if v < 0.0 else 0.0 for v in x))
     return MembershipCertificate(feasible=True, r=r)
 
 
@@ -282,8 +321,12 @@ def decide_membership(graph: PotentialGraph) -> MembershipCertificate:
 
     A pass costs one ``(K+1)^2`` candidate sweep per round.  A member stops
     at its first round that moves nothing (a median of 4 on seeded boundary
-    points at K 4 to 100); a non-member always runs ``K + 1`` rounds, since
-    its certificate is read from the predecessors of that exact iterate.
+    points at K 4 to 100), or after the sweep of round ``K + 1`` when its
+    slacks are within the tolerance; a non-member always runs ``K + 1``
+    rounds, since its certificate is read from the predecessors of that
+    exact iterate.  That round's sweep doubles as the convergence test, so
+    a non-member makes ``K + 2`` sweeps: its rounds and one slack scan to
+    order the predecessor walks.
     """
     dist, circuits = _bellman_ford(graph.lengths, graph.ground, 0.5 * EPS_LENGTH)
     if circuits is None:
@@ -309,4 +352,4 @@ def recover_power_allocation(alpha: ChannelMatrix, d) -> MembershipCertificate:
     On success the returned exponents satisfy componentwise
     ``polyhedral_tin_gdof(alpha, r) >= d`` up to :data:`EPS_LENGTH`.
     """
-    return decide_membership(build_graph(alpha, _exponent_vector(d, alpha.K, "d")))
+    return decide_membership(_graph(alpha, _exponent_vector(d, alpha.K, "d")))

@@ -27,6 +27,8 @@ from .channel_model import SILENT, ChannelMatrix, PowerExponents, _exponent_vect
 from .potential_graph import (
     EPS_LENGTH,
     MembershipCertificate,
+    _check_targets,
+    _graph,
     build_graph,
     canonical_cycle,  # re-exported: part of this module's interface
     cycle_rhs,
@@ -147,6 +149,7 @@ class Polyhedron:
             raise ValueError(f"d must be a finite vector of length {self.K}")
         if np.any(np.abs(dv[list(self.silent)]) > EPS_LENGTH) or np.any(dv < -EPS_LENGTH):
             return False
+        _check_targets(dv)  # the pins above bound the silent users and every d_i from below
         return _membership(self, dv).feasible
 
     @cached_property
@@ -234,19 +237,23 @@ def polyhedral_region(alpha: ChannelMatrix, silent: Iterable[int] = ()) -> Polyh
 def _membership(poly: Polyhedron, d: np.ndarray) -> MembershipCertificate:
     """Circuit test of ``d`` on the potential graph of ``poly``'s active users.
 
-    Silent coordinates of ``d`` are not read.  The certificate is in full-K
-    indices: SILENT powers on silent users, cycles in original indices.
+    ``d`` is a float vector of ``K`` entries at most ``EXPONENT_MAX`` in
+    magnitude; its silent coordinates are not read.  The certificate is in
+    full-K indices: SILENT powers on silent users, cycles in original
+    indices.  With no user silent it is the graph's certificate as it is.
     """
+    if not poly.silent:
+        return decide_membership(_graph(poly.channel, d))
     active = poly.active
     r_full = [SILENT] * poly.K
     if active:
-        cert = decide_membership(build_graph(poly._active_channel, d[list(active)]))
+        cert = decide_membership(_graph(poly._active_channel, d[list(active)]))
         if not cert.feasible:
             cycle = tuple(active[u] for u in cert.cycle)
             return replace(cert, cycle=cycle, violated_users=cycle)
         for pos, user in enumerate(active):
             r_full[user] = cert.r[pos]
-    return MembershipCertificate(feasible=True, r=PowerExponents(r_full))
+    return MembershipCertificate(feasible=True, r=PowerExponents._of_checked(tuple(r_full)))
 
 
 def minimized(poly: Polyhedron) -> Polyhedron:
@@ -357,10 +364,12 @@ def _transport(F: np.ndarray, w: np.ndarray, prices: tuple | None = None) -> tup
     Returns ``(value, x, (u, v))``: the cost, the flow and the prices.
     Successive shortest paths (Ahuja, Magnanti & Orlin, *Network Flows*,
     ch. 9): prices ``u``, ``v`` keep the reduced costs ``F - u - v``
-    nonnegative and zero where flow runs.  They start from ``prices``
-    when given (dual feasible for ``F``: for costs that only grew since
-    they were found), else from the row and column minima; the start
-    fills the arcs at zero greedily.  Each round a Dijkstra over the
+    nonnegative and zero where flow runs.  They start from the row and
+    column minima, or with ``prices`` given (from any costs of this
+    shape), from its column prices lifted to ``u = min_j (F - v)`` and
+    then ``v = min_i (F - u)``: dual feasible for ``F`` whatever ``v``
+    was, and each row and column tight somewhere.  The start fills the
+    arcs at zero greedily.  Each round a Dijkstra over the
     columns, from every row with supply left and back through the rows
     that feed a finished column, finishes all columns at the least
     distance at once until one has demand left; the prices move by the
@@ -368,11 +377,10 @@ def _transport(F: np.ndarray, w: np.ndarray, prices: tuple | None = None) -> tup
     supply, demand or flow that it empties to exactly 0.
     """
     n = len(w)
-    if prices is None:
-        v = F.min(axis=0, initial=math.inf)
-        u = (F - v).min(axis=1, initial=math.inf)
-    else:
-        u, v = (p.copy() for p in prices)
+    v = F.min(axis=0, initial=math.inf) if prices is None else prices[1]
+    u = (F - v).min(axis=1, initial=math.inf)
+    if prices is not None:
+        v = (F - u[:, None]).min(axis=0, initial=math.inf)
     x = np.zeros((n, n))
     supply, demand = w.copy(), w.copy()
     for i, j in zip(*np.nonzero(F - u[:, None] - v <= 0)):
@@ -487,7 +495,7 @@ def _max_min_point(poly: Polyhedron, w: np.ndarray, value: float) -> np.ndarray:
     the least of finitely many lines, one per flow and choice of paths;
     the step follows the current one, which lies on or above ``phi``, so
     no step passes ``t*`` and no line is used twice.  Each step's prices
-    start the next, since ``F_t`` only grows as ``t`` falls.  The point is
+    start the next, lifted to ``F_t`` by :func:`_transport`.  The point is
     ``t* * 1 + e`` with ``e`` from :func:`_arrival_slack`, 0 on users of
     weight 0.  The level stays at 0 or above (the region has ``d >= 0``)
     unless ``t_max`` is below 0, where a cycle dips into the 1e-9 band and
@@ -693,7 +701,7 @@ def point_in_tin_region(alpha: ChannelMatrix, d) -> TinMembership:
     smaller-support component implies membership in the zero-set component.
     """
     dv = _exponent_vector(d, alpha.K, "d")
-    Z = frozenset(i for i in range(alpha.K) if dv[i] <= EPS_LENGTH)
+    Z = frozenset(np.flatnonzero(dv <= EPS_LENGTH).tolist())
     cert = _membership(Polyhedron(channel=alpha, silent=Z), dv)
     return TinMembership(cert.feasible, Z, cert)
 

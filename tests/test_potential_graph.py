@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,8 @@ from tinopt import (
 )
 from conftest import symmetric_two_user
 from tinopt import potential_graph
-from tinopt.channel_model import EXPONENT_MAX, SILENT
-from tinopt.potential_graph import EPS_LENGTH, _bellman_ford, cycle_rhs
+from tinopt.channel_model import EXPONENT_MAX, SILENT, PowerExponents
+from tinopt.potential_graph import EPS_LENGTH, _bellman_ford, _feasible, cycle_rhs
 from _oracles import (
     forward_gdof,
     oracle_cycle_rhs,
@@ -72,6 +74,40 @@ class TestBuildGraph:
             want = alpha[seq[0], seq[0]] if len(seq) == 1 else oracle_cycle_rhs(alpha, seq)
             assert np.float64(cycle_rhs(ChannelMatrix(alpha), seq)).tobytes() == \
                 np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 7, 12, 30, 100])
+    def test_one_sequence_rhs_bit_equal_to_its_block_and_the_oracle(self, K, monkeypatch):
+        # ties (integer exponents) and signed zeros among the entries
+        tables = []
+        weights = potential_graph.arc_weights
+        monkeypatch.setattr(potential_graph, "arc_weights", lambda a: tables.append(1) or weights(a))
+        rng = np.random.default_rng(K)
+        for trial in range(60):
+            if trial % 3 == 0:
+                alpha = rng.integers(0, 3, (K, K)).astype(float)
+            else:
+                alpha = random_channel(rng, K) * 10.0 ** rng.uniform(-3, 3)
+            alpha[rng.random((K, K)) < 0.2] = 0.0
+            alpha[rng.random((K, K)) < 0.2] = -0.0
+            ch = ChannelMatrix(alpha)
+            m = 1 + trial % min(K, 12)
+            seq = tuple(int(u) for u in rng.permutation(K)[:m])
+            got = cycle_rhs(ch, seq)
+            assert type(got) is float and tables == []  # no K x K weight table for one sequence
+            block = cycle_rhs(ch, np.array([seq]))
+            assert block.shape == (1,) and np.float64(got).tobytes() == block.tobytes()
+            tables.clear()
+            want = alpha[seq[0], seq[0]] if m == 1 else oracle_cycle_rhs(alpha, seq)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (alpha, seq)
+            assert np.float64(cycle_rhs(ch, np.array(seq))).tobytes() == np.float64(got).tobytes()
+
+    def test_one_user_rhs_keeps_the_sign_of_zero(self):
+        ch = ChannelMatrix(np.array([[-0.0, 0.0], [0.0, 0.0]]))
+        assert np.float64(cycle_rhs(ch, (0,))).tobytes() == np.float64(-0.0).tobytes()
+        assert np.float64(cycle_rhs(ch, (1,))).tobytes() == np.float64(0.0).tobytes()
+        assert cycle_rhs(ch, np.array([[0], [1]])).tobytes() == np.array([-0.0, 0.0]).tobytes()
+        # a sum from 0.0: -0.0 terms give +0.0, as the block's zeros do
+        assert np.float64(cycle_rhs(ch, (0, 1))).tobytes() == np.float64(0.0).tobytes()
 
     def test_targets_above_the_ceiling_refused(self, ex2):
         for d in ([EXPONENT_MAX * 2, 0.0, 0.0], [0.0, -np.inf, 0.0], [np.nan, 0.0, 0.0]):
@@ -279,6 +315,13 @@ def assert_certificate_checks(alpha, d, cert):
         assert rhs < sum(d[u] for u in users), (alpha, d, cert)
 
 
+def assert_allocation_checks(cert):
+    """A member's powers, built without the per-entry check, pass it: Python floats <= 0 or SILENT."""
+    if cert.feasible:
+        assert PowerExponents(cert.r.values) == cert.r
+        assert all(v is SILENT or type(v) is float for v in cert.r.values), cert.r
+
+
 class TestToleranceBand:
     @pytest.mark.parametrize("d", [(0.5, 0.5 + 7.5e-10), (1.0 + 6e-10, 0.0)])
     def test_band_targets_get_checkable_verdicts(self, d):
@@ -325,6 +368,8 @@ class TestToleranceBand:
 
         verdict = point_in_tin_region(ch, d)
         assert_certificate_checks(alpha, d, verdict.certificate)
+        assert_allocation_checks(cert)
+        assert_allocation_checks(verdict.certificate)
         if oracle_union_band(alpha, d) > 1e-8:
             assert verdict.inside == oracle_in_union(alpha, d)
         assert polyhedral_region(ch, verdict.silent).contains(d) == verdict.inside
@@ -460,6 +505,7 @@ class TestJacobiRounds:
         # every user at its direct bound: each 2-cycle with a cross gain is violated
         assert not decide_membership(build_graph(ch, np.diag(ch.alpha))).feasible
         assert len(rounds) == K + 1 and all(rounds[:K])  # no band pass, no early stop
+        assert len(scans) == 1  # round K + 1's sweep is the convergence test; one scan orders walks
         rounds.clear()
         scans.clear()
         # 1e-6 below the relaxed GDoF of a power vector
@@ -468,3 +514,29 @@ class TestJacobiRounds:
         assert decide_membership(build_graph(ch, d)).feasible
         assert rounds[-1] is False and all(rounds[:-1]) and len(rounds) <= K
         assert scans == []  # a round that moved nothing leaves every slack at most 0
+        rounds.clear()
+        # a 2-cycle 1e-12 below 0: every round moves, and round K + 1's sweep
+        # finds every slack within the band and moves nothing
+        assert decide_membership(build_graph(symmetric_two_user(0.5), [0.5, 0.5 + 1e-12])).feasible
+        assert rounds == [True, True, False] and scans == []
+
+    def test_allocations_pass_the_public_check(self):
+        # decide_membership and the point query build r without PowerExponents' check
+        for _, alpha, d in _oracle_cases():
+            ch = ChannelMatrix(alpha)
+            assert_allocation_checks(decide_membership(build_graph(ch, d)))
+            if np.all(d >= 0):
+                assert_allocation_checks(point_in_tin_region(ch, d).certificate)
+
+    def test_clamp_gives_positive_zero(self):
+        ch = ChannelMatrix(np.array([[1.0, 0.2, 0.1], [0.3, 1.0, 0.0], [0.0, 0.4, 1.0]]))
+        graph = build_graph(ch, [0.1, 0.2, 0.3])
+        # users at ground's distance, a residue of -0.0 (-0.0 - 0.0) and one above 0
+        for dist, want in (([0.0, -0.0, 1e-17, 0.0], [0.0, 0.0, 0.0]),
+                           ([-0.5, -0.5, -0.75, -0.5], [0.0, 0.0, -0.25])):
+            r = _feasible(graph, np.array(dist)).r
+            assert json.dumps(r.to_jsonable()) == json.dumps(want)
+            assert np.array(r.to_jsonable()).tobytes() == np.array(want).tobytes()
+        # a member of the potential graph whose users all sit at ground's distance
+        cert = recover_power_allocation(ch, [0.0, 0.0, 0.0])
+        assert json.dumps(cert.r.to_jsonable()) == "[0.0, 0.0, 0.0]"
