@@ -14,9 +14,10 @@ Every trial draws from its own RNG stream, bit for bit the stream of
 ``default_rng([master_seed mod 2**64, trial_index])``, so estimates are
 bit-reproducible.  That stream's PCG64 state is derived in closed form
 from numpy's ``SeedSequence`` and PCG64 seeding arithmetic, a block of
-trials at a time, and set on one ``Generator`` per call, so no trial
-builds a generator of its own (``tests/test_netsim.py::TestTrialStreams``
-fails if numpy ever seeds differently).  ``condition_probability`` draws a
+trials at a time (``sample_network``'s one trial on Python ints), and set
+on the call's one ``Generator`` before the trial draws, so no trial builds
+a generator of its own (``tests/test_netsim.py::TestTrialStreams`` fails
+if numpy ever seeds differently).  ``condition_probability`` draws a
 batch of trials (at most 4096 link entries, trials * K * K) one stream
 after another, then computes geometry, path loss and gains on
 ``(trials, K, K)`` arrays, the largest it builds, with the same
@@ -26,17 +27,18 @@ one more for each link below the reference distance.  Each layout's
 gains are reduced to the three extremes per user that the condition
 reads before any logarithm is taken, so every estimate has the same
 bytes as one computed a trial at a time from full exponent matrices.
-Simulations take at most ``K_MAX_SIM`` users and ``LINKS_MAX_SIM`` links.
+Simulations take at most ``K_MAX_SIM`` users, and a run at most
+``LINKS_MAX_SIM`` link entries, each trial counted as its K * K links plus
+``TRIAL_LINKS`` for its fixed cost.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,11 +75,15 @@ ANTENNA_GAIN_DB = 0.0
 #: Monte-Carlo").
 K_MAX_SIM = 1000
 
-#: Largest link count (trials * K * K) a simulation accepts: the default 1000
-#: trials at ``K_MAX_SIM``, about a minute.  The longest run it admits is 1e9
-#: trials at K=1, about 2.5 hours at 9 us per trial (README, "Cellular
-#: Monte-Carlo").
-LINKS_MAX_SIM = 10**9
+#: A trial's fixed cost in link entries: one trial takes about 9.7 us at K=1,
+#: and a link 53-61 ns from K=100 up.
+TRIAL_LINKS = 150
+
+#: Largest cost, trials * (K * K + TRIAL_LINKS) link entries, a simulation
+#: accepts: the default 1000 trials at ``K_MAX_SIM``, about a minute.  The
+#: most trials it admits take about 64 s at K=1 (6,623,509), 2 minutes at
+#: K=10 and 61 s at K=100 (README, "Cellular Monte-Carlo").
+LINKS_MAX_SIM = 1000 * (K_MAX_SIM**2 + TRIAL_LINKS)
 
 #: Largest coverage or cell radius a simulation accepts [m].  Distances stay
 #: below 3e6 m, so squared distances and path losses (at most about 275 dB)
@@ -172,9 +178,11 @@ class SimConfig:
             raise ValueError("K must be >= 1")
         if self.K > K_MAX_SIM:
             raise ValueError(f"K must be at most {K_MAX_SIM}, got {self.K}")
-        links = int(self.trials) * int(self.K) ** 2
+        links = int(self.trials) * (int(self.K) ** 2 + TRIAL_LINKS)
         if links > LINKS_MAX_SIM:
-            raise ValueError(f"trials * K * K must be at most {LINKS_MAX_SIM:g}, got {links}")
+            raise ValueError(
+                f"trials * (K * K + {TRIAL_LINKS}) must be at most {LINKS_MAX_SIM}, got {links}"
+            )
 
 
 def erceg_pathloss(distance_m):
@@ -350,49 +358,17 @@ def _trial_streams(master_seed: int, trials: range):
         yield from map(_stream_state, zip(*(w.tolist() for w in words)))
 
 
-@functools.cache
-def _state_words_type() -> type:
-    """A seed type whose four ``uint64`` state words are given, as :func:`_generate_state`
-    returns them.
-
-    ``PCG64`` seeded with one asks for exactly these words, so it starts
-    where ``PCG64(SeedSequence(entropy))`` would, without hashing anything.
-    The type is made on first use: numpy loads ``np.random`` lazily, and a
-    base class from it at import would load it in every process.
-    """
-
-    class StateWords(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words):
-            self.words = np.array(words, dtype=np.uint64)
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return StateWords
+def _stream_generator() -> np.random.Generator:
+    """A call's one ``Generator``; each trial sets its stream's state on it before drawing."""
+    return np.random.Generator(np.random.PCG64(0))
 
 
-def _stream_generator(words=(0, 0, 0, 0)) -> np.random.Generator:
-    """A ``Generator`` on the stream whose state words are ``words``.
-
-    A call's trials share one and set each trial's state before drawing.
-    """
-    return np.random.Generator(np.random.PCG64(_state_words_type()(words)))
-
-
-def _on_streams(rng: np.random.Generator, streams):
-    """``rng`` once per state of ``streams``, set to that state before it is yielded."""
-    bitgen = rng.bit_generator
-    for state in streams:
-        bitgen.state = state
-        yield rng
-
-
-def _sample_links(cfg: SimConfig, trials: int, rngs: Iterable[np.random.Generator],
+def _sample_links(cfg: SimConfig, rng: np.random.Generator, states: Sequence[dict],
                   power_dbm: float) -> _Links:
-    """The layouts of ``trials`` trials, the k-th drawn from the k-th generator of ``rngs``.
+    """The layouts of ``len(states)`` trials, the k-th drawn by ``rng`` set to ``states[k]``.
 
-    Trial ``t``'s generator draws what ``default_rng([master_seed mod
-    2**64, t])`` would, in this order: K radii and K angles for the
+    Set to trial ``t``'s state, ``rng`` draws what ``default_rng([master_seed
+    mod 2**64, t])`` would, in this order: K radii and K angles for the
     transmitters, the same for the receiver offsets, then the K-by-K
     shadowing normals.  Everything after the draws is computed on the
     whole stack at once, with the same operations per entry as for one
@@ -401,9 +377,12 @@ def _sample_links(cfg: SimConfig, trials: int, rngs: Iterable[np.random.Generato
     """
     K = cfg.K
     sigma = cfg.shadowing_sigma_db
+    trials = len(states)
     u = np.empty((trials, 4, K))
     shadow = np.empty((trials, K, K)) if sigma else None
-    for k, rng in enumerate(rngs):
+    bitgen = rng.bit_generator
+    for k, state in enumerate(states):
+        bitgen.state = state
         u[k] = rng.random((4, K))  # the same numbers as four calls of K each
         if sigma:
             shadow[k] = rng.normal(0.0, sigma, size=(K, K))
@@ -430,8 +409,8 @@ def sample_network(cfg: SimConfig, trial_index: int) -> NetworkInstance:
     if not _is_integer(trial_index) or trial_index < 0:
         raise ValueError(f"trial_index must be a nonnegative integer, got {trial_index!r}")
     entropy = _uint32_words(int(cfg.master_seed) & _MASK64) + _uint32_words(int(trial_index))
-    rng = _stream_generator(_generate_state(entropy))
-    links = _sample_links(cfg, 1, [rng], transmit_power_dbm(cfg))
+    state = _stream_state(_generate_state(entropy))
+    links = _sample_links(cfg, _stream_generator(), [state], transmit_power_dbm(cfg))
     linear = links.gains[0]
     nominal_P = float(links.nominal_P[0])
     return NetworkInstance(
@@ -488,7 +467,7 @@ def condition_probability(cfg: SimConfig, workers: int = 1) -> ConditionEstimate
     rng = _stream_generator()
     passes = 0
     while batch := list(itertools.islice(streams, per_batch)):
-        links = _sample_links(cfg, len(batch), _on_streams(rng, batch), power_dbm)
+        links = _sample_links(cfg, rng, batch, power_dbm)
         margins = extreme_margins(link_exponents(gain_extremes(links.gains), links.nominal_P))
         passes += int(np.all(margins >= -EPS_CONDITION, axis=-1).sum())
     lo, hi = _wilson_interval(passes, cfg.trials)

@@ -652,10 +652,7 @@ def general_tin_region(alpha: ChannelMatrix) -> list:
         raise ValueError(
             f"the union supports at most {K_MAX_UNION} users, got {K}"
         )
-    order = sorted(
-        (frozenset(c) for m in range(K + 1) for c in itertools.combinations(range(K), m)),
-        key=lambda s: (len(s), sorted(s)),
-    )
+    order = [frozenset(c) for m in range(K + 1) for c in itertools.combinations(range(K), m)]
     polys = {S: polyhedral_region(alpha, S) for S in order}
     diag = np.diag(alpha.alpha)
     degenerate = {i for i in range(K) if diag[i] <= 1e-12}

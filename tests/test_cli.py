@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import tinopt
 from tinopt import ChannelMatrix, SimConfig, point_in_tin_region, polyhedral_region
 from tinopt.cli import main
 from tinopt.channel_model import EXPONENT_MAX
@@ -389,7 +393,7 @@ class TestMonteCarloContract:
         for command in ("simulate", "sweep"):
             args = [command, "--users", str(K_MAX_SIM), "--coverage", "100", "--trials", "1001"]
             assert_usage_error(runner, args)
-            assert "trials * K * K must be at most" in runner.invoke(main, args).output
+            assert "trials * (K * K + 150) must be at most" in runner.invoke(main, args).output
 
     def test_tiny_coverage_names_the_field(self, runner):
         args = ["simulate", "--users", "3", "--coverage", "1e-300", "--trials", "100"]
@@ -676,3 +680,17 @@ class TestCliBytes:
             if digest:
                 assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest[0], \
                     (args, result.stdout)
+
+
+
+class TestStartUp:
+    def test_import_loads_no_numpy_random_and_no_scipy(self):
+        # README, "CLI": the entry point imports numpy and click only, and
+        # numpy loads np.random on first use, so tinopt touches it at no import
+        src = str(Path(tinopt.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, tinopt.cli; "
+                "print(*[m for m in sys.modules if m.startswith(('numpy.random', 'scipy'))])")
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.split() == []

@@ -33,6 +33,7 @@ from tinopt.netsim import (
     RADIUS_MIN_M,
     REF_DISTANCE_M,
     SHADOWING_MAX_DB,
+    TRIAL_LINKS,
     WAVELENGTH_M,
     _link_distances,
     _wilson_interval,
@@ -272,18 +273,20 @@ class TestConditionProbability:
         assert condition_probability(cfg, workers=np.int64(2)) == a
 
     def test_trials_bounded_before_any_trial(self, monkeypatch):
-        # trials had no upper bound: 10**15 trials at K=1000 were accepted
-        SimConfig(K=K_MAX_SIM, coverage_radius=100.0, trials=LINKS_MAX_SIM // K_MAX_SIM**2)
-        SimConfig(K=1, coverage_radius=100.0, trials=LINKS_MAX_SIM)
+        # a run is bounded by its cost, trials * (K * K + TRIAL_LINKS): the
+        # bound on trials * K * K alone admitted 1e9 trials at K=1, hours of work
         monkeypatch.setattr(netsim, "_sample_links", lambda *args: pytest.fail("a trial ran"))
-        for K, trials in [(K_MAX_SIM, 10**15), (K_MAX_SIM, np.int64(10**15)),
-                          (K_MAX_SIM, LINKS_MAX_SIM // K_MAX_SIM**2 + 1), (1, LINKS_MAX_SIM + 1),
-                          (10, 10**7 + 1)]:
-            with pytest.raises(ValueError, match=r"^trials \* K \* K must be at most 1e\+09"):
+        refused = r"^trials \* \(K \* K \+ 150\) must be at most 1000150000, got "
+        for K, most in [(1, 6_623_509), (10, 4_000_600), (K_MAX_SIM, 1000)]:
+            assert most == LINKS_MAX_SIM // (K * K + TRIAL_LINKS)
+            for trials in (most, np.int64(most)):
                 SimConfig(K=K, coverage_radius=100.0, trials=trials)
-        cfg = SimConfig(K=2, coverage_radius=100.0, trials=10**8)
-        with pytest.raises(ValueError, match=r"^trials \* K \* K"):
-            sweep(cfg, [2, 4], [100.0])  # 4e8 and 1.6e9 links
+            for trials in (most + 1, np.int64(most + 1), 10**15):
+                with pytest.raises(ValueError, match=f"{refused}{(K * K + 150) * int(trials)}$"):
+                    SimConfig(K=K, coverage_radius=100.0, trials=trials)
+        cfg = SimConfig(K=2, coverage_radius=100.0, trials=6_494_480)  # the most at K=2
+        with pytest.raises(ValueError, match=refused):
+            sweep(cfg, [2, 4], [100.0])
 
     @pytest.mark.parametrize(
         "workers,message",
