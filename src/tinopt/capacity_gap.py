@@ -33,10 +33,10 @@ from .channel_model import (
     PowerExponents,
     _check_power,
     _check_r,
-    _is_integer,
     check_tin_condition,
 )
 from .potential_graph import (
+    _cycle_entries,
     _smallest_first,
     _sum_positions,
     cycle_rhs,
@@ -61,7 +61,7 @@ class FiniteSnrChannel:
     power: float
 
     def __post_init__(self):
-        _check_power(self.power, "nominal power")
+        object.__setattr__(self, "power", _check_power(self.power, "nominal power"))
 
     @property
     def K(self) -> int:
@@ -110,17 +110,11 @@ def _cycle_terms(ch: FiniteSnrChannel, C: np.ndarray) -> tuple:
 
 
 def _cycle_users(cycle, K: int) -> tuple:
-    """``cycle`` as a tuple of ints, in its order.
+    """``cycle`` as :func:`potential_graph._cycle_entries` gives it, in its order.
 
-    ``ValueError`` unless it lists at least two distinct integer users
-    (``int`` or numpy integer, not ``bool``) in ``range(K)``.
+    ``ValueError`` also unless it lists at least two users, each in ``range(K)``.
     """
-    seq = tuple(cycle)
-    if not all(map(_is_integer, seq)):
-        raise ValueError(f"cycle must be integer user indices, got {seq!r}")
-    seq = tuple(map(int, seq))
-    if len(set(seq)) != len(seq):
-        raise ValueError(f"cycle entries must be distinct, got {seq}")
+    seq = _cycle_entries(cycle)
     if len(seq) < 2:
         raise ValueError("cycle needs at least two users")
     if not set(seq) <= set(range(K)):

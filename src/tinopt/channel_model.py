@@ -56,6 +56,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """An int, float or numpy real; ``bool`` is refused although it subclasses ``int``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_exponents(a: np.ndarray, name: str = "alpha") -> None:
     """The one check of strength exponents and GDoF targets: in ``[0, EXPONENT_MAX]``, not NaN."""
     if not ((a >= 0) & (a <= EXPONENT_MAX)).all():  # NaN fails both
@@ -72,7 +77,9 @@ def _exponent_vector(values, K: int, name: str) -> np.ndarray:
 
 
 def _check_power(P, name: str) -> float:
-    """A nominal power as a float; ``ValueError`` unless it is finite and above 1."""
+    """A nominal power as a float; ``ValueError`` unless it is real, finite and above 1."""
+    if not _is_real(P):
+        raise ValueError(f"{name} must be a real number, got {P!r}")
     x = float(P)
     if not (math.isfinite(x) and x > 1):
         raise ValueError(f"{name} must be finite and exceed 1, got {P}")

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -46,8 +45,8 @@ from .channel_model import (
     EPS_CONDITION,
     ChannelMatrix,
     _is_integer,
+    _is_real,
     extreme_margins,
-    from_link_budget,
     gain_extremes,
     link_exponents,
 )
@@ -125,11 +124,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _is_real(value) -> bool:
-    """An int, float or numpy real; ``bool`` is refused although it subclasses ``int``."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -419,7 +413,7 @@ def sample_network(cfg: SimConfig, trial_index: int) -> NetworkInstance:
         pathloss_db=links.pathloss_db[0],
         snr_inr_linear=np.maximum(1.0, linear),
         nominal_P=nominal_P,
-        alpha=from_link_budget(np.diag(linear), linear, nominal_P),
+        alpha=ChannelMatrix(link_exponents(linear, nominal_P)),
     )
 
 

@@ -55,13 +55,6 @@ class PotentialGraph:
     def ground(self) -> int:
         return self.alpha.K
 
-    @property
-    def arc_count(self) -> int:
-        return self.K * self.K + self.K
-
-    def arc_length(self, a: int, b: int) -> float:
-        return float(self.lengths[a, b])
-
 
 @dataclass(frozen=True)
 class MembershipCertificate:
@@ -98,17 +91,17 @@ class MembershipCertificate:
 
 def build_graph(alpha: ChannelMatrix, d) -> PotentialGraph:
     """Assemble the graph for a channel and a GDoF target (negative d allowed)."""
+    return _graph(alpha, _target_vector(d, alpha.K))
+
+
+def _target_vector(d, K: int) -> np.ndarray:
+    """The one check of signed targets: ``d`` as ``K`` floats, each ``|d_i| <= EXPONENT_MAX``."""
     dv = np.asarray(d, dtype=float)
-    if dv.shape != (alpha.K,):
-        raise ValueError(f"d has shape {dv.shape}, expected ({alpha.K},)")
-    _check_targets(dv)
-    return _graph(alpha, dv)
-
-
-def _check_targets(dv: np.ndarray) -> None:
-    """Targets may be negative: ``ValueError`` unless every ``|d_i| <= EXPONENT_MAX`` (not NaN)."""
+    if dv.shape != (K,):
+        raise ValueError(f"d has shape {dv.shape}, expected ({K},)")
     if not np.all(np.abs(dv) <= EXPONENT_MAX):
         raise ValueError(f"d entries must be finite and at most {EXPONENT_MAX:g} in magnitude")
+    return dv
 
 
 def _graph(alpha: ChannelMatrix, dv: np.ndarray) -> PotentialGraph:
@@ -128,8 +121,8 @@ def _graph(alpha: ChannelMatrix, dv: np.ndarray) -> PotentialGraph:
     return PotentialGraph(alpha=alpha, d=dv, lengths=L)
 
 
-def canonical_cycle(seq) -> tuple:
-    """Rotate a cyclic sequence so its smallest index comes first.
+def _cycle_entries(seq) -> tuple:
+    """The one cycle check: ``seq`` as a tuple of ints, in its order.
 
     ``ValueError`` unless the sequence is nonempty and its entries are
     distinct integers (``int`` or numpy integer, not ``bool``).
@@ -140,7 +133,12 @@ def canonical_cycle(seq) -> tuple:
     t = tuple(map(int, t))
     if len(t) != len(set(t)):
         raise ValueError(f"cycle entries must be distinct, got {t}")
-    return _smallest_first(t)
+    return t
+
+
+def canonical_cycle(seq) -> tuple:
+    """Rotate a cyclic sequence (see :func:`_cycle_entries`) so its smallest index comes first."""
+    return _smallest_first(_cycle_entries(seq))
 
 
 def _smallest_first(t: tuple) -> tuple:

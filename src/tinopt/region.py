@@ -27,9 +27,8 @@ from .channel_model import SILENT, ChannelMatrix, PowerExponents, _exponent_vect
 from .potential_graph import (
     EPS_LENGTH,
     MembershipCertificate,
-    _check_targets,
     _graph,
-    build_graph,
+    _target_vector,
     canonical_cycle,  # re-exported: part of this module's interface
     cycle_rhs,
     decide_membership,
@@ -61,13 +60,10 @@ def cycle_blocks(users: Iterable[int]) -> list:
     The one cycle enumerator.  Sequences start at their smallest user and
     rows are lexicographic, so the blocks in turn are the canonical order;
     ``C(n, m) (m-1)!`` rows of length ``m`` for ``n`` users.  Users that are
-    not integers (``int`` or numpy integer, not ``bool``), or more than
-    ``K_MAX_EXPORT`` of them, raise ``ValueError`` before any is enumerated.
+    not integers (:func:`_distinct_users`), or more than ``K_MAX_EXPORT`` of
+    them, raise ``ValueError`` before any is enumerated.
     """
-    base = list(users)
-    if not all(map(_is_integer, base)):
-        raise ValueError(f"users must be integer user indices, got {base!r}")
-    base = sorted({int(u) for u in base})
+    base = _distinct_users(users, "users")
     if len(base) > K_MAX_EXPORT:
         raise ValueError(
             f"cycle enumeration supports at most {K_MAX_EXPORT} users, got {len(base)}"
@@ -143,13 +139,11 @@ class Polyhedron:
             map(LinearInequality, zip(*C.T.tolist()), rhs.tolist()) for C, rhs in self.rows))
 
     def contains(self, d) -> bool:
-        """Zero-pins and signs within ``EPS_LENGTH``, then the potential graph's circuit test."""
-        dv = np.asarray(d, dtype=float)
-        if dv.shape != (self.K,) or not np.all(np.isfinite(dv)):
-            raise ValueError(f"d must be a finite vector of length {self.K}")
+        """After :func:`_target_vector`, whatever the pins: zero-pins and signs within
+        ``EPS_LENGTH``, then the potential graph's circuit test."""
+        dv = _target_vector(d, self.K)
         if np.any(np.abs(dv[list(self.silent)]) > EPS_LENGTH) or np.any(dv < -EPS_LENGTH):
             return False
-        _check_targets(dv)  # the pins above bound the silent users and every d_i from below
         return _membership(self, dv).feasible
 
     @cached_property
@@ -213,12 +207,17 @@ class Polyhedron:
         }
 
 
-def _user_indices(users: Iterable[int], K: int, name: str) -> list:
-    """The distinct ``users``, sorted; ``ValueError`` unless each is an integer in ``range(K)``."""
+def _distinct_users(users: Iterable[int], name: str) -> list:
+    """The one user-list check: the distinct integer ``users``, sorted; else ``ValueError``."""
     idx = list(users)
     if not all(map(_is_integer, idx)):
         raise ValueError(f"{name} must be integer user indices, got {idx!r}")
-    idx = sorted({int(i) for i in idx})
+    return sorted({int(i) for i in idx})
+
+
+def _user_indices(users: Iterable[int], K: int, name: str) -> list:
+    """:func:`_distinct_users`, each also in ``range(K)``."""
+    idx = _distinct_users(users, name)
     if idx and not (idx[0] >= 0 and idx[-1] < K):
         raise ValueError(f"{name} {idx} out of range for K={K}")
     return idx
@@ -340,7 +339,7 @@ def _shortest_paths(channel: ChannelMatrix, level: float, departures: bool = Fal
     paths of equal length; else ``H`` is None.
     """
     n = channel.K
-    D = build_graph(channel, np.full(n, level)).lengths.copy()
+    D = _graph(channel, np.full(n, level)).lengths.copy()
     H = None
     if departures:
         H = np.ones_like(D)
@@ -472,7 +471,7 @@ def _max_level(channel: ChannelMatrix) -> float:
     ``t``.  Karp's minimum cycle mean (Karp 1978) over walks of up to K arcs.
     """
     n = channel.K
-    L = build_graph(channel, np.zeros(n)).lengths
+    L = _graph(channel, np.zeros(n)).lengths
     M = np.minimum(L[:n, :n], L[:n, n, None])
     D = np.zeros((n + 1, n))  # D[k, v]: the lightest walk of k arcs ending at v
     for k in range(n):
@@ -644,31 +643,36 @@ def general_tin_region(alpha: ChannelMatrix) -> list:
     unflagged: a later silent set flags ``S`` only when ``S``'s region does
     not also contain its own.  So following flags always ends at an
     unflagged component.  Containers of ``S`` silence only ``S`` and users
-    whose direct exponent is at most 1e-12, zero up to rounding.  More than
-    ``K_MAX_UNION`` users are refused before any region is built.
+    whose direct exponent is at most 1e-12, zero up to rounding, so only
+    their subsets are scanned, in canonical order (``3^K`` in all when no
+    direct exponent is 0).  More than ``K_MAX_UNION`` users are refused
+    before any region is built.
     """
     K = alpha.K
     if K > K_MAX_UNION:
         raise ValueError(
             f"the union supports at most {K_MAX_UNION} users, got {K}"
         )
-    order = [frozenset(c) for m in range(K + 1) for c in itertools.combinations(range(K), m)]
+    order = list(_canonical_sets(range(K)))
+    rank = {S: k for k, S in enumerate(order)}
     polys = {S: polyhedral_region(alpha, S) for S in order}
     diag = np.diag(alpha.alpha)
     degenerate = {i for i in range(K) if diag[i] <= 1e-12}
     components = []
     for k, S in enumerate(order):
-        forced_zero = S | degenerate
-        subsumed_by = None
-        for j, T in enumerate(order):
-            if j == k or not T.issubset(forced_zero):
-                continue
-            if poly_contains(polys[T], polys[S]) and not (
-                    j > k and poly_contains(polys[S], polys[T])):  # equal: the earlier stays
-                subsumed_by = T
-                break
+        subsumed_by = next((
+            T for T in _canonical_sets(sorted(S | degenerate))
+            if T != S and poly_contains(polys[T], polys[S])
+            and not (rank[T] > k and poly_contains(polys[S], polys[T]))  # equal: the earlier stays
+        ), None)
         components.append(RegionComponent(S, polys[S], subsumed_by))
     return components
+
+
+def _canonical_sets(users):
+    """The subsets of the sorted ``users`` as frozensets, by size, then lexicographic."""
+    for m in range(len(users) + 1):
+        yield from map(frozenset, itertools.combinations(users, m))
 
 
 @dataclass(frozen=True)

@@ -369,12 +369,38 @@ def oracle_support_value(alpha: np.ndarray, silent, W) -> np.ndarray:
 
 
 def oracle_contains(alpha: np.ndarray, T, S, tol: float = 1e-9) -> bool:
-    """Is the silent-set-S polytope inside the silent-set-T one (T subset S)?
+    """Is the silent-set-S polytope inside the silent-set-T one?
 
     Both are bounded, so containment holds exactly when every vertex of
-    the inner polytope meets the outer system within ``tol``.
+    the inner polytope meets the outer system, zero-pins included, within
+    ``tol``.
     """
     return all(oracle_region_margin(alpha, T, v) >= -tol for v in oracle_vertices(alpha, S))
+
+
+def oracle_union_flags(alpha: np.ndarray, tol: float = 1e-9) -> list:
+    """README's union rule, one ``(silent, subsumed_by)`` pair per silent set (at most 4 users).
+
+    Silent sets go in canonical order (size, then lexicographic).  ``S`` is
+    flagged by the first other set ``T``, scanning every set, that silences
+    only users of ``S`` or users whose direct gain is at most 1e-12, and
+    whose polytope contains ``S``'s (:func:`oracle_contains`), unless ``T``
+    comes after ``S`` and ``S``'s polytope contains ``T``'s too.
+    """
+    K = alpha.shape[0]
+    order = [frozenset(c) for m in range(K + 1) for c in itertools.combinations(range(K), m)]
+    zero = {i for i in range(K) if alpha[i, i] <= 1e-12}
+    contains = functools.lru_cache(maxsize=None)(
+        lambda T, S: oracle_contains(alpha, T, S, tol))
+    flags = []
+    for k, S in enumerate(order):
+        flag = None
+        for j, T in enumerate(order):
+            if j != k and T <= S | zero and contains(T, S) and not (j > k and contains(S, T)):
+                flag = sorted(T)
+                break
+        flags.append([sorted(S), flag])
+    return flags
 
 
 def oracle_cycle_lp(alpha: np.ndarray, silent, w) -> float | None:

@@ -96,7 +96,7 @@ class TestCyclicQuantities:
         with pytest.raises(ValueError):
             cyclic_quantities(ch, (0, 5))
         for cycle in [(0.9, True), (0.5, 1.2), "01", (0, 1.0)]:  # were truncated by int()
-            with pytest.raises(ValueError, match="^cycle must be integer user indices"):
+            with pytest.raises(ValueError, match="^cycle must be nonempty integer user indices"):
                 cyclic_quantities(ch, cycle)
         assert cyclic_quantities(ch, np.array([2, 0])).cycle == (2, 0)
 
@@ -107,6 +107,18 @@ class TestCyclicQuantities:
     def test_power_must_be_finite(self):
         with pytest.raises(ValueError):
             FiniteSnrChannel(ChannelMatrix(EX2_ALPHA), math.inf)
+
+    @pytest.mark.parametrize("P", ["100", True, 1 + 2j, None])
+    def test_power_must_be_real(self, P):
+        # "100" was kept as a string and failed later in log2P; complex and None raised TypeError
+        with pytest.raises(ValueError, match="^nominal power must be a real number"):
+            FiniteSnrChannel(ChannelMatrix(EX2_ALPHA), P)
+        with pytest.raises(ValueError, match="^powers must be a real number"):
+            gdof_limit_checks(ChannelMatrix(np.diag([1.0, 1.0])), (0, 1), [1e2, P])
+
+    def test_power_stored_as_float(self):
+        ch = FiniteSnrChannel(ChannelMatrix(EX2_ALPHA), np.float32(100))
+        assert type(ch.power) is float and ch.power == 100.0
 
 
 class TestGdofLimits:

@@ -312,6 +312,12 @@ class TestFromLinkBudget:
         with pytest.raises(ValueError, match="^nominal_P must be finite and exceed 1"):
             from_link_budget([10.0, 10.0], [[1.0, 2.0], [2.0, 1.0]], P)
 
+    @pytest.mark.parametrize("P", ["100", True, 1 + 2j, None])
+    def test_power_that_is_not_real_refused(self, P):
+        # "100" passed float(); complex and None raised TypeError
+        with pytest.raises(ValueError, match="^nominal_P must be a real number"):
+            from_link_budget([10.0, 10.0], [[1.0, 2.0], [2.0, 1.0]], P)
+
 
 def reduced_margins(gains, nominal_P):
     """The Monte-Carlo path: 3K logarithms per matrix, from each user's extremes."""

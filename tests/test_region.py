@@ -145,6 +145,15 @@ class TestPolyhedralRegion:
         with pytest.raises(ValueError):
             max_subset_sum(poly, [5])
 
+    @pytest.mark.parametrize("silent", [(), (0,), (1,), (0, 1)])
+    def test_contains_refuses_targets_out_of_range_whatever_the_pins(self, silent):
+        # a pinned user's [1e200, 0] read False while the all-active region raised
+        poly = polyhedral_region(ChannelMatrix(np.array([[1.0, 0.1], [0.2, 1.0]])), silent)
+        for d in ([1e200, 0.0], [0.0, np.nan], [-np.inf, 0.0], [0.0, -2e150]):
+            with pytest.raises(ValueError, match="at most 1e\\+150 in magnitude"):
+                poly.contains(d)
+        assert poly.contains([0.0, 0.0])
+
     def test_minimized_prunes_dominated_cycle(self, ex2):
         pruned = minimized(polyhedral_region(ex2))
         assert len(pruned.cycles) == 4

@@ -44,6 +44,7 @@ from _oracles import (
     oracle_cycles,
     oracle_poly_contains_rows,
     oracle_support_value,
+    oracle_union_flags,
     random_channel,
 )
 
@@ -110,6 +111,25 @@ class TestUnionFlags:
     def test_fixture_channels_come_from_the_generator(self):
         records = json.loads(FIXTURE.read_text())
         assert [r["alpha"] for r in records] == [a.tolist() for a in fixture_channels()]
+
+    def test_flags_match_the_containment_oracle(self):
+        # K 1-4, half with a zero or 5e-13 direct gain (so S and S + {i} are equal
+        # regions), a 0.1 grid, and two pairs whose cycles leave many regions empty,
+        # so equal; no flag here is decided inside the 1e-9 band
+        rng = np.random.default_rng(113)
+        channels = [np.array(EX2), np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[0.8]]),
+                    np.array([[.3, 1, 0, 0], [1, .3, 0, 0], [0, 0, .3, 1], [0, 0, 1, .3]])]
+        for k in range(36):
+            K = 1 + k % 4
+            if k % 3 == 0:
+                a = np.round(rng.uniform(0.0, 1.2, (K, K)), 1)
+            else:
+                a = random_channel(rng, K) if k % 2 else design_channel(rng, K, k % 4 == 1)
+            if k % 4 < 2:
+                a[k % K, k % K] = (0.0, 5e-13)[k % 2]
+            channels.append(a)
+        for alpha in channels:
+            assert union_flags(alpha) == oracle_union_flags(alpha), alpha
 
     def test_flags_end_at_an_unflagged_component(self):
         """No flag cycle, and under the condition the all-active component is unflagged."""
