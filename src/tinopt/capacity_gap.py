@@ -16,15 +16,21 @@ builder: the users as one ``(K, 1)`` block of length-1 sequences, then
 the all-active region's ``Polyhedron.rows``, one ``(c, m)`` block per
 cycle length, each with its GDoF right-hand sides and outer bounds.  A
 user is the m = 1 case of every row formula.  Every sum over a row's
-positions is added from 0 in position order, so each row has the same
-floats as when computed one constraint at a time.  Per-cycle bounds are
-exported for at most ``region.K_MAX_EXPORT`` users.
+positions is added from 0 in position order, and a position's predecessor
+or successor is taken by indexing the block's columns, so each row has
+the same floats as when computed one constraint at a time.  The cycles
+themselves are enumerated once per user count (``region.cycle_blocks``).
+A block's records, :class:`RateBound` or :class:`ConstraintGap`
+named tuples, are made by one ``map`` over its columns.  Per-cycle bounds
+are exported for at most ``region.K_MAX_EXPORT`` users.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,13 +103,14 @@ def _cycle_terms(ch: FiniteSnrChannel, C: np.ndarray) -> tuple:
     """
     a = ch.channel.alpha
     L = ch.log2P
+    m = C.shape[1]
     snr = a[C, C] * L
     # inr[:, j]: interference caused by position j's transmitter at the
     # previous position's receiver.
-    inr = a[np.roll(C, 1, axis=1), C] * L
+    inr = a[C[:, range(-1, m - 1)], C] * L
     lam = np.logaddexp2(0.0, snr)
     mu = np.logaddexp2(0.0, inr)
-    mu_next = np.roll(mu, -1, axis=1)  # log2(1 + INR_{j+1}), the first step of each chain
+    mu_next = mu[:, range(1 - m, 1)]  # log2(1 + INR_{j+1}), the first step of each chain
     kappa = np.logaddexp2(mu_next, snr - mu)
     gamma = np.logaddexp2(mu_next, snr)
     return kappa, lam - mu, gamma, lam, mu
@@ -219,8 +226,7 @@ def tin_rates(ch: FiniteSnrChannel, r) -> np.ndarray:
     return np.logaddexp2(0.0, sig - den)
 
 
-@dataclass(frozen=True)
-class RateBound:
+class RateBound(NamedTuple):
     """One outer bound: exact log form and its power-linearized form."""
 
     kind: str  # "user" | "cycle"
@@ -258,11 +264,11 @@ def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:
     linearized form adds log2(3) per cycle position to the GDoF
     right-hand side times log2(P).  Refuses more than ``K_MAX_EXPORT`` users.
     """
-    bounds = [
-        RateBound("user" if C.shape[1] == 1 else "cycle", tuple(seq), exact_bits=e, linear_bits=lin)
-        for C, _, exact, linear in _bound_blocks(ch)
-        for seq, e, lin in zip(C.tolist(), exact.tolist(), linear.tolist())
-    ]
+    bounds = []
+    for C, _, exact, linear in _bound_blocks(ch):
+        kind = "user" if C.shape[1] == 1 else "cycle"
+        bounds += map(RateBound._make, zip(itertools.repeat(kind), map(tuple, C.tolist()),
+                                           exact.tolist(), linear.tolist()))
     return OuterBounds(
         condition_holds=check_tin_condition(ch.channel).overall,
         user_bounds=tuple(bounds[:ch.K]),
@@ -270,8 +276,9 @@ def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:
     )
 
 
-@dataclass(frozen=True)
-class ConstraintGap:
+class ConstraintGap(NamedTuple):
+    """One row of a :class:`GapReport`: a user (``m = 1``) or a length-``m`` cycle."""
+
     kind: str
     users: tuple
     outer_exact: float
@@ -355,9 +362,8 @@ def gap_certificate(ch: FiniteSnrChannel, d) -> GapReport:
             raise ArithmeticError(f"certificate violated on {kind} {tuple(C[bad[0]].tolist())}: "
                                   f"{float(empirical[bad[0]])} > {sigma}")
         inner = rhs * ch.log2P - m * log2K
-        columns = (C, exact, linear, inner, achieved, empirical, tight)
-        rows += (
-            ConstraintGap(kind, tuple(seq), outer, lin, inn, ach, sigma, emp, is_tight)
-            for seq, outer, lin, inn, ach, emp, is_tight in zip(*(x.tolist() for x in columns))
-        )
+        rows += map(ConstraintGap._make, zip(  # one record per row, built by column
+            itertools.repeat(kind), map(tuple, C.tolist()), exact.tolist(), linear.tolist(),
+            inner.tolist(), achieved.tolist(), itertools.repeat(sigma), empirical.tolist(),
+            tight.tolist()))
     return GapReport(K=K, power=ch.power, d=tuple(float(x) for x in dv), r=cert.r, rows=tuple(rows))

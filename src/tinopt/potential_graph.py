@@ -167,7 +167,8 @@ def cycle_rhs(alpha: ChannelMatrix, seq):
     C = np.array(seq, dtype=np.intp, ndmin=2)
     if C.shape[1] == 1:
         return alpha.alpha[C[:, 0], C[:, 0]]
-    return _sum_positions(arc_weights(alpha)[np.roll(C, 1, axis=1), C])
+    m = C.shape[1]
+    return _sum_positions(arc_weights(alpha)[C[:, range(-1, m - 1)], C])  # arc from the predecessor
 
 
 def _sequence_rhs(a: np.ndarray, seq: tuple) -> float:

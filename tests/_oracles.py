@@ -274,6 +274,41 @@ def oracle_cycle_kappa(alpha: np.ndarray, power: float, seq) -> tuple:
     return float(kappa.sum()), float(oracle_cycle_rhs(alpha, seq) * L + m * math.log2(3.0))
 
 
+def oracle_gap_rows(alpha: np.ndarray, power: float, d, r, outer: list,
+                    slack: float = 1e-6) -> list:
+    """Every gap-certificate row as a plain tuple, one user or cycle at a time.
+
+    Rows are the users, then :func:`oracle_cycles` of all users, each as
+    ``(kind, users, outer_exact, outer_linear, inner_linear, achieved_bits,
+    analytic_sigma, empirical_sigma, tight)``; ``outer`` holds each row's
+    ``(exact, linear)`` pair as :func:`oracle_user_bound` and
+    :func:`oracle_cycle_kappa` give it.  The achieved bits add the
+    :func:`oracle_tin_rates` at exponents ``r`` from 0 in position order;
+    the inner bound is the right-hand side times log2(P) less ``m log2 K``;
+    the analytic gap is ``1 + log2 K`` for a user and ``m log2(3K)`` for a
+    length-``m`` cycle; a row is tight when its sum of ``d``, added the same
+    way, is within ``slack`` of its right-hand side.
+    """
+    K = alpha.shape[0]
+    L = math.log2(power)
+    rates = oracle_tin_rates(alpha, power, r).tolist()
+    seqs = [(i,) for i in range(K)] + oracle_cycles(range(K))
+    rows = []
+    for seq, (exact, linear) in zip(seqs, outer, strict=True):
+        m = len(seq)
+        if m == 1:
+            kind, sigma, rhs = "user", 1.0 + math.log2(K), float(alpha[seq[0], seq[0]])
+        else:
+            kind, sigma, rhs = "cycle", m * math.log2(3 * K), oracle_cycle_rhs(alpha, seq)
+        achieved = d_sum = 0.0
+        for u in seq:
+            achieved += rates[u]
+            d_sum += float(d[u])
+        rows.append((kind, seq, exact, linear, rhs * L - m * math.log2(K), achieved, sigma,
+                     exact - achieved, abs(d_sum - rhs) <= slack))
+    return rows
+
+
 def oracle_tin_rates(alpha: np.ndarray, power: float, r) -> np.ndarray:
     """Exact TIN rates in bits, one user and one scalar ``logaddexp2`` at a time.
 

@@ -11,6 +11,7 @@ from tinopt import (
     FiniteSnrChannel,
     PowerExponents,
     SILENT,
+    check_tin_condition,
     cyclic_quantities,
     gap_certificate,
     gdof_limit_checks,
@@ -21,12 +22,13 @@ from tinopt import (
     tin_gdof,
     tin_rates,
 )
-from tinopt.capacity_gap import GAP_CSV_HEADER
+from tinopt.capacity_gap import GAP_CSV_HEADER, ConstraintGap, RateBound
 from tinopt.cli import main
 from conftest import EX2_ALPHA, symmetric_two_user
 from _oracles import (
     oracle_cycle_kappa,
     oracle_cycles,
+    oracle_gap_rows,
     oracle_tin_rates,
     oracle_user_bound,
     random_channel,
@@ -320,6 +322,11 @@ class TestCycleBoundsOracle:
         rng = np.random.default_rng(400 + K)
         for alpha in (random_channel(rng, K), random_condition_channel(rng, K)):
             seqs = oracle_cycles(range(K))
+            # the origin, and a weighted-sum optimum, so that some rows are tight
+            points = [np.zeros(K)]
+            if check_tin_condition(ChannelMatrix(alpha)).overall:
+                points.append(max_weighted_gdof(polyhedral_region(ChannelMatrix(alpha)),
+                                                rng.uniform(0.2, 1.0, K))[1])
             for P in (1e2, 1e4, 1e8):
                 fch = FiniteSnrChannel(ChannelMatrix(alpha), P)
                 ob = rate_outer_bounds(fch)
@@ -329,10 +336,29 @@ class TestCycleBoundsOracle:
                     oracle_cycle_kappa(alpha, P, seq) for seq in seqs]
                 bounds = ob.user_bounds + ob.cycle_bounds
                 assert [(b.exact_bits, b.linear_bits) for b in bounds] == want
-                if ob.condition_holds:  # the certificate's rows carry the same bounds
-                    rows = gap_certificate(fch, np.zeros(K)).rows
+                if not ob.condition_holds:
+                    continue
+                for d in points:  # the certificate's rows carry the same bounds, and the rest
+                    report = gap_certificate(fch, d)
+                    rows = report.rows
                     assert [r.users for r in rows] == [b.users for b in bounds]
                     assert [(r.outer_exact, r.outer_linear) for r in rows] == want
+                    oracle = oracle_gap_rows(alpha, P, d, list(report.r.values), want)
+                    assert [tuple(r) for r in rows] == oracle
+                    assert all(type(r.tight) is bool for r in rows)
+
+    def test_record_fields_in_their_order(self):
+        assert RateBound._fields == ("kind", "users", "exact_bits", "linear_bits")
+        assert ConstraintGap._fields == (
+            "kind", "users", "outer_exact", "outer_linear", "inner_linear", "achieved_bits",
+            "analytic_sigma", "empirical_sigma", "tight")
+        row = ConstraintGap("user", (0,), 1.0, 2.0, 0.5, 0.75, 3.0, 0.25, False)
+        assert repr(row) == (
+            "ConstraintGap(kind='user', users=(0,), outer_exact=1.0, outer_linear=2.0, "
+            "inner_linear=0.5, achieved_bits=0.75, analytic_sigma=3.0, empirical_sigma=0.25, "
+            "tight=False)")
+        assert row == ("user", (0,), 1.0, 2.0, 0.5, 0.75, 3.0, 0.25, False)
+        assert hash(row) == hash(tuple(row))
 
 
 DATA = Path(__file__).parent / "data"

@@ -241,6 +241,34 @@ class TestRowArrays:
             assert [u for u, _ in rows] == oracle_cycles(poly.active)
             assert [b for _, b in rows] == [oracle_cycle_rhs(alpha, u) for u, _ in rows]
 
+    def test_blocks_of_any_users_are_the_oracle_cycles(self):
+        users = (1, 4, 6, 8)
+        assert [tuple(seq) for C in region.cycle_blocks(users) for seq in C.tolist()] == \
+            oracle_cycles(users)
+        alpha = random_channel(np.random.default_rng(97), 9)
+        poly = polyhedral_region(ChannelMatrix(alpha), [0, 2, 3, 5, 7])
+        assert poly.active == users
+        rows = [(tuple(seq), b) for C, rhs in poly.rows for seq, b in zip(C.tolist(), rhs.tolist())]
+        assert [u for u, _ in rows] == oracle_cycles(users)
+        assert [b for _, b in rows] == [oracle_cycle_rhs(alpha, u) for u, _ in rows]
+
+    def test_cached_blocks_are_read_only(self):
+        for C in region.cycle_blocks(range(4)):
+            with pytest.raises(ValueError, match="read-only"):
+                C[0, 0] = 1
+        # a gather through other users is a new array, which the caller owns
+        C = region.cycle_blocks((1, 4, 6))[0]
+        C[0, 0] = 7
+        assert region.cycle_blocks((1, 4, 6))[0][0, 0] == 1
+
+    def test_enumerated_once_per_user_count(self):
+        region._cycle_blocks.cache_clear()
+        for users in (range(5), (1, 4, 6, 8, 9), range(5), range(3), (2, 7, 8)):
+            region.cycle_blocks(users)
+        polyhedral_region(ChannelMatrix(random_channel(np.random.default_rng(5), 6)), [1]).rows
+        assert region._cycle_blocks.cache_info().misses == 2  # 5 users, then 3
+        assert region._cycle_blocks.cache_info().hits == 4
+
 
 DATA = Path(__file__).parent / "data"
 
