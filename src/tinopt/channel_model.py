@@ -351,33 +351,11 @@ def from_link_budget(
     return ChannelMatrix(link_exponents(x, nominal_P))
 
 
-def _check_gains(g: np.ndarray) -> None:
-    if np.any(g <= 0):
-        raise ValueError("SNR/INR values must be positive")
-
-
-def gain_extremes(gains: np.ndarray) -> np.ndarray:
-    """The condition's ``(..., 3, K)`` extremes of stacked ``(..., K, K)`` linear gains.
-
-    Every gain is checked first, as in :func:`link_exponents`; the
-    maxima start from 1, where the clip of :func:`link_exponents` puts
-    every smaller gain.  Clipping, ``math.log`` and division by
-    ``log(nominal_P)`` are monotone, so ``link_exponents`` of the result
-    has the same bits as ``condition_extremes`` of the full exponent
-    matrices, from 3K logarithms per matrix instead of K².  A non-finite
-    gain is a maximum (``inf``) or propagates (NaN), so ``link_exponents``
-    still refuses it.
-    """
-    g = np.asarray(gains, dtype=float)
-    _check_gains(g)
-    return condition_extremes(g, 1.0)
-
-
 def link_exponents(gains: np.ndarray, nominal_P) -> np.ndarray:
     """Strength exponents ``log(max(1, g)) / log(nominal_P)`` of stacked gains.
 
     ``gains`` is a stack of ``(..., K, K)`` matrices or of the ``(..., 3, K)``
-    rows of :func:`gain_extremes`; ``nominal_P`` is one value, or one per
+    rows of :func:`condition_extremes`; ``nominal_P`` is one value, or one per
     matrix (shape ``gains.shape[:-2]``), and the caller ensures it exceeds
     1.  Every logarithm is ``math.log`` of one entry, so each exponent has
     the same bits however many matrices are stacked.  Raises ``ValueError``
@@ -385,7 +363,8 @@ def link_exponents(gains: np.ndarray, nominal_P) -> np.ndarray:
     and nonnegative.
     """
     g = np.asarray(gains, dtype=float)
-    _check_gains(g)
+    if np.any(g <= 0):
+        raise ValueError("SNR/INR values must be positive")
     P = np.asarray(nominal_P, dtype=float)
     logs = np.fromiter(map(math.log, np.maximum(g, 1.0).ravel().tolist()), float, g.size)
     log_P = np.fromiter(map(math.log, P.ravel().tolist()), float, P.size)

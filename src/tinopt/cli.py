@@ -61,7 +61,8 @@ def _canon(obj):
 
 
 def _csv_line(values) -> str:
-    return ",".join(v if isinstance(v, str) else format(_fmt(v), ".12g") for v in values)
+    """One CSV row; a number at 12 significant digits reads as it would after :func:`_fmt`."""
+    return ",".join(v if isinstance(v, str) else format(float(v), ".12g") for v in values)
 
 
 def _emit(text: str, path: str | None) -> None:

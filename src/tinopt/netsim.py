@@ -24,9 +24,10 @@ after another, then computes geometry, path loss and gains on
 per-entry operations as :func:`sample_network`: distances from
 per-coordinate differences, and one path-loss logarithm per link plus
 one more for each link below the reference distance.  Each layout's
-gains are reduced to the three extremes per user that the condition
-reads before any logarithm is taken, so every estimate has the same
-bytes as one computed a trial at a time from full exponent matrices.
+gains are kept in dB over 10 and reduced to the three extremes per user
+that the condition reads before any power or logarithm is taken, so
+every estimate has the same bytes as one computed a trial at a time from
+full exponent matrices.
 Simulations take at most ``K_MAX_SIM`` users, and a run at most
 ``LINKS_MAX_SIM`` link entries, each trial counted as its K * K links plus
 ``TRIAL_LINKS`` for its fixed cost.
@@ -46,8 +47,8 @@ from .channel_model import (
     ChannelMatrix,
     _is_integer,
     _is_real,
+    condition_extremes,
     extreme_margins,
-    gain_extremes,
     link_exponents,
 )
 
@@ -69,19 +70,19 @@ BOUNDARY_SNR_TARGET_DB = 0.0
 ANTENNA_GAIN_DB = 0.0
 
 #: Largest user count a simulation accepts.  One trial at K=1000 takes about
-#: 0.06 s and 24 MB, so the shortest run (100 trials) takes about 6 s; at
-#: K=2000 that grows to 0.26 s and 96 MB per trial (README, "Cellular
+#: 0.04 s and 24 MB, so the shortest run (100 trials) takes about 4 s; at
+#: K=2000 that grows to 0.18 s and 97 MB per trial (README, "Cellular
 #: Monte-Carlo").
 K_MAX_SIM = 1000
 
-#: A trial's fixed cost in link entries: one trial takes about 9.7 us at K=1,
-#: and a link 53-61 ns from K=100 up.
+#: A trial's fixed cost in link entries: one trial takes about 5.8 us at K=1,
+#: and a link 37-44 ns from K=100 up.
 TRIAL_LINKS = 150
 
 #: Largest cost, trials * (K * K + TRIAL_LINKS) link entries, a simulation
-#: accepts: the default 1000 trials at ``K_MAX_SIM``, about a minute.  The
-#: most trials it admits take about 64 s at K=1 (6,623,509), 2 minutes at
-#: K=10 and 61 s at K=100 (README, "Cellular Monte-Carlo").
+#: accepts: the default 1000 trials at ``K_MAX_SIM``, under a minute.  The
+#: most trials it admits take about 38 s at K=1 (6,623,509), 70 s at K=10
+#: and 44 s at K=100 (README, "Cellular Monte-Carlo").
 LINKS_MAX_SIM = 1000 * (K_MAX_SIM**2 + TRIAL_LINKS)
 
 #: Largest coverage or cell radius a simulation accepts [m].  Distances stay
@@ -244,8 +245,7 @@ class _Links:
     tx: np.ndarray  # (n, K, 2) meters
     rx: np.ndarray  # (n, K, 2) meters
     pathloss_db: np.ndarray  # (n, K, K), receiver-major
-    gains: np.ndarray  # (n, K, K) linear, not clipped
-    nominal_P: np.ndarray  # (n,)
+    y: np.ndarray  # (n, K, K) gains in dB over 10: the linear gain is 10**y, not clipped
 
 
 def _disk(radius: float, u_radius: np.ndarray, u_angle: np.ndarray) -> np.ndarray:
@@ -364,9 +364,11 @@ def _sample_links(cfg: SimConfig, rng: np.random.Generator, states: Sequence[dic
     Set to trial ``t``'s state, ``rng`` draws what ``default_rng([master_seed
     mod 2**64, t])`` would, in this order: K radii and K angles for the
     transmitters, the same for the receiver offsets, then the K-by-K
-    shadowing normals.  Everything after the draws is computed on the
-    whole stack at once, with the same operations per entry as for one
-    trial.  ``power_dbm`` is :func:`transmit_power_dbm`, computed once by
+    shadowing normals, each written straight into the batch's arrays.
+    Everything after the draws is computed on the whole stack at once,
+    with the same operations per entry as for one trial, and stops at the
+    gains in dB over 10: the caller raises to powers of 10 only what it
+    reads.  ``power_dbm`` is :func:`transmit_power_dbm`, computed once by
     the caller.
     """
     K = cfg.K
@@ -377,9 +379,11 @@ def _sample_links(cfg: SimConfig, rng: np.random.Generator, states: Sequence[dic
     bitgen = rng.bit_generator
     for k, state in enumerate(states):
         bitgen.state = state
-        u[k] = rng.random((4, K))  # the same numbers as four calls of K each
+        rng.random(out=u[k])  # the same numbers as four calls of K each
         if sigma:
-            shadow[k] = rng.normal(0.0, sigma, size=(K, K))
+            rng.standard_normal(out=shadow[k])
+    if sigma:
+        shadow *= sigma  # normal(0.0, sigma) is 0.0 + sigma * z: the same bits
     tx = _disk(cfg.cell_radius, u[:, 0], u[:, 1])
     rx = tx + _disk(cfg.coverage_radius, u[:, 2], u[:, 3])
     dist = _link_distances(tx, rx)
@@ -387,12 +391,10 @@ def _sample_links(cfg: SimConfig, rng: np.random.Generator, states: Sequence[dic
     pl = erceg_pathloss(dist)
     if sigma:
         pl += shadow
-    gains = np.subtract(power_dbm + ANTENNA_GAIN_DB, pl, out=dist)  # distances are spent
-    gains -= NOISE_FLOOR_DBM
-    gains /= 10.0
-    np.power(10.0, gains, out=gains)
-    nominal_P = np.maximum(gains.max(axis=(-2, -1)), 2.0)
-    return _Links(tx, rx, pl, gains, nominal_P)
+    y = np.subtract(power_dbm + ANTENNA_GAIN_DB, pl, out=dist)  # distances are spent
+    y -= NOISE_FLOOR_DBM
+    y /= 10.0
+    return _Links(tx, rx, pl, y)
 
 
 def sample_network(cfg: SimConfig, trial_index: int) -> NetworkInstance:
@@ -405,8 +407,8 @@ def sample_network(cfg: SimConfig, trial_index: int) -> NetworkInstance:
     entropy = _uint32_words(int(cfg.master_seed) & _MASK64) + _uint32_words(int(trial_index))
     state = _stream_state(_generate_state(entropy))
     links = _sample_links(cfg, _stream_generator(), [state], transmit_power_dbm(cfg))
-    linear = links.gains[0]
-    nominal_P = float(links.nominal_P[0])
+    linear = np.power(10.0, links.y[0])
+    nominal_P = max(float(linear.max()), 2.0)
     return NetworkInstance(
         tx_positions=links.tx[0],
         rx_positions=links.rx[0],
@@ -461,8 +463,12 @@ def condition_probability(cfg: SimConfig, workers: int = 1) -> ConditionEstimate
     rng = _stream_generator()
     passes = 0
     while batch := list(itertools.islice(streams, per_batch)):
-        links = _sample_links(cfg, rng, batch, power_dbm)
-        margins = extreme_margins(link_exponents(gain_extremes(links.gains), links.nominal_P))
+        # 3K powers of 10 per trial, not K*K: 10**0 == 1 and np.power(10.0, .)
+        # never decreases, so 10**max(y, 0) is max(10**y, 1), bit for bit
+        gains = condition_extremes(_sample_links(cfg, rng, batch, power_dbm).y, 0.0)
+        np.power(10.0, gains, out=gains)
+        nominal_P = np.maximum(gains.max(axis=(-2, -1)), 2.0)
+        margins = extreme_margins(link_exponents(gains, nominal_P))
         passes += int(np.all(margins >= -EPS_CONDITION, axis=-1).sum())
     lo, hi = _wilson_interval(passes, cfg.trials)
     return ConditionEstimate(

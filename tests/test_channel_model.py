@@ -17,9 +17,9 @@ from tinopt import (
 )
 from tinopt.channel_model import (
     EPS_CONDITION,
+    condition_extremes,
     condition_margins,
     extreme_margins,
-    gain_extremes,
     link_exponents,
 )
 from conftest import EX2_ALPHA, symmetric_two_user
@@ -319,51 +319,78 @@ class TestFromLinkBudget:
             from_link_budget([10.0, 10.0], [[1.0, 2.0], [2.0, 1.0]], P)
 
 
-def reduced_margins(gains, nominal_P):
-    """The Monte-Carlo path: 3K logarithms per matrix, from each user's extremes."""
-    return extreme_margins(link_exponents(gain_extremes(gains), nominal_P))
+def reduced_margins(y, nominal_P):
+    """The Monte-Carlo path: each user's extremes taken on gains in dB over 10,
+    then 3K powers of 10 and 3K logarithms per matrix."""
+    gains = np.power(10.0, condition_extremes(y, 0.0))
+    return extreme_margins(link_exponents(gains, nominal_P))
+
+
+def full_margins(y, nominal_P):
+    """``sample_network``'s path: every gain raised, every exponent taken."""
+    return condition_margins(link_exponents(np.power(10.0, y), nominal_P))
 
 
 @st.composite
-def stacked_gains(draw):
-    """``(n, K, K)`` gains over a 1e-100..1e100 range, drawn from a few levels so
-    that the maximum of a row or column often ties with other entries; levels
-    below 1 are clipped.  ``nominal_P`` is one value or one per matrix."""
+def stacked_exponents(draw):
+    """``(n, K, K)`` gains in dB over 10 over -100..100, so gains 1e-100..1e100,
+    drawn from a few levels so that the maximum of a row or column often ties
+    with other entries; levels below 0 (gains below 1) are clipped, and 0 is
+    a level half the time.  ``nominal_P`` is one value or one per matrix."""
     n = draw(st.integers(1, 3))
     K = draw(st.integers(1, 6))
-    levels = draw(st.lists(st.floats(1e-100, 1e100), min_size=1, max_size=4))
+    levels = draw(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        levels.append(draw(st.sampled_from([0.0, -0.0])))
     picks = draw(st.lists(st.integers(0, len(levels) - 1), min_size=n * K * K,
                           max_size=n * K * K))
-    gains = np.array(levels)[picks].reshape(n, K, K)
+    y = np.array(levels)[picks].reshape(n, K, K)
     per_matrix = st.lists(st.floats(2.0, 1e100), min_size=n, max_size=n).map(np.array)
     nominal_P = draw(st.floats(2.0, 1e100) | per_matrix)
-    return gains, nominal_P
+    return y, nominal_P
 
 
 class TestGainExtremes:
+    """The extremes the condition reads, taken on exponents before any power of 10."""
+
     @settings(max_examples=300, deadline=None)
-    @given(stacked_gains())
+    @given(stacked_exponents())
     def test_bit_equal_to_full_exponent_matrices(self, case):
-        gains, nominal_P = case
-        got = reduced_margins(gains, nominal_P)
-        want = condition_margins(link_exponents(gains, nominal_P))
-        assert got.shape == gains.shape[:2]
+        y, nominal_P = case
+        got = reduced_margins(y, nominal_P)
+        want = full_margins(y, nominal_P)
+        assert got.shape == y.shape[:2]
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        P = np.broadcast_to(nominal_P, gains.shape[:1])
-        for g, p, m in zip(gains, P, got):
+        P = np.broadcast_to(nominal_P, y.shape[:1])
+        for g, p, m in zip(np.power(10.0, y), P, got):
             assert bool(np.all(m >= -EPS_CONDITION)) == oracle_trial_verdict(g, float(p))
 
     def test_single_user(self):
-        assert reduced_margins(np.array([[[0.5]], [[1e6]]]), 1e3).tolist() == [[0.0], [2.0]]
+        # gains 10**-0.3 (clipped to 1) and 10**6
+        assert reduced_margins(np.array([[[-0.3]], [[6.0]]]), 1e3).tolist() == [[0.0], [2.0]]
 
-    @pytest.mark.parametrize("bad", [0.0, -0.0, -1e-300, -3.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_bad_gain_off_the_extremes_raises(self, bad):
-        # entry [1][2] is neither its row's nor its column's largest cross gain
-        g = np.array([[[1e4, 50.0, 40.0],
-                       [60.0, 1e4, 2.0],
-                       [30.0, 70.0, 1e4]]] * 2)
-        g[1, 1, 2] = bad
+        # entry [1][2] is neither its row's nor its column's largest cross
+        # exponent, but an infinite one is, and NaN propagates through both
+        y = np.array([[[4.0, 1.7, 1.6],
+                       [1.8, 4.0, 0.3],
+                       [1.5, 1.9, 4.0]]] * 2)
+        y[1, 1, 2] = bad
         with pytest.raises(ValueError):
-            reduced_margins(g, 1e4)
+            reduced_margins(y, 1e4)
         with pytest.raises(ValueError):
-            link_exponents(g, 1e4)
+            full_margins(y, 1e4)
+
+    def test_vanishing_gain_off_the_extremes_is_clipped(self):
+        # a gain of 0 (y = -inf) is refused by the full path but, off the
+        # extremes, never reaches a logarithm on the reduced one; the accepted
+        # radii and spreads keep every gain above about 1e-130 (README, "Cellular
+        # Monte-Carlo"), and a gain below 1 counts as 1 either way
+        y = np.array([[[4.0, 1.7, 1.6],
+                       [1.8, 4.0, -math.inf],
+                       [1.5, 1.9, 4.0]]])
+        clipped = np.where(np.isinf(y), 0.0, y)
+        assert reduced_margins(y, 1e4).tolist() == full_margins(clipped, 1e4).tolist()
+        with pytest.raises(ValueError):
+            full_margins(y, 1e4)

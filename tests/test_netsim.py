@@ -377,6 +377,48 @@ class TestBatchedTrials:
         passes = sum(oracle_trial_verdict(o["gains"], o["nominal_P"]) for o in layouts)
         assert condition_probability(cfg).passes == passes
 
+    # Toward the ends of the accepted inputs, each at the largest shadowing
+    # spread: a single user, whose cross extremes are only the floor; 1 mm
+    # coverage in a 1e6 m cell, the smallest gains (below 1e-50 here); 1e6 m
+    # coverage, the largest.
+    @pytest.mark.parametrize(
+        "K,coverage,cell,seed",
+        [(1, 100.0, 1000.0, 3), (1, 1e-3, 1e6, 4), (1, 1e6, 1e6, 5),
+         (2, 1e-3, 1e6, 6), (7, 1e-3, 1e6, -1), (7, 1e6, 1e6, 2**63), (12, 1e6, 1e6, 8)],
+    )
+    def test_gain_range_ends_match_per_trial_oracle(self, K, coverage, cell, seed):
+        cfg = SimConfig(K=K, coverage_radius=coverage, cell_radius=cell, trials=101,
+                        master_seed=seed, shadowing_sigma_db=SHADOWING_MAX_DB)
+        layouts = (oracle_layout(cfg, t) for t in range(cfg.trials))
+        passes = sum(oracle_trial_verdict(o["gains"], o["nominal_P"]) for o in layouts)
+        assert condition_probability(cfg).passes == passes
+
+
+class TestGainPowers:
+    """``condition_probability`` takes each user's extremes on gains in dB over 10
+    and raises only those to powers of 10.  That has the bits of raising every
+    gain first only while ``np.power(10.0, .)`` never decreases and maps 0 to
+    1, so a numpy release where it does not fails here."""
+
+    # gains in dB over 10 at the accepted radii and spreads lie within about
+    # -130 and 122 (README, "Cellular Monte-Carlo")
+    LOW, HIGH = -131.0, 123.0
+
+    def test_ten_to_the_zero_is_one(self):
+        assert np.power(10.0, np.array([0.0, -0.0])).tolist() == [1.0, 1.0]
+
+    def test_never_decreases_on_neighbouring_doubles(self):
+        rng = np.random.default_rng(20131)
+        y = np.concatenate([rng.uniform(self.LOW, self.HIGH, 400_000),
+                            rng.uniform(-1.0, 1.0, 100_000), [0.0, self.LOW, self.HIGH]])
+        # each value with the doubles just below and above it, and runs of
+        # 256 consecutive doubles from starts spread over the range
+        runs = [np.linspace(self.LOW, self.HIGH, 2001)]
+        for _ in range(255):
+            runs.append(np.nextafter(runs[-1], np.inf))
+        z = np.unique(np.concatenate([np.nextafter(y, -np.inf), y, np.nextafter(y, np.inf), *runs]))
+        assert (np.diff(np.power(10.0, z)) >= 0).all()
+
 
 class TestTrialStreams:
     """Each trial's stream is ``default_rng([master_seed mod 2**64, t])``, bit for bit.
