@@ -12,17 +12,17 @@ a constant independent of power: 1 + log2(K) per user and
 m*log2(3K) per length-m cycle, which is the certified gap.
 
 :func:`rate_outer_bounds` and :func:`gap_certificate` read one block
-builder: the users as one ``(K, 1)`` block of length-1 sequences, then
-the all-active region's ``Polyhedron.rows``, one ``(c, m)`` block per
-cycle length, each with its GDoF right-hand sides and outer bounds.  A
-user is the m = 1 case of every row formula.  Every sum over a row's
-positions is added from 0 in position order, and a position's predecessor
-or successor is taken by indexing the block's columns, so each row has
-the same floats as when computed one constraint at a time.  The cycles
-themselves are enumerated once per user count (``region.cycle_blocks``).
-A block's records, :class:`RateBound` or :class:`ConstraintGap`
-named tuples, are made by one ``map`` over its columns.  Per-cycle bounds
-are exported for at most ``region.K_MAX_EXPORT`` users.
+builder: the users as one ``(K, 1)`` block, then one ``(c, m)`` block per
+cycle length of ``region.cycle_blocks``, each with its GDoF right-hand
+sides and outer bounds; a user is the m = 1 case of every row formula.
+Every per-position quantity, rho included, is block arithmetic on
+``potential_graph._cycle_arcs``, the one gather of each position's direct
+exponent and its arc from the predecessor (one row per power for
+:func:`gdof_limit_checks`).  A row's kappa sum is numpy's sum of that row,
+as of one cycle; every other sum over positions is added from 0 in
+position order, so each row has the same floats as when computed one
+constraint at a time.  A block's records are made by one ``map`` over its
+columns.  Per-cycle bounds are exported for at most ``K_MAX_EXPORT`` users.
 """
 
 from __future__ import annotations
@@ -42,13 +42,14 @@ from .channel_model import (
     check_tin_condition,
 )
 from .potential_graph import (
+    _cycle_arcs,
     _cycle_entries,
     _smallest_first,
     _sum_positions,
     cycle_rhs,
     recover_power_allocation,
 )
-from .region import Polyhedron
+from .region import cycle_blocks
 
 
 #: Largest final normalized error at which :meth:`LimitReport.converged` holds.
@@ -95,19 +96,15 @@ class CyclicBoundQuantities:
     rho: np.ndarray
 
 
-def _cycle_terms(ch: FiniteSnrChannel, C: np.ndarray) -> tuple:
-    """``(kappa, beta, gamma, lam, mu)``, each ``(c, m)``, for a block of cycles of one length.
+def _cycle_terms(L, direct: np.ndarray, incoming: np.ndarray) -> tuple:
+    """``(kappa, beta, gamma, lam, mu)``, each ``(c, m)``, of :func:`potential_graph._cycle_arcs`.
 
-    Position ``j`` of row ``C[k]`` is user ``C[k, j]``; its interferer is the
-    transmitter at position ``j+1`` (indices wrap).
+    ``L`` is ``log2(P)``, or a column of them for one cycle at many powers.
+    Position ``j``'s interferer is the transmitter at position ``j+1``.
     """
-    a = ch.channel.alpha
-    L = ch.log2P
-    m = C.shape[1]
-    snr = a[C, C] * L
-    # inr[:, j]: interference caused by position j's transmitter at the
-    # previous position's receiver.
-    inr = a[C[:, range(-1, m - 1)], C] * L
+    m = direct.shape[1]
+    snr = direct * L
+    inr = incoming * L  # position j's transmitter at the previous position's receiver
     lam = np.logaddexp2(0.0, snr)
     mu = np.logaddexp2(0.0, inr)
     mu_next = mu[:, range(1 - m, 1)]  # log2(1 + INR_{j+1}), the first step of each chain
@@ -135,15 +132,21 @@ def cyclic_quantities(ch: FiniteSnrChannel, cycle) -> CyclicBoundQuantities:
 
 
 def _quantities(ch: FiniteSnrChannel, seq: tuple) -> CyclicBoundQuantities:
-    m = len(seq)
-    kappa, beta, gamma, lam, mu = (x[0] for x in _cycle_terms(ch, np.array([seq])))
-    rho = np.empty(m)
-    for j in range(m):
-        rest = sum(kappa[t] for t in range(m) if t not in (j, (j - 1) % m))
-        rho[j] = beta[(j - 1) % m] + gamma[j] + rest
-    return CyclicBoundQuantities(
-        cycle=seq, kappa=kappa, beta=beta, gamma=gamma, lam=lam, mu=mu, rho=rho
-    )
+    arcs = _cycle_arcs(ch.channel.alpha, np.array([seq]))
+    kappa, beta, gamma, lam, mu = _cycle_terms(ch.log2P, *arcs)
+    return CyclicBoundQuantities(cycle=seq, kappa=kappa[0], beta=beta[0], gamma=gamma[0],
+                                 lam=lam[0], mu=mu[0], rho=_rho(kappa, beta, gamma)[0])
+
+
+def _rho(kappa: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """``rho[:, j] = beta[:, j-1] + gamma[:, j] + rest``, ``rest`` the kappa of every position
+    but ``j`` and ``j-1`` from 0 in position order (a skipped one adds +0.0; kappa > 0)."""
+    m = kappa.shape[1]
+    j = np.arange(m)
+    rest = np.zeros(kappa.shape)
+    for t in range(m):  # position t's kappa is in the rest of all but positions t and t+1
+        rest += np.where((j == t) | (j == (t + 1) % m), 0.0, kappa[:, t, None])
+    return beta[:, range(-1, m - 1)] + gamma + rest
 
 
 @dataclass(frozen=True)
@@ -167,8 +170,9 @@ def gdof_limit_checks(alpha: ChannelMatrix, cycle, powers) -> LimitReport:
     """Track sum(kappa)/log2(P) and rho_k/log2(P) toward their analytic limits.
 
     Valid only under the optimality condition, where the normalized cycle
-    bound tends to the region inequality's right-hand side and each rho
-    tends to that value plus the direct exponent of the excluded user.
+    bound tends to the region inequality's right-hand side and each
+    position's rho tends to that value plus the cross exponent ``a_pq`` of
+    the arc into it from its predecessor ``p``.
     The cycle and the powers, at least one, are checked first
     (``ValueError``); a channel that fails the condition then raises
     :class:`ConditionNotMetError`.  Errors that grow by at most 1e-12,
@@ -180,34 +184,25 @@ def gdof_limit_checks(alpha: ChannelMatrix, cycle, powers) -> LimitReport:
         raise ValueError("powers must not be empty")
     if any(P_list[i] >= P_list[i + 1] for i in range(len(P_list) - 1)):
         raise ValueError("powers must be increasing")
-    quantities = [_quantities(FiniteSnrChannel(alpha, P), seq) for P in P_list]
+    L = np.array([math.log2(P) for P in P_list])[:, None]  # one row per power
+    direct, incoming = _cycle_arcs(alpha.alpha, np.array([seq]))
+    kappa, beta, gamma, _, _ = _cycle_terms(L, direct, incoming)
     if not check_tin_condition(alpha).overall:  # a verdict, after the input is known valid
         raise ConditionNotMetError("limit identities require the optimality condition")
-    a = alpha.alpha
-    m = len(seq)
     kappa_limit = cycle_rhs(alpha, seq)
-    rho_limits = tuple(kappa_limit + a[seq[k - 1], seq[k]] for k in range(m))
-    kappa_errors = []
-    rho_errors = [[] for _ in range(m)]
-    for P, q in zip(P_list, quantities):
-        L = math.log2(P)
-        kappa_errors.append(abs(q.kappa.sum() / L - kappa_limit))
-        for k in range(m):
-            rho_errors[k].append(abs(q.rho[k] / L - rho_limits[k]))
-    series = [kappa_errors] + rho_errors
-    monotone = all(
-        s[i + 1] <= s[i] + 1e-12 for s in series for i in range(len(s) - 1)
-    )
-    final = max(s[-1] for s in series)
+    rho_limits = kappa_limit + incoming[0]
+    # per power: the kappa sum's error (a row summed as one cycle's), then each rho's
+    errors = np.abs(np.column_stack([kappa.sum(axis=1) / L[:, 0] - kappa_limit,
+                                     _rho(kappa, beta, gamma) / L - rho_limits]))
     return LimitReport(
         cycle=seq,
         powers=tuple(P_list),
         kappa_sum_limit=kappa_limit,
-        kappa_sum_errors=tuple(kappa_errors),
-        rho_limits=tuple(float(x) for x in rho_limits),
-        rho_errors=tuple(tuple(e) for e in rho_errors),
-        monotone=monotone,
-        final_error=float(final),
+        kappa_sum_errors=tuple(errors[:, 0]),
+        rho_limits=tuple(rho_limits.tolist()),
+        rho_errors=tuple(map(tuple, errors[:, 1:].T)),
+        monotone=bool(np.all(errors[1:] <= errors[:-1] + 1e-12)),
+        final_error=float(errors[-1].max()),
     )
 
 
@@ -252,9 +247,10 @@ def _bound_blocks(ch: FiniteSnrChannel):
     L = ch.log2P
     a_ii = ch.channel.alpha.diagonal()
     yield np.arange(ch.K)[:, None], a_ii, np.logaddexp2(0.0, a_ii * L), a_ii * L + 1.0
-    for C, rhs in Polyhedron(ch.channel, frozenset()).rows:
-        # per row, as kappa.sum() sums one cycle
-        yield C, rhs, _cycle_terms(ch, C)[0].sum(axis=1), rhs * L + C.shape[1] * math.log2(3.0)
+    for C in cycle_blocks(range(ch.K)):
+        rhs = cycle_rhs(ch.channel, C)
+        kappa = _cycle_terms(L, *_cycle_arcs(ch.channel.alpha, C))[0]  # summed as one cycle's
+        yield C, rhs, kappa.sum(axis=1), rhs * L + C.shape[1] * math.log2(3.0)
 
 
 def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:

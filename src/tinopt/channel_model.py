@@ -266,22 +266,22 @@ def polyhedral_tin_gdof(alpha: ChannelMatrix, r) -> np.ndarray:
     return np.diag(a) + rv - _interference(a, rv)
 
 
-def condition_extremes(values: np.ndarray, floor: float) -> np.ndarray:
+def condition_extremes(values: np.ndarray) -> np.ndarray:
     """The ``(..., 3, K)`` extremes the optimality condition reads, from stacked ``(..., K, K)`` values.
 
     Per user ``i``, the three rows hold the direct value ``v_ii``, the
     strongest value it causes ``max_{j != i} v_ji`` and the strongest it
-    suffers ``max_{k != i} v_ik``.  Each maximum starts from ``floor``,
-    which also stands in for the diagonal: 0 for exponents, 1 for linear
-    gains (whose exponent is 0).  NaN propagates through every maximum.
+    suffers ``max_{k != i} v_ik``.  Each maximum starts from 0, which also
+    stands in for the diagonal: the values are exponents, or gains in dB
+    over 10, where 0 is unit gain.  NaN propagates through every maximum.
     """
     K = values.shape[-1]
-    off = np.where(np.eye(K, dtype=bool), floor, values)
+    off = np.where(np.eye(K, dtype=bool), 0.0, values)
     return np.stack(
         [
             np.diagonal(values, axis1=-2, axis2=-1),
-            off.max(axis=-2, initial=floor),
-            off.max(axis=-1, initial=floor),
+            off.max(axis=-2, initial=0.0),
+            off.max(axis=-1, initial=0.0),
         ],
         axis=-2,
     )
@@ -299,7 +299,7 @@ def condition_margins(a: np.ndarray) -> np.ndarray:
     zeroed and each maximum starts from 0, which leaves it unchanged for
     nonnegative exponents and gives 0 for a single user.
     """
-    return extreme_margins(condition_extremes(a, 0.0))
+    return extreme_margins(condition_extremes(a))
 
 
 def check_tin_condition(alpha: ChannelMatrix) -> ConditionReport:

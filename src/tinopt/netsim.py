@@ -465,7 +465,7 @@ def condition_probability(cfg: SimConfig, workers: int = 1) -> ConditionEstimate
     while batch := list(itertools.islice(streams, per_batch)):
         # 3K powers of 10 per trial, not K*K: 10**0 == 1 and np.power(10.0, .)
         # never decreases, so 10**max(y, 0) is max(10**y, 1), bit for bit
-        gains = condition_extremes(_sample_links(cfg, rng, batch, power_dbm).y, 0.0)
+        gains = condition_extremes(_sample_links(cfg, rng, batch, power_dbm).y)
         np.power(10.0, gains, out=gains)
         nominal_P = np.maximum(gains.max(axis=(-2, -1)), 2.0)
         margins = extreme_margins(link_exponents(gains, nominal_P))

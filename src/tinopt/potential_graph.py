@@ -147,9 +147,10 @@ def _smallest_first(t: tuple) -> tuple:
     return t[k:] + t[:k]
 
 
-def arc_weights(alpha: ChannelMatrix) -> np.ndarray:
-    """Arc weights ``W[p, q] = a_qq - a_pq``; a cycle weighs its :func:`cycle_rhs`."""
-    return alpha.alpha.diagonal()[None, :] - alpha.alpha
+def _cycle_arcs(a: np.ndarray, C: np.ndarray) -> tuple:
+    """``(a[C, C], a[pred, C])``, each ``(c, m)``: each position's direct exponent (off the
+    diagonal) and its arc from the predecessor, ``pred = C[:, [m-1, 0, ..., m-2]]``."""
+    return a.diagonal()[C], a[C[:, range(-1, C.shape[1] - 1)], C]
 
 
 def cycle_rhs(alpha: ChannelMatrix, seq):
@@ -157,18 +158,18 @@ def cycle_rhs(alpha: ChannelMatrix, seq):
 
     A ``(c, m)`` integer array of ``c`` sequences of one length ``m`` gives
     the ``(c,)`` array of their right-hand sides: the arc weights
-    ``a_{s_j s_j} - a_{s_(j-1) s_j}`` around each sequence (indices wrap),
-    added from 0 in position order; for ``m = 1``, the direct power bound
-    ``a_ii``.  One sequence gives a float by the same additions, one per
-    position, without forming :func:`arc_weights`.
+    ``a_{s_j s_j} - a_{s_(j-1) s_j}`` around each sequence (indices wrap,
+    :func:`_cycle_arcs`), added from 0 in position order; for ``m = 1``,
+    the direct power bound ``a_ii``.  One sequence gives a float by the
+    same additions, one per position, in Python floats.
     """
     if np.ndim(seq) != 2:
         return _sequence_rhs(alpha.alpha, tuple(seq))
     C = np.array(seq, dtype=np.intp, ndmin=2)
     if C.shape[1] == 1:
         return alpha.alpha[C[:, 0], C[:, 0]]
-    m = C.shape[1]
-    return _sum_positions(arc_weights(alpha)[C[:, range(-1, m - 1)], C])  # arc from the predecessor
+    direct, incoming = _cycle_arcs(alpha.alpha, C)
+    return _sum_positions(direct - incoming)
 
 
 def _sequence_rhs(a: np.ndarray, seq: tuple) -> float:

@@ -27,6 +27,7 @@ from .channel_model import SILENT, ChannelMatrix, PowerExponents, _exponent_vect
 from .potential_graph import (
     EPS_LENGTH,
     MembershipCertificate,
+    _bellman_ford,
     _graph,
     _target_vector,
     canonical_cycle,  # re-exported: part of this module's interface
@@ -271,17 +272,19 @@ def _membership(poly: Polyhedron, d: np.ndarray) -> MembershipCertificate:
 
 
 def minimized(poly: Polyhedron) -> Polyhedron:
-    """Drop cycle inequalities implied by the boxes or by a kept inequality.
+    """Drop cycle inequalities implied by the boxes or by an earlier kept inequality.
 
     ``sum_U d <= b`` is implied by ``sum_U' d <= b'`` with ``U' subset U``
     and the boxes when ``b' + sum_{U \\ U'} ub <= b + 1e-12`` (the boxes
     alone: ``U' = empty``); the slack is rounding in these short sums, not
     the 1e-9 band.  Rows go in canonical order, so ties keep the earlier
-    inequality.  Supports are bit masks over the active users: box sums
-    are added in ascending user order, each support keeps its smallest
-    kept right-hand side, and the best bound from its proper subsets (all
-    shorter, so done with) is taken once per support, before its length's
-    rows are read.  Refuses more than ``K_MAX_EXPORT`` active users first.
+    inequality, and a later, smaller row on the same users drops no kept
+    one: the result need not be irredundant.  Supports are bit masks over
+    the active users: box sums are added in ascending user order, each
+    support keeps its smallest kept right-hand side, and the best bound
+    from its proper subsets (all shorter, so done with) is taken once per
+    support, before its length's rows are read.  Refuses more than
+    ``K_MAX_EXPORT`` active users first.
     """
     rows = poly.rows
     box = [0.0]  # box[U]: sum of ub over U, in ascending user order
@@ -454,26 +457,23 @@ def _arrival_slack(F: np.ndarray, x: np.ndarray, prices: tuple) -> np.ndarray:
     departure ``i`` -> arrival ``j`` of length ``F[i, j]``, back along
     every arc that carries flow at ``-F[i, j]``, and arrival ``j`` ->
     departure ``j`` at 0.  With ``x`` optimal this residual graph has no
-    negative cycle, so Bellman-Ford from the transport's prices (arrival
-    ``v``, departure ``-u``) gives potentials ``p``, and ``e = p_arrival -
-    p_departure``: 0 or above by the arcs at 0, and along any cycle of
-    users ``sum e <= sum F``.  Rounds stop when no potential moves, at
-    most one per node.
+    negative cycle, so Bellman-Ford from the transport's prices gives
+    potentials ``p``, and ``e = p_arrival - p_departure``: 0 or above by
+    the arcs at 0, and along any cycle of users ``sum e <= sum F``.  It is
+    ``potential_graph._bellman_ford`` at tol 0 from a source whose arcs,
+    the prices (arrival ``v``, departure ``-u``; -0.0 as +0.0), round 1
+    copies; at most ``2m`` rounds follow, and no circuit is read.
     """
     m = len(F)
-    R = np.full((2 * m, 2 * m), np.inf)  # arrivals 0..m-1, then departures
-    R[m:, :m] = F
-    R[:m, m:] = np.where(x.T > 0, -F.T, np.inf)
+    R = np.full((2 * m + 1, 2 * m + 1), np.inf)  # arrivals 0..m-1, departures, the source
+    R[m:-1, :m] = F
+    R[:m, m:-1] = np.where(x.T > 0, -F.T, np.inf)
     arrive = np.arange(m)
     R[arrive, m + arrive] = np.minimum(0.0, R[arrive, m + arrive])
     u, v = prices
-    p = np.concatenate([v, -u])
-    for _ in range(2 * m):
-        nxt = np.minimum(p, (p[:, None] + R).min(axis=0))
-        if np.array_equal(nxt, p):
-            break
-        p = nxt
-    return p[:m] - p[m:]
+    R[-1, :-1] = np.concatenate([v, -u])
+    p, _ = _bellman_ford(R, 2 * m, 0.0)
+    return p[:m] - p[m:-1]
 
 
 def _max_level(channel: ChannelMatrix) -> float:
@@ -657,11 +657,12 @@ def general_tin_region(alpha: ChannelMatrix) -> list:
     equal regions only the earlier silent set in the canonical order stays
     unflagged: a later silent set flags ``S`` only when ``S``'s region does
     not also contain its own.  So following flags always ends at an
-    unflagged component.  Containers of ``S`` silence only ``S`` and users
-    whose direct exponent is at most 1e-12, zero up to rounding, so only
-    their subsets are scanned, in canonical order (``3^K`` in all when no
-    direct exponent is 0).  More than ``K_MAX_UNION`` users are refused
-    before any region is built.
+    unflagged component.  Only sets of users of ``S`` and users whose
+    direct exponent is at most 1e-12 are scanned as containers, in
+    canonical order (``3^K`` in all when no direct exponent is 0); a
+    container silencing another user, possible when ``S``'s region is
+    empty or pins that user to 0, is missed.  More than ``K_MAX_UNION``
+    users are refused before any region is built.
     """
     K = alpha.K
     if K > K_MAX_UNION:

@@ -219,12 +219,14 @@ def oracle_jacobi_bellman_ford(lengths: np.ndarray, ground: int, tol: float) -> 
 
 
 def oracle_minimized(alpha: np.ndarray, silent, tol: float = 1e-12) -> list:
-    """Irredundant cycle rows ``(users, rhs)`` of one silent-set polytope, by a pairwise scan.
+    """The cycle rows ``(users, rhs)`` that ``minimized`` keeps, by a pairwise scan.
 
     Rows are the oracle cycles in canonical order.  A row is dropped when
     its box sum, or a kept row on a subset of its users plus the boxes of
     the users left over, is within ``tol`` of its right-hand side; every
-    row is tested against every kept row, the earlier row winning ties.
+    row is tested against every row kept before it, the earlier row
+    winning ties.  A later row drops no kept row, so the rows kept need
+    not be irredundant.
     """
     K = alpha.shape[0]
     active = [i for i in range(K) if i not in set(silent)]
@@ -465,6 +467,34 @@ def oracle_cycle_lp(alpha: np.ndarray, silent, w) -> float | None:
         return None
     assert res.success, res.message
     return float(-res.fun)
+
+
+def oracle_arrival_slack(F: np.ndarray, x: np.ndarray, prices: tuple) -> np.ndarray:
+    """``e = p_arrival - p_departure`` from Jacobi rounds on the residual graph of a transport flow.
+
+    Each user is an arrival node (0..m-1) and a departure node (m..2m-1):
+    departure ``i`` -> arrival ``j`` at ``F[i, j]``, arrival ``j`` ->
+    departure ``i`` at ``-F[i, j]`` where ``x[i, j] > 0``, and arrival
+    ``j`` -> departure ``j`` at 0 (or that back arc when it is shorter).
+    The potentials start at the prices (arrival ``v``, departure ``-u``)
+    and each round takes every node's best in-arc over the previous
+    round's potentials, at most ``2m`` rounds, stopping at the first that
+    moves nothing.
+    """
+    m = len(F)
+    R = np.full((2 * m, 2 * m), np.inf)
+    R[m:, :m] = F
+    R[:m, m:] = np.where(x.T > 0, -F.T, np.inf)
+    arrive = np.arange(m)
+    R[arrive, m + arrive] = np.minimum(0.0, R[arrive, m + arrive])
+    u, v = prices
+    p = np.concatenate([v, -u])
+    for _ in range(2 * m):
+        nxt = np.minimum(p, (p[:, None] + R).min(axis=0))
+        if np.array_equal(nxt, p):
+            break
+        p = nxt
+    return p[:m] - p[m:]
 
 
 def oracle_max_min_level(alpha: np.ndarray, silent, w) -> float | None:

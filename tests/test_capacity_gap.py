@@ -83,11 +83,23 @@ class TestCyclicQuantities:
             assert np.all(np.isfinite(q.rho))
 
     def test_rho_definition(self):
-        ch = FiniteSnrChannel(ChannelMatrix(EX2_ALPHA), 1e3)
-        q = cyclic_quantities(ch, (0, 1, 2))
-        for j in range(3):
-            rest = sum(q.kappa[t] for t in range(3) if t not in (j, (j - 1) % 3))
-            assert q.rho[j] == pytest.approx(q.beta[(j - 1) % 3] + q.gamma[j] + rest)
+        # bit for bit the per-position loop: beta before, gamma at, then the
+        # kappa of every other position added from 0 in position order
+        rng = np.random.default_rng(71)
+        cases = [(EX2_ALPHA, 1e3, (0, 1, 2))]
+        for m in range(2, 10):
+            for trial in range(12):
+                K = m + trial % 3
+                alpha = random_channel(rng, K) * 10.0 ** rng.uniform(-2, 2)
+                cycle = tuple(int(u) for u in rng.permutation(K)[:m])
+                cases.append((alpha, float(10.0 ** rng.uniform(0.5, 12)), cycle))
+        for alpha, P, cycle in cases:
+            q = cyclic_quantities(FiniteSnrChannel(ChannelMatrix(alpha), P), cycle)
+            m = len(cycle)
+            for j in range(m):
+                rest = sum(q.kappa[t] for t in range(m) if t not in (j, (j - 1) % m))
+                want = q.beta[(j - 1) % m] + q.gamma[j] + rest
+                assert np.float64(q.rho[j]).tobytes() == np.float64(want).tobytes(), (alpha, cycle)
 
     def test_rejects_bad_cycles(self):
         ch = FiniteSnrChannel(ChannelMatrix(EX2_ALPHA), 10.0)

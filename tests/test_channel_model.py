@@ -322,7 +322,7 @@ class TestFromLinkBudget:
 def reduced_margins(y, nominal_P):
     """The Monte-Carlo path: each user's extremes taken on gains in dB over 10,
     then 3K powers of 10 and 3K logarithms per matrix."""
-    gains = np.power(10.0, condition_extremes(y, 0.0))
+    gains = np.power(10.0, condition_extremes(y))
     return extreme_margins(link_exponents(gains, nominal_P))
 
 

@@ -1,9 +1,13 @@
+import contextlib
+import importlib
 import itertools
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tinopt import (
     ChannelMatrix,
@@ -18,7 +22,7 @@ from tinopt import (
     transpose_channel,
 )
 from click.testing import CliRunner
-from tinopt import region
+from tinopt import capacity_gap, region
 from tinopt.capacity_gap import FiniteSnrChannel, gap_certificate, rate_outer_bounds
 from tinopt.cli import main
 from tinopt.region import (
@@ -30,6 +34,7 @@ from tinopt.region import (
 )
 from conftest import symmetric_two_user
 from _oracles import (
+    oracle_arrival_slack,
     oracle_contains,
     oracle_cycle_lp,
     oracle_cycle_rhs,
@@ -210,8 +215,9 @@ class TestRowArrays:
         calls = []
         enumerate_blocks = region.cycle_blocks
         monkeypatch.setattr(region, "LinearInequality", no_inequality)
-        monkeypatch.setattr(region, "cycle_blocks",
-                            lambda users: calls.append(users) or enumerate_blocks(users))
+        for module in (region, capacity_gap):  # the gap layer's own binding of the enumerator too
+            monkeypatch.setattr(module, "cycle_blocks",
+                                lambda users: calls.append(users) or enumerate_blocks(users))
         alpha = random_condition_channel(np.random.default_rng(83), 4)
         ch = ChannelMatrix(alpha)
         fch = FiniteSnrChannel(ch, 1e4)
@@ -587,6 +593,81 @@ class TestMaxMinTieBreak:
         monkeypatch.setattr(region, "NEWTON_STEPS_MAX", 1)
         with pytest.raises(UncertifiedPointError, match="Newton steps"):
             max_weighted_gdof(poly, w)
+
+
+@contextlib.contextmanager
+def recorded_flows():
+    """The calls of ``region._arrival_slack`` while the block runs."""
+    with mock.patch.object(region, "_arrival_slack", wraps=region._arrival_slack) as spy:
+        yield spy.call_args_list
+
+
+def assert_arrival_slack_is_the_oracle(F, x, prices):
+    """Bit for bit, but for the sign of a zero: the source's first round adds its 0.0
+    distance to every price, so a price of -0.0 enters as +0.0."""
+    e, want = region._arrival_slack(F, x, prices), oracle_arrival_slack(F, x, prices)
+    assert (e + 0.0).tobytes() == (want + 0.0).tobytes(), (F, x, prices)
+
+
+def assert_flows_match_the_oracle(calls):
+    """At the transport's prices, and at zero prices, which are no potentials, so rounds move."""
+    for F, x, prices in (call.args for call in calls):
+        for start in (prices, tuple(map(np.zeros_like, prices))):
+            assert_arrival_slack_is_the_oracle(F, x, start)
+
+
+#: Channel entries with ties (multiples of 1/4) or without.
+ENTRIES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5]) | st.floats(0.0, 2.0, width=32)
+
+
+class TestArrivalSlack:
+    """The point's slack above the max-min level comes from potential_graph's Bellman-Ford
+    on the transport's residual graph, with the potentials of the Jacobi loop it replaced."""
+
+    def test_geometry_flows(self, monkeypatch):
+        # the benchmark's own channel generator, read from its file and not changed
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        gen = importlib.import_module("gen")
+        with recorded_flows() as calls:
+            for seed in (1, 9001):
+                rng = gen.rng_for(seed, "geometry")
+                for K in (3, 4, 5, 6, 8, 12):
+                    for condition in (True, False):
+                        a = gen.design_channel(rng, K, condition)
+                        poly = polyhedral_region(ChannelMatrix(a))
+                        for w in (np.ones(K), gen.positive_weights(rng, K)):
+                            try:
+                                max_weighted_gdof(poly, w)
+                            except EmptyPolyhedronError:
+                                pass
+        assert len(calls) >= 24
+        assert_flows_match_the_oracle(calls)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(K=st.integers(1, 6), data=st.data())
+    def test_hypothesis_channels(self, K, data):
+        alpha = np.array(data.draw(st.lists(ENTRIES, min_size=K * K, max_size=K * K)))
+        alpha = alpha.reshape(K, K)
+        np.fill_diagonal(alpha, np.diag(alpha) + data.draw(st.sampled_from([0.0, 1.0, 2.0])))
+        w = np.array(data.draw(st.lists(ENTRIES, min_size=K, max_size=K)))
+        silent = data.draw(st.sampled_from([(), (0,)]))
+        with recorded_flows() as calls:
+            try:
+                max_weighted_gdof(polyhedral_region(ChannelMatrix(alpha), silent), w)
+            except (EmptyPolyhedronError, UncertifiedPointError):
+                pass
+        assert_flows_match_the_oracle(calls)
+
+    def test_flows_that_are_not_optimal(self):
+        # flow on arbitrary arcs: the residual graph can hold negative cycles,
+        # so rounds may run to their cap of 2m and stop still moving
+        rng = np.random.default_rng(107)
+        for trial in range(300):
+            m = 1 + trial % 8
+            F = rng.integers(-2, 4, (m, m)) / 2.0 if trial % 2 else rng.uniform(-1.0, 2.0, (m, m))
+            x = rng.uniform(0.0, 1.0, (m, m)) * (rng.random((m, m)) < 0.7)
+            prices = (rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, m))
+            assert_arrival_slack_is_the_oracle(F, x, prices)
 
 
 class TestNearBand:
