@@ -13,12 +13,12 @@ m*log2(3K) per length-m cycle, which is the certified gap.
 
 :func:`rate_outer_bounds` and :func:`gap_certificate` read one block
 builder: the users as one ``(K, 1)`` block, then one ``(c, m)`` block per
-cycle length of ``region.cycle_blocks``, each with its GDoF right-hand
-sides and outer bounds; a user is the m = 1 case of every row formula.
-Every per-position quantity, rho included, is block arithmetic on
-``potential_graph._cycle_arcs``, the one gather of each position's direct
-exponent and its arc from the predecessor (one row per power for
-:func:`gdof_limit_checks`).  A row's kappa sum is numpy's sum of that row,
+cycle length of ``potential_graph.cycle_blocks``, each with its GDoF
+right-hand sides and outer bounds; a user is the m = 1 case of every row
+formula.  Every per-position quantity, rho included, is block arithmetic
+on ``potential_graph._cycle_arcs``, one gather per block of each
+position's direct exponent and its arc from the predecessor (one row per
+power for :func:`gdof_limit_checks`).  A row's kappa sum is numpy's sum of that row,
 as of one cycle; every other sum over positions is added from 0 in
 position order, so each row has the same floats as when computed one
 constraint at a time.  A block's records are made by one ``map`` over its
@@ -42,14 +42,15 @@ from .channel_model import (
     check_tin_condition,
 )
 from .potential_graph import (
+    _arcs_rhs,
     _cycle_arcs,
-    _cycle_entries,
+    _cycle_users,
     _smallest_first,
     _sum_positions,
+    cycle_blocks,
     cycle_rhs,
     recover_power_allocation,
 )
-from .region import cycle_blocks
 
 
 #: Largest final normalized error at which :meth:`LimitReport.converged` holds.
@@ -113,25 +114,9 @@ def _cycle_terms(L, direct: np.ndarray, incoming: np.ndarray) -> tuple:
     return kappa, lam - mu, gamma, lam, mu
 
 
-def _cycle_users(cycle, K: int) -> tuple:
-    """``cycle`` as :func:`potential_graph._cycle_entries` gives it, in its order.
-
-    ``ValueError`` also unless it lists at least two users, each in ``range(K)``.
-    """
-    seq = _cycle_entries(cycle)
-    if len(seq) < 2:
-        raise ValueError("cycle needs at least two users")
-    if not set(seq) <= set(range(K)):
-        raise ValueError(f"invalid cycle {seq} for K={K}")
-    return seq
-
-
 def cyclic_quantities(ch: FiniteSnrChannel, cycle) -> CyclicBoundQuantities:
-    """The quantities of one cycle, positions in the given order (see :func:`_cycle_users`)."""
-    return _quantities(ch, _cycle_users(cycle, ch.K))
-
-
-def _quantities(ch: FiniteSnrChannel, seq: tuple) -> CyclicBoundQuantities:
+    """The quantities of one cycle, positions in the given order (see ``_cycle_users``)."""
+    seq = _cycle_users(cycle, ch.K)
     arcs = _cycle_arcs(ch.channel.alpha, np.array([seq]))
     kappa, beta, gamma, lam, mu = _cycle_terms(ch.log2P, *arcs)
     return CyclicBoundQuantities(cycle=seq, kappa=kappa[0], beta=beta[0], gamma=gamma[0],
@@ -248,9 +233,11 @@ def _bound_blocks(ch: FiniteSnrChannel):
     a_ii = ch.channel.alpha.diagonal()
     yield np.arange(ch.K)[:, None], a_ii, np.logaddexp2(0.0, a_ii * L), a_ii * L + 1.0
     for C in cycle_blocks(range(ch.K)):
-        rhs = cycle_rhs(ch.channel, C)
-        kappa = _cycle_terms(L, *_cycle_arcs(ch.channel.alpha, C))[0]  # summed as one cycle's
-        yield C, rhs, kappa.sum(axis=1), rhs * L + C.shape[1] * math.log2(3.0)
+        direct, incoming = _cycle_arcs(ch.channel.alpha, C)
+        rhs = _arcs_rhs(direct, incoming)  # cycle_rhs of the block
+        exact = _cycle_terms(L, direct, incoming)[0].sum(axis=1)  # kappa, summed as one cycle's
+        del direct, incoming  # not held across the yield
+        yield C, rhs, exact, rhs * L + C.shape[1] * math.log2(3.0)
 
 
 def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:

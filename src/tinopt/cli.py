@@ -282,7 +282,7 @@ def _sim_config(users, coverage, trials, seed, cell_radius, shadowing):
         cell_radius=cell_radius,
         trials=trials,
         master_seed=seed,
-        shadowing_sigma_db=None if shadowing == 0 else shadowing,
+        shadowing_sigma_db=shadowing,
     )
 
 

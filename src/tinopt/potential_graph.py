@@ -13,11 +13,18 @@ lengths encode the difference constraints
 so shortest-path distances from the ground node double as a concrete power
 allocation whenever the system is feasible, and a negative circuit maps
 back to one violated inequality of the region's H-representation.
+
+Cycle inequalities are kept in a canonical order (cycle size, then
+lexicographic on the canonical rotation) so that serialized regions are
+byte-stable.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -28,6 +35,13 @@ from .channel_model import (EPS_CONDITION, EXPONENT_MAX, ChannelMatrix, PowerExp
 #: as nonnegative: boundary points of the region are legitimate members and
 #: round-off must not eject them.  The same number as the condition's band.
 EPS_LENGTH = EPS_CONDITION
+
+#: Cycles are enumerated, and cycle rows exported (``Polyhedron.to_dict``,
+#: ``region.minimized`` and the gap certificates' per-cycle bounds), for at
+#: most this many users, a limit set from measured cost (README, "Exporting
+#: cycle rows"): at 9 users (125,664 rows) ``tinopt region`` takes about 4 s
+#: and 350 MB, at 10 users (1,112,073 rows) about 28 s and 2.6 GB.
+K_MAX_EXPORT = 9
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +150,68 @@ def _cycle_entries(seq) -> tuple:
     return t
 
 
+def _cycle_users(cycle, K: int) -> tuple:
+    """``cycle`` as :func:`_cycle_entries` gives it, in its order.
+
+    ``ValueError`` also unless it lists at least two users, each in ``range(K)``.
+    """
+    seq = _cycle_entries(cycle)
+    if len(seq) < 2:
+        raise ValueError("cycle needs at least two users")
+    if not set(seq) <= set(range(K)):
+        raise ValueError(f"invalid cycle {seq} for K={K}")
+    return seq
+
+
+def _distinct_users(users: Iterable[int], name: str) -> list:
+    """The one user-list check: the distinct integer ``users``, sorted; else ``ValueError``."""
+    idx = list(users)
+    if not all(map(_is_integer, idx)):
+        raise ValueError(f"{name} must be integer user indices, got {idx!r}")
+    return sorted({int(i) for i in idx})
+
+
+def cycle_blocks(users: Iterable[int]) -> list:
+    """Every directed cyclic sequence over the users, one ``(c, m)`` array per length ``m >= 2``.
+
+    The one cycle enumerator.  Sequences start at their smallest user and
+    rows are lexicographic, so the blocks in turn are the canonical order;
+    ``C(n, m) (m-1)!`` rows of length ``m`` for ``n`` users.  The blocks of
+    ``range(n)`` are enumerated once per ``n`` and returned as they are
+    cached, read-only; other users are that ``n``'s blocks gathered through
+    the sorted users, the same rows in the same order, in new arrays.
+    Users that are not integers (:func:`_distinct_users`), or more than
+    ``K_MAX_EXPORT`` of them, raise ``ValueError`` before any is enumerated.
+    """
+    base = _distinct_users(users, "users")
+    if len(base) > K_MAX_EXPORT:
+        raise ValueError(
+            f"cycle enumeration supports at most {K_MAX_EXPORT} users, got {len(base)}"
+        )
+    blocks = _cycle_blocks(len(base))
+    if base == list(range(len(base))):
+        return list(blocks)
+    of_position = np.array(base, dtype=np.intp)
+    return [of_position[C] for C in blocks]
+
+
+@functools.lru_cache(maxsize=None)  # K_MAX_EXPORT + 1 entries at most: 8.5 MiB, 7.5 of it at n = 9
+def _cycle_blocks(n: int) -> tuple:
+    """:func:`cycle_blocks` of ``range(n)`` (read-only)."""
+    blocks = []
+    for m in range(2, n + 1):
+        # after its head, a sequence is an ordered choice of m-1 larger users
+        rows = itertools.chain.from_iterable(
+            (head,) + rest
+            for head in range(n)
+            for rest in itertools.permutations(range(head + 1, n), m - 1)
+        )
+        C = np.fromiter(rows, dtype=np.intp).reshape(-1, m)
+        C.setflags(write=False)
+        blocks.append(C)
+    return tuple(blocks)
+
+
 def canonical_cycle(seq) -> tuple:
     """Rotate a cyclic sequence (see :func:`_cycle_entries`) so its smallest index comes first."""
     return _smallest_first(_cycle_entries(seq))
@@ -168,7 +244,11 @@ def cycle_rhs(alpha: ChannelMatrix, seq):
     C = np.array(seq, dtype=np.intp, ndmin=2)
     if C.shape[1] == 1:
         return alpha.alpha[C[:, 0], C[:, 0]]
-    direct, incoming = _cycle_arcs(alpha.alpha, C)
+    return _arcs_rhs(*_cycle_arcs(alpha.alpha, C))
+
+
+def _arcs_rhs(direct: np.ndarray, incoming: np.ndarray) -> np.ndarray:
+    """The ``(c,)`` right-hand sides of a block from its :func:`_cycle_arcs` gather."""
     return _sum_positions(direct - incoming)
 
 

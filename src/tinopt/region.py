@@ -7,9 +7,7 @@ TIN-achievable set is the union of these polyhedra over all silent sets;
 under the per-user optimality condition the union collapses to the
 all-active polyhedron.
 
-Indices are 0-based throughout.  Inequalities are kept in a canonical
-order (cycle size, then lexicographic on the canonical rotation) so that
-serialized regions are byte-stable.
+Indices are 0-based throughout; the sum inequalities are ``potential_graph``'s.
 """
 
 from __future__ import annotations
@@ -23,14 +21,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .channel_model import SILENT, ChannelMatrix, PowerExponents, _exponent_vector, _is_integer
+from .channel_model import SILENT, ChannelMatrix, PowerExponents, _exponent_vector
 from .potential_graph import (
     EPS_LENGTH,
+    K_MAX_EXPORT,  # re-exported, like canonical_cycle and cycle_blocks
     MembershipCertificate,
     _bellman_ford,
+    _distinct_users,
     _graph,
     _target_vector,
     canonical_cycle,  # re-exported: part of this module's interface
+    cycle_blocks,
     cycle_rhs,
     decide_membership,
 )
@@ -41,59 +42,11 @@ from .potential_graph import (
 #: of tables.
 K_MAX_UNION = 11
 
-#: Cycles are enumerated, and cycle rows exported (``Polyhedron.to_dict``,
-#: :func:`minimized` and the gap certificates' per-cycle bounds), for at most
-#: this many users, a limit set from measured cost (README, "Exporting cycle
-#: rows"): at 9 users (125,664 rows) ``tinopt region`` takes about 4 s and
-#: 350 MB, at 10 users (1,112,073 rows) about 28 s and 2.6 GB.
-K_MAX_EXPORT = 9
-
 #: Newton steps of :func:`max_weighted_gdof`'s max-min tie-break before it
 #: gives up; each step uses a new line below a concave piecewise-linear
 #: function, and a handful settle every measured case (README, "Numerical
 #: conventions").
 NEWTON_STEPS_MAX = 64
-
-
-def cycle_blocks(users: Iterable[int]) -> list:
-    """Every directed cyclic sequence over the users, one ``(c, m)`` array per length ``m >= 2``.
-
-    The one cycle enumerator.  Sequences start at their smallest user and
-    rows are lexicographic, so the blocks in turn are the canonical order;
-    ``C(n, m) (m-1)!`` rows of length ``m`` for ``n`` users.  The blocks of
-    ``range(n)`` are enumerated once per ``n`` and returned as they are
-    cached, read-only; other users are that ``n``'s blocks gathered through
-    the sorted users, the same rows in the same order, in new arrays.
-    Users that are not integers (:func:`_distinct_users`), or more than
-    ``K_MAX_EXPORT`` of them, raise ``ValueError`` before any is enumerated.
-    """
-    base = _distinct_users(users, "users")
-    if len(base) > K_MAX_EXPORT:
-        raise ValueError(
-            f"cycle enumeration supports at most {K_MAX_EXPORT} users, got {len(base)}"
-        )
-    blocks = _cycle_blocks(len(base))
-    if base == list(range(len(base))):
-        return list(blocks)
-    of_position = np.array(base, dtype=np.intp)
-    return [of_position[C] for C in blocks]
-
-
-@functools.lru_cache(maxsize=None)  # K_MAX_EXPORT + 1 entries at most: 8.5 MiB, 7.5 of it at n = 9
-def _cycle_blocks(n: int) -> tuple:
-    """:func:`cycle_blocks` of ``range(n)`` (read-only)."""
-    blocks = []
-    for m in range(2, n + 1):
-        # after its head, a sequence is an ordered choice of m-1 larger users
-        rows = itertools.chain.from_iterable(
-            (head,) + rest
-            for head in range(n)
-            for rest in itertools.permutations(range(head + 1, n), m - 1)
-        )
-        C = np.fromiter(rows, dtype=np.intp).reshape(-1, m)
-        C.setflags(write=False)
-        blocks.append(C)
-    return tuple(blocks)
 
 
 def enumerate_cycles(users: Iterable[int]) -> list:
@@ -143,9 +96,6 @@ class Polyhedron:
     def rows(self) -> tuple:
         """Per cycle length, the ``(c, m)`` sequences of :func:`cycle_blocks` over the active
         users and their ``(c,)`` right-hand sides; more than ``K_MAX_EXPORT`` are refused first."""
-        if len(self.active) > K_MAX_EXPORT:
-            raise ValueError(f"cycle rows are exported for at most {K_MAX_EXPORT} active "
-                             f"users, got {len(self.active)}")
         return tuple((C, cycle_rhs(self.channel, C)) for C in cycle_blocks(self.active))
 
     @cached_property
@@ -221,14 +171,6 @@ class Polyhedron:
                 for seq, b in zip(C.tolist(), rhs.tolist())
             ],
         }
-
-
-def _distinct_users(users: Iterable[int], name: str) -> list:
-    """The one user-list check: the distinct integer ``users``, sorted; else ``ValueError``."""
-    idx = list(users)
-    if not all(map(_is_integer, idx)):
-        raise ValueError(f"{name} must be integer user indices, got {idx!r}")
-    return sorted({int(i) for i in idx})
 
 
 def _user_indices(users: Iterable[int], K: int, name: str) -> list:

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from tinopt import (
     tin_gdof,
     tin_rates,
 )
+from tinopt import capacity_gap, potential_graph
 from tinopt.capacity_gap import GAP_CSV_HEADER, ConstraintGap, RateBound
 from tinopt.cli import main
 from conftest import EX2_ALPHA, symmetric_two_user
@@ -180,8 +183,6 @@ class TestGdofLimits:
 
     def test_empty_powers_refused_before_work(self, monkeypatch):
         # raised IndexError after computing every quantity
-        from tinopt import capacity_gap
-
         def no_work(*args):
             raise AssertionError("quantities computed")
 
@@ -190,8 +191,6 @@ class TestGdofLimits:
             gdof_limit_checks(ChannelMatrix(np.diag([1.0, 1.0])), (0, 1), [])
 
     def test_cycle_checked_first_and_once(self, ex2, monkeypatch):
-        from tinopt import capacity_gap
-
         ch = ChannelMatrix(np.diag([1.0, 1.0, 1.0]))
         for cycle in [(0.5, 1.2), "21", (True, 0), (0, 9), (1, 1), (0,), ()]:
             with pytest.raises(ValueError, match="cycle"):  # before the empty powers
@@ -371,6 +370,37 @@ class TestCycleBoundsOracle:
             "tight=False)")
         assert row == ("user", (0,), 1.0, 2.0, 0.5, 0.75, 3.0, 0.25, False)
         assert hash(row) == hash(tuple(row))
+
+
+class TestCycleSystem:
+    """The gap layer reads the cycle system of ``potential_graph``, and nothing of ``region``."""
+
+    def test_one_gather_per_cycle_block(self, monkeypatch):
+        gather = potential_graph._cycle_arcs
+        shapes = []
+        for module in list(sys.modules.values()):  # every binding of the gather
+            if module.__name__.startswith("tinopt") and \
+                    getattr(module, "_cycle_arcs", None) is gather:
+                monkeypatch.setattr(module, "_cycle_arcs",
+                                    lambda a, C: shapes.append(C.shape) or gather(a, C))
+        alpha = random_condition_channel(np.random.default_rng(83), 5)
+        fch = FiniteSnrChannel(ChannelMatrix(alpha), 1e4)
+        for call in (lambda: rate_outer_bounds(fch),
+                     lambda: gap_certificate(fch, 0.2 * np.diag(alpha))):
+            shapes.clear()
+            call()
+            assert shapes == [(10, 2), (20, 3), (30, 4), (24, 5)]  # the four blocks, once each
+
+    def test_gap_layer_imports_nothing_from_region(self):
+        tree = ast.parse(Path(capacity_gap.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.module else [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            assert all(name.split(".")[-1] != "region" for name in names), ast.dump(node)
 
 
 DATA = Path(__file__).parent / "data"

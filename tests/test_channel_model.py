@@ -350,7 +350,7 @@ def stacked_exponents(draw):
     return y, nominal_P
 
 
-class TestGainExtremes:
+class TestConditionExtremes:
     """The extremes the condition reads, taken on exponents before any power of 10."""
 
     @settings(max_examples=300, deadline=None)

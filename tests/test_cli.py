@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import tinopt
 from tinopt import ChannelMatrix, SimConfig, point_in_tin_region, polyhedral_region
-from tinopt.cli import main
+from tinopt.cli import _canon, main
 from tinopt.channel_model import EXPONENT_MAX
 from tinopt.region import K_MAX_EXPORT, K_MAX_UNION
 from tinopt.netsim import (
@@ -94,8 +94,6 @@ class TestRegion:
         assert out1.read_bytes() == out2.read_bytes()
         # parsing and re-serializing through the same canonical writer is
         # also byte-stable
-        from tinopt.cli import _canon
-
         doc = json.loads(out1.read_text())
         assert json.dumps(_canon(doc), indent=2) + "\n" == out1.read_text()
 
@@ -657,6 +655,19 @@ class TestSimulation:
                 "master_seed": 5, "shadowing_sigma_db": 6.0}
         assert {f.name for f in dataclasses.fields(SimConfig)} == set(want)
         assert seen == [SimConfig(**want)]
+
+    @pytest.mark.parametrize("zero", ["0", "-0.0"])
+    def test_zero_shadowing_draws_as_no_fading(self, runner, zero):
+        # a zero spread reaches SimConfig as it is, and draws what None draws
+        args = ["simulate", "--users", "6", "--coverage", "200", "--trials", "300",
+                "--seed", "3", "--shadowing", zero]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        est = condition_probability(SimConfig(K=6, coverage_radius=200.0, trials=300,
+                                              master_seed=3, shadowing_sigma_db=None))
+        want = {"coverage_radius_m" if k == "coverage_radius" else k: v
+                for k, v in dataclasses.asdict(est).items()}
+        assert result.output == json.dumps(_canon(want), indent=2) + "\n"
 
 
 class TestCliBytes:

@@ -22,7 +22,7 @@ from tinopt import (
     transpose_channel,
 )
 from click.testing import CliRunner
-from tinopt import capacity_gap, region
+from tinopt import capacity_gap, potential_graph, region
 from tinopt.capacity_gap import FiniteSnrChannel, gap_certificate, rate_outer_bounds
 from tinopt.cli import main
 from tinopt.region import (
@@ -191,16 +191,18 @@ class TestMinimizedOracle:
 
 class TestExportLimit:
     def test_refused_before_enumeration(self, monkeypatch):
-        def no_enumeration(users):
+        def no_enumeration(n):
             raise AssertionError("cycles enumerated")
 
-        monkeypatch.setattr(region, "cycle_blocks", no_enumeration)  # the one enumerator
+        # the enumerator proper, behind the one refusal in cycle_blocks
+        monkeypatch.setattr(potential_graph, "_cycle_blocks", no_enumeration)
         ch = ChannelMatrix(np.eye(K_MAX_EXPORT + 3) * 0.9 + 0.01)
         poly = polyhedral_region(ch, [0, 1])
         fch = FiniteSnrChannel(ch, 100.0)
         for call in (poly.to_dict, lambda: minimized(poly), lambda: rate_outer_bounds(fch),
                      lambda: gap_certificate(fch, np.full(ch.K, 0.01))):
-            with pytest.raises(ValueError, match=f"at most {K_MAX_EXPORT}"):
+            with pytest.raises(ValueError, match=f"^cycle enumeration supports at most "
+                                                 f"{K_MAX_EXPORT} users"):
                 call()
 
 
@@ -268,12 +270,12 @@ class TestRowArrays:
         assert region.cycle_blocks((1, 4, 6))[0][0, 0] == 1
 
     def test_enumerated_once_per_user_count(self):
-        region._cycle_blocks.cache_clear()
+        potential_graph._cycle_blocks.cache_clear()
         for users in (range(5), (1, 4, 6, 8, 9), range(5), range(3), (2, 7, 8)):
             region.cycle_blocks(users)
         polyhedral_region(ChannelMatrix(random_channel(np.random.default_rng(5), 6)), [1]).rows
-        assert region._cycle_blocks.cache_info().misses == 2  # 5 users, then 3
-        assert region._cycle_blocks.cache_info().hits == 4
+        assert potential_graph._cycle_blocks.cache_info().misses == 2  # 5 users, then 3
+        assert potential_graph._cycle_blocks.cache_info().hits == 4
 
 
 DATA = Path(__file__).parent / "data"
