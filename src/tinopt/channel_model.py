@@ -292,24 +292,16 @@ def extreme_margins(x: np.ndarray) -> np.ndarray:
     return x[..., 0, :] - (x[..., 1, :] + x[..., 2, :])
 
 
-def condition_margins(a: np.ndarray) -> np.ndarray:
-    """Per-user margins of the optimality condition, over stacked ``(..., K, K)`` exponents.
-
-    ``a_ii - (max_{j != i} a_ji + max_{k != i} a_ik)``: the diagonal is
-    zeroed and each maximum starts from 0, which leaves it unchanged for
-    nonnegative exponents and gives 0 for a single user.
-    """
-    return extreme_margins(condition_extremes(a))
-
-
 def check_tin_condition(alpha: ChannelMatrix) -> ConditionReport:
     """Decide, per user, whether TIN with power control is GDoF-optimal.
 
-    A user passes when its margin is at least ``-EPS_CONDITION``.  The
-    test is homogeneous of degree one in the exponents and invariant
-    under swapping the roles of transmitters and receivers.
+    A user's margin is ``a_ii - (max_{j != i} a_ji + max_{k != i} a_ik)``,
+    each maximum from 0 (:func:`condition_extremes`), and the user passes
+    when it is at least ``-EPS_CONDITION``.  The test is homogeneous of
+    degree one in the exponents and invariant under swapping the roles of
+    transmitters and receivers.
     """
-    margins = condition_margins(alpha.alpha)
+    margins = extreme_margins(condition_extremes(alpha.alpha))
     per_user = margins >= -EPS_CONDITION
     return ConditionReport(
         tuple(per_user.tolist()), tuple(margins.tolist()), bool(per_user.all())
@@ -342,9 +334,9 @@ def from_link_budget(
     nominal_P = _check_power(nominal_P, "nominal_P")
     s = np.array(snr, dtype=float)
     x = np.array(inr, dtype=float)
-    K = s.shape[0]
     if s.ndim != 1:
         raise ValueError("snr must be a vector")
+    K = s.shape[0]
     if x.shape != (K, K):
         raise ValueError(f"inr must be {K}x{K}, got {x.shape}")
     np.fill_diagonal(x, s)

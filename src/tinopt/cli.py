@@ -45,14 +45,10 @@ from .region import (
 )
 
 
-def _fmt(x) -> float:
-    """Round-trip floats through 12 significant digits for stable bytes."""
-    return float(format(float(x), ".12g"))
-
-
 def _canon(obj):
+    """``obj`` with every float round-tripped through 12 significant digits, for stable bytes."""
     if isinstance(obj, float):
-        return _fmt(obj)
+        return float(format(float(obj), ".12g"))
     if isinstance(obj, dict):
         return {k: _canon(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -61,7 +57,7 @@ def _canon(obj):
 
 
 def _csv_line(values) -> str:
-    """One CSV row; a number at 12 significant digits reads as it would after :func:`_fmt`."""
+    """One CSV row; a number at 12 significant digits reads as it would after :func:`_canon`."""
     return ",".join(v if isinstance(v, str) else format(float(v), ".12g") for v in values)
 
 

@@ -14,6 +14,12 @@ so shortest-path distances from the ground node double as a concrete power
 allocation whenever the system is feasible, and a negative circuit maps
 back to one violated inequality of the region's H-representation.
 
+The graph's layout is known here only.  Its three shortest-path routines
+are Bellman-Ford from ground (:func:`_bellman_ford`) for membership,
+Floyd-Warshall (:func:`_shortest_paths`) for a region's dual, the path
+lengths between users behind every support value, and Karp's minimum
+cycle mean (:func:`_max_level`) for the largest level ``t * 1`` in a region.
+
 Cycle inequalities are kept in a canonical order (cycle size, then
 lexicographic on the canonical rotation) so that serialized regions are
 byte-stable.
@@ -367,6 +373,55 @@ def _bellman_ford(lengths: np.ndarray, ground: int, tol: float) -> tuple:
     order = np.argsort(-_slack(into, dist, cand), kind="stable")
     walks = (_extract_cycle(pred, int(v)) for v in order)
     return dist, (c for c in walks if c is not None)
+
+
+def _shortest_paths(channel: ChannelMatrix, level: float, departures: bool = False) -> tuple:
+    """Shortest-path lengths ``F`` between the users of the potential graph at ``d = level * 1``.
+
+    One Floyd-Warshall over the users plus ground.  With no arc from a
+    node to itself, ``F[u, u]`` is the lightest closed walk through ``u``,
+    the box through ground included.  Inside the 1e-9 band a closed walk
+    can be slightly below 0; taking it into a path at its own node would
+    compound it, so no path does.  With every closed walk at 0 or above
+    that changes nothing.  With ``departures``, also ``H``: the arcs out
+    of a user on each path (every arc but ground's), the fewest among
+    paths of equal length; else ``H`` is None.
+    """
+    n = channel.K
+    D = _graph(channel, np.full(n, level)).lengths.copy()
+    H = None
+    if departures:
+        H = np.ones_like(D)
+        H[n] = 0.0
+    for k in range(n + 1):
+        walk, D[k, k] = D[k, k], np.inf  # no path takes the closed walk at k
+        via = D[:, k, None] + D[k]
+        if H is None:
+            np.minimum(D, via, out=D)
+        else:
+            hops = H[:, k, None] + H[k]
+            better = (via < D) | ((via == D) & (hops < H))
+            D[better], H[better] = via[better], hops[better]
+        D[k, k] = walk
+    return D[:n, :n], None if H is None else H[:n, :n]
+
+
+def _max_level(channel: ChannelMatrix) -> float:
+    """The largest ``t`` with ``t * 1`` in the region (no band): the minimum cycle mean.
+
+    Ground's arcs are 0, so a walk through ground folds into the arc of
+    the user before it: on the users alone, ``u -> v`` weighs the shorter
+    of ``u``'s arcs to ``v`` and to ground, and the loop at ``u`` its arc
+    to ground.  Every arc leaves a user, so at ``d = t * 1`` each loses
+    ``t``.  Karp's minimum cycle mean (Karp 1978) over walks of up to K arcs.
+    """
+    n = channel.K
+    L = _graph(channel, np.zeros(n)).lengths
+    M = np.minimum(L[:n, :n], L[:n, n, None])
+    D = np.zeros((n + 1, n))  # D[k, v]: the lightest walk of k arcs ending at v
+    for k in range(n):
+        D[k + 1] = (D[k][:, None] + M).min(axis=0)
+    return float(((D[n] - D[:n]) / (n - np.arange(n))[:, None]).max(axis=0).min())
 
 
 def _feasible(graph: PotentialGraph, dist: np.ndarray) -> MembershipCertificate:

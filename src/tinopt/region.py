@@ -7,7 +7,10 @@ TIN-achievable set is the union of these polyhedra over all silent sets;
 under the per-user optimality condition the union collapses to the
 all-active polyhedron.
 
-Indices are 0-based throughout; the sum inequalities are ``potential_graph``'s.
+Indices are 0-based throughout.  The sum inequalities are ``potential_graph``'s,
+and so is every shortest path read here from a region's graph: its verdict
+at ``d = 0`` is the region's emptiness, its Floyd-Warshall table the
+support values and its Karp minimum cycle mean the largest level ``t * 1``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .potential_graph import (
     _bellman_ford,
     _distinct_users,
     _graph,
+    _max_level,
+    _shortest_paths,
     _target_vector,
     canonical_cycle,  # re-exported: part of this module's interface
     cycle_blocks,
@@ -120,14 +125,15 @@ class Polyhedron:
     def _paths(self) -> np.ndarray | None:
         """The region's dual: shortest-path lengths ``F`` between the active users; None when empty.
 
-        :func:`_shortest_paths` on the potential graph at ``d = 0``.  The
-        region is empty when the origin is not a member, under the 1e-9
-        band of :meth:`contains`.
+        ``potential_graph._shortest_paths`` on the active users' graph at
+        ``d = 0``.  The region is empty when that graph's circuit test
+        refuses ``d = 0`` (the 1e-9 band of :meth:`contains`).
         """
-        if not self.contains(np.zeros(self.K)):
-            return None
         if not self.active:
             return np.zeros((0, 0))
+        zeros = np.zeros(len(self.active))
+        if not decide_membership(_graph(self._active_channel, zeros)).feasible:
+            return None
         return _shortest_paths(self._active_channel, 0.0)[0]
 
     @cached_property
@@ -286,37 +292,6 @@ def _masks(n: int) -> tuple:
     return bits, by_size
 
 
-def _shortest_paths(channel: ChannelMatrix, level: float, departures: bool = False) -> tuple:
-    """Shortest-path lengths ``F`` between the users of the potential graph at ``d = level * 1``.
-
-    One Floyd-Warshall over the users plus ground.  With no arc from a
-    node to itself, ``F[u, u]`` is the lightest closed walk through ``u``,
-    the box through ground included.  Inside the 1e-9 band a closed walk
-    can be slightly below 0; taking it into a path at its own node would
-    compound it, so no path does.  With every closed walk at 0 or above
-    that changes nothing.  With ``departures``, also ``H``: the arcs out
-    of a user on each path (every arc but ground's), the fewest among
-    paths of equal length; else ``H`` is None.
-    """
-    n = channel.K
-    D = _graph(channel, np.full(n, level)).lengths.copy()
-    H = None
-    if departures:
-        H = np.ones_like(D)
-        H[n] = 0.0
-    for k in range(n + 1):
-        walk, D[k, k] = D[k, k], np.inf  # no path takes the closed walk at k
-        via = D[:, k, None] + D[k]
-        if H is None:
-            np.minimum(D, via, out=D)
-        else:
-            hops = H[:, k, None] + H[k]
-            better = (via < D) | ((via == D) & (hops < H))
-            D[better], H[better] = via[better], hops[better]
-        D[k, k] = walk
-    return D[:n, :n], None if H is None else H[:n, :n]
-
-
 def _transport(F: np.ndarray, w: np.ndarray, prices: tuple | None = None) -> tuple:
     """Cheapest flow on costs ``F`` with row and column sums ``w`` (every ``w > 0``).
 
@@ -418,24 +393,6 @@ def _arrival_slack(F: np.ndarray, x: np.ndarray, prices: tuple) -> np.ndarray:
     return p[:m] - p[m:-1]
 
 
-def _max_level(channel: ChannelMatrix) -> float:
-    """The largest ``t`` with ``t * 1`` in the region (no band): the minimum cycle mean.
-
-    Ground's arcs are 0, so a walk through ground folds into the arc of
-    the user before it: on the users alone, ``u -> v`` weighs the shorter
-    of ``u``'s arcs to ``v`` and to ground, and the loop at ``u`` its arc
-    to ground.  Every arc leaves a user, so at ``d = t * 1`` each loses
-    ``t``.  Karp's minimum cycle mean (Karp 1978) over walks of up to K arcs.
-    """
-    n = channel.K
-    L = _graph(channel, np.zeros(n)).lengths
-    M = np.minimum(L[:n, :n], L[:n, n, None])
-    D = np.zeros((n + 1, n))  # D[k, v]: the lightest walk of k arcs ending at v
-    for k in range(n):
-        D[k + 1] = (D[k][:, None] + M).min(axis=0)
-    return float(((D[n] - D[:n]) / (n - np.arange(n))[:, None]).max(axis=0).min())
-
-
 def _max_min_point(poly: Polyhedron, w: np.ndarray, value: float) -> np.ndarray:
     """The active coordinates of a maximizer of ``w . d`` whose least coordinate is largest.
 
@@ -446,7 +403,7 @@ def _max_min_point(poly: Polyhedron, w: np.ndarray, value: float) -> np.ndarray:
     paths ``F_t``.  ``phi(t) = t W + T(F_t) - value`` is concave, 0 up to
     the max-min level ``t*`` and below 0 after it.  Newton's method from
     the right (Dinkelbach's, for the parametric problem) starts at
-    ``min(value / W, t_max)``, ``t_max`` from :func:`_max_level`, and takes
+    ``min(value / W, t_max)``, ``t_max`` from ``potential_graph._max_level``, and takes
     the slope ``W - sum x_ij H_ij`` of the flow's own paths.  ``phi`` is
     the least of finitely many lines, one per flow and choice of paths;
     the step follows the current one, which lies on or above ``phi``, so

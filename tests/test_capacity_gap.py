@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -511,6 +512,23 @@ class TestGapCertificate:
         alpha = symmetric_two_user(0.3)
         with pytest.raises(ValueError):
             gap_certificate(FiniteSnrChannel(alpha, 100.0), [1.0, 1.0])
+
+    def test_violated_certificate_names_the_first_tight_row(self, monkeypatch):
+        # with no rate achieved, every tight row's empirical gap is its whole outer bound
+        rng = np.random.default_rng(107)
+        alpha = ChannelMatrix(random_condition_channel(rng, 4))
+        _, d = max_weighted_gdof(polyhedral_region(alpha), rng.uniform(0.2, 1.0, 4))
+        fch = FiniteSnrChannel(alpha, 1e4)
+        rows = gap_certificate(fch, d).rows
+        tight = [row for row in rows if row.tight]
+        assert len(tight) > 1 and tight[0] is not rows[0]
+        first = tight[0]
+        assert first.outer_exact > first.analytic_sigma + 1e-6
+        monkeypatch.setattr(capacity_gap, "tin_rates", lambda ch, r: np.zeros(ch.K))
+        with pytest.raises(ArithmeticError, match=re.escape(
+                f"certificate violated on {first.kind} {first.users}: "
+                f"{first.outer_exact} > {first.analytic_sigma}")):
+            gap_certificate(fch, d)
 
     def test_csv_rows_shape(self):
         alpha = symmetric_two_user(0.2)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from tinopt import (
 from tinopt.channel_model import (
     EPS_CONDITION,
     condition_extremes,
-    condition_margins,
     extreme_margins,
     link_exponents,
 )
@@ -64,6 +64,10 @@ class TestChannelMatrix:
         back = channel_from_dict(ch.to_dict(nominal_P=100.0))
         assert np.array_equal(back.alpha, ch.alpha)
 
+    def test_no_users_refused(self):
+        with pytest.raises(ValueError, match="^need at least one user$"):
+            ChannelMatrix(np.zeros((0, 0)))
+
     def test_from_dict_validates(self):
         with pytest.raises(ValueError):
             channel_from_dict({"K": 2, "alpha": [[1.0]]})
@@ -83,6 +87,11 @@ class TestPowerExponents:
         assert r.is_silent(1) and not r.is_silent(0)
         assert r.to_jsonable() == [0.0, None, -1.0]
         assert repr(SILENT) == "SILENT"
+
+    def test_silent_pickles_to_the_same_object(self):
+        assert pickle.loads(pickle.dumps(SILENT)) is SILENT
+        r = pickle.loads(pickle.dumps(PowerExponents([0.0, SILENT])))
+        assert r.is_silent(1)
 
 
 class TestTinGdof:
@@ -305,6 +314,15 @@ class TestFromLinkBudget:
             from_link_budget([1.0, 1.0], [[1.0, -2.0], [1.0, 1.0]], 10.0)
         with pytest.raises(ValueError, match="finite"):
             from_link_budget([1.0, 1.0], [[1.0, math.nan], [1.0, 1.0]], 10.0)
+        for inr in ([[1.0]], [1.0, 1.0], [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]):
+            with pytest.raises(ValueError, match=r"^inr must be 2x2, got \("):
+                from_link_budget([10.0, 10.0], inr, 10.0)
+
+    @pytest.mark.parametrize("snr", [5.0, [[1.0]]])
+    def test_snr_that_is_not_a_vector_refused(self, snr):
+        # a scalar raised IndexError ("tuple index out of range") before the check
+        with pytest.raises(ValueError, match="^snr must be a vector$"):
+            from_link_budget(snr, [[1.0]], 10.0)
 
     @pytest.mark.parametrize("P", [math.inf, math.nan])
     def test_non_finite_power_refused(self, P):
@@ -328,7 +346,7 @@ def reduced_margins(y, nominal_P):
 
 def full_margins(y, nominal_P):
     """``sample_network``'s path: every gain raised, every exponent taken."""
-    return condition_margins(link_exponents(np.power(10.0, y), nominal_P))
+    return extreme_margins(condition_extremes(link_exponents(np.power(10.0, y), nominal_P)))
 
 
 @st.composite

@@ -246,6 +246,7 @@ class TestMalformedInput:
             ["simulate", "--users", "x", "--coverage", "100"],
             ["simulate", "--users", "3", "--coverage", "y"],
             ["region", "dense.json", "--bogus"],
+            ["--bogus"],
             ["region"],
             ["region", "dense.json", "--union", "--silent-set", "0"],
             ["region", "dense.json", "--union", "--minimize"],
@@ -631,6 +632,29 @@ class TestSimulation:
         assert runner.invoke(main, args + ["-o", str(out)]).exit_code == 0
         assert out.read_bytes() == golden
         assert runner.invoke(main, args).stdout_bytes == golden
+
+    def test_simulate_csv_is_the_sweep_of_its_point(self, runner):
+        point = ["--users", "3", "--coverage", "100", "--trials", "100", "--seed", "7"]
+        simulated = runner.invoke(main, ["simulate", *point, "--format", "csv"])
+        swept = runner.invoke(main, ["sweep", *point])
+        assert simulated.exit_code == swept.exit_code == 0, simulated.output
+        assert simulated.stdout_bytes == swept.stdout_bytes
+        assert simulated.output.splitlines()[0] == "K,coverage_radius_m,trials,prob,ci_low,ci_high"
+
+    def test_sweep_json_is_the_estimates_without_passes(self, runner):
+        args = ["sweep", "--users", "2,3", "--coverage", "80,120", "--trials", "120",
+                "--seed", "5", "--format", "json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        want = []
+        for K in (2, 3):
+            for radius in (80.0, 120.0):
+                est = condition_probability(SimConfig(K=K, coverage_radius=radius, trials=120,
+                                                      master_seed=5))
+                doc = {"coverage_radius_m" if k == "coverage_radius" else k: v
+                       for k, v in dataclasses.asdict(est).items() if k != "passes"}
+                want.append(doc)
+        assert result.output == json.dumps(_canon(want), indent=2) + "\n"
 
     def test_dump_instance(self, runner, tmp_path):
         dump = tmp_path / "inst.json"

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import itertools
@@ -327,7 +328,48 @@ class TestRegionDuality:
         assert fwd == rev
 
 
+class TestGraphDuals:
+    """A region reads its graph's shortest paths from ``potential_graph``, which alone knows
+    the graph's layout."""
+
+    def test_routines_defined_beside_bellman_ford(self):
+        for name in ("_shortest_paths", "_max_level"):
+            assert getattr(region, name) is getattr(potential_graph, name)
+            assert getattr(potential_graph, name).__module__ == "tinopt.potential_graph"
+        tree = ast.parse(Path(region.__file__).read_text())
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert not defined & {"_shortest_paths", "_max_level"}
+        attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert "lengths" not in attrs
+
+    def test_emptiness_is_the_graph_verdict(self, monkeypatch):
+        # the verdict contains(0) gave, on regions at the edge of emptiness, without calling it
+        rng = np.random.default_rng(29)
+        cases = []
+        for trial in range(150):
+            K = 1 + trial % 6
+            alpha = random_channel(rng, K) * (1 + rng.choice([-1e-10, 0.0, 1e-10], (K, K)))
+            ch = ChannelMatrix(alpha)
+            for silent in ((), (0,), tuple(np.flatnonzero(rng.random(K) < 0.4).tolist())):
+                cases.append((ch, silent, polyhedral_region(ch, silent).contains(np.zeros(K))))
+        assert 0 < sum(not member for *_, member in cases) < len(cases)
+
+        def refuse(self, d):
+            raise AssertionError("contains called")
+
+        monkeypatch.setattr(region.Polyhedron, "contains", refuse)
+        for ch, silent, member in cases:
+            poly = polyhedral_region(ch, silent)
+            assert (poly._paths is not None) == member, (ch.alpha, silent)
+            if len(poly.active) == 0:
+                assert poly._paths.shape == (0, 0)
+
+
 class TestGeneralRegion:
+    def test_poly_contains_refuses_a_dimension_mismatch(self, ex2):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            poly_contains(polyhedral_region(ex2), polyhedral_region(symmetric_two_user(0.2)))
+
     def test_example_collapses_to_two_components(self, ex2):
         comps = general_tin_region(ex2)
         assert len(comps) == 8
@@ -481,6 +523,12 @@ class TestMaxWeightedGdof:
         ch = ChannelMatrix(np.array([[1.0, 3.0], [3.0, 1.0]]))
         with pytest.raises(EmptyPolyhedronError):
             max_weighted_gdof(polyhedral_region(ch), [1.0, 1.0])
+
+    def test_point_failing_the_recheck_raises(self, monkeypatch, ex2):
+        poly = polyhedral_region(ex2)
+        monkeypatch.setattr(region, "_max_min_point", lambda poly, w, value: np.full(len(w), 2.0))
+        with pytest.raises(UncertifiedPointError, match="^optimizer returned an uncertifiable"):
+            max_weighted_gdof(poly, [1.0, 1.0, 1.0])
 
     def test_silent_coordinates_pinned(self, ex2):
         poly = polyhedral_region(ex2, silent={0})
@@ -732,6 +780,10 @@ class TestVertices:
         ch = ChannelMatrix(np.eye(5))
         with pytest.raises(ValueError):
             polyhedron_vertices(polyhedral_region(ch))
+
+    def test_every_user_silent_gives_the_origin(self, ex2):
+        verts = polyhedron_vertices(polyhedral_region(ex2, silent={0, 1, 2}))
+        assert verts.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_empty_region_has_K_columns(self):
         # the cycle right-hand side is -2, so no point is a member; the shape was (0,)
