@@ -97,21 +97,25 @@ class CyclicBoundQuantities:
     rho: np.ndarray
 
 
-def _cycle_terms(L, direct: np.ndarray, incoming: np.ndarray) -> tuple:
-    """``(kappa, beta, gamma, lam, mu)``, each ``(c, m)``, of :func:`potential_graph._cycle_arcs`.
+def _kappa_terms(L, direct: np.ndarray, incoming: np.ndarray) -> tuple:
+    """``(kappa, snr, mu, mu_next)``, each ``(c, m)``, of :func:`potential_graph._cycle_arcs`.
 
     ``L`` is ``log2(P)``, or a column of them for one cycle at many powers.
     Position ``j``'s interferer is the transmitter at position ``j+1``.
     """
     m = direct.shape[1]
     snr = direct * L
-    inr = incoming * L  # position j's transmitter at the previous position's receiver
-    lam = np.logaddexp2(0.0, snr)
-    mu = np.logaddexp2(0.0, inr)
+    # position j's transmitter at the previous position's receiver
+    mu = np.logaddexp2(0.0, incoming * L)
     mu_next = mu[:, range(1 - m, 1)]  # log2(1 + INR_{j+1}), the first step of each chain
-    kappa = np.logaddexp2(mu_next, snr - mu)
-    gamma = np.logaddexp2(mu_next, snr)
-    return kappa, lam - mu, gamma, lam, mu
+    return np.logaddexp2(mu_next, snr - mu), snr, mu, mu_next
+
+
+def _cycle_terms(L, direct: np.ndarray, incoming: np.ndarray) -> tuple:
+    """``(kappa, beta, gamma, lam, mu)``, each ``(c, m)``, built on :func:`_kappa_terms`."""
+    kappa, snr, mu, mu_next = _kappa_terms(L, direct, incoming)
+    lam = np.logaddexp2(0.0, snr)
+    return kappa, lam - mu, np.logaddexp2(mu_next, snr), lam, mu
 
 
 def cyclic_quantities(ch: FiniteSnrChannel, cycle) -> CyclicBoundQuantities:
@@ -235,7 +239,7 @@ def _bound_blocks(ch: FiniteSnrChannel):
     for C in cycle_blocks(range(ch.K)):
         direct, incoming = _cycle_arcs(ch.channel.alpha, C)
         rhs = _arcs_rhs(direct, incoming)  # cycle_rhs of the block
-        exact = _cycle_terms(L, direct, incoming)[0].sum(axis=1)  # kappa, summed as one cycle's
+        exact = _kappa_terms(L, direct, incoming)[0].sum(axis=1)  # summed as one cycle's
         del direct, incoming  # not held across the yield
         yield C, rhs, exact, rhs * L + C.shape[1] * math.log2(3.0)
 

@@ -25,9 +25,13 @@ per-entry operations as :func:`sample_network`: distances from
 per-coordinate differences, and one path-loss logarithm per link plus
 one more for each link below the reference distance.  Each layout's
 gains are kept in dB over 10 and reduced to the three extremes per user
-that the condition reads before any power or logarithm is taken, so
-every estimate has the same bytes as one computed a trial at a time from
-full exponent matrices.
+that the condition reads, and the verdict is decided on those extremes
+in dB: the condition is homogeneous, so dividing by the largest one
+stands in for the logarithm of the nominal power.  Only a trial whose
+worst margin lies within ``_FILTER_DELTA`` of the tolerance band's edge,
+where that shortcut's rounding could matter, takes powers of 10 and
+logarithms, so every estimate has the same bytes as one computed a trial
+at a time from full exponent matrices.
 Simulations take at most ``K_MAX_SIM`` users, and a run at most
 ``LINKS_MAX_SIM`` link entries, each trial counted as its K * K links plus
 ``TRIAL_LINKS`` for its fixed cost.
@@ -75,14 +79,14 @@ ANTENNA_GAIN_DB = 0.0
 #: Monte-Carlo").
 K_MAX_SIM = 1000
 
-#: A trial's fixed cost in link entries: one trial takes about 5.8 us at K=1,
-#: and a link 37-44 ns from K=100 up.
+#: A trial's fixed cost in link entries: one trial takes about 7.5 us at K=1,
+#: and a link 45-46 ns from K=100 up (README, "Cellular Monte-Carlo").
 TRIAL_LINKS = 150
 
 #: Largest cost, trials * (K * K + TRIAL_LINKS) link entries, a simulation
 #: accepts: the default 1000 trials at ``K_MAX_SIM``, under a minute.  The
-#: most trials it admits take about 38 s at K=1 (6,623,509), 70 s at K=10
-#: and 44 s at K=100 (README, "Cellular Monte-Carlo").
+#: most trials it admits take about 50 s at K=1 (6,623,509), 67 s at K=10
+#: and 45 s at K=100 (README, "Cellular Monte-Carlo").
 LINKS_MAX_SIM = 1000 * (K_MAX_SIM**2 + TRIAL_LINKS)
 
 #: Largest coverage or cell radius a simulation accepts [m].  Distances stay
@@ -115,6 +119,15 @@ _BATCH_LINKS = 4096
 #: Blocks are independent of the link batches, which hold one trial each
 #: from K=65 up.
 _STREAM_BLOCK = 1024
+
+#: Half-width of the band around ``-EPS_CONDITION`` in which a trial's verdict
+#: is not read off its extremes in dB (``worst``, the smallest margin over the
+#: largest extreme) but recomputed through powers of 10 and ``math.log``.
+#: With ``u = 2**-53``, ``np.power(10.0, .)`` within 4 ulp and ``math.log``
+#: within 1 ulp, and the exponents at most 1 over a log scale of at least
+#: ``ln 2``, the two margins differ by at most ``97 u``, about 1.1e-14
+#: (README, "Cellular Monte-Carlo"); the band is ``256 u``.
+_FILTER_DELTA = 2.0**-45
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -445,6 +458,34 @@ def _check_workers(workers) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
+def _count_passes(ext: np.ndarray) -> int:
+    """How many of the ``(n, 3, K)`` extremes in dB over 10 meet the condition.
+
+    A trial's exponents are ``e / s`` up to rounding, ``e`` its extremes
+    clipped at 0 (a gain below 1 counts as 1) and ``s`` the largest one,
+    at least ``log10(2)`` as the nominal power is at least 2.  Its verdict
+    is read off its worst margin in those terms unless that margin lies
+    within ``_FILTER_DELTA`` of ``-EPS_CONDITION``; those trials, and any
+    whose margin is NaN, take the exact path on their own rows: powers of
+    10, :func:`link_exponents` over the nominal power ``max(2, largest
+    gain)``, and margins of the exponents.  There the largest raised
+    extreme is the largest gain because ``np.power(10.0, .)`` never
+    decreases.
+    """
+    e = np.maximum(ext, 0.0)
+    worst = extreme_margins(e).min(axis=-1)
+    worst /= np.maximum(e.max(axis=(-2, -1)), math.log10(2.0))
+    passed = worst >= -EPS_CONDITION + _FILTER_DELTA
+    near = ~(passed | (worst < -EPS_CONDITION - _FILTER_DELTA))
+    passes = int(np.count_nonzero(passed))
+    if near.any():
+        gains = np.power(10.0, ext[near])
+        nominal_P = np.maximum(gains.max(axis=(-2, -1)), 2.0)
+        margins = extreme_margins(link_exponents(gains, nominal_P))
+        passes += int(np.all(margins >= -EPS_CONDITION, axis=-1).sum())
+    return passes
+
+
 def condition_probability(cfg: SimConfig, workers: int = 1) -> ConditionEstimate:
     """Fraction of random layouts where the optimality condition holds.
 
@@ -463,13 +504,8 @@ def condition_probability(cfg: SimConfig, workers: int = 1) -> ConditionEstimate
     rng = _stream_generator()
     passes = 0
     while batch := list(itertools.islice(streams, per_batch)):
-        # 3K powers of 10 per trial, not K*K: 10**0 == 1 and np.power(10.0, .)
-        # never decreases, so 10**max(y, 0) is max(10**y, 1), bit for bit
-        gains = condition_extremes(_sample_links(cfg, rng, batch, power_dbm).y)
-        np.power(10.0, gains, out=gains)
-        nominal_P = np.maximum(gains.max(axis=(-2, -1)), 2.0)
-        margins = extreme_margins(link_exponents(gains, nominal_P))
-        passes += int(np.all(margins >= -EPS_CONDITION, axis=-1).sum())
+        # verdicts from the 3K extremes in dB; no power or logarithm away from the band
+        passes += _count_passes(condition_extremes(_sample_links(cfg, rng, batch, power_dbm).y))
     lo, hi = _wilson_interval(passes, cfg.trials)
     return ConditionEstimate(
         K=cfg.K,

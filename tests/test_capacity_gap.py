@@ -392,6 +392,28 @@ class TestCycleSystem:
             call()
             assert shapes == [(10, 2), (20, 3), (30, 4), (24, 5)]  # the four blocks, once each
 
+    @pytest.mark.parametrize("K", range(2, 8))
+    def test_kappa_terms_are_the_kappa_of_cycle_terms(self, K):
+        rng = np.random.default_rng(700 + K)
+        for alpha in (random_channel(rng, K), random_condition_channel(rng, K)):
+            for C in potential_graph.cycle_blocks(range(K)):
+                # every row at one power, and the first row at a column of powers
+                for L, rows in ((math.log2(1e2), C), (math.log2(1e8), C),
+                                (np.log2([[1e2], [1e4], [1e8]]), C[:1])):
+                    arcs = potential_graph._cycle_arcs(alpha, rows)
+                    kappa = capacity_gap._kappa_terms(L, *arcs)[0]
+                    assert kappa.tobytes() == capacity_gap._cycle_terms(L, *arcs)[0].tobytes()
+
+    def test_outer_bounds_compute_only_kappa(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("beta, gamma and lam computed")
+
+        alpha = random_condition_channel(np.random.default_rng(84), 5)
+        fch = FiniteSnrChannel(ChannelMatrix(alpha), 1e4)
+        want = (rate_outer_bounds(fch), gap_certificate(fch, 0.2 * np.diag(alpha)))
+        monkeypatch.setattr(capacity_gap, "_cycle_terms", no_work)
+        assert (rate_outer_bounds(fch), gap_certificate(fch, 0.2 * np.diag(alpha))) == want
+
     def test_gap_layer_imports_nothing_from_region(self):
         tree = ast.parse(Path(capacity_gap.__file__).read_text())
         for node in ast.walk(tree):

@@ -22,6 +22,7 @@ from tinopt import (
     sweep_to_csv,
 )
 from tinopt import netsim
+from tinopt.channel_model import EPS_CONDITION, condition_extremes, extreme_margins, link_exponents
 from tinopt.netsim import (
     ANTENNA_GAIN_DB,
     BOUNDARY_SNR_TARGET_DB,
@@ -418,6 +419,93 @@ class TestGainPowers:
             runs.append(np.nextafter(runs[-1], np.inf))
         z = np.unique(np.concatenate([np.nextafter(y, -np.inf), y, np.nextafter(y, np.inf), *runs]))
         assert (np.diff(np.power(10.0, z)) >= 0).all()
+
+
+def _exact_verdicts(ext: np.ndarray) -> list:
+    """Per trial, the verdict of the exact path: powers of 10, exponents, margins."""
+    gains = np.power(10.0, ext)
+    margins = extreme_margins(link_exponents(gains, np.maximum(gains.max(axis=(-2, -1)), 2.0)))
+    return np.all(margins >= -EPS_CONDITION, axis=-1).tolist()
+
+
+class TestVerdictFilter:
+    """A trial's verdict is read off its extremes in dB; only trials within
+    ``_FILTER_DELTA`` of ``-EPS_CONDITION`` take powers and logarithms."""
+
+    DELTA = netsim._FILTER_DELTA
+
+    @staticmethod
+    def layout(offset: float, scale: float) -> np.ndarray:
+        """Two users in dB over 10, largest entry ``scale``; user 1's margin over the
+        log scale ``s = max(scale, log10 2)`` is ``-EPS_CONDITION + offset``."""
+        s = max(scale, math.log10(2.0))
+        direct = 0.5 * scale + (offset - EPS_CONDITION) * s
+        return np.array([[scale, 0.25 * scale], [0.25 * scale, direct]])
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        """The gains of every ``link_exponents`` call ``netsim`` makes, in order."""
+        calls = []
+
+        def spying(gains, nominal_P, _real=link_exponents):
+            calls.append(np.array(gains))
+            return _real(gains, nominal_P)
+
+        monkeypatch.setattr(netsim, "link_exponents", spying)
+        return calls
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1, 3.7, 122.0])
+    def test_only_trials_inside_the_band_take_the_exact_path(self, monkeypatch, scale):
+        offsets = [-2.0, -0.5, 0.5, 2.0]  # in DELTA; +-0.5 inside the band, +-2 outside
+        y = np.stack([self.layout(o * self.DELTA, scale) for o in offsets])
+        ext = condition_extremes(y)
+        gains = np.power(10.0, y)
+        verdicts = [oracle_trial_verdict(g, max(2.0, float(g.max()))) for g in gains]
+        assert verdicts[0] is False and verdicts[3] is True
+        calls = self.spy(monkeypatch)
+        assert netsim._count_passes(ext) == sum(verdicts)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.power(10.0, ext[1:3]))
+        for k, want in enumerate(verdicts):  # one trial at a time, the same verdicts
+            calls.clear()
+            assert netsim._count_passes(ext[k:k + 1]) == want
+            assert len(calls) == (k in (1, 2))
+
+    def test_no_trial_near_the_band_makes_no_exact_call(self, monkeypatch):
+        cfg = SimConfig(K=10, coverage_radius=100.0, trials=400, master_seed=5)
+        states = list(netsim._trial_streams(cfg.master_seed, range(cfg.trials)))
+        y = netsim._sample_links(cfg, netsim._stream_generator(), states,
+                                 transmit_power_dbm(cfg)).y
+        ext = condition_extremes(y)
+        want = sum(_exact_verdicts(ext))
+        calls = self.spy(monkeypatch)
+        assert netsim._count_passes(ext) == want
+        assert 0 < want < cfg.trials
+        assert calls == []
+
+    def test_verdicts_outside_the_band_are_the_exact_ones(self):
+        # worst margins spread over four band half-widths either side of the edge,
+        # log scales from below log10(2) to the largest gains, a direct extreme below 0
+        rng = np.random.default_rng(2913)
+        n, K = 4000, 6
+        scale = 10.0 ** rng.uniform(-2.0, 2.1, n)
+        s = np.maximum(scale, math.log10(2.0))
+        ext = rng.uniform(0.0, 0.4, (n, 3, K)) * scale[:, None, None]
+        ext[:, 0] = ext[:, 1] + ext[:, 2] + 0.1 * scale[:, None]
+        ext[:, 0, 0] = scale  # the largest extreme
+        ext[:, 0, 1] = -0.3 * scale  # a gain below 1, its user caused and suffered nothing
+        ext[:, 1:, 1] = 0.0
+        offset = rng.uniform(-4.0, 4.0, n) * self.DELTA
+        ext[:, 0, 2] = ext[:, 1, 2] + ext[:, 2, 2] + (offset - EPS_CONDITION) * s
+        want = _exact_verdicts(ext)
+        got = [netsim._count_passes(ext[k:k + 1]) == 1 for k in range(n)]
+        assert got == want
+        assert netsim._count_passes(ext) == sum(want)
+
+    def test_nan_takes_the_exact_path(self):
+        ext = condition_extremes(np.array([[[1.0, 0.1], [0.1, math.nan]]]))
+        with pytest.raises(ValueError, match="nonnegative, finite"):
+            netsim._count_passes(ext)
 
 
 class TestTrialStreams:
