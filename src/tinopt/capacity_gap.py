@@ -39,6 +39,7 @@ from .channel_model import (
     PowerExponents,
     _check_power,
     _check_r,
+    _exponent_vector,
     check_tin_condition,
 )
 from .potential_graph import (
@@ -59,6 +60,14 @@ CONVERGENCE_TOL = 0.02
 
 class ConditionNotMetError(ValueError):
     """Raised when a limit or certificate needs the optimality condition and the channel fails it."""
+
+
+class PointOutsideRegionError(ValueError):
+    """Raised when a gap certificate is asked for at a point outside the all-active region."""
+
+
+class CertificateViolatedError(ArithmeticError):
+    """Raised when a row tight at the point shows an empirical gap above its analytic value."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +173,8 @@ def gdof_limit_checks(alpha: ChannelMatrix, cycle, powers) -> LimitReport:
     the arc into it from its predecessor ``p``.
     The cycle and the powers, at least one, are checked first
     (``ValueError``); a channel that fails the condition then raises
-    :class:`ConditionNotMetError`.  Errors that grow by at most 1e-12,
-    rounding alone, still count as monotone.
+    :class:`ConditionNotMetError` before any term is computed.  Errors that
+    grow by at most 1e-12, rounding alone, still count as monotone.
     """
     seq = _smallest_first(_cycle_users(cycle, alpha.K))
     P_list = [_check_power(p, "powers") for p in powers]
@@ -173,11 +182,11 @@ def gdof_limit_checks(alpha: ChannelMatrix, cycle, powers) -> LimitReport:
         raise ValueError("powers must not be empty")
     if any(P_list[i] >= P_list[i + 1] for i in range(len(P_list) - 1)):
         raise ValueError("powers must be increasing")
+    if not check_tin_condition(alpha).overall:  # a verdict, after the input is known valid
+        raise ConditionNotMetError("limit identities require the optimality condition")
     L = np.array([math.log2(P) for P in P_list])[:, None]  # one row per power
     direct, incoming = _cycle_arcs(alpha.alpha, np.array([seq]))
     kappa, beta, gamma, _, _ = _cycle_terms(L, direct, incoming)
-    if not check_tin_condition(alpha).overall:  # a verdict, after the input is known valid
-        raise ConditionNotMetError("limit identities require the optimality condition")
     kappa_limit = cycle_rhs(alpha, seq)
     rho_limits = kappa_limit + incoming[0]
     # per power: the kappa sum's error (a row summed as one cycle's), then each rho's
@@ -226,17 +235,17 @@ class OuterBounds:
     cycle_bounds: tuple
 
 
-def _bound_blocks(ch: FiniteSnrChannel):
+def _bound_blocks(ch: FiniteSnrChannel, cycles: list):
     """``(C, rhs, exact, linear)`` per block: sequences, right-hand sides, outer bounds in bits.
 
     Users first, ``log2(1 + SNR_i)`` and ``a_ii log2(P) + 1``; then each
-    cycle length, the kappa sum and ``rhs log2(P) + m log2(3)``.  The cycle
-    rows refuse more than ``K_MAX_EXPORT`` users.
+    block of ``cycles``, ``cycle_blocks(range(K))``, the kappa sum and
+    ``rhs log2(P) + m log2(3)``.  Each block is computed when it is reached.
     """
     L = ch.log2P
     a_ii = ch.channel.alpha.diagonal()
     yield np.arange(ch.K)[:, None], a_ii, np.logaddexp2(0.0, a_ii * L), a_ii * L + 1.0
-    for C in cycle_blocks(range(ch.K)):
+    for C in cycles:
         direct, incoming = _cycle_arcs(ch.channel.alpha, C)
         rhs = _arcs_rhs(direct, incoming)  # cycle_rhs of the block
         exact = _kappa_terms(L, direct, incoming)[0].sum(axis=1)  # summed as one cycle's
@@ -252,7 +261,7 @@ def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:
     right-hand side times log2(P).  Refuses more than ``K_MAX_EXPORT`` users.
     """
     bounds = []
-    for C, _, exact, linear in _bound_blocks(ch):
+    for C, _, exact, linear in _bound_blocks(ch, cycle_blocks(range(ch.K))):
         kind = "user" if C.shape[1] == 1 else "cycle"
         bounds += map(RateBound._make, zip(itertools.repeat(kind), map(tuple, C.tolist()),
                                            exact.tolist(), linear.tolist()))
@@ -312,25 +321,30 @@ class GapReport:
 def gap_certificate(ch: FiniteSnrChannel, d) -> GapReport:
     """Certify the constant gap at one region point.
 
-    Requires the optimality condition (else :class:`ConditionNotMetError`)
-    and an achievable (all-active) point.  For every constraint of the
-    region, reports the exact and linearized outer bounds (the numbers of
-    :func:`rate_outer_bounds`, which refuses more than ``K_MAX_EXPORT``
-    users), the linearized inner bound, the achieved exact TIN rates under the recovered power
-    allocation, and the analytic gap (1 + log2 K per user, m*log2(3K) per
-    cycle).  Raises if a constraint that is tight at ``d`` shows an
-    empirical gap above its analytic value, since that would falsify the
-    certificate.  Both tests allow 1e-6, not 1e-9, so that points taken
-    slightly inside the region still flag their binding rows as tight.
+    For every constraint of the region, reports the exact and linearized
+    outer bounds (the numbers of :func:`rate_outer_bounds`), the
+    linearized inner bound, the achieved exact TIN rates under the
+    recovered power allocation, and the analytic gap (1 + log2 K per
+    user, m*log2(3K) per cycle).  It refuses, then decides, then computes:
+
+    1. more than ``K_MAX_EXPORT`` users: ``cycle_blocks``' ``ValueError``;
+    2. a ``d`` that is no GDoF vector of ``K`` entries: ``ValueError``;
+    3. a channel that fails the optimality condition: :class:`ConditionNotMetError`;
+    4. a point outside the all-active region: :class:`PointOutsideRegionError`;
+    5. the bounds, one block at a time: a constraint tight at ``d`` whose
+       empirical gap exceeds its analytic value falsifies the certificate,
+       :class:`CertificateViolatedError` on the first such row.  Both tests
+       allow 1e-6, not 1e-9, so that points taken slightly inside the
+       region still flag their binding rows as tight.
     """
     slack = 1e-6
-    blocks = list(_bound_blocks(ch))  # refuses more than K_MAX_EXPORT users, before any verdict
+    cycles = cycle_blocks(range(ch.K))
+    dv = _exponent_vector(d, ch.K, "d")
     if not check_tin_condition(ch.channel).overall:
         raise ConditionNotMetError("gap certificates require the optimality condition")
-    dv = np.asarray(d, dtype=float)
     cert = recover_power_allocation(ch.channel, dv)
     if not cert.feasible:
-        raise ValueError(
+        raise PointOutsideRegionError(
             f"point is outside the all-active region: sum over users "
             f"{cert.violated_users} exceeds {cert.violated_rhs}"
         )
@@ -338,7 +352,7 @@ def gap_certificate(ch: FiniteSnrChannel, d) -> GapReport:
     rates = tin_rates(ch, cert.r)
     log2K = math.log2(K)
     rows = []
-    for C, rhs, exact, linear in blocks:
+    for C, rhs, exact, linear in _bound_blocks(ch, cycles):
         m = C.shape[1]
         kind, sigma = ("user", 1.0 + log2K) if m == 1 else ("cycle", m * math.log2(3.0 * K))
         achieved = _sum_positions(rates[C])
@@ -346,8 +360,9 @@ def gap_certificate(ch: FiniteSnrChannel, d) -> GapReport:
         tight = np.abs(_sum_positions(dv[C]) - rhs) <= slack
         bad = np.flatnonzero(tight & (empirical > sigma + slack))
         if bad.size:  # the first violated row, in row order
-            raise ArithmeticError(f"certificate violated on {kind} {tuple(C[bad[0]].tolist())}: "
-                                  f"{float(empirical[bad[0]])} > {sigma}")
+            raise CertificateViolatedError(
+                f"certificate violated on {kind} {tuple(C[bad[0]].tolist())}: "
+                f"{float(empirical[bad[0]])} > {sigma}")
         inner = rhs * ch.log2P - m * log2K
         rows += map(ConstraintGap._make, zip(  # one record per row, built by column
             itertools.repeat(kind), map(tuple, C.tolist()), exact.tolist(), linear.tolist(),

@@ -1,9 +1,12 @@
 """Command-line front end; every subcommand is a thin adapter over the library.
 
 Exit codes: 0 success, 1 infeasible/violated result (so shell pipelines
-can branch on it), 2 malformed input: any ``ValueError`` the library
-raises ends in one ``error:`` line.  Numeric output is formatted to 12
-significant digits so repeated runs are byte-identical.
+can branch on it), 2 malformed input.  One rule, in ``_Main.invoke``,
+maps what the library raises: its three named verdicts,
+``capacity_gap.ConditionNotMetError``, ``PointOutsideRegionError`` and
+``CertificateViolatedError``, exit 1, and any other ``ValueError`` exits
+2, each with its message as one ``error:`` line.  Numeric output is
+formatted to 12 significant digits so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from . import __version__
 from .capacity_gap import (
     CONVERGENCE_TOL,
     GAP_CSV_HEADER,
+    CertificateViolatedError,
     ConditionNotMetError,
     FiniteSnrChannel,
+    PointOutsideRegionError,
     gap_certificate,
     gdof_limit_checks,
 )
@@ -108,7 +113,8 @@ def _parse_vector(text: str, K: int, name: str) -> np.ndarray:
 class _Main(click.Group):
     """Click's own usage errors (bad types, unknown options, missing
     arguments) and the library's ``ValueError`` end like every other
-    malformed input: one ``error:`` line and exit 2."""
+    malformed input: one ``error:`` line and exit 2.  The library's named
+    verdicts end in the same one line and exit 1."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -123,6 +129,8 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except click.UsageError as exc:
             _fail(exc.format_message())
+        except (ConditionNotMetError, PointOutsideRegionError, CertificateViolatedError) as exc:
+            _fail(str(exc), code=1)
         except ValueError as exc:
             _fail(str(exc))
 
@@ -170,12 +178,11 @@ def region_cmd(channel, silent_set, minimize, union_flag, vertices, output):
     poly = polyhedral_region(ch, silent)
     if minimize:
         poly = minimized(poly)
-    doc = poly.to_dict()
-    if vertices:
+    if vertices:  # refuses more than 4 active users before any row is built
         lines = [",".join(f"d{i}" for i in range(ch.K))]
         lines += map(_csv_line, polyhedron_vertices(poly))
         _emit("\n".join(lines) + "\n", vertices)
-    _dump_json(doc, output)
+    _dump_json(poly.to_dict(), output)
 
 
 @main.command("membership")
@@ -216,16 +223,11 @@ def power_alloc_cmd(channel, gdof, output):
 def gap_check_cmd(channel, gdof, powers, output):
     """Constant-gap report as CSV, one block per nominal power."""
     ch = _load(channel)
-    if ch.K > K_MAX_EXPORT:
-        _fail(f"gap-check supports at most {K_MAX_EXPORT} users, got {ch.K}")
     d = _parse_vector(gdof, ch.K, "--gdof")
     channels = [FiniteSnrChannel(ch, P) for P in powers]
     lines = [GAP_CSV_HEADER]
     for fch in channels:
-        try:  # a failed condition or a point outside the region is a verdict
-            report = gap_certificate(fch, d)
-        except (ValueError, ArithmeticError) as exc:
-            _fail(str(exc), code=1)
+        report = gap_certificate(fch, d)
         lines += (_csv_line(row.values()) for row in report.csv_rows(instance_id=channel))
     _emit("\n".join(lines) + "\n", output)
 
@@ -243,10 +245,7 @@ def gdof_limits_cmd(channel, cycle, powers, tol, output):
     ch = _load(channel)
     seq = _parse_list(cycle, int, "--cycle")
     plist = _parse_list(powers, float, "--powers")
-    try:
-        report = gdof_limit_checks(ch, seq, plist)
-    except ConditionNotMetError as exc:  # a verdict, as in gap-check
-        _fail(str(exc), code=1)
+    report = gdof_limit_checks(ch, seq, plist)
     _dump_json(dataclasses.asdict(report), output)
     sys.exit(0 if report.converged(tol) else 1)
 

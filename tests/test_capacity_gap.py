@@ -182,6 +182,14 @@ class TestGdofLimits:
         with pytest.raises(ValueError):
             gdof_limit_checks(ex2, (0, 1, 2), [1e2, 1e4])
 
+    def test_condition_decided_before_any_term(self, ex2, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("terms computed")
+
+        monkeypatch.setattr(capacity_gap, "_cycle_terms", no_work)
+        with pytest.raises(capacity_gap.ConditionNotMetError):
+            gdof_limit_checks(ex2, (0, 1, 2), [1e2, 1e4])
+
     def test_empty_powers_refused_before_work(self, monkeypatch):
         # raised IndexError after computing every quantity
         def no_work(*args):
@@ -527,13 +535,39 @@ class TestGapCertificate:
             )
 
     def test_condition_required(self, ex2):
-        with pytest.raises(ValueError):
+        with pytest.raises(capacity_gap.ConditionNotMetError):
             gap_certificate(FiniteSnrChannel(ex2, 100.0), [0.1, 0.1, 0.1])
 
     def test_infeasible_point_rejected(self):
         alpha = symmetric_two_user(0.3)
-        with pytest.raises(ValueError):
+        with pytest.raises(capacity_gap.PointOutsideRegionError,
+                           match=r"^point is outside the all-active region: sum over users"):
             gap_certificate(FiniteSnrChannel(alpha, 100.0), [1.0, 1.0])
+
+    def test_verdicts_keep_their_base_classes(self):
+        assert issubclass(capacity_gap.ConditionNotMetError, ValueError)
+        assert issubclass(capacity_gap.PointOutsideRegionError, ValueError)
+        assert issubclass(capacity_gap.CertificateViolatedError, ArithmeticError)
+
+    def test_refusals_and_verdicts_come_before_any_bound(self, ex2, monkeypatch):
+        calls = []
+        kappa_terms = capacity_gap._kappa_terms
+        monkeypatch.setattr(capacity_gap, "_kappa_terms",
+                            lambda *a: calls.append(a) or kappa_terms(*a))
+        inside = FiniteSnrChannel(symmetric_two_user(0.3), 100.0)
+        cases = [
+            (FiniteSnrChannel(ex2, 100.0), [0.1, 0.1, 0.1], capacity_gap.ConditionNotMetError),
+            (inside, [1.0, 1.0], capacity_gap.PointOutsideRegionError),
+            (inside, [0.1, 0.1, 0.1], ValueError),
+            (FiniteSnrChannel(ex2, 100.0), [0.1, 0.1], ValueError),  # d before the condition
+        ]
+        for fch, d, error in cases:
+            with pytest.raises(error) as caught:
+                gap_certificate(fch, d)
+            assert type(caught.value) is error
+        assert calls == []
+        gap_certificate(inside, [0.5, 0.5])
+        assert len(calls) == 1  # the one cycle block, once the point is decided
 
     def test_violated_certificate_names_the_first_tight_row(self, monkeypatch):
         # with no rate achieved, every tight row's empirical gap is its whole outer bound
@@ -547,7 +581,7 @@ class TestGapCertificate:
         first = tight[0]
         assert first.outer_exact > first.analytic_sigma + 1e-6
         monkeypatch.setattr(capacity_gap, "tin_rates", lambda ch, r: np.zeros(ch.K))
-        with pytest.raises(ArithmeticError, match=re.escape(
+        with pytest.raises(capacity_gap.CertificateViolatedError, match=re.escape(
                 f"certificate violated on {first.kind} {first.users}: "
                 f"{first.outer_exact} > {first.analytic_sigma}")):
             gap_certificate(fch, d)

@@ -87,6 +87,7 @@ class TestPowerExponents:
         assert r.is_silent(1) and not r.is_silent(0)
         assert r.to_jsonable() == [0.0, None, -1.0]
         assert repr(SILENT) == "SILENT"
+        assert repr(PowerExponents([0.0, SILENT])) == "PowerExponents([0.0, SILENT])"
 
     def test_silent_pickles_to_the_same_object(self):
         assert pickle.loads(pickle.dumps(SILENT)) is SILENT

@@ -15,6 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 import tinopt
 from tinopt import ChannelMatrix, SimConfig, point_in_tin_region, polyhedral_region
+from tinopt import potential_graph
+from tinopt.capacity_gap import (
+    CertificateViolatedError,
+    ConditionNotMetError,
+    PointOutsideRegionError,
+)
 from tinopt.cli import _canon, main
 from tinopt.channel_model import EXPONENT_MAX
 from tinopt.region import K_MAX_EXPORT, K_MAX_UNION
@@ -128,6 +134,18 @@ class TestRegion:
         assert lines[0] == "d0,d1"
         assert len(lines) > 3
 
+    def test_vertices_refused_before_any_row(self, runner, tmp_path, monkeypatch):
+        def no_enumeration(n):
+            raise AssertionError("cycles enumerated")
+
+        monkeypatch.setattr(potential_graph, "_cycle_blocks", no_enumeration)
+        path = tmp_path / "nine.json"
+        path.write_text(json.dumps(_channel(9, cross=0.01)))
+        result = runner.invoke(main, ["region", str(path), "--vertices", str(tmp_path / "v.csv")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "error: vertex enumeration supports at most 4 active users\n"
+        assert not (tmp_path / "v.csv").exists()
+
 
 class TestMembership:
     def test_inside_exits_zero(self, runner, ex2_path, ex2):
@@ -193,6 +211,26 @@ class TestGapCheck:
             main, ["gap-check", ex2_path, "--gdof", "0.1,0.1,0.1", "--power", "100"]
         )
         assert result.exit_code == 1
+        assert result.stderr == "error: gap certificates require the optimality condition\n"
+
+    def test_outside_point_exits_one(self, runner, clean_path):
+        result = runner.invoke(main, ["gap-check", clean_path, "--gdof", "1,1", "--power", "100"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: point is outside the all-active region: ")
+        assert result.stderr.count("\n") == 1
+
+    def test_oversize_is_the_enumerator_refusal(self, runner, tmp_path, monkeypatch):
+        def no_enumeration(n):
+            raise AssertionError("cycles enumerated")
+
+        monkeypatch.setattr(potential_graph, "_cycle_blocks", no_enumeration)
+        path = tmp_path / "ten.json"
+        path.write_text(json.dumps(_channel(K_MAX_EXPORT + 1, cross=0.01)))
+        result = runner.invoke(main, ["gap-check", str(path), "--gdof", ",".join(["0.1"] * 10),
+                                      "--power", "100"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: cycle enumeration supports at most 9 users, got 10\n"
 
 
 class TestGdofLimits:
@@ -287,6 +325,7 @@ class TestOneRefusalPath:
         ("gdof_limit_checks", ["gdof-limits", "ch.json", "--cycle", "0,1"]),
         ("condition_probability", ["simulate", "--users", "2", "--coverage", "100"]),
         ("sweep", ["sweep", "--users", "2", "--coverage", "100"]),
+        ("gap_certificate", ["gap-check", "ch.json", "--power", "100"] + GDOF),
     ])
     def test_library_refusal_exits_two(self, runner, monkeypatch, ex2_path, tmp_path,
                                        target, args):
@@ -299,15 +338,24 @@ class TestOneRefusalPath:
         assert_usage_error(runner, args)
         assert runner.invoke(main, args).output == "error: refused: the library's own words\n"
 
-    @pytest.mark.parametrize("error", [ValueError, ArithmeticError])
+    @pytest.mark.parametrize("error", [ConditionNotMetError, PointOutsideRegionError,
+                                       CertificateViolatedError], ids=lambda e: e.__name__)
     def test_gap_certificate_refusal_is_a_verdict(self, runner, monkeypatch, ex2_path, error):
+        # only the named verdicts exit 1; any other ValueError is malformed input
         def refuse(*args, **kwargs):
-            raise error("point is outside")
+            raise error("the library's verdict")
 
         monkeypatch.setattr("tinopt.cli.gap_certificate", refuse)
         result = runner.invoke(main, ["gap-check", ex2_path, "--power", "100"] + self.GDOF)
         assert result.exit_code == 1
-        assert result.output == "error: point is outside\n"
+        assert result.output == "error: the library's verdict\n"
+
+    def test_no_arguments_prints_help_and_exits_two(self, runner):
+        result = runner.invoke(main, [])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("Usage: ")
+        assert "gap-check" in result.stderr
 
 
 def assert_usage_error(runner, args):

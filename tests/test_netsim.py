@@ -396,10 +396,12 @@ class TestBatchedTrials:
 
 
 class TestGainPowers:
-    """``condition_probability`` takes each user's extremes on gains in dB over 10
-    and raises only those to powers of 10.  That has the bits of raising every
-    gain first only while ``np.power(10.0, .)`` never decreases and maps 0 to
-    1, so a numpy release where it does not fails here."""
+    """``condition_probability`` decides each trial on its extremes in dB over 10;
+    only trials within ``_FILTER_DELTA`` of the band's edge take the exact path,
+    which raises their extremes to powers of 10.  That path has the bits of
+    raising every gain first, its largest raised extreme being the largest gain,
+    only while ``np.power(10.0, .)`` never decreases and maps 0 to 1, so a numpy
+    release where it does not fails here."""
 
     # gains in dB over 10 at the accepted radii and spreads lie within about
     # -130 and 122 (README, "Cellular Monte-Carlo")
