@@ -266,7 +266,7 @@ def polyhedral_tin_gdof(alpha: ChannelMatrix, r) -> np.ndarray:
     return np.diag(a) + rv - _interference(a, rv)
 
 
-def condition_extremes(values: np.ndarray) -> np.ndarray:
+def condition_extremes(values: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """The ``(..., 3, K)`` extremes the optimality condition reads, from stacked ``(..., K, K)`` values.
 
     Per user ``i``, the three rows hold the direct value ``v_ii``, the
@@ -274,17 +274,18 @@ def condition_extremes(values: np.ndarray) -> np.ndarray:
     suffers ``max_{k != i} v_ik``.  Each maximum starts from 0, which also
     stands in for the diagonal: the values are exponents, or gains in dB
     over 10, where 0 is unit gain.  NaN propagates through every maximum.
+    The diagonal is zeroed in a copy, or, with ``overwrite``, in
+    ``values`` itself, which must then be a C-contiguous float array.
     """
-    K = values.shape[-1]
-    off = np.where(np.eye(K, dtype=bool), 0.0, values)
-    return np.stack(
-        [
-            np.diagonal(values, axis1=-2, axis2=-1),
-            off.max(axis=-2, initial=0.0),
-            off.max(axis=-1, initial=0.0),
-        ],
-        axis=-2,
-    )
+    off = values if overwrite else np.array(values, dtype=float, order="C")
+    K = off.shape[-1]
+    ext = np.empty(off.shape[:-2] + (3, K))
+    diagonal = off.reshape(-1, K * K)[:, :: K + 1]  # a view: off is C-contiguous
+    ext[..., 0, :] = diagonal.reshape(off.shape[:-1])
+    diagonal[...] = 0.0
+    off.max(axis=-2, initial=0.0, out=ext[..., 1, :])
+    off.max(axis=-1, initial=0.0, out=ext[..., 2, :])
+    return ext
 
 
 def extreme_margins(x: np.ndarray) -> np.ndarray:

@@ -42,6 +42,7 @@ from .netsim import SimConfig, condition_probability, sample_network, sweep, swe
 from .potential_graph import recover_power_allocation
 from .region import (
     K_MAX_EXPORT,
+    _check_vertex_users,
     general_tin_region,
     minimized,
     point_in_tin_region,
@@ -176,9 +177,11 @@ def region_cmd(channel, silent_set, minimize, union_flag, vertices, output):
     except ValueError:
         _fail("--silent-set must be comma-separated integers")
     poly = polyhedral_region(ch, silent)
+    if vertices:  # more than 4 active users: refused before any row is built or minimized
+        _check_vertex_users(poly)
     if minimize:
         poly = minimized(poly)
-    if vertices:  # refuses more than 4 active users before any row is built
+    if vertices:
         lines = [",".join(f"d{i}" for i in range(ch.K))]
         lines += map(_csv_line, polyhedron_vertices(poly))
         _emit("\n".join(lines) + "\n", vertices)

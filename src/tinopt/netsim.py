@@ -14,24 +14,32 @@ Every trial draws from its own RNG stream, bit for bit the stream of
 ``default_rng([master_seed mod 2**64, trial_index])``, so estimates are
 bit-reproducible.  That stream's PCG64 state is derived in closed form
 from numpy's ``SeedSequence`` and PCG64 seeding arithmetic, a block of
-trials at a time (``sample_network``'s one trial on Python ints), and set
-on the call's one ``Generator`` before the trial draws, so no trial builds
-a generator of its own (``tests/test_netsim.py::TestTrialStreams`` fails
-if numpy ever seeds differently).  ``condition_probability`` draws a
-batch of trials (at most 4096 link entries, trials * K * K) one stream
+trials at a time, as one ``(n, 4)`` ``uint64`` array of words
+``[state_lo, state_hi, inc_lo, inc_hi]`` (``sample_network`` derives its
+one row the same way).  No trial builds a generator of its own, nor a
+Python int or a state dict: each copies its four words into the C state
+of the call's one ``Generator`` and clears the half-draw it may have
+buffered.  That struct layout is numpy's own, so it is checked once per
+process, by writing known words and reading them back through
+``bit_generator.state``; where the check fails, each trial sets the
+``state`` dict instead, with the same draws
+(``tests/test_netsim.py::TestTrialStreams`` fails if numpy ever seeds
+differently).  ``condition_probability`` draws a batch of trials (at
+most 4096 link entries, trials * K * K, within one block) one stream
 after another, then computes geometry, path loss and gains on
 ``(trials, K, K)`` arrays, the largest it builds, with the same
-per-entry operations as :func:`sample_network`: distances from
-per-coordinate differences, and one path-loss logarithm per link plus
-one more for each link below the reference distance.  Each layout's
-gains are kept in dB over 10 and reduced to the three extremes per user
-that the condition reads, and the verdict is decided on those extremes
-in dB: the condition is homogeneous, so dividing by the largest one
-stands in for the logarithm of the nominal power.  Only a trial whose
-worst margin lies within ``_FILTER_DELTA`` of the tolerance band's edge,
-where that shortcut's rounding could matter, takes powers of 10 and
-logarithms, so every estimate has the same bytes as one computed a trial
-at a time from full exponent matrices.
+per-entry operations as :func:`sample_network`: positions as contiguous
+x and y planes, distances from per-coordinate differences, and one
+path-loss logarithm per link plus one more for each link below the
+reference distance.  Each layout's gains are kept in dB over 10 and
+reduced to the three extremes per user that the condition reads, and the
+verdict is decided on those extremes in dB: the condition is
+homogeneous, so dividing by the largest one stands in for the logarithm
+of the nominal power.  Only a trial whose worst margin lies within
+``_FILTER_DELTA`` of the tolerance band's edge, where that shortcut's
+rounding could matter, takes powers of 10 and logarithms, so every
+estimate has the same bytes as one computed a trial at a time from full
+exponent matrices.
 Simulations take at most ``K_MAX_SIM`` users, and a run at most
 ``LINKS_MAX_SIM`` link entries, each trial counted as its K * K links plus
 ``TRIAL_LINKS`` for its fixed cost.
@@ -39,7 +47,8 @@ Simulations take at most ``K_MAX_SIM`` users, and a run at most
 
 from __future__ import annotations
 
-import itertools
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -79,14 +88,15 @@ ANTENNA_GAIN_DB = 0.0
 #: Monte-Carlo").
 K_MAX_SIM = 1000
 
-#: A trial's fixed cost in link entries: one trial takes about 7.5 us at K=1,
-#: and a link 45-46 ns from K=100 up (README, "Cellular Monte-Carlo").
+#: A trial's fixed cost in link entries: a link takes 35-36 ns from K=100 up,
+#: and a trial at K=10 about what its 250 counted entries do; one at K=1
+#: (2.6 us) costs about half its count (README, "Cellular Monte-Carlo").
 TRIAL_LINKS = 150
 
 #: Largest cost, trials * (K * K + TRIAL_LINKS) link entries, a simulation
 #: accepts: the default 1000 trials at ``K_MAX_SIM``, under a minute.  The
-#: most trials it admits take about 50 s at K=1 (6,623,509), 67 s at K=10
-#: and 45 s at K=100 (README, "Cellular Monte-Carlo").
+#: most trials it admits take about 17 s at K=1 (6,623,509), 36 s at K=10
+#: and 34 s at K=100 (README, "Cellular Monte-Carlo").
 LINKS_MAX_SIM = 1000 * (K_MAX_SIM**2 + TRIAL_LINKS)
 
 #: Largest coverage or cell radius a simulation accepts [m].  Distances stay
@@ -114,10 +124,10 @@ SHADOWING_MAX_DB = 100.0
 #: at K=10.
 _BATCH_LINKS = 4096
 
-#: Trials whose stream states are derived together, in one vectorized pass of
-#: about 0.3 ms (at most 1024 states held at once, whatever the trial count).
-#: Blocks are independent of the link batches, which hold one trial each
-#: from K=65 up.
+#: Trials whose stream states are derived together, in one vectorized pass
+#: (at most 1024 states, 32 KB of words, held at once, whatever the trial
+#: count).  Link batches split blocks and never span two; they hold one trial
+#: each from K=65 up.
 _STREAM_BLOCK = 1024
 
 #: Half-width of the band around ``-EPS_CONDITION`` in which a trial's verdict
@@ -131,13 +141,15 @@ _FILTER_DELTA = 2.0**-45
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK128 = (1 << 128) - 1
 # numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 # and PCG64's 128-bit multiplier (PCG_DEFAULT_MULTIPLIER_128).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_MULT_LO, _PCG64_MULT_HI = _PCG64_MULT & _MASK64, _PCG64_MULT >> 64
+#: Free-space loss at the reference distance [dB], where the log-distance branch starts.
+_REF_LOSS_DB = 20.0 * math.log10(4.0 * math.pi * REF_DISTANCE_M / WAVELENGTH_M)
 
 
 @dataclass(frozen=True)
@@ -209,16 +221,25 @@ def erceg_pathloss(distance_m):
     d = np.asarray(distance_m, dtype=float)
     if d.size and not (d.min() > 0.0 and d.max() < math.inf):
         raise ValueError("distance must be positive and finite")
-    d0 = REF_DISTANCE_M
-    A = 20.0 * math.log10(4.0 * math.pi * d0 / WAVELENGTH_M)
-    out = np.divide(d, d0, out=np.empty(d.shape))
+    out = _pathloss_db(d)
+    return float(out) if np.isscalar(distance_m) else out
+
+
+def _pathloss_db(d: np.ndarray) -> np.ndarray:
+    """:func:`erceg_pathloss` of a float array of distances, unchecked, in a new array.
+
+    For callers whose distances are positive and finite by construction:
+    the simulation's are clamped to at least ``MIN_DISTANCE_M`` and bounded
+    by the accepted radii.
+    """
+    out = np.divide(d, REF_DISTANCE_M, out=np.empty(d.shape))
     np.log10(out, out=out)
     out *= 10.0 * PATHLOSS_SLOPE
-    out += A
-    near = d < d0
+    out += _REF_LOSS_DB
+    near = d < REF_DISTANCE_M
     if near.any():
         out[near] = 20.0 * np.log10(4.0 * math.pi * d[near] / WAVELENGTH_M)
-    return float(out) if np.isscalar(distance_m) else out
+    return out
 
 
 def transmit_power_dbm(cfg: SimConfig) -> float:
@@ -226,7 +247,7 @@ def transmit_power_dbm(cfg: SimConfig) -> float:
     return (
         NOISE_FLOOR_DBM
         + BOUNDARY_SNR_TARGET_DB
-        + erceg_pathloss(cfg.coverage_radius)
+        + float(_pathloss_db(np.asarray(cfg.coverage_radius, dtype=float)))
         - ANTENNA_GAIN_DB
     )
 
@@ -253,29 +274,35 @@ class NetworkInstance:
 
 @dataclass(frozen=True)
 class _Links:
-    """Layouts and link budgets of several trials, stacked along the first axis."""
+    """Layouts and link budgets of n trials: positions as x and y planes, links stacked per trial."""
 
-    tx: np.ndarray  # (n, K, 2) meters
-    rx: np.ndarray  # (n, K, 2) meters
+    tx: np.ndarray  # (2, n, K) meters: the x plane, then the y plane
+    rx: np.ndarray  # (2, n, K) meters
     pathloss_db: np.ndarray  # (n, K, K), receiver-major
     y: np.ndarray  # (n, K, K) gains in dB over 10: the linear gain is 10**y, not clipped
 
 
 def _disk(radius: float, u_radius: np.ndarray, u_angle: np.ndarray) -> np.ndarray:
-    """Area-uniform points in a disk from two uniform draws per point."""
+    """Area-uniform points in a disk from two uniform draws per point, as x and y planes.
+
+    Returns one ``(2, *u_radius.shape)`` array, so each plane is contiguous.
+    """
     r = radius * np.sqrt(u_radius)
     theta = 2.0 * math.pi * u_angle
-    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    xy = np.empty((2, *r.shape))
+    np.multiply(r, np.cos(theta), out=xy[0])
+    np.multiply(r, np.sin(theta), out=xy[1])
+    return xy
 
 
 def _link_distances(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-    """Receiver-major ``(n, K, K)`` distances ``sqrt(dx*dx + dy*dy)`` from stacked positions.
+    """Receiver-major ``(n, K, K)`` distances ``sqrt(dx*dx + dy*dy)`` from ``(2, n, K)`` planes.
 
     The bits of ``np.linalg.norm`` over each pair's coordinate
     differences, without building the ``(n, K, K, 2)`` difference array.
     """
-    dist = rx[:, :, None, 0] - tx[:, None, :, 0]
-    dy = rx[:, :, None, 1] - tx[:, None, :, 1]
+    dist = rx[0, :, :, None] - tx[0, :, None, :]
+    dy = rx[1, :, :, None] - tx[1, :, None, :]
     dist *= dist
     dy *= dy
     dist += dy
@@ -290,118 +317,232 @@ def _uint32_words(n: int) -> list:
     return words
 
 
-def _hasher(const: int, mult: int):
-    """``SeedSequence``'s ``hashmix``, with its running hash constant starting at ``const``."""
+@functools.cache
+def _hash_constants(const: int, mult: int, calls: int) -> np.ndarray:
+    """The running constants of ``calls`` successive ``hashmix`` calls, a ``(calls + 1, 1)`` column.
 
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = (const * mult) & _MASK32
-        value = (value * const) & _MASK32
-        return value ^ (value >> 16)
+    Call ``k`` xors its value with entry ``k`` and multiplies it by entry
+    ``k + 1``: ``SeedSequence`` steps the constant between the two.  The
+    constants do not depend on the data, so a whole mix can share them.
+    """
+    column = [const]
+    for _ in range(calls):
+        column.append(column[-1] * mult & _MASK32)
+    consts = np.array(column, dtype=np.uint32)[:, None]
+    consts.flags.writeable = False  # shared by every caller
+    return consts
 
-    return hashmix
+
+def _hashmix(value, consts: np.ndarray) -> np.ndarray:
+    """``hashmix`` of ``value`` by the calls of ``consts`` (one row more than the calls).
+
+    The calls run along the first axis: a ``(m + 1, 1)`` slice of
+    :func:`_hash_constants` mixes one word into ``m`` rows, or ``m`` rows of
+    words each by its own call.
+    """
+    value = value ^ consts[:-1]
+    value *= consts[1:]
+    value ^= value >> 16
+    return value
 
 
-def _generate_state(entropy: list) -> list:
-    """``SeedSequence(entropy).generate_state(4, np.uint64)`` in closed form.
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s ``mix`` of two ``uint32`` arrays."""
+    result = x * _MIX_MULT_L
+    result -= y * _MIX_MULT_R
+    result ^= result >> 16
+    return result
+
+
+#: For each pool word, the three others it mixes into.
+_OTHERS = [[dst for dst in range(4) if dst != src] for src in range(4)]
+_HASH_OUT = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _generate_state(entropy: list) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` in closed form, one column per trial.
 
     ``entropy`` is the list of 32-bit words ``SeedSequence`` assembles from
-    its seed.  Each word is a Python int or a ``uint64`` array, and so is
-    each of the four words returned.  Every product and difference is
-    masked to 32 bits at once: a product of two words stays below 2**64,
-    and a ``uint64`` difference that wrapped masks to the same word as a
-    Python int's, so the same arithmetic serves both, and a block of
-    trials whose words are arrays takes one pass.
+    its seed, each a Python int or an ``(n,)`` integer array; the result
+    is ``(4, n)`` ``uint64``.  The four pool words are one stacked ``(4, n)``
+    ``uint32`` array, whose products and differences wrap modulo 2**32 as
+    ``SeedSequence``'s do (numpy wraps integer arrays silently): each
+    source word is hashed for its three destination rows at once, and the
+    output is one ``(8, n)`` hash.  So a block of trials takes one pass.
     """
-    hashmix = _hasher(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ (result >> 16)
-
-    # A pool word with no entropy word mixes 0, as SeedSequence pads it.
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    pool = np.zeros((4, max(np.size(word) for word in entropy)), dtype=np.uint32)
+    for i, word in enumerate(entropy[:4]):  # missing words mix 0, as SeedSequence pads
+        pool[i] = word
+    consts = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * len(entropy[4:]))
+    pool = _hashmix(pool, consts[:5])
+    k = 4
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + 4]))
+        k += 3
     for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hashout = _hasher(_INIT_B, _MULT_B)
-    out = [hashout(pool[i % 4]) for i in range(8)]
-    return [out[2 * k] | (out[2 * k + 1] << 32) for k in range(4)]
+        pool = _mix(pool, _hashmix(word, consts[k:k + 5]))
+        k += 4
+    out = _hashmix(np.concatenate([pool, pool]), _HASH_OUT).astype(np.uint64)
+    return out[0::2] | (out[1::2] << 32)
 
 
-def _stream_state(words) -> dict:
-    """The state of ``PCG64`` seeded with the four words of :func:`_generate_state`.
+def _mul128(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """``(hi * 2**64 + lo) * _PCG64_MULT mod 2**128`` as ``(lo, hi)`` ``uint64`` arrays.
 
-    The first two words are the 128-bit ``initstate`` and the last two
-    ``initseq``, high word first; PCG64's seeding sets
-    ``inc = (initseq << 1) | 1`` and steps from 0, adds ``initstate`` and
-    steps again.  ``has_uint32`` and ``uinteger`` are reset, so no buffered
-    half of an earlier stream's 64-bit draw carries over.
+    The low halves' full product is taken on 32-bit limbs, whose middle
+    column sums to less than 2**34; the cross terms only reach the high
+    word, where ``uint64`` wrapping is the reduction mod 2**128.
     """
-    w0, w1, w2, w3 = words
-    inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
-    state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+    x0, x1 = lo & _MASK32, lo >> 32
+    p00, p01 = x0 * (_PCG64_MULT_LO & _MASK32), x0 * (_PCG64_MULT_LO >> 32)
+    p10, p11 = x1 * (_PCG64_MULT_LO & _MASK32), x1 * (_PCG64_MULT_LO >> 32)
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    high = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    high += lo * _PCG64_MULT_HI + hi * _PCG64_MULT_LO
+    return (mid << 32) | (p00 & _MASK32), high
+
+
+def _stream_words(entropy: list) -> np.ndarray:
+    """The PCG64 states of ``SeedSequence(entropy)``, one ``(n, 4)`` row per trial.
+
+    A row holds ``[state_lo, state_hi, inc_lo, inc_hi]``, numpy's 32 bytes
+    of a ``pcg64_random_t``.  Of the four words of :func:`_generate_state`,
+    the first two are the 128-bit ``initstate`` and the last two
+    ``initseq``, high word first; PCG64's seeding sets
+    ``inc = (initseq << 1) | 1`` and ``state = (inc + initstate) * MULT + inc``
+    mod 2**128.  Each 128-bit sum carries from its low word by comparison.
+    """
+    init_hi, init_lo, seq_hi, seq_lo = _generate_state(entropy)
+    inc_lo = (seq_lo << 1) | 1
+    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+    lo = inc_lo + init_lo
+    lo, hi = _mul128(lo, inc_hi + init_hi + (lo < inc_lo))
+    state_lo = lo + inc_lo
+    return np.stack([state_lo, hi + inc_hi + (state_lo < inc_lo), inc_lo, inc_hi], axis=1)
 
 
 def _trial_streams(master_seed: int, trials: range):
-    """The stream state of each trial in ``trials``, in order, ``_STREAM_BLOCK`` derived at once.
+    """The stream states of the trials in ``trials``, in order, one block of words at a time.
 
-    A block's indices go in as ``uint64`` arrays of two words each (the
-    high one 0 below 2**32): with the seed's one or two words the entropy
-    fills at most ``SeedSequence``'s four-word pool, where a zero word and
-    a missing one mix the same.
+    Yields the :func:`_stream_words` of up to ``_STREAM_BLOCK`` trials at
+    once.  A block's indices go in as ``uint64`` arrays of two words each
+    (the high one 0 below 2**32): with the seed's one or two words the
+    entropy fills at most ``SeedSequence``'s four-word pool, where a zero
+    word and a missing one mix the same.
     """
     seed = _uint32_words(int(master_seed) & _MASK64)
     for lo in range(trials.start, trials.stop, _STREAM_BLOCK):
         t = np.arange(lo, min(lo + _STREAM_BLOCK, trials.stop), dtype=np.uint64)
-        words = _generate_state(seed + [t & _MASK32, t >> 32])
-        yield from map(_stream_state, zip(*(w.tolist() for w in words)))
+        yield _stream_words(seed + [t & _MASK32, t >> 32])
 
 
-def _stream_generator() -> np.random.Generator:
-    """A call's one ``Generator``; each trial sets its stream's state on it before drawing."""
-    return np.random.Generator(np.random.PCG64(0))
+def _state_dict(words: list) -> dict:
+    """``bit_generator.state`` of PCG64 at one row of :func:`_stream_words`, nothing buffered."""
+    state_lo, state_hi, inc_lo, inc_hi = words
+    return {"bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0, "uinteger": 0}
 
 
-def _sample_links(cfg: SimConfig, rng: np.random.Generator, states: Sequence[dict],
-                  power_dbm: float) -> _Links:
-    """The layouts of ``len(states)`` trials, the k-th drawn by ``rng`` set to ``states[k]``.
+def _raw_state(bitgen: np.random.PCG64):
+    """Views of ``bitgen``'s C state, or None where they would reach outside its object.
 
-    Set to trial ``t``'s state, ``rng`` draws what ``default_rng([master_seed
-    mod 2**64, t])`` would, in this order: K radii and K angles for the
-    transmitters, the same for the receiver offsets, then the K-by-K
-    shadowing normals, each written straight into the batch's arrays.
-    Everything after the draws is computed on the whole stack at once,
-    with the same operations per entry as for one trial, and stops at the
-    gains in dB over 10: the caller raises to powers of 10 only what it
-    reads.  ``power_dbm`` is :func:`transmit_power_dbm`, computed once by
-    the caller.
+    ``bitgen.ctypes.state_address`` is numpy's ``pcg64_state``: a pointer
+    to the 32-byte ``pcg64_random_t``, then ``int has_uint32`` and
+    ``uint32_t uinteger``.  Returns a ``(4,)`` ``uint64`` array over the 32
+    bytes and one ``c_uint64`` over the two buffer fields.  numpy keeps
+    both structs inside the bit generator's own object; where a changed
+    layout puts either view outside it, nothing is written at all.
+    """
+    start = id(bitgen)
+    end = start + type(bitgen).__basicsize__
+    address = bitgen.ctypes.state_address
+    buffered = address + ctypes.sizeof(ctypes.c_void_p)
+    pointer = ctypes.c_void_p.from_address(address).value or 0
+    if not (start <= address and buffered + 8 <= end and start <= pointer <= end - 32):
+        return None
+    views = (ctypes.c_uint64 * 4).from_address(pointer), ctypes.c_uint64.from_address(buffered)
+    for view in views:
+        view.owner = bitgen  # a view keeps alive the object whose memory it reaches
+    return np.frombuffer(views[0], dtype=np.uint64), views[1]
+
+
+@functools.cache
+def _raw_state_checked() -> bool:
+    """Whether writing :func:`_raw_state` sets PCG64 as its ``state`` setter does; once per process.
+
+    A probe generator with half a 64-bit draw buffered gets four known
+    words written raw, then must report them, with the buffer cleared.
+    """
+    bitgen = np.random.PCG64(0)
+    bitgen.state = {**bitgen.state, "has_uint32": 1, "uinteger": 0x89ABCDEF}
+    raw = _raw_state(bitgen)
+    if raw is None:
+        return False
+    probe = [0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x13579BDF02468ACF, 0xECA8642097531FDB]
+    raw[0][...] = probe
+    raw[1].value = 0
+    return bitgen.state == _state_dict(probe)
+
+
+def _stream_generator() -> tuple:
+    """A call's one ``Generator`` and ``set_state(words)``, which puts it on one trial's stream.
+
+    ``words`` is a row of :func:`_stream_words`.  Where the layout check
+    holds, ``set_state`` copies the row's 32 bytes into the generator's C
+    state and clears its buffered half-draw; elsewhere it goes through
+    the ``state`` dict, about ten times slower, with the same draws.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    bitgen = rng.bit_generator
+    if _raw_state_checked():
+        state, buffered = _raw_state(bitgen)
+
+        def set_state(words):
+            state[...] = words
+            buffered.value = 0
+    else:
+
+        def set_state(words):
+            bitgen.state = _state_dict(words.tolist())
+
+    return rng, set_state
+
+
+def _sample_links(cfg: SimConfig, rng: np.random.Generator, set_state, words: np.ndarray,
+                  power_dbm: float, pathloss=_pathloss_db) -> _Links:
+    """The layouts of ``len(words)`` trials, the k-th drawn by ``rng`` on the stream ``words[k]``.
+
+    ``rng`` and ``set_state`` come from :func:`_stream_generator` and
+    ``words`` from :func:`_stream_words`.  On trial ``t``'s stream, ``rng``
+    draws what ``default_rng([master_seed mod 2**64, t])`` would, in this
+    order: K radii and K angles for the transmitters, the same for the
+    receiver offsets, then the K-by-K shadowing normals, each written
+    straight into the batch's arrays.  Everything after the draws is
+    computed on the whole stack at once, with the same operations per
+    entry as for one trial: positions as contiguous x and y planes,
+    distances from their differences and path losses by ``pathloss``.  It
+    stops at the gains in dB over 10: the caller raises to powers of 10
+    only what it reads.  ``power_dbm`` is :func:`transmit_power_dbm`,
+    computed once by the caller.
     """
     K = cfg.K
     sigma = cfg.shadowing_sigma_db
-    trials = len(states)
-    u = np.empty((trials, 4, K))
-    shadow = np.empty((trials, K, K)) if sigma else None
-    bitgen = rng.bit_generator
-    for k, state in enumerate(states):
-        bitgen.state = state
+    u = np.empty((len(words), 4, K))
+    shadow = np.empty((len(words), K, K)) if sigma else None
+    for k, row in enumerate(words):
+        set_state(row)
         rng.random(out=u[k])  # the same numbers as four calls of K each
         if sigma:
             rng.standard_normal(out=shadow[k])
     if sigma:
         shadow *= sigma  # normal(0.0, sigma) is 0.0 + sigma * z: the same bits
     tx = _disk(cfg.cell_radius, u[:, 0], u[:, 1])
-    rx = tx + _disk(cfg.coverage_radius, u[:, 2], u[:, 3])
+    rx = _disk(cfg.coverage_radius, u[:, 2], u[:, 3])
+    rx += tx
     dist = _link_distances(tx, rx)
     np.maximum(dist, MIN_DISTANCE_M, out=dist)
-    pl = erceg_pathloss(dist)
+    pl = pathloss(dist)
     if sigma:
         pl += shadow
     y = np.subtract(power_dbm + ANTENNA_GAIN_DB, pl, out=dist)  # distances are spent
@@ -418,13 +559,13 @@ def sample_network(cfg: SimConfig, trial_index: int) -> NetworkInstance:
     if not _is_integer(trial_index) or trial_index < 0:
         raise ValueError(f"trial_index must be a nonnegative integer, got {trial_index!r}")
     entropy = _uint32_words(int(cfg.master_seed) & _MASK64) + _uint32_words(int(trial_index))
-    state = _stream_state(_generate_state(entropy))
-    links = _sample_links(cfg, _stream_generator(), [state], transmit_power_dbm(cfg))
+    links = _sample_links(cfg, *_stream_generator(), _stream_words(entropy),
+                          transmit_power_dbm(cfg), erceg_pathloss)
     linear = np.power(10.0, links.y[0])
     nominal_P = max(float(linear.max()), 2.0)
     return NetworkInstance(
-        tx_positions=links.tx[0],
-        rx_positions=links.rx[0],
+        tx_positions=links.tx[:, 0].T.copy(),
+        rx_positions=links.rx[:, 0].T.copy(),
         pathloss_db=links.pathloss_db[0],
         snr_inr_linear=np.maximum(1.0, linear),
         nominal_P=nominal_P,
@@ -500,12 +641,13 @@ def condition_probability(cfg: SimConfig, workers: int = 1) -> ConditionEstimate
         raise ValueError("need at least 100 trials for the interval to be meaningful")
     per_batch = max(1, _BATCH_LINKS // (cfg.K * cfg.K))
     power_dbm = transmit_power_dbm(cfg)
-    streams = _trial_streams(cfg.master_seed, range(cfg.trials))
-    rng = _stream_generator()
+    rng, set_state = _stream_generator()
     passes = 0
-    while batch := list(itertools.islice(streams, per_batch)):
-        # verdicts from the 3K extremes in dB; no power or logarithm away from the band
-        passes += _count_passes(condition_extremes(_sample_links(cfg, rng, batch, power_dbm).y))
+    for words in _trial_streams(cfg.master_seed, range(cfg.trials)):
+        for first in range(0, len(words), per_batch):
+            y = _sample_links(cfg, rng, set_state, words[first:first + per_batch], power_dbm).y
+            # verdicts from the 3K extremes in dB; no power or logarithm away from the band
+            passes += _count_passes(condition_extremes(y, overwrite=True))
     lo, hi = _wilson_interval(passes, cfg.trials)
     return ConditionEstimate(
         K=cfg.K,

@@ -622,6 +622,12 @@ def point_in_tin_region(alpha: ChannelMatrix, d) -> TinMembership:
     return TinMembership(cert.feasible, Z, cert)
 
 
+def _check_vertex_users(poly: Polyhedron) -> None:
+    """Refuse vertex enumeration beyond 4 active users; read before any row is built."""
+    if len(poly.active) > 4:
+        raise ValueError("vertex enumeration supports at most 4 active users")
+
+
 def polyhedron_vertices(poly: Polyhedron) -> np.ndarray:
     """Vertex enumeration by brute-force tight-set intersection (small K).
 
@@ -630,10 +636,9 @@ def polyhedron_vertices(poly: Polyhedron) -> np.ndarray:
     are integer, so a determinant below 1e-12 is 0 up to rounding; vertices
     equal to 9 decimals, the 1e-9 band, are one.
     """
+    _check_vertex_users(poly)
     active = poly.active
     na = len(active)
-    if na > 4:
-        raise ValueError("vertex enumeration supports at most 4 active users")
     if na == 0:
         return np.zeros((1, poly.K))
     eye = np.eye(na)

@@ -146,6 +146,19 @@ class TestRegion:
         assert result.stderr == "error: vertex enumeration supports at most 4 active users\n"
         assert not (tmp_path / "v.csv").exists()
 
+    def test_minimize_vertices_refused_before_minimizing(self, runner, tmp_path, monkeypatch):
+        def no_minimizing(poly):
+            raise AssertionError("minimized")
+
+        monkeypatch.setattr("tinopt.cli.minimized", no_minimizing)
+        out = tmp_path / "v.csv"
+        result = runner.invoke(main, ["region", str(DATA / "k6_condition.json"), "--minimize",
+                                      "--vertices", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "error: vertex enumeration supports at most 4 active users\n"
+        assert result.stdout == ""
+        assert not out.exists()
+
 
 class TestMembership:
     def test_inside_exits_zero(self, runner, ex2_path, ex2):
@@ -680,6 +693,13 @@ class TestSimulation:
         assert runner.invoke(main, args + ["-o", str(out)]).exit_code == 0
         assert out.read_bytes() == golden
         assert runner.invoke(main, args).stdout_bytes == golden
+
+    def test_sweep_k1_k65_bytes(self, runner):
+        # 2049 trials: three blocks of stream states, in link batches of 1024
+        # trials at K=1 and of one trial at K=65
+        args = ["sweep", "--users", "1,65", "--coverage", "100", "--trials", "2049",
+                "--seed", "3"]
+        assert runner.invoke(main, args).stdout_bytes == (DATA / "k1_k65_sweep.csv").read_bytes()
 
     def test_simulate_csv_is_the_sweep_of_its_point(self, runner):
         point = ["--users", "3", "--coverage", "100", "--trials", "100", "--seed", "7"]

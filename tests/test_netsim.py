@@ -87,6 +87,17 @@ class TestErcegPathloss:
         with pytest.raises(ValueError, match="^distance must be positive"):
             erceg_pathloss(bad)
 
+    def test_public_check_around_the_unchecked_helper(self, monkeypatch):
+        for bad in (0.0, -5.0, [3.0, -1e-300], math.inf, [2.0, math.nan]):
+            with pytest.raises(ValueError, match="^distance must be positive and finite$"):
+                erceg_pathloss(bad)
+        assert erceg_pathloss(np.empty(0)).shape == (0,)
+        d = np.array([[1.0, 99.9, 100.0], [100.5, 2.5e6, 1e-3]])
+        assert np.array_equal(netsim._pathloss_db(d), erceg_pathloss(d))
+        # the simulation's distances are clamped and bounded: it reads only the helper
+        monkeypatch.setattr(netsim, "erceg_pathloss", lambda d: pytest.fail("checked"))
+        condition_probability(SimConfig(K=3, coverage_radius=100.0, trials=100))
+
     def test_scalar_array_and_empty_inputs(self):
         d = np.array([0.5, 99.0, 100.0, 101.0, 4000.0])
         pl = erceg_pathloss(d)
@@ -193,7 +204,8 @@ class TestSampleNetwork:
         for scale in (1e-3, 1.0, 1e3, 2e6):
             tx, rx = rng.uniform(-scale, scale, size=(2, 3, 17, 2))
             want = np.linalg.norm(rx[:, :, None, :] - tx[:, None, :, :], axis=-1)
-            assert np.array_equal(_link_distances(tx, rx), want)
+            planes = [np.ascontiguousarray(np.moveaxis(xy, -1, 0)) for xy in (tx, rx)]
+            assert np.array_equal(_link_distances(*planes), want)
 
     def test_geometry_constraints(self):
         cfg = cfg_no_fading(K=6)
@@ -475,8 +487,8 @@ class TestVerdictFilter:
 
     def test_no_trial_near_the_band_makes_no_exact_call(self, monkeypatch):
         cfg = SimConfig(K=10, coverage_radius=100.0, trials=400, master_seed=5)
-        states = list(netsim._trial_streams(cfg.master_seed, range(cfg.trials)))
-        y = netsim._sample_links(cfg, netsim._stream_generator(), states,
+        (words,) = netsim._trial_streams(cfg.master_seed, range(cfg.trials))
+        y = netsim._sample_links(cfg, *netsim._stream_generator(), words,
                                  transmit_power_dbm(cfg)).y
         ext = condition_extremes(y)
         want = sum(_exact_verdicts(ext))
@@ -510,6 +522,12 @@ class TestVerdictFilter:
             netsim._count_passes(ext)
 
 
+def _state_words(state: dict) -> list:
+    """A PCG64 ``bit_generator.state`` as ``[state_lo, state_hi, inc_lo, inc_hi]``."""
+    s, inc = state["state"]["state"], state["state"]["inc"]
+    return [s & (2**64 - 1), s >> 64, inc & (2**64 - 1), inc >> 64]
+
+
 class TestTrialStreams:
     """Each trial's stream is ``default_rng([master_seed mod 2**64, t])``, bit for bit.
 
@@ -526,7 +544,7 @@ class TestTrialStreams:
         for t in self.INDICES:
             want = np.random.PCG64(np.random.SeedSequence([seed % 2**64, t])).state
             entropy = netsim._uint32_words(seed % 2**64) + netsim._uint32_words(t)
-            assert netsim._stream_state(netsim._generate_state(entropy)) == want, t
+            assert netsim._stream_words(entropy).tolist() == [_state_words(want)], t
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, -1, np.int64(-7), 2**80 + 3])
     def test_blocks_are_numpy_seeding(self, seed, monkeypatch):
@@ -534,27 +552,87 @@ class TestTrialStreams:
         # 2**32, where an index gains its second word
         monkeypatch.setattr(netsim, "_STREAM_BLOCK", 3)
         for trials in (range(0, 8), range(2**32 - 4, 2**32 + 3), range(2**40, 2**40 + 2)):
-            got = list(netsim._trial_streams(seed, trials))
-            want = [np.random.PCG64(np.random.SeedSequence([int(seed) % 2**64, t])).state
+            blocks = list(netsim._trial_streams(seed, trials))
+            assert [len(words) for words in blocks] == [
+                len(trials[i:i + 3]) for i in range(0, len(trials), 3)]
+            for words in blocks:
+                assert words.dtype == np.uint64 and words.flags.c_contiguous
+            want = [_state_words(np.random.PCG64(np.random.SeedSequence([int(seed) % 2**64, t])).state)
                     for t in trials]
-            assert got == want
+            assert [row for words in blocks for row in words.tolist()] == want
 
     @pytest.mark.parametrize("K", [1, 7, 64])
-    def test_reused_generator_draws_as_default_rng(self, K):
+    def test_reused_generator_draws_as_default_rng(self, K, monkeypatch):
         seed = 2**63 + 11
-        rng = netsim._stream_generator()
-        for t, state in zip(range(3, 7), netsim._trial_streams(seed, range(3, 7))):
-            rng.bit_generator.state = state
-            fresh = np.random.default_rng([seed % 2**64, t])
-            for draw in (
-                lambda g: g.integers(2**32, size=1, dtype=np.uint32),
-                lambda g: g.random((4, K)),
-                lambda g: g.normal(size=(K, K)),
-                # an odd count leaves half a 64-bit word for the next trial
-                # to discard
-                lambda g: g.integers(2**32, size=3, dtype=np.uint32),
-            ):
-                assert np.array_equal(draw(rng), draw(fresh)), t
+        (words,) = netsim._trial_streams(seed, range(3, 7))
+        # both setters: the raw write, then the state dict a changed layout falls back to
+        for setter in ("raw", "dict"):
+            if setter == "dict":
+                monkeypatch.setattr(netsim, "_raw_state_checked", lambda: False)
+            rng, set_state = netsim._stream_generator()
+            for t, row in zip(range(3, 7), words):
+                set_state(row)
+                fresh = np.random.default_rng([seed % 2**64, t])
+                assert rng.bit_generator.state == fresh.bit_generator.state, (setter, t)
+                for draw in (
+                    lambda g: g.integers(2**32, size=1, dtype=np.uint32),
+                    lambda g: g.random((4, K)),
+                    lambda g: g.normal(size=(K, K)),
+                    # an odd count leaves half a 64-bit word for the next trial
+                    # to discard
+                    lambda g: g.integers(2**32, size=3, dtype=np.uint32),
+                ):
+                    assert np.array_equal(draw(rng), draw(fresh)), (setter, t)
+
+    def test_dict_fallback_keeps_every_estimate(self, monkeypatch):
+        cfgs = [SimConfig(K=K, coverage_radius=100.0, trials=150, master_seed=seed)
+                for K, seed in [(1, 2**64 - 1), (6, -3), (20, 5)]]
+        want = [condition_probability(cfg) for cfg in cfgs]
+        monkeypatch.setattr(netsim, "_raw_state_checked", lambda: False)
+        assert [condition_probability(cfg) for cfg in cfgs] == want
+
+    def test_layout_check_refuses_a_changed_layout(self, monkeypatch):
+        # a layout whose words run the other way (numpy's emulated 128-bit
+        # integers keep the high word first): the round trip fails, so the dict
+        # setter takes over
+        assert netsim._raw_state_checked()
+        real = netsim._raw_state
+
+        def reversed_words(bitgen):
+            words, buffered = real(bitgen)
+            return words[::-1], buffered  # a view: the probe is written, in the wrong places
+
+        monkeypatch.setattr(netsim, "_raw_state", reversed_words)
+        assert not netsim._raw_state_checked.__wrapped__()
+        monkeypatch.setattr(netsim, "_raw_state", lambda bitgen: None)
+        assert not netsim._raw_state_checked.__wrapped__()
+
+    @pytest.mark.parametrize("trials", [1025, 2049])
+    @pytest.mark.parametrize("K,coverage", [(1, 100.0), (65, 5.0)])
+    def test_block_and_batch_ends_match_per_trial_oracle(self, K, coverage, trials, monkeypatch):
+        # stream blocks of 1024 trials; link batches of 1024 trials at K=1, one at K=65
+        cfg = SimConfig(K=K, coverage_radius=coverage, trials=trials, master_seed=2**80 + 3)
+        batches = []
+        sample = netsim._sample_links
+
+        def spy(*args):
+            batches.append(sample(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(netsim, "_sample_links", spy)
+        passes = condition_probability(cfg).passes
+        assert len(batches) == (3 if trials == 2049 else 2) if K == 1 else trials
+        tx = np.concatenate([links.tx for links in batches], axis=1)
+        rx = np.concatenate([links.rx for links in batches], axis=1)
+        for t in (0, 1, 1023, 1024, trials - 2, trials - 1):
+            want = oracle_layout(cfg, t)
+            assert np.array_equal(tx[:, t].T, want["tx"]), t
+            assert np.array_equal(rx[:, t].T, want["rx"]), t
+        monkeypatch.setattr(netsim, "_sample_links", sample)
+        verdicts = [check_tin_condition(sample_network(cfg, t).alpha).overall
+                    for t in range(trials)]
+        assert passes == sum(verdicts)
+        assert 0 < passes < trials or K == 1
 
     def test_large_trial_index_and_numpy_seed(self):
         cfg = SimConfig(K=4, coverage_radius=150.0, trials=100, master_seed=np.int64(-5))
@@ -579,6 +657,7 @@ class TestTrialStreams:
             return derive(entropy)
 
         monkeypatch.setattr(netsim, "_generate_state", spy)
+        netsim._raw_state_checked()  # its probe generator is built once per process
         # K=1: three blocks of states for 2500 trials; K=80: one block for
         # 101 trials, although each link batch holds one trial
         for K, trials, want in [(1, 2500, [1024, 1024, 452]), (80, 101, [101])]:
