@@ -37,9 +37,13 @@ import numpy as np
 from .channel_model import (EPS_CONDITION, EXPONENT_MAX, ChannelMatrix, PowerExponents,
                             _exponent_vector, _is_integer)
 
-#: A directed circuit whose length is within this band below zero is treated
-#: as nonnegative: boundary points of the region are legitimate members and
-#: round-off must not eject them.  The same number as the condition's band.
+#: The membership band, so that round-off does not eject boundary points.
+#: The plain pass accepts when every arc's slack is at most half of it, and
+#: the band pass lowers every target by ``EPS_LENGTH / K``.  So a circuit
+#: through ``m`` users is a member at or above ``-(m / K) * EPS_LENGTH`` and
+#: is refused below ``-(m / 2) * EPS_LENGTH``; in between, the verdict
+#: depends on ``K`` and on how the circuit's length is spread over its arcs
+#: (README, "Numerical conventions").  The same number as the condition's band.
 EPS_LENGTH = EPS_CONDITION
 
 #: Cycles are enumerated, and cycle rows exported (``Polyhedron.to_dict``,

@@ -22,3 +22,8 @@ def ex2() -> ChannelMatrix:
 
 def symmetric_two_user(a: float) -> ChannelMatrix:
     return ChannelMatrix(np.array([[1.0, a], [a, 1.0]]))
+
+
+def cycle_rows(poly) -> list:
+    """A region's ``Polyhedron.rows`` as ``(users, rhs)`` pairs, one per cyclic sequence."""
+    return [(tuple(seq), b) for C, rhs in poly.rows for seq, b in zip(C.tolist(), rhs.tolist())]

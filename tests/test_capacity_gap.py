@@ -434,43 +434,9 @@ class TestCycleSystem:
             assert all(name.split(".")[-1] != "region" for name in names), ast.dump(node)
 
 
-DATA = Path(__file__).parent / "data"
-
-#: Points of the committed channels: weighted-sum optima, so some rows are tight.
-FIXTURE_POINTS = {
-    6: "0.3891,0.6189,0.5416,0.3229,0.4342,0.4503",
-    7: "0.552,0.5251,0.3066,0.3622,0.3873,0.4633,0.3891",
-}
-
-
-class TestGapCheckFixtures:
-    """``gap-check`` bytes of two committed channels, as the per-cycle code wrote them."""
-
-    @pytest.mark.parametrize("K", [6, 7])
-    def test_csv_bytes(self, K, tmp_path, monkeypatch):
-        monkeypatch.chdir(DATA)
-        out = tmp_path / "gap.csv"
-        result = CliRunner().invoke(main, [
-            "gap-check", f"k{K}_condition.json", "--gdof", FIXTURE_POINTS[K],
-            "--power", "1e2", "--power", "1e4", "--power", "1e8", "-o", str(out)])
-        assert result.exit_code == 0, result.output
-        assert out.read_bytes() == (DATA / f"k{K}_condition_gap.csv").read_bytes()
-
-
 class TestGdofLimitsFixtures:
-    """``gdof-limits`` bytes of a committed channel, as the scalar-branch ``cycle_rhs`` wrote them."""
-
-    @pytest.mark.parametrize("cycle, fixture", [
-        ("0,1,2,3,4,5", "k6_condition_limits.json"),
-        ("3,1", "k6_condition_limits_31.json"),
-    ])
-    def test_json_bytes(self, cycle, fixture, tmp_path, monkeypatch):
-        monkeypatch.chdir(DATA)
-        out = tmp_path / "limits.json"
-        result = CliRunner().invoke(
-            main, ["gdof-limits", "k6_condition.json", "--cycle", cycle, "-o", str(out)])
-        assert result.exit_code == 1, result.output  # neither converges within 0.02
-        assert out.read_bytes() == (DATA / fixture).read_bytes()
+    """``gdof-limits`` on a channel that fails the condition (the committed limits files are
+    compared in ``tests/test_cli.py``)."""
 
     def test_example_fails_the_condition(self, tmp_path):
         # ex2 fails the optimality condition, so there is no JSON to pin

@@ -685,22 +685,6 @@ class TestSimulation:
             "K,coverage_radius_m,trials,prob,ci_low,ci_high"
         )
 
-    def test_sweep_k100_bytes(self, runner, tmp_path):
-        out = tmp_path / "k100.csv"
-        args = ["sweep", "--users", "2,15,100", "--coverage", "50,200", "--trials", "100",
-                "--seed", "11"]
-        golden = (DATA / "k100_sweep.csv").read_bytes()
-        assert runner.invoke(main, args + ["-o", str(out)]).exit_code == 0
-        assert out.read_bytes() == golden
-        assert runner.invoke(main, args).stdout_bytes == golden
-
-    def test_sweep_k1_k65_bytes(self, runner):
-        # 2049 trials: three blocks of stream states, in link batches of 1024
-        # trials at K=1 and of one trial at K=65
-        args = ["sweep", "--users", "1,65", "--coverage", "100", "--trials", "2049",
-                "--seed", "3"]
-        assert runner.invoke(main, args).stdout_bytes == (DATA / "k1_k65_sweep.csv").read_bytes()
-
     def test_simulate_csv_is_the_sweep_of_its_point(self, runner):
         point = ["--users", "3", "--coverage", "100", "--trials", "100", "--seed", "7"]
         simulated = runner.invoke(main, ["simulate", *point, "--format", "csv"])
@@ -760,6 +744,40 @@ class TestSimulation:
         want = {"coverage_radius_m" if k == "coverage_radius" else k: v
                 for k, v in dataclasses.asdict(est).items()}
         assert result.output == json.dumps(_canon(want), indent=2) + "\n"
+
+
+#: The points of the committed channels: weighted-sum optima, so some gap rows are tight.
+K6_POINT = "0.3891,0.6189,0.5416,0.3229,0.4342,0.4503"
+K7_POINT = "0.552,0.5251,0.3066,0.3622,0.3873,0.4633,0.3891"
+POWERS = "--power 1e2 --power 1e4 --power 1e8"
+
+#: Every committed output of a command: the file, the command run from ``tests/data``, and
+#: its exit code.  A new row's file is written by the commit before the change it guards.
+GOLDEN_FILES = [
+    ("k6_condition_gap.csv", f"gap-check k6_condition.json --gdof {K6_POINT} {POWERS}", 0),
+    ("k7_condition_gap.csv", f"gap-check k7_condition.json --gdof {K7_POINT} {POWERS}", 0),
+    ("k6_condition_region.json", "region k6_condition.json", 0),
+    ("k7_condition_region.json", "region k7_condition.json", 0),
+    ("k6_condition_region_min.json", "region k6_condition.json --minimize", 0),
+    ("k7_condition_region_min.json", "region k7_condition.json --minimize", 0),
+    # neither cycle converges within 0.02 at the default powers: a verdict, exit 1
+    ("k6_condition_limits.json", "gdof-limits k6_condition.json --cycle 0,1,2,3,4,5", 1),
+    ("k6_condition_limits_31.json", "gdof-limits k6_condition.json --cycle 3,1", 1),
+    ("k100_sweep.csv", "sweep --users 2,15,100 --coverage 50,200 --trials 100 --seed 11", 0),
+    # the headline grid: 2-15 users at 50-200 m coverage, 2000 trials per point
+    ("c10_sweep.csv", "sweep --users 2,5,10,15 --coverage 50,100,200 --trials 2000 --seed 0", 0),
+    # three blocks of stream states, in link batches of 1024 trials (K=2) and of one (K=65)
+    ("k2_k65_5m_500m_sweep.csv", "sweep --users 2,65 --coverage 5,500 --trials 2049 --seed 3", 0),
+]
+
+
+@pytest.mark.parametrize("fixture, command, exit_code", GOLDEN_FILES,
+                         ids=[row[0] for row in GOLDEN_FILES])
+def test_golden_file(runner, monkeypatch, fixture, command, exit_code):
+    monkeypatch.chdir(DATA)  # gap-check prints the channel path as typed
+    result = runner.invoke(main, command.split())
+    assert result.exit_code == exit_code, result.output
+    assert result.stdout_bytes == (DATA / fixture).read_bytes()
 
 
 class TestCliBytes:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,10 +18,20 @@ from tinopt import (
 from conftest import symmetric_two_user
 from tinopt import potential_graph
 from tinopt.channel_model import EXPONENT_MAX, SILENT, PowerExponents
-from tinopt.potential_graph import EPS_LENGTH, _bellman_ford, _feasible, cycle_rhs
+from tinopt.potential_graph import (
+    EPS_LENGTH,
+    K_MAX_EXPORT,
+    _bellman_ford,
+    _feasible,
+    canonical_cycle,
+    cycle_blocks,
+    cycle_rhs,
+)
+from tinopt.region import max_subset_sum
 from _oracles import (
     forward_gdof,
     oracle_cycle_rhs,
+    oracle_cycles,
     oracle_graph_lengths,
     oracle_in_union,
     oracle_jacobi_bellman_ford,
@@ -28,6 +39,59 @@ from _oracles import (
     oracle_union_band,
     random_channel,
 )
+
+
+def cycle_count(n: int) -> int:
+    return sum(math.comb(n, m) * math.factorial(m - 1) for m in range(2, n + 1))
+
+
+def sequences(users) -> list:
+    """The rows of :func:`cycle_blocks` as one list of tuples, in canonical order."""
+    return [tuple(seq) for C in cycle_blocks(users) for seq in C.tolist()]
+
+
+class TestEnumerateCycles:
+    def test_three_users_exact_family(self):
+        got = sequences({1, 2, 3})
+        assert got == [(1, 2), (1, 3), (2, 3), (1, 2, 3), (1, 3, 2)]
+        assert [C.shape for C in cycle_blocks({1, 2, 3})] == [(3, 2), (2, 3)]
+
+    def test_small_sets_empty(self):
+        assert cycle_blocks([]) == []
+        assert cycle_blocks([4]) == []
+
+    def test_four_user_count(self):
+        assert len(sequences(range(4))) == 6 + 8 + 6
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_count_formula(self, n):
+        seqs = sequences(range(n))
+        assert len(seqs) == cycle_count(n)
+        assert len(set(seqs)) == len(seqs)
+
+    def test_matches_independent_enumeration(self):
+        assert set(sequences(range(5))) == set(oracle_cycles(range(5)))
+
+    def test_refused_above_the_export_limit(self):
+        assert len(sequences(range(K_MAX_EXPORT))) == cycle_count(K_MAX_EXPORT)
+        with pytest.raises(ValueError, match=f"at most {K_MAX_EXPORT} users, got 10"):
+            cycle_blocks(range(10))
+
+    def test_canonical_rotation(self):
+        assert canonical_cycle((3, 1, 2)) == (1, 2, 3)
+        assert canonical_cycle(np.array([3, 1])) == (1, 3)
+        with pytest.raises(ValueError):
+            canonical_cycle((1, 1, 2))
+        for seq in [(), (1.5, 0.2), (True, 2), "21"]:  # empty ended in min()'s error
+            with pytest.raises(ValueError, match="^cycle must be nonempty integer user indices"):
+                canonical_cycle(seq)
+
+    def test_non_integer_users_refused(self):
+        # were truncated by int(): [0.5, 1, 2.7] enumerated users 0, 1, 2
+        for users in [[0.5, 1, 2.7], [True, 2], "012"]:
+            with pytest.raises(ValueError, match="^users must be integer user indices"):
+                cycle_blocks(users)
+        assert sequences(np.array([2, 0])) == [(0, 2)]
 
 
 class TestBuildGraph:
@@ -317,6 +381,17 @@ def assert_allocation_checks(cert):
         assert all(v is SILENT or type(v) is float for v in cert.r.values), cert.r
 
 
+def _one_circuit(K: int, m: int, length: float, spread: str) -> ChannelMatrix:
+    """Exponents 0.01 on the diagonal, whose graph at ``d = 0`` has one negative circuit,
+    ``0 -> 1 -> ... -> m-1 -> 0``, of about ``length``: spread evenly over its arcs, or
+    all on its first arc with the others 0.  Every other arc is 0.01."""
+    a = np.diag(np.full(K, 0.01))
+    for k in range(m):
+        share = length / m if spread == "even" else length if k == 0 else 0.0
+        a[k, (k + 1) % m] = 0.01 - share
+    return ChannelMatrix(a)
+
+
 class TestToleranceBand:
     @pytest.mark.parametrize("d", [(0.5, 0.5 + 7.5e-10), (1.0 + 6e-10, 0.0)])
     def test_band_targets_get_checkable_verdicts(self, d):
@@ -339,6 +414,26 @@ class TestToleranceBand:
         assert_certificate_checks(alpha, d, verdict.certificate)
         assert not verdict.inside and verdict.certificate.cycle == (0, 1)
         assert polyhedral_region(ch).contains(d) == verdict.inside
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 6, 10, 30])
+    def test_what_the_band_guarantees_a_circuit(self, K):
+        # README, "Numerical conventions": a circuit through m users is a member at or above
+        # -(m/K) * 1e-9 and refused below -(m/2) * 1e-9, whatever K and however its length
+        # is spread; at d = 0 the three membership entry points give one verdict
+        zeros = np.zeros(K)
+        for m in sorted({2, min(3, K), K}):
+            for spread in ("even", "one arc"):
+                for length, member in ((-(m / K) * EPS_LENGTH * (1 - 1e-6), True),
+                                       (-(m / 2) * EPS_LENGTH * (1 + 1e-6), False)):
+                    ch = _one_circuit(K, m, length, spread)
+                    poly = polyhedral_region(ch)
+                    verdicts = (recover_power_allocation(ch, zeros).feasible, poly.contains(zeros),
+                                max_subset_sum(poly, []) == 0.0)
+                    assert verdicts == (member,) * 3, (K, m, spread, length, verdicts)
+            # the floor is the plain pass's, every arc within 0.5e-9: an evenly spread
+            # circuit is a member down to it, below -1e-9 for m > 2
+            ch = _one_circuit(K, m, -(m / 2) * EPS_LENGTH * (1 - 1e-6), "even")
+            assert recover_power_allocation(ch, zeros).feasible, (K, m)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(

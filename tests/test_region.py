@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from tinopt import (
     ChannelMatrix,
     canonical_cycle,
-    enumerate_cycles,
     general_tin_region,
     max_weighted_gdof,
     minimized,
@@ -22,18 +21,18 @@ from tinopt import (
     polyhedron_vertices,
     transpose_channel,
 )
-from click.testing import CliRunner
 from tinopt import capacity_gap, potential_graph, region
 from tinopt.capacity_gap import FiniteSnrChannel, gap_certificate, rate_outer_bounds
-from tinopt.cli import main
+from tinopt.potential_graph import cycle_blocks
 from tinopt.region import (
     K_MAX_EXPORT,
     EmptyPolyhedronError,
+    LinearInequality,
     UncertifiedPointError,
     max_subset_sum,
     poly_contains,
 )
-from conftest import symmetric_two_user
+from conftest import cycle_rows, symmetric_two_user
 from _oracles import (
     oracle_arrival_slack,
     oracle_contains,
@@ -51,57 +50,10 @@ from _oracles import (
 )
 
 
-def cycle_count(n: int) -> int:
-    return sum(math.comb(n, m) * math.factorial(m - 1) for m in range(2, n + 1))
-
-
-class TestEnumerateCycles:
-    def test_three_users_exact_family(self):
-        got = enumerate_cycles({1, 2, 3})
-        assert got == [(1, 2), (1, 3), (2, 3), (1, 2, 3), (1, 3, 2)]
-
-    def test_small_sets_empty(self):
-        assert enumerate_cycles([]) == []
-        assert enumerate_cycles([4]) == []
-
-    def test_four_user_count(self):
-        assert len(enumerate_cycles(range(4))) == 6 + 8 + 6
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
-    def test_count_formula(self, n):
-        seqs = enumerate_cycles(range(n))
-        assert len(seqs) == cycle_count(n)
-        assert len(set(seqs)) == len(seqs)
-
-    def test_matches_independent_enumeration(self):
-        assert set(enumerate_cycles(range(5))) == set(oracle_cycles(range(5)))
-
-    def test_refused_above_the_export_limit(self):
-        assert len(enumerate_cycles(range(K_MAX_EXPORT))) == cycle_count(K_MAX_EXPORT)
-        with pytest.raises(ValueError, match=f"at most {K_MAX_EXPORT} users, got 10"):
-            enumerate_cycles(range(10))
-
-    def test_canonical_rotation(self):
-        assert canonical_cycle((3, 1, 2)) == (1, 2, 3)
-        assert canonical_cycle(np.array([3, 1])) == (1, 3)
-        with pytest.raises(ValueError):
-            canonical_cycle((1, 1, 2))
-        for seq in [(), (1.5, 0.2), (True, 2), "21"]:  # empty ended in min()'s error
-            with pytest.raises(ValueError, match="^cycle must be nonempty integer user indices"):
-                canonical_cycle(seq)
-
-    def test_non_integer_users_refused(self):
-        # were truncated by int(): [0.5, 1, 2.7] enumerated users 0, 1, 2
-        for users in [[0.5, 1, 2.7], [True, 2], "012"]:
-            with pytest.raises(ValueError, match="^users must be integer user indices"):
-                enumerate_cycles(users)
-        assert enumerate_cycles(np.array([2, 0])) == [(0, 2)]
-
-
 class TestPolyhedralRegion:
     def test_example_all_active(self, ex2):
         poly = polyhedral_region(ex2)
-        rhs = {c.users: c.rhs for c in poly.cycles}
+        rhs = dict(cycle_rows(poly))
         assert rhs[(0, 1)] == pytest.approx(1.9, abs=1e-12)
         assert rhs[(1, 2)] == pytest.approx(1.4, abs=1e-12)
         assert rhs[(0, 2)] == pytest.approx(1.1, abs=1e-12)
@@ -112,21 +64,22 @@ class TestPolyhedralRegion:
     def test_example_silencing_last_user(self, ex2):
         poly = polyhedral_region(ex2, silent={2})
         assert poly.silent == frozenset({2})
-        assert [c.users for c in poly.cycles] == [(0, 1)]
-        assert poly.cycles[0].rhs == pytest.approx(1.9, abs=1e-12)
+        [(users, rhs)] = cycle_rows(poly)
+        assert users == (0, 1)
+        assert rhs == pytest.approx(1.9, abs=1e-12)
         assert poly.contains([1.0, 0.9, 0.0])
         assert not poly.contains([1.0, 0.9, 0.1])
 
     def test_interference_free_cycles_redundant(self):
         ch = ChannelMatrix(np.diag([1.0, 0.7, 0.4]))
         poly = polyhedral_region(ch)
-        for c in poly.cycles:
-            assert c.rhs == pytest.approx(sum(ch.alpha[i, i] for i in c.users))
-        assert minimized(poly).cycles == ()
+        for users, rhs in cycle_rows(poly):
+            assert rhs == pytest.approx(sum(ch.alpha[i, i] for i in users))
+        assert cycle_rows(minimized(poly)) == []
 
     def test_canonical_ordering(self, ex2):
         poly = polyhedral_region(ex2)
-        keys = [(len(c.users), c.users) for c in poly.cycles]
+        keys = [(len(users), users) for users, _ in cycle_rows(poly)]
         assert keys == sorted(keys)
 
     def test_silent_out_of_range(self, ex2):
@@ -162,8 +115,8 @@ class TestPolyhedralRegion:
 
     def test_minimized_prunes_dominated_cycle(self, ex2):
         pruned = minimized(polyhedral_region(ex2))
-        assert len(pruned.cycles) == 4
-        assert (0, 2, 1) not in [c.users for c in pruned.cycles]
+        assert len(cycle_rows(pruned)) == 4
+        assert (0, 2, 1) not in dict(cycle_rows(pruned))
 
 
 def near_tie_channel(rng, K):
@@ -186,7 +139,7 @@ class TestMinimizedOracle:
                       near_tie_channel(rng, K)):
             silent = [i for i in range(K) if rng.random() < 0.25]
             poly = polyhedral_region(ChannelMatrix(alpha), silent)
-            kept = [(c.users, c.rhs) for c in minimized(poly).cycles]
+            kept = cycle_rows(minimized(poly))
             assert kept == oracle_minimized(alpha, silent)
 
 
@@ -240,67 +193,44 @@ class TestRowArrays:
             polyhedral_region(ch).cycles  # only reading .cycles makes them
 
     def test_cycles_are_the_rows(self):
+        # the row views perfbench reads, pinned to the rows; they go together with this test
         rng = np.random.default_rng(89)
         for K in range(1, 7):
-            alpha = random_channel(rng, K)
-            poly = polyhedral_region(ChannelMatrix(alpha), [0] if K > 2 else [])
-            rows = [(tuple(seq), b) for C, rhs in poly.rows
-                    for seq, b in zip(C.tolist(), rhs.tolist())]
-            assert rows == [(c.users, c.rhs) for c in poly.cycles]
-            assert [u for u, _ in rows] == oracle_cycles(poly.active)
-            assert [b for _, b in rows] == [oracle_cycle_rhs(alpha, u) for u, _ in rows]
+            poly = polyhedral_region(ChannelMatrix(random_channel(rng, K)), [0] if K > 2 else [])
+            rows = cycle_rows(poly)
+            assert poly.cycles == tuple(LinearInequality(users, rhs) for users, rhs in rows)
+            assert region.enumerate_cycles(poly.active) == [users for users, _ in rows]
 
     def test_blocks_of_any_users_are_the_oracle_cycles(self):
         users = (1, 4, 6, 8)
-        assert [tuple(seq) for C in region.cycle_blocks(users) for seq in C.tolist()] == \
+        assert [tuple(seq) for C in cycle_blocks(users) for seq in C.tolist()] == \
             oracle_cycles(users)
-        alpha = random_channel(np.random.default_rng(97), 9)
-        poly = polyhedral_region(ChannelMatrix(alpha), [0, 2, 3, 5, 7])
+        rng = np.random.default_rng(89)
+        regions = [(random_channel(rng, K), [0] if K > 2 else []) for K in range(1, 7)]
+        regions.append((random_channel(np.random.default_rng(97), 9), [0, 2, 3, 5, 7]))
+        for alpha, silent in regions:
+            poly = polyhedral_region(ChannelMatrix(alpha), silent)
+            rows = cycle_rows(poly)
+            assert [u for u, _ in rows] == oracle_cycles(poly.active)
+            assert [b for _, b in rows] == [oracle_cycle_rhs(alpha, u) for u, _ in rows]
         assert poly.active == users
-        rows = [(tuple(seq), b) for C, rhs in poly.rows for seq, b in zip(C.tolist(), rhs.tolist())]
-        assert [u for u, _ in rows] == oracle_cycles(users)
-        assert [b for _, b in rows] == [oracle_cycle_rhs(alpha, u) for u, _ in rows]
 
     def test_cached_blocks_are_read_only(self):
-        for C in region.cycle_blocks(range(4)):
+        for C in cycle_blocks(range(4)):
             with pytest.raises(ValueError, match="read-only"):
                 C[0, 0] = 1
         # a gather through other users is a new array, which the caller owns
-        C = region.cycle_blocks((1, 4, 6))[0]
+        C = cycle_blocks((1, 4, 6))[0]
         C[0, 0] = 7
-        assert region.cycle_blocks((1, 4, 6))[0][0, 0] == 1
+        assert cycle_blocks((1, 4, 6))[0][0, 0] == 1
 
     def test_enumerated_once_per_user_count(self):
         potential_graph._cycle_blocks.cache_clear()
         for users in (range(5), (1, 4, 6, 8, 9), range(5), range(3), (2, 7, 8)):
-            region.cycle_blocks(users)
+            cycle_blocks(users)
         polyhedral_region(ChannelMatrix(random_channel(np.random.default_rng(5), 6)), [1]).rows
         assert potential_graph._cycle_blocks.cache_info().misses == 2  # 5 users, then 3
         assert potential_graph._cycle_blocks.cache_info().hits == 4
-
-
-DATA = Path(__file__).parent / "data"
-
-
-class TestRegionFixtures:
-    """``region`` bytes of two committed channels, as the per-row code wrote them."""
-
-    @pytest.mark.parametrize("K", [6, 7])
-    def test_plain_json_bytes(self, K, tmp_path, monkeypatch):
-        monkeypatch.chdir(DATA)
-        out = tmp_path / "region.json"
-        result = CliRunner().invoke(main, ["region", f"k{K}_condition.json", "-o", str(out)])
-        assert result.exit_code == 0, result.output
-        assert out.read_bytes() == (DATA / f"k{K}_condition_region.json").read_bytes()
-
-    @pytest.mark.parametrize("K", [6, 7])
-    def test_minimized_json_bytes(self, K, tmp_path, monkeypatch):
-        monkeypatch.chdir(DATA)
-        out = tmp_path / "region.json"
-        result = CliRunner().invoke(
-            main, ["region", f"k{K}_condition.json", "--minimize", "-o", str(out)])
-        assert result.exit_code == 0, result.output
-        assert out.read_bytes() == (DATA / f"k{K}_condition_region_min.json").read_bytes()
 
 
 class TestRegionDuality:
@@ -309,22 +239,18 @@ class TestRegionDuality:
         for _ in range(200):
             K = int(rng.integers(2, 6))
             ch = ChannelMatrix(random_channel(rng, K))
-            fwd = {c.users: c.rhs for c in polyhedral_region(ch).cycles}
-            rev = {c.users: c.rhs for c in polyhedral_region(transpose_channel(ch)).cycles}
+            fwd = dict(cycle_rows(polyhedral_region(ch)))
+            rev = dict(cycle_rows(polyhedral_region(transpose_channel(ch))))
             assert fwd.keys() == rev.keys()
             for seq, rhs in fwd.items():
                 flipped = canonical_cycle((seq[0],) + tuple(reversed(seq[1:])))
                 assert rev[flipped] == pytest.approx(rhs, abs=1e-12)
 
     def test_inequality_sets_equal(self, ex2):
-        fwd = sorted(
-            (tuple(sorted(c.users)), round(c.rhs, 9))
-            for c in polyhedral_region(ex2).cycles
-        )
-        rev = sorted(
-            (tuple(sorted(c.users)), round(c.rhs, 9))
-            for c in polyhedral_region(transpose_channel(ex2)).cycles
-        )
+        fwd = sorted((tuple(sorted(users)), round(rhs, 9))
+                     for users, rhs in cycle_rows(polyhedral_region(ex2)))
+        rev = sorted((tuple(sorted(users)), round(rhs, 9))
+                     for users, rhs in cycle_rows(polyhedral_region(transpose_channel(ex2))))
         assert fwd == rev
 
 
