@@ -137,6 +137,12 @@ class Polyhedron:
         return _shortest_paths(self._active_channel, 0.0)[0]
 
     @cached_property
+    def _t_max(self) -> float:
+        """The largest level ``t`` with ``t * 1`` in the region, from the active users'
+        graph: ``potential_graph._max_level`` (Karp), O(n^3), once per region."""
+        return _max_level(self._active_channel)
+
+    @cached_property
     def _support_table(self) -> np.ndarray:
         """``h(U)`` for every set ``U`` of active users, by bit mask over :attr:`active`.
 
@@ -309,60 +315,110 @@ def _transport(F: np.ndarray, w: np.ndarray, prices: tuple | None = None) -> tup
     distance at once until one has demand left; the prices move by the
     distances, and the path's bottleneck is sent.  The bottleneck sets the
     supply, demand or flow that it empties to exactly 0.
+
+    A round's O(n^2) work is array work: the reduced costs, each column's
+    first start row at its least reduced cost, the relaxation from the
+    rows a level reaches with its per-column argmin and strict comparison,
+    and the price updates; so is the value ``(F * x).sum()``.  A level's
+    bookkeeping runs on Python floats: the least tentative distance, the
+    columns tied at it in ascending order up to the first with demand left
+    (``min``, ``list.index``, ``list.count``), and the unreached rows that
+    carry flow into them, read from per-column lists of the rows whose flow
+    is above 0, each entered from its first such column; so do the path
+    walk, the bottleneck and the flow updates.  Every comparison, tie rule
+    and floating-point operation is the array formulation's
+    (``tests/_oracles.oracle_transport``), and with a cost of -0.0 a
+    distance of 0 takes its sign from numpy's ``min`` as there, so value,
+    flow and prices agree with it bit for bit.  Per call it takes about
+    2/3 of that formulation's time at n = 6 and 30 and 5/6 at n = 100; at
+    n = 300, where a round's array work dominates, 0.85-1.03 of it
+    (README, "Numerical conventions").
     """
     n = len(w)
     v = F.min(axis=0, initial=math.inf) if prices is None else prices[1]
     u = (F - v).min(axis=1, initial=math.inf)
     if prices is not None:
         v = (F - u[:, None]).min(axis=0, initial=math.inf)
-    x = np.zeros((n, n))
-    supply, demand = w.copy(), w.copy()
-    for i, j in zip(*np.nonzero(F - u[:, None] - v <= 0)):
-        x[i, j] = delta = min(supply[i], demand[j])
+    x = [[0.0] * n for _ in range(n)]
+    fed = [[] for _ in range(n)]  # per column, the rows whose flow into it is above 0
+    supply, demand = w.tolist(), w.tolist()
+    for i, j in zip(*(a.tolist() for a in np.nonzero(F - u[:, None] - v <= 0))):
+        x[i][j] = delta = min(supply[i], demand[j])
         supply[i] -= delta
         demand[j] -= delta
-    cols = np.arange(n)
-    while supply.any() and demand.any():
-        rc = F - u[:, None] - v
-        start = np.flatnonzero(supply > 0)
-        drow = np.full(n, np.inf)
-        drow[start] = 0.0
-        pcol = np.full(n, -1)  # the finished column each reached row was entered from
+        if delta > 0:
+            fed[j].append(i)
+    supply = np.array(supply)
+    cols, rc = np.arange(n), np.empty((n, n))
+    signed = bool(np.signbit(F[F == 0]).any())  # only a -0.0 cost makes a distance -0.0
+    while supply.any() and any(demand):
+        np.subtract(F, u[:, None], out=rc)  # F - u - v, in one buffer for every round
+        rc -= v
+        starts = supply > 0
+        start = np.flatnonzero(starts)
+        unreached = (~starts).tolist()
+        drow = np.where(starts, 0.0, np.inf)
+        pcol = {}  # the finished column each reached row was entered from
         prow = start[rc[start].argmin(axis=0)]  # the row each column's distance comes from
         dcol = rc[prow, cols]
-        todo = dcol.copy()  # inf once finished
+        todo = dcol.tolist()  # inf once finished
+        left, done = dcol.copy(), []  # todo as an array, but for the columns in done
         while True:
-            D = todo.min()
-            J = np.flatnonzero(todo == D)
-            hit = J[demand[J] > 0]
-            if len(hit):
-                j = hit[0]
+            D = min(todo)
+            if signed and D == 0:  # numpy's sign for a zero tied with its opposite
+                D = float(np.array(todo).min())
+            j = todo.index(D)
+            if demand[j] > 0:
                 break
-            todo[J] = np.inf
-            feeds = x[:, J] > 0
-            new = np.flatnonzero(feeds.any(axis=1) & (drow == np.inf))
-            if len(new):
-                drow[new], pcol[new] = D, J[feeds[new].argmax(axis=1)]
+            J = [j]  # the columns at D, in ascending order, up to the first with demand
+            for _ in range(todo.count(D) - 1):
+                j = todo.index(D, j + 1)
+                if demand[j] > 0:
+                    break
+                J.append(j)
+            if demand[j] > 0:
+                break
+            new = []
+            for c in J:
+                todo[c] = math.inf
+                for r in fed[c]:
+                    if unreached[r]:
+                        unreached[r] = False
+                        pcol[r] = c
+                        new.append(r)
+            done += J
+            if new:
+                new = np.array(sorted(new))
+                left[done] = math.inf
+                done = []
+                drow[new] = D
                 cand = D + rc[new]
                 k = cand.argmin(axis=0)
                 best = cand[k, cols]
-                better = (best < todo) & (todo < np.inf)
-                todo[better] = dcol[better] = best[better]
+                better = (best < left) & (left < math.inf)
+                left[better] = dcol[better] = best[better]
                 prow[better] = new[k[better]]
+                todo = left.tolist()
         u -= np.minimum(drow, D)
         v += np.minimum(dcol, D)
-        fwd, back, i = [(prow[j], j)], [], prow[j]
-        while pcol[i] >= 0:
+        i = int(prow[j])
+        fwd, back = [(i, j)], []
+        while i in pcol:
             back.append((i, pcol[i]))
-            i = prow[pcol[i]]
+            i = int(prow[pcol[i]])
             fwd.append((i, back[-1][1]))
-        delta = min([supply[i], demand[j]] + [x[e] for e in back])
+        delta = min([float(supply[i]), demand[j]] + [x[r][c] for r, c in back])
         supply[i] -= delta
         demand[j] -= delta
-        for e in fwd:
-            x[e] += delta
-        for e in back:
-            x[e] -= delta
+        for r, c in fwd:
+            if not x[r][c] > 0:
+                fed[c].append(r)
+            x[r][c] += delta
+        for r, c in back:
+            x[r][c] -= delta
+            if not x[r][c] > 0:
+                fed[c].remove(r)
+    x = np.array(x, dtype=float).reshape(n, n)
     return float((F * x).sum()), x, (u, v)
 
 
@@ -403,7 +459,7 @@ def _max_min_point(poly: Polyhedron, w: np.ndarray, value: float) -> np.ndarray:
     paths ``F_t``.  ``phi(t) = t W + T(F_t) - value`` is concave, 0 up to
     the max-min level ``t*`` and below 0 after it.  Newton's method from
     the right (Dinkelbach's, for the parametric problem) starts at
-    ``min(value / W, t_max)``, ``t_max`` from ``potential_graph._max_level``, and takes
+    ``min(value / W, t_max)``, ``t_max`` from :attr:`Polyhedron._t_max`, and takes
     the slope ``W - sum x_ij H_ij`` of the flow's own paths.  ``phi`` is
     the least of finitely many lines, one per flow and choice of paths;
     the step follows the current one, which lies on or above ``phi``, so
@@ -418,7 +474,7 @@ def _max_min_point(poly: Polyhedron, w: np.ndarray, value: float) -> np.ndarray:
     """
     n = len(w)
     W = float(w.sum())
-    top = _max_level(poly._active_channel)
+    top = poly._t_max
     if W == 0.0:
         return np.full(n, max(0.0, top))
     if value == 0.0:

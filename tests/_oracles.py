@@ -469,6 +469,85 @@ def oracle_cycle_lp(alpha: np.ndarray, silent, w) -> float | None:
     return float(-res.fun)
 
 
+def oracle_transport(F: np.ndarray, w: np.ndarray, prices: tuple | None = None) -> tuple:
+    """Cheapest flow on costs ``F`` with row and column sums ``w`` (every ``w > 0``).
+
+    Returns ``(value, x, (u, v))``: the cost, the flow and the prices.
+    Successive shortest paths (Ahuja, Magnanti & Orlin, *Network Flows*,
+    ch. 9): prices ``u``, ``v`` keep the reduced costs ``F - u - v``
+    nonnegative and zero where flow runs.  They start from the row and
+    column minima, or with ``prices`` given (from any costs of this
+    shape), from its column prices lifted to ``u = min_j (F - v)`` and
+    then ``v = min_i (F - u)``: dual feasible for ``F`` whatever ``v``
+    was, and each row and column tight somewhere.  The start fills the
+    arcs at zero greedily.  Each round a Dijkstra over the
+    columns, from every row with supply left and back through the rows
+    that feed a finished column, finishes all columns at the least
+    distance at once until one has demand left; the prices move by the
+    distances, and the path's bottleneck is sent.  The bottleneck sets the
+    supply, demand or flow that it empties to exactly 0.
+
+    ``region._transport`` as it was written with every step of every
+    Dijkstra level on numpy arrays; the shipped solver makes the same
+    comparisons, tie rules and floating-point operations, so value, flow
+    and prices agree bit for bit.
+    """
+    n = len(w)
+    v = F.min(axis=0, initial=math.inf) if prices is None else prices[1]
+    u = (F - v).min(axis=1, initial=math.inf)
+    if prices is not None:
+        v = (F - u[:, None]).min(axis=0, initial=math.inf)
+    x = np.zeros((n, n))
+    supply, demand = w.copy(), w.copy()
+    for i, j in zip(*np.nonzero(F - u[:, None] - v <= 0)):
+        x[i, j] = delta = min(supply[i], demand[j])
+        supply[i] -= delta
+        demand[j] -= delta
+    cols = np.arange(n)
+    while supply.any() and demand.any():
+        rc = F - u[:, None] - v
+        start = np.flatnonzero(supply > 0)
+        drow = np.full(n, np.inf)
+        drow[start] = 0.0
+        pcol = np.full(n, -1)  # the finished column each reached row was entered from
+        prow = start[rc[start].argmin(axis=0)]  # the row each column's distance comes from
+        dcol = rc[prow, cols]
+        todo = dcol.copy()  # inf once finished
+        while True:
+            D = todo.min()
+            J = np.flatnonzero(todo == D)
+            hit = J[demand[J] > 0]
+            if len(hit):
+                j = hit[0]
+                break
+            todo[J] = np.inf
+            feeds = x[:, J] > 0
+            new = np.flatnonzero(feeds.any(axis=1) & (drow == np.inf))
+            if len(new):
+                drow[new], pcol[new] = D, J[feeds[new].argmax(axis=1)]
+                cand = D + rc[new]
+                k = cand.argmin(axis=0)
+                best = cand[k, cols]
+                better = (best < todo) & (todo < np.inf)
+                todo[better] = dcol[better] = best[better]
+                prow[better] = new[k[better]]
+        u -= np.minimum(drow, D)
+        v += np.minimum(dcol, D)
+        fwd, back, i = [(prow[j], j)], [], prow[j]
+        while pcol[i] >= 0:
+            back.append((i, pcol[i]))
+            i = prow[pcol[i]]
+            fwd.append((i, back[-1][1]))
+        delta = min([supply[i], demand[j]] + [x[e] for e in back])
+        supply[i] -= delta
+        demand[j] -= delta
+        for e in fwd:
+            x[e] += delta
+        for e in back:
+            x[e] -= delta
+    return float((F * x).sum()), x, (u, v)
+
+
 def oracle_arrival_slack(F: np.ndarray, x: np.ndarray, prices: tuple) -> np.ndarray:
     """``e = p_arrival - p_departure`` from Jacobi rounds on the residual graph of a transport flow.
 

@@ -562,6 +562,19 @@ class TestMaxMinTieBreak:
         assert value == 0.0
         np.testing.assert_allclose(point, np.full(3, 1.4 / 3), atol=1e-12)
 
+    def test_karp_once_per_region(self, ex2):
+        # the largest level is the region's, cached beside its paths: a design flow's
+        # two optima on one region run Karp's O(n^3) minimum cycle mean once
+        poly = polyhedral_region(ex2)
+        weights = ([1.0, 1.0, 1.0], [0.3, 1.0, 0.2], [0.0, 0.0, 0.0])
+        with mock.patch.object(region, "_max_level", wraps=region._max_level) as spy:
+            got = [max_weighted_gdof(poly, w) for w in weights]
+        assert spy.call_count == 1
+        assert poly._t_max.hex() == potential_graph._max_level(ex2).hex()
+        for w, (value, point) in zip(weights, got):
+            fresh_value, fresh_point = max_weighted_gdof(polyhedral_region(ex2), w)
+            assert value.hex() == fresh_value.hex() and point.tobytes() == fresh_point.tobytes()
+
     def test_newton_step_cap_raises_a_documented_error(self, monkeypatch, ex2):
         poly = polyhedral_region(ex2)
         w = [0.3, 1.0, 0.2]  # the first level, value / W, is above t*: a second step is needed
