@@ -452,14 +452,16 @@ def _raw_state(bitgen: np.random.PCG64):
     ``uint32_t uinteger``.  Returns a ``(4,)`` ``uint64`` array over the 32
     bytes and one ``c_uint64`` over the two buffer fields.  numpy keeps
     both structs inside the bit generator's own object; where a changed
-    layout puts either view outside it, nothing is written at all.
+    layout puts either outside it, nothing is read or written through it.
     """
     start = id(bitgen)
     end = start + type(bitgen).__basicsize__
     address = bitgen.ctypes.state_address
     buffered = address + ctypes.sizeof(ctypes.c_void_p)
+    if not (start <= address and buffered + 8 <= end):
+        return None
     pointer = ctypes.c_void_p.from_address(address).value or 0
-    if not (start <= address and buffered + 8 <= end and start <= pointer <= end - 32):
+    if not start <= pointer <= end - 32:
         return None
     views = (ctypes.c_uint64 * 4).from_address(pointer), ctypes.c_uint64.from_address(buffered)
     for view in views:
@@ -489,14 +491,15 @@ def _stream_generator() -> tuple:
     """A call's one ``Generator`` and ``set_state(words)``, which puts it on one trial's stream.
 
     ``words`` is a row of :func:`_stream_words`.  Where the layout check
-    holds, ``set_state`` copies the row's 32 bytes into the generator's C
-    state and clears its buffered half-draw; elsewhere it goes through
-    the ``state`` dict, about ten times slower, with the same draws.
+    holds and :func:`_raw_state` has views, ``set_state`` copies the row's
+    32 bytes into the C state and clears its buffered half-draw; elsewhere
+    it goes through the ``state`` dict, about eight times slower, with the same draws.
     """
     rng = np.random.Generator(np.random.PCG64(0))
     bitgen = rng.bit_generator
-    if _raw_state_checked():
-        state, buffered = _raw_state(bitgen)
+    raw = _raw_state(bitgen) if _raw_state_checked() else None
+    if raw is not None:
+        state, buffered = raw
 
         def set_state(words):
             state[...] = words
@@ -510,7 +513,7 @@ def _stream_generator() -> tuple:
 
 
 def _sample_links(cfg: SimConfig, rng: np.random.Generator, set_state, words: np.ndarray,
-                  power_dbm: float, pathloss=_pathloss_db) -> _Links:
+                  power_dbm: float) -> _Links:
     """The layouts of ``len(words)`` trials, the k-th drawn by ``rng`` on the stream ``words[k]``.
 
     ``rng`` and ``set_state`` come from :func:`_stream_generator` and
@@ -521,9 +524,9 @@ def _sample_links(cfg: SimConfig, rng: np.random.Generator, set_state, words: np
     straight into the batch's arrays.  Everything after the draws is
     computed on the whole stack at once, with the same operations per
     entry as for one trial: positions as contiguous x and y planes,
-    distances from their differences and path losses by ``pathloss``.  It
-    stops at the gains in dB over 10: the caller raises to powers of 10
-    only what it reads.  ``power_dbm`` is :func:`transmit_power_dbm`,
+    distances from their differences and path losses by
+    :func:`_pathloss_db`.  It stops at the gains in dB over 10: the caller
+    raises to powers of 10 only what it reads.  ``power_dbm`` is :func:`transmit_power_dbm`,
     computed once by the caller.
     """
     K = cfg.K
@@ -542,7 +545,7 @@ def _sample_links(cfg: SimConfig, rng: np.random.Generator, set_state, words: np
     rx += tx
     dist = _link_distances(tx, rx)
     np.maximum(dist, MIN_DISTANCE_M, out=dist)
-    pl = pathloss(dist)
+    pl = _pathloss_db(dist)
     if sigma:
         pl += shadow
     y = np.subtract(power_dbm + ANTENNA_GAIN_DB, pl, out=dist)  # distances are spent
@@ -560,7 +563,7 @@ def sample_network(cfg: SimConfig, trial_index: int) -> NetworkInstance:
         raise ValueError(f"trial_index must be a nonnegative integer, got {trial_index!r}")
     entropy = _uint32_words(int(cfg.master_seed) & _MASK64) + _uint32_words(int(trial_index))
     links = _sample_links(cfg, *_stream_generator(), _stream_words(entropy),
-                          transmit_power_dbm(cfg), erceg_pathloss)
+                          transmit_power_dbm(cfg))
     linear = np.power(10.0, links.y[0])
     nominal_P = max(float(linear.max()), 2.0)
     return NetworkInstance(

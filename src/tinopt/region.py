@@ -76,7 +76,7 @@ class Polyhedron:
     uses the channel's potential graph, and support values (the optimizers
     and the union) its cached shortest-path table; ``rows``, the sum
     inequalities in canonical order as per-length arrays, are built on
-    first read, and ``cycles`` from them when it is read.
+    first read.  ``cycles`` is the benchmark's view of them.
     """
 
     channel: ChannelMatrix
@@ -196,7 +196,7 @@ def _user_indices(users: Iterable[int], K: int, name: str) -> list:
 def polyhedral_region(alpha: ChannelMatrix, silent: Iterable[int] = ()) -> Polyhedron:
     """Region of the relaxed scheme with the given users silenced.
 
-    Its ``cycles``, every cyclic-sequence inequality over the active users
+    Its ``rows``, every cyclic-sequence inequality over the active users
     (dominated ones too, see :func:`minimized`), are built on first read.
     Silent users must be integer indices in range, not ``bool``.
     """
@@ -327,12 +327,9 @@ def _transport(F: np.ndarray, w: np.ndarray, prices: tuple | None = None) -> tup
     is above 0, each entered from its first such column; so do the path
     walk, the bottleneck and the flow updates.  Every comparison, tie rule
     and floating-point operation is the array formulation's
-    (``tests/_oracles.oracle_transport``), and with a cost of -0.0 a
-    distance of 0 takes its sign from numpy's ``min`` as there, so value,
-    flow and prices agree with it bit for bit.  Per call it takes about
-    2/3 of that formulation's time at n = 6 and 30 and 5/6 at n = 100; at
-    n = 300, where a round's array work dominates, 0.85-1.03 of it
-    (README, "Numerical conventions").
+    (``tests/_oracles.oracle_transport``), so value and flow agree with it
+    bit for bit and prices as numbers; README, "Numerical conventions",
+    has the sign of a zero price and the time per call.
     """
     n = len(w)
     v = F.min(axis=0, initial=math.inf) if prices is None else prices[1]
@@ -350,7 +347,6 @@ def _transport(F: np.ndarray, w: np.ndarray, prices: tuple | None = None) -> tup
             fed[j].append(i)
     supply = np.array(supply)
     cols, rc = np.arange(n), np.empty((n, n))
-    signed = bool(np.signbit(F[F == 0]).any())  # only a -0.0 cost makes a distance -0.0
     while supply.any() and any(demand):
         np.subtract(F, u[:, None], out=rc)  # F - u - v, in one buffer for every round
         rc -= v
@@ -365,8 +361,6 @@ def _transport(F: np.ndarray, w: np.ndarray, prices: tuple | None = None) -> tup
         left, done = dcol.copy(), []  # todo as an array, but for the columns in done
         while True:
             D = min(todo)
-            if signed and D == 0:  # numpy's sign for a zero tied with its opposite
-                D = float(np.array(todo).min())
             j = todo.index(D)
             if demand[j] > 0:
                 break

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -590,6 +592,34 @@ class TestTrialStreams:
         want = [condition_probability(cfg) for cfg in cfgs]
         monkeypatch.setattr(netsim, "_raw_state_checked", lambda: False)
         assert [condition_probability(cfg) for cfg in cfgs] == want
+
+    def test_views_past_the_generator_are_refused(self, monkeypatch):
+        # the call's own views missing once the probe has passed: the dict setter, same estimates
+        cfgs = [SimConfig(K=K, coverage_radius=100.0, trials=150, master_seed=seed)
+                for K, seed in [(1, 2**64 - 1), (6, -3), (20, 5)]]
+        want = [condition_probability(cfg) for cfg in cfgs]
+        layouts = [sample_network(cfg, 7).to_dict() for cfg in cfgs]
+        assert netsim._raw_state_checked()
+        monkeypatch.setattr(netsim, "_raw_state", lambda bitgen: None)
+        assert [condition_probability(cfg) for cfg in cfgs] == want
+        assert [sample_network(cfg, 7).to_dict() for cfg in cfgs] == layouts
+
+    def test_raw_state_reads_only_inside_the_object(self):
+        class StandIn:
+            __slots__ = ("ctypes", "a", "b", "c", "d", "e", "f")
+
+        stand_in = StandIn()
+        # a state address outside the object, holding a pointer into it: refused unread
+        outside = ctypes.c_void_p(id(stand_in))
+        stand_in.ctypes = SimpleNamespace(state_address=ctypes.addressof(outside))
+        assert netsim._raw_state(stand_in) is None
+        # an address inside it (its slot ``a``, after the object header) whose pointer,
+        # another object, lies outside it
+        stand_in.a = object()
+        slot_a = id(stand_in) + 2 * ctypes.sizeof(ctypes.c_void_p)
+        stand_in.ctypes = SimpleNamespace(state_address=slot_a)
+        assert ctypes.c_void_p.from_address(slot_a).value == id(stand_in.a)
+        assert netsim._raw_state(stand_in) is None
 
     def test_layout_check_refuses_a_changed_layout(self, monkeypatch):
         # a layout whose words run the other way (numpy's emulated 128-bit

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tinopt import (
     ChannelMatrix,
     build_graph,
+    check_tin_condition,
     decide_membership,
     max_weighted_gdof,
     point_in_tin_region,
@@ -176,6 +178,76 @@ class TestBuildGraph:
             recover_power_allocation(ex2, [1e308, 1e308, 0.0])
         with pytest.raises(ValueError, match="at most"):
             point_in_tin_region(ex2, [0.5, 1e308, 0.0])
+
+
+def _departures(L: np.ndarray, u: int, v: int) -> tuple:
+    """The shortest simple path ``u`` -> ``v`` (a cycle through ``u`` when ``u == v``) on
+    lengths ``L`` with ground last, and the fewest and the most arcs out of a user among
+    those paths."""
+    ground = len(L) - 1
+    paths = []
+    others = [k for k in range(len(L)) if k not in (u, v)]
+    for m in range(len(others) + 1):
+        for mid in itertools.permutations(others, m):
+            if u == v and not mid:
+                continue  # no arc from a node to itself
+            nodes = (u, *mid, v)
+            length = sum(L[a, b] for a, b in zip(nodes, nodes[1:]))
+            departures = sum(a != ground for a in nodes[:-1])
+            paths.append((length, departures))
+    length = min(paths)[0]
+    return length, min(paths)[1], max(h for x, h in paths if x == length)
+
+
+class TestShortestPaths:
+    """``_shortest_paths`` with ``departures`` is the plain Floyd-Warshall's lengths plus
+    ``H``, the fewest arcs out of a user among the shortest paths."""
+
+    def test_lengths_with_and_without_departures(self):
+        rng = np.random.default_rng(34)
+        signed = 0
+        for trial in range(3000):
+            K = 1 + trial % 8
+            alpha = random_channel(rng, K)
+            if trial % 2:  # 0.0 and -0.0 entries, so that lengths tie at 0 with either sign
+                zero = rng.random((K, K)) < 0.4
+                alpha[zero] = np.where(rng.random((K, K)) < 0.5, -0.0, 0.0)[zero]
+            level = float(rng.choice([0.0, -0.0, rng.uniform(-0.2, 0.4)]))
+            ch = ChannelMatrix(alpha)
+            F, none = potential_graph._shortest_paths(ch, level)
+            F1, H = potential_graph._shortest_paths(ch, level, departures=True)
+            assert none is None and H.shape == F.shape == F1.shape == (K, K)
+            assert np.array_equal(F, F1), trial
+            L = oracle_graph_lengths(alpha, np.full(K, level))
+            if np.signbit(L[L == 0]).any():
+                signed += 1
+            else:
+                assert np.array_equal(F.view(np.int64), F1.view(np.int64)), trial
+        assert signed > 100
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_departures_are_the_fewest_among_shortest_paths(self, K):
+        # quarter-integer channels under the condition, at quarter-integer levels up to
+        # t_max: every sum exact, every cycle at 0 or above, and ties between paths
+        rng = np.random.default_rng(340 + K)
+        ties = 0
+        for trial in range(60):
+            diag = rng.integers(2, 7, K) / 4.0
+            cap = np.floor(2.0 * np.minimum.outer(diag, diag)) / 4.0  # half of both directs
+            alpha = np.floor(rng.uniform(0.0, 1.0, (K, K)) * (4.0 * cap + 1.0)) / 4.0
+            np.fill_diagonal(alpha, diag)
+            ch = ChannelMatrix(alpha)
+            assert check_tin_condition(ch).overall
+            top = math.floor(4.0 * potential_graph._max_level(ch)) / 4.0
+            for level in sorted({0.0, min(0.25, top), top}):
+                F, H = potential_graph._shortest_paths(ch, level, departures=True)
+                L = oracle_graph_lengths(alpha, np.full(K, level))
+                for u in range(K):
+                    for v in range(K):
+                        length, fewest, most = _departures(L, u, v)
+                        assert (F[u, v], H[u, v]) == (length, fewest), (trial, level, u, v)
+                        ties += most > fewest
+        assert ties > 0 or K == 1  # one user has one cycle, through ground
 
 
 class TestExponentCeiling:

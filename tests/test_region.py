@@ -23,6 +23,7 @@ from tinopt import (
 )
 from tinopt import capacity_gap, potential_graph, region
 from tinopt.capacity_gap import FiniteSnrChannel, gap_certificate, rate_outer_bounds
+from tinopt.channel_model import SILENT
 from tinopt.potential_graph import cycle_blocks
 from tinopt.region import (
     K_MAX_EXPORT,
@@ -289,6 +290,41 @@ class TestGraphDuals:
             assert (poly._paths is not None) == member, (ch.alpha, silent)
             if len(poly.active) == 0:
                 assert poly._paths.shape == (0, 0)
+
+
+class TestMembershipShortcut:
+    """With no user silent, ``_membership`` returns the graph's certificate as it is; the
+    general path, on the same channel padded with one silent user, gives the same one."""
+
+    def test_all_active_equals_one_silent_extra_user(self):
+        bits = lambda values: [None if x is None else np.float64(x).tobytes() for x in values]
+        rng = np.random.default_rng(34)
+        verdicts = []
+        for K in range(1, 31):
+            for trial in range(6):
+                alpha = (random_condition_channel if trial % 2 else random_channel)(rng, K)
+                d = rng.uniform(0.0, 1.0, K) * np.diag(alpha) * (0.3, 0.7, 1.0)[trial % 3]
+                p = int(rng.integers(0, K + 1))  # the extra user's index
+                padded = np.insert(np.insert(alpha, p, rng.uniform(0.0, 1.5, K), axis=0),
+                                   p, rng.uniform(0.0, 1.5, K + 1), axis=1)
+                cert = region._membership(polyhedral_region(ChannelMatrix(alpha)), d)
+                general = region._membership(polyhedral_region(ChannelMatrix(padded), [p]),
+                                             np.insert(d, p, rng.uniform(0.0, 2.0)))
+                shift = lambda users: None if users is None else tuple(u + (u >= p) for u in users)
+                case = (K, trial)
+                assert general.feasible == cert.feasible, case
+                assert general.cycle == shift(cert.cycle), case
+                assert general.violated_users == shift(cert.violated_users), case
+                assert bits([general.violated_rhs, general.margin]) == bits(
+                    [cert.violated_rhs, cert.margin]), case
+                if cert.feasible:
+                    r = list(general.r.values)
+                    assert r.pop(p) is SILENT, case
+                    assert bits(r) == bits(cert.r.values), case
+                else:
+                    assert general.r is cert.r is None, case
+                verdicts.append(cert.feasible)
+        assert 0.2 < np.mean(verdicts) < 0.8
 
 
 class TestGeneralRegion:

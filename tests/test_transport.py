@@ -1,7 +1,9 @@
 """The transportation solver behind every optimum: its oracle, and optima pinned bit for bit.
 
 ``region._transport`` is checked against ``_oracles.oracle_transport``,
-the array formulation it replaced, value, flow and prices bit for bit.
+the array formulation it replaced, value, flow and prices bit for bit;
+with costs of -0.0 the sign of a zero price is unspecified, and the
+optima on channels with -0.0 entries are the oracle's bit for bit.
 
 ``tests/data/optima_bits.json`` holds, for the seeded channels and
 weights of :func:`optima_corpus`, the value and point of
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from tinopt import ChannelMatrix, max_weighted_gdof, polyhedral_region
+from tinopt.region import max_subset_sum
 from tinopt import potential_graph, region
 from tinopt.potential_graph import _shortest_paths
 from tinopt.region import EmptyPolyhedronError
@@ -59,8 +62,39 @@ def assert_same_bits(got, want, case=None):
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), case
 
 
+def signed_zero_optima() -> list:
+    """Every value, point and error of the optima on channels with -0.0 and 0.0 entries."""
+    rng = np.random.default_rng(34)
+    out = []
+    for trial in range(300):
+        K = 1 + trial % 6
+        alpha = random_condition_channel(rng, K) if trial % 3 else rng.integers(0, 5, (K, K)) / 4.0
+        zero = rng.random((K, K)) < 0.4
+        mute = rng.random(K) < 0.3  # users at 0 throughout: their arcs are -0.0 or 0.0
+        zero[mute] = zero[:, mute] = True
+        alpha[zero] = np.where(rng.random((K, K)) < 0.5, -0.0, 0.0)[zero]
+        ch = ChannelMatrix(alpha)
+        silent = tuple(np.flatnonzero(rng.random(K) < 0.2).tolist())
+        quarters = rng.integers(0, 5, K) / 4.0
+        quarters[quarters == 0] *= rng.choice([-1.0, 1.0], K)[quarters == 0]
+        users = np.flatnonzero(rng.random(K) < 0.6).tolist()
+        poly = polyhedral_region(ch, silent)
+        for call in (lambda: max_weighted_gdof(poly, np.ones(K)),
+                     lambda: max_weighted_gdof(poly, quarters),
+                     lambda: max_subset_sum(poly, users)):
+            try:
+                value, point = call(), None
+                if isinstance(value, tuple):
+                    value, point = value
+                out.append((value.hex(), None if point is None else point.tobytes()))
+            except (EmptyPolyhedronError, region.UncertifiedPointError) as err:
+                out.append((type(err), str(err)))
+    return out
+
+
 class TestTransportOracle:
-    """``region._transport`` against the array formulation: value, flow and prices bit for bit."""
+    """``region._transport`` against the array formulation: value, flow and prices bit for bit,
+    the sign of a zero price aside."""
 
     @pytest.mark.parametrize("n", range(13))
     def test_bits_equal_the_array_formulation(self, n):
@@ -80,15 +114,26 @@ class TestTransportOracle:
                         assert_same_bits(got, oracle_transport(F, w, copy()), case)
 
     def test_signed_zero_costs(self):
-        # a level at distance 0 with 0.0 and -0.0 tied: the sign comes from numpy's min,
-        # which does not keep the first of two equal zeros
+        # a level at distance 0 with 0.0 and -0.0 tied: value and flow bit for bit,
+        # prices as numbers (the sign of a zero price is read by no output)
         rng = np.random.default_rng(11)
         for trial in range(2000):
             n = int(rng.integers(1, 8))
             zeros = rng.integers(0, 3, (n, n)) / 2.0
             F = np.where(rng.random((n, n)) < 0.5, -zeros, zeros)
             w = rng.choice([0.25, 0.5, 1.0], n) if trial % 2 else np.ones(n)
-            assert_same_bits(region._transport(F, w), oracle_transport(F, w), trial)
+            value, x, prices = region._transport(F, w)
+            value0, x0, prices0 = oracle_transport(F, w)
+            assert type(value) is float and value.hex() == value0.hex(), trial
+            assert np.array_equal(x.view(np.int64), x0.view(np.int64)), trial
+            for a, b in zip(prices, prices0):
+                assert a.dtype == np.float64 and np.array_equal(a, b), trial
+
+    def test_signed_zero_channels_give_the_oracle_optima(self, monkeypatch):
+        got = signed_zero_optima()
+        assert sum(isinstance(o[0], type) for o in got) > 0  # empty regions too
+        monkeypatch.setattr(region, "_transport", oracle_transport)
+        assert got == signed_zero_optima()
 
 
 def optima_corpus():
