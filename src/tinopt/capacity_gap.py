@@ -39,6 +39,7 @@ from .channel_model import (
     PowerExponents,
     _check_power,
     _check_r,
+    _entries,
     _exponent_vector,
     check_tin_condition,
 )
@@ -177,7 +178,7 @@ def gdof_limit_checks(alpha: ChannelMatrix, cycle, powers) -> LimitReport:
     grow by at most 1e-12, rounding alone, still count as monotone.
     """
     seq = _smallest_first(_cycle_users(cycle, alpha.K))
-    P_list = [_check_power(p, "powers") for p in powers]
+    P_list = [_check_power(p, "powers") for p in _entries(powers, "powers")]
     if not P_list:
         raise ValueError("powers must not be empty")
     if any(P_list[i] >= P_list[i + 1] for i in range(len(P_list) - 1)):

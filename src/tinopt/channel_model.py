@@ -7,7 +7,8 @@ a reference user at nominal power ``P`` has exponent 1.  Transmit powers
 are expressed the same way, as per-user exponents ``r_i <= 0`` (power
 ``P**r_i``), with a dedicated ``SILENT`` sentinel for a switched-off
 transmitter, whose exponent is ``-inf`` in the rate formulas.  Exponents,
-nominal powers and power allocations each have one check here.
+nominal powers and power allocations each have one check here, and a
+caller's numbers and sequences one conversion each.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -61,6 +63,41 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _real_array(values, name: str) -> np.ndarray:
+    """The one conversion of caller numbers: ``values`` as a new float array.
+
+    A numpy array of integer or float dtype converts by its dtype.  Anything
+    else converts only when every entry is real by :func:`_is_real`, tested
+    once per distinct entry type; else ``ValueError``: a bool, string,
+    complex number or ``None``, and a sequence where a number belongs
+    (ragged nesting, or more than numpy's 64 levels).  An integer past the
+    float range reads as ``+-inf``, which every caller's range check refuses.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return np.array(values, dtype=float)
+    a = np.array(values, dtype=object)
+    entries = a.ravel().tolist()
+    for x in dict(zip(map(type, entries), entries)).values():  # one entry per type
+        if not _is_real(x):
+            raise ValueError(f"{name} entries must be real numbers, got {type(x).__name__}")
+    try:
+        return a.astype(float)
+    except OverflowError:
+        big = sys.float_info.max  # only an integer or fraction can lie past it
+        return np.array([(math.inf if x > 0 else -math.inf)
+                         if isinstance(x, numbers.Rational) and abs(x) > big else x
+                         for x in entries], dtype=float).reshape(a.shape)
+
+
+def _entries(values, name: str) -> tuple:
+    """The one conversion of caller sequences: ``values`` as a tuple; ``ValueError`` unless iterable."""
+    try:
+        it = iter(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {type(values).__name__}") from None
+    return tuple(it)
+
+
 def _check_exponents(a: np.ndarray, name: str = "alpha") -> None:
     """The one check of strength exponents and GDoF targets: in ``[0, EXPONENT_MAX]``, not NaN."""
     if not ((a >= 0) & (a <= EXPONENT_MAX)).all():  # NaN fails both
@@ -69,7 +106,7 @@ def _check_exponents(a: np.ndarray, name: str = "alpha") -> None:
 
 def _exponent_vector(values, K: int, name: str) -> np.ndarray:
     """``values`` as a float vector of ``K`` entries that :func:`_check_exponents` accepts."""
-    v = np.asarray(values, dtype=float)
+    v = _real_array(values, name)
     if v.shape != (K,):
         raise ValueError(f"{name} needs {K} entries, got {len(v) if v.ndim == 1 else v.shape}")
     _check_exponents(v, name)
@@ -80,7 +117,7 @@ def _check_power(P, name: str) -> float:
     """A nominal power as a float; ``ValueError`` unless it is real, finite and above 1."""
     if not _is_real(P):
         raise ValueError(f"{name} must be a real number, got {P!r}")
-    x = float(P)
+    x = _real_array(P, name).item()
     if not (math.isfinite(x) and x > 1):
         raise ValueError(f"{name} must be finite and exceed 1, got {P}")
     return x
@@ -99,7 +136,7 @@ class ChannelMatrix:
     alpha: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.alpha, dtype=float)
+        a = _real_array(self.alpha, "alpha")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"alpha must be a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
@@ -133,10 +170,7 @@ def channel_from_dict(data: dict) -> ChannelMatrix:
         raise ValueError("channel document must be a JSON object")
     if "alpha" not in data:
         raise ValueError("channel document missing 'alpha'")
-    try:
-        ch = ChannelMatrix(np.array(data["alpha"], dtype=float))
-    except TypeError:
-        raise ValueError("alpha must be a square matrix of numbers") from None
+    ch = ChannelMatrix(data["alpha"])
     declared = data.get("K", ch.K)
     if isinstance(declared, bool) or not isinstance(declared, (int, float)) or declared != ch.K:
         raise ValueError(f"declared K={declared!r} does not match alpha shape {ch.K}")
@@ -145,7 +179,10 @@ def channel_from_dict(data: dict) -> ChannelMatrix:
 
 def load_channel(path: str) -> ChannelMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("channel document nested too deeply") from None
     return channel_from_dict(data)
 
 
@@ -155,12 +192,15 @@ class PowerExponents:
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable):
+        entries = _entries(values, "r")
+        floats = _real_array([0.0 if v is SILENT else v for v in entries], "r")
+        if floats.ndim != 1:
+            raise ValueError("r entries must be real numbers or SILENT, got a nested sequence")
         vals = []
-        for k, v in enumerate(values):
+        for k, (v, x) in enumerate(zip(entries, floats.tolist())):
             if v is SILENT:
                 vals.append(SILENT)
                 continue
-            x = float(v)
             if not math.isfinite(x):
                 raise ValueError(f"r[{k}] must be finite or SILENT, got {x}")
             if x > 0:
@@ -266,7 +306,7 @@ def polyhedral_tin_gdof(alpha: ChannelMatrix, r) -> np.ndarray:
     return np.diag(a) + rv - _interference(a, rv)
 
 
-def condition_extremes(values: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def condition_extremes(values: np.ndarray) -> np.ndarray:
     """The ``(..., 3, K)`` extremes the optimality condition reads, from stacked ``(..., K, K)`` values.
 
     Per user ``i``, the three rows hold the direct value ``v_ii``, the
@@ -274,10 +314,9 @@ def condition_extremes(values: np.ndarray, overwrite: bool = False) -> np.ndarra
     suffers ``max_{k != i} v_ik``.  Each maximum starts from 0, which also
     stands in for the diagonal: the values are exponents, or gains in dB
     over 10, where 0 is unit gain.  NaN propagates through every maximum.
-    The diagonal is zeroed in a copy, or, with ``overwrite``, in
-    ``values`` itself, which must then be a C-contiguous float array.
+    The diagonal is zeroed in a C-ordered copy.
     """
-    off = values if overwrite else np.array(values, dtype=float, order="C")
+    off = np.array(values, dtype=float, order="C")
     K = off.shape[-1]
     ext = np.empty(off.shape[:-2] + (3, K))
     diagonal = off.reshape(-1, K * K)[:, :: K + 1]  # a view: off is C-contiguous
@@ -333,8 +372,8 @@ def from_link_budget(
         ChannelMatrix with ``alpha = log(clipped value) / log(nominal_P)``.
     """
     nominal_P = _check_power(nominal_P, "nominal_P")
-    s = np.array(snr, dtype=float)
-    x = np.array(inr, dtype=float)
+    s = _real_array(snr, "snr")
+    x = _real_array(inr, "inr")
     if s.ndim != 1:
         raise ValueError("snr must be a vector")
     K = s.shape[0]

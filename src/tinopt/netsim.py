@@ -58,8 +58,10 @@ import numpy as np
 from .channel_model import (
     EPS_CONDITION,
     ChannelMatrix,
+    _entries,
     _is_integer,
     _is_real,
+    _real_array,
     condition_extremes,
     extreme_margins,
     link_exponents,
@@ -218,7 +220,7 @@ def erceg_pathloss(distance_m):
     when enabled, is drawn during network sampling, not here.  Raises
     ``ValueError`` unless every distance is positive and finite.
     """
-    d = np.asarray(distance_m, dtype=float)
+    d = _real_array(distance_m, "distance")
     if d.size and not (d.min() > 0.0 and d.max() < math.inf):
         raise ValueError("distance must be positive and finite")
     out = _pathloss_db(d)
@@ -650,7 +652,7 @@ def condition_probability(cfg: SimConfig, workers: int = 1) -> ConditionEstimate
         for first in range(0, len(words), per_batch):
             y = _sample_links(cfg, rng, set_state, words[first:first + per_batch], power_dbm).y
             # verdicts from the 3K extremes in dB; no power or logarithm away from the band
-            passes += _count_passes(condition_extremes(y, overwrite=True))
+            passes += _count_passes(condition_extremes(y))
     lo, hi = _wilson_interval(passes, cfg.trials)
     return ConditionEstimate(
         K=cfg.K,
@@ -675,10 +677,11 @@ def sweep(
     runs, each ``K`` and radius as given, and then ``workers``, once, also
     for an empty grid.  ``workers`` changes neither the result nor the speed.
     """
+    radii = _entries(radius_values, "radius_values")
     cfgs = [
         replace(base, K=K, coverage_radius=radius)
-        for K in K_values
-        for radius in radius_values
+        for K in _entries(K_values, "K_values")
+        for radius in radii
     ]
     _check_workers(workers)
     return [condition_probability(cfg) for cfg in cfgs]

@@ -35,7 +35,7 @@ from typing import Iterable
 import numpy as np
 
 from .channel_model import (EPS_CONDITION, EXPONENT_MAX, ChannelMatrix, PowerExponents,
-                            _exponent_vector, _is_integer)
+                            _entries, _exponent_vector, _is_integer, _real_array)
 
 #: The membership band, so that round-off does not eject boundary points.
 #: The plain pass accepts when every arc's slack is at most half of it, and
@@ -120,9 +120,9 @@ def build_graph(alpha: ChannelMatrix, d) -> PotentialGraph:
 
 def _target_vector(d, K: int) -> np.ndarray:
     """The one check of signed targets: ``d`` as ``K`` floats, each ``|d_i| <= EXPONENT_MAX``."""
-    dv = np.asarray(d, dtype=float)
+    dv = _real_array(d, "d")
     if dv.shape != (K,):
-        raise ValueError(f"d has shape {dv.shape}, expected ({K},)")
+        raise ValueError(f"d needs {K} entries, got {len(dv) if dv.ndim == 1 else dv.shape}")
     if not np.all(np.abs(dv) <= EXPONENT_MAX):
         raise ValueError(f"d entries must be finite and at most {EXPONENT_MAX:g} in magnitude")
     return dv
@@ -151,7 +151,7 @@ def _cycle_entries(seq) -> tuple:
     ``ValueError`` unless the sequence is nonempty and its entries are
     distinct integers (``int`` or numpy integer, not ``bool``).
     """
-    t = tuple(seq)
+    t = _entries(seq, "cycle")
     if not t or not all(map(_is_integer, t)):
         raise ValueError(f"cycle must be nonempty integer user indices, got {t!r}")
     t = tuple(map(int, t))
@@ -175,7 +175,7 @@ def _cycle_users(cycle, K: int) -> tuple:
 
 def _distinct_users(users: Iterable[int], name: str) -> list:
     """The one user-list check: the distinct integer ``users``, sorted; else ``ValueError``."""
-    idx = list(users)
+    idx = list(_entries(users, name))
     if not all(map(_is_integer, idx)):
         raise ValueError(f"{name} must be integer user indices, got {idx!r}")
     return sorted({int(i) for i in idx})

@@ -473,6 +473,8 @@ def _with_entry(K: int, i: int, j: int, value: float) -> dict:
     return doc
 
 
+#: ``alpha`` entries that JSON reads as a string, a bool and an integer past the float range.
+NOT_REAL_ALPHAS = {"string": [["0.5"]], "bool": [[True]], "400 digits": [[1.0, 10**400], [0.1, 1.0]]}
 #: Channel documents that are not a channel: non-finite or negative
 #: exponents, a wrong shape or type of ``alpha``, or a wrong ``K``.
 BAD_CHANNELS = st.one_of(
@@ -482,6 +484,7 @@ BAD_CHANNELS = st.one_of(
     st.sampled_from([
         [[1.0, 0.1], [0.1]], [[1.0, 0.1, 0.2], [0.1, 1.0, 0.2]], [[[1.0]]], [[]], [],
         5.0, "abc", None, {"a": 1.0}, [["x"]], [[None]], [[{"a": 1}]],
+        *NOT_REAL_ALPHAS.values(),
     ]).map(lambda alpha: {"alpha": alpha}),
     st.sampled_from([3, 0, -1, "x", None, [2], 2.5]).map(lambda K: {**_channel(2), "K": K}),
     st.sampled_from([[], "alpha", 3, None]),
@@ -497,6 +500,13 @@ def _parses(text: str) -> bool:
 
 #: Files that do not parse as JSON.
 CORRUPT_TEXT = st.text(max_size=12).filter(lambda t: not _parses(t))
+#: Files nested deeper than the JSON parser recurses: a bare list, a channel
+#: whose ``alpha`` is nested, and an object of objects.
+DEEP_TEXT = {
+    "list": "[" * 100_000 + "]" * 100_000,
+    "alpha": '{"K": 1, "alpha": ' + "[" * 5_000 + "1.0" + "]" * 5_000 + "}",
+    "object": '{"a": ' * 3_000 + "1" + "}" * 3_000,
+}
 #: ``--silent-set`` lists for a K=3 channel with a malformed or out-of-range entry.
 BAD_SILENT_SETS = _bad_list(
     st.sampled_from(["0", "1", "2"]),
@@ -604,6 +614,26 @@ ARGUMENT_FAULTS = {
     "gap-check": ["vector", "powers"],
     "gdof-limits": ["cycle", "powers", "tol"],
 }
+
+
+class TestUnreadableChannel:
+    """A channel file nested too deeply for the JSON parser, or whose ``alpha`` holds no
+    real number, is malformed input in every channel subcommand, not a verdict."""
+
+    @pytest.mark.parametrize("command", sorted(ARGUMENT_FAULTS) + ["region"])
+    @pytest.mark.parametrize("doc", sorted(DEEP_TEXT) + sorted(NOT_REAL_ALPHAS))
+    def test_exits_two_with_one_line(self, runner, tmp_path, command, doc):
+        path = tmp_path / "ch.json"
+        path.write_text(DEEP_TEXT[doc] if doc in DEEP_TEXT
+                        else json.dumps({"alpha": NOT_REAL_ALPHAS[doc]}))
+        args = [command, str(path)] + {
+            "check-condition": [], "region": [], "membership": ["--gdof", "0.5"],
+            "power-alloc": ["--gdof", "0.5"], "gap-check": ["--gdof", "0.5", "--power", "1e2"],
+            "gdof-limits": ["--cycle", "0,1", "--powers", "1e2,1e4"]}[command]
+        assert_usage_error(runner, args)
+        if doc in DEEP_TEXT:
+            assert runner.invoke(main, args).output == \
+                f"error: {path}: channel document nested too deeply\n"
 
 
 class TestVerdictContract:
