@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -53,6 +54,38 @@ class _Silent:
 SILENT = _Silent()
 
 
+class _NestedRepr(reprlib.Repr):
+    """``repr`` as the builtin gives it, but for containers nested more than ``maxlevel``
+    deep, shown as ``...``: no size limit, and sets and dicts in their own order."""
+
+    def __init__(self, depth: int):
+        super().__init__()
+        self.maxlevel = depth
+        for limit in ("maxtuple", "maxlist", "maxarray", "maxdict", "maxset", "maxfrozenset",
+                      "maxdeque", "maxstring", "maxlong", "maxother"):
+            setattr(self, limit, sys.maxsize)
+
+    def repr_set(self, x, level):
+        return self._repr_iterable(x, level, "{", "}", self.maxset) if x else "set()"
+
+    def repr_frozenset(self, x, level):
+        if not x:
+            return "frozenset()"
+        return self._repr_iterable(x, level, "frozenset({", "})", self.maxfrozenset)
+
+    def repr_dict(self, x, level):
+        if x and level <= 0:
+            return "{...}"
+        r = self.repr1
+        return "{" + ", ".join(f"{r(k, level - 1)}: {r(v, level - 1)}" for k, v in x.items()) + "}"
+
+
+#: The one ``repr`` of a caller's argument in an error message: nested past 32
+#: levels it ends in ``...`` instead of ``RecursionError``; shallower, it is the
+#: builtin's, byte for byte.
+_shown = _NestedRepr(32).repr
+
+
 def _is_integer(value) -> bool:
     """An int or numpy integer; ``bool`` is refused although it subclasses ``int``."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -63,23 +96,34 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _integer_type(t: type) -> bool:
+    """:func:`_is_integer` of a type, for testing each distinct type of a sequence once."""
+    return issubclass(t, numbers.Integral) and not issubclass(t, bool)
+
+
+def _real_type(t: type) -> bool:
+    """:func:`_is_real` of a type, for testing each distinct type of a sequence once."""
+    return issubclass(t, numbers.Real) and not issubclass(t, bool)
+
+
 def _real_array(values, name: str) -> np.ndarray:
     """The one conversion of caller numbers: ``values`` as a new float array.
 
     A numpy array of integer or float dtype converts by its dtype.  Anything
-    else converts only when every entry is real by :func:`_is_real`, tested
-    once per distinct entry type; else ``ValueError``: a bool, string,
-    complex number or ``None``, and a sequence where a number belongs
-    (ragged nesting, or more than numpy's 64 levels).  An integer past the
-    float range reads as ``+-inf``, which every caller's range check refuses.
+    else converts only when every entry's type is real (:func:`_real_type`),
+    each distinct type tested once; else ``ValueError``, naming the first
+    entry's type that is not: a bool, string, complex number or ``None``,
+    and a sequence where a number belongs (ragged nesting, or more than
+    numpy's 64 levels).  An integer past the float range reads as
+    ``+-inf``, which every caller's range check refuses.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         return np.array(values, dtype=float)
     a = np.array(values, dtype=object)
     entries = a.ravel().tolist()
-    for x in dict(zip(map(type, entries), entries)).values():  # one entry per type
-        if not _is_real(x):
-            raise ValueError(f"{name} entries must be real numbers, got {type(x).__name__}")
+    if not all(map(_real_type, set(map(type, entries)))):
+        bad = next(t for t in map(type, entries) if not _real_type(t))  # the first in order
+        raise ValueError(f"{name} entries must be real numbers, got {bad.__name__}")
     try:
         return a.astype(float)
     except OverflowError:
@@ -116,7 +160,7 @@ def _exponent_vector(values, K: int, name: str) -> np.ndarray:
 def _check_power(P, name: str) -> float:
     """A nominal power as a float; ``ValueError`` unless it is real, finite and above 1."""
     if not _is_real(P):
-        raise ValueError(f"{name} must be a real number, got {P!r}")
+        raise ValueError(f"{name} must be a real number, got {_shown(P)}")
     x = _real_array(P, name).item()
     if not (math.isfinite(x) and x > 1):
         raise ValueError(f"{name} must be finite and exceed 1, got {P}")
@@ -150,8 +194,17 @@ class ChannelMatrix:
         return self.alpha.shape[0]
 
     def restrict(self, users: Sequence[int]) -> "ChannelMatrix":
-        """Sub-channel over the given users, keeping their order."""
-        idx = list(users)
+        """Sub-channel over the given users, keeping their order.
+
+        ``ValueError`` unless they are distinct integer indices in ``range(K)``
+        (``int`` or numpy integer, not ``bool``).
+        """
+        idx = list(_entries(users, "users"))
+        if not all(map(_integer_type, set(map(type, idx)))):
+            raise ValueError(f"users must be integer user indices, got {_shown(idx)}")
+        idx = list(map(int, idx))
+        if idx and not (len(set(idx)) == len(idx) and 0 <= min(idx) and max(idx) < self.K):
+            raise ValueError(f"users must be distinct indices in range({self.K}), got {idx}")
         return ChannelMatrix(self.alpha[idx][:, idx])
 
     def to_dict(self, nominal_P: float | None = None) -> dict:
@@ -173,7 +226,7 @@ def channel_from_dict(data: dict) -> ChannelMatrix:
     ch = ChannelMatrix(data["alpha"])
     declared = data.get("K", ch.K)
     if isinstance(declared, bool) or not isinstance(declared, (int, float)) or declared != ch.K:
-        raise ValueError(f"declared K={declared!r} does not match alpha shape {ch.K}")
+        raise ValueError(f"declared K={_shown(declared)} does not match alpha shape {ch.K}")
     return ch
 
 

@@ -62,6 +62,7 @@ from .channel_model import (
     _is_integer,
     _is_real,
     _real_array,
+    _shown,
     condition_extremes,
     extreme_margins,
     link_exponents,
@@ -175,7 +176,7 @@ class SimConfig:
         for name in ("coverage_radius", "cell_radius"):
             value = getattr(self, name)
             if not _is_real(value):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+                raise ValueError(f"{name} must be a real number, got {_shown(value)}")
             if not (RADIUS_MIN_M <= value <= RADIUS_MAX_M):
                 raise ValueError(
                     f"{name} must be between {RADIUS_MIN_M:g} and {RADIUS_MAX_M:g} m, "
@@ -185,7 +186,7 @@ class SimConfig:
             raise ValueError("need coverage_radius <= cell_radius")
         sigma = self.shadowing_sigma_db
         if sigma is not None and not _is_real(sigma):
-            raise ValueError(f"shadowing_sigma_db must be None or a real number, got {sigma!r}")
+            raise ValueError(f"shadowing_sigma_db must be None or a real number, got {_shown(sigma)}")
         if sigma is not None and not (0 <= sigma <= SHADOWING_MAX_DB):
             raise ValueError(
                 f"shadowing_sigma_db must be None or between 0 and {SHADOWING_MAX_DB:g} dB, "
@@ -193,7 +194,7 @@ class SimConfig:
             )
         for name in ("K", "trials", "master_seed"):
             if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be an integer, got {_shown(getattr(self, name))}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.K < 1:
@@ -562,7 +563,7 @@ def sample_network(cfg: SimConfig, trial_index: int) -> NetworkInstance:
     Raises ``ValueError`` unless ``trial_index`` is a nonnegative integer.
     """
     if not _is_integer(trial_index) or trial_index < 0:
-        raise ValueError(f"trial_index must be a nonnegative integer, got {trial_index!r}")
+        raise ValueError(f"trial_index must be a nonnegative integer, got {_shown(trial_index)}")
     entropy = _uint32_words(int(cfg.master_seed) & _MASK64) + _uint32_words(int(trial_index))
     links = _sample_links(cfg, *_stream_generator(), _stream_words(entropy),
                           transmit_power_dbm(cfg))
@@ -599,7 +600,7 @@ class ConditionEstimate:
 
 def _check_workers(workers) -> None:
     if not _is_integer(workers):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
+        raise ValueError(f"workers must be an integer, got {_shown(workers)}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 

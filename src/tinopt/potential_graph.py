@@ -35,7 +35,7 @@ from typing import Iterable
 import numpy as np
 
 from .channel_model import (EPS_CONDITION, EXPONENT_MAX, ChannelMatrix, PowerExponents,
-                            _entries, _exponent_vector, _is_integer, _real_array)
+                            _entries, _exponent_vector, _is_integer, _real_array, _shown)
 
 #: The membership band, so that round-off does not eject boundary points.
 #: The plain pass accepts when every arc's slack is at most half of it, and
@@ -153,7 +153,7 @@ def _cycle_entries(seq) -> tuple:
     """
     t = _entries(seq, "cycle")
     if not t or not all(map(_is_integer, t)):
-        raise ValueError(f"cycle must be nonempty integer user indices, got {t!r}")
+        raise ValueError(f"cycle must be nonempty integer user indices, got {_shown(t)}")
     t = tuple(map(int, t))
     if len(t) != len(set(t)):
         raise ValueError(f"cycle entries must be distinct, got {t}")
@@ -177,7 +177,7 @@ def _distinct_users(users: Iterable[int], name: str) -> list:
     """The one user-list check: the distinct integer ``users``, sorted; else ``ValueError``."""
     idx = list(_entries(users, name))
     if not all(map(_is_integer, idx)):
-        raise ValueError(f"{name} must be integer user indices, got {idx!r}")
+        raise ValueError(f"{name} must be integer user indices, got {_shown(idx)}")
     return sorted({int(i) for i in idx})
 
 
@@ -359,8 +359,9 @@ def _bellman_ford(lengths: np.ndarray, ground: int, tol: float) -> tuple:
     one more round is swept: it returns at once when every slack is at
     most ``tol`` and is applied when one is not, and the circuits come
     lazily from predecessor walks started at every node in order of
-    decreasing slack after it (first index on ties).  Which circuit comes
-    first depends on this exact iteration, so certificates do too.
+    decreasing slack after it (first index on ties), an order computed on
+    the first ``next()`` (:func:`_circuits`).  Which circuit comes first
+    depends on this exact iteration, so certificates do too.
     """
     n = len(lengths)
     into = np.ascontiguousarray(lengths.T)
@@ -374,9 +375,17 @@ def _bellman_ford(lengths: np.ndarray, ground: int, tol: float) -> tuple:
             return dist, None
     if not _relax(into, dist, pred, cand, rows, tol):
         return dist, None
-    order = np.argsort(-_slack(into, dist, cand), kind="stable")
-    walks = (_extract_cycle(pred, int(v)) for v in order)
-    return dist, (c for c in walks if c is not None)
+    return dist, _circuits(into, dist, pred, cand)
+
+
+def _circuits(into: np.ndarray, dist: np.ndarray, pred: np.ndarray, cand: np.ndarray):
+    """The circuits of :func:`_bellman_ford`'s last round: predecessor walks from every node
+    in order of decreasing slack (first index on ties), that order computed only once a
+    circuit is asked for, so a caller that reads none pays no slack scan."""
+    for v in np.argsort(-_slack(into, dist, cand), kind="stable"):
+        c = _extract_cycle(pred, int(v))
+        if c is not None:
+            yield c
 
 
 def _shortest_paths(channel: ChannelMatrix, level: float, departures: bool = False) -> tuple:

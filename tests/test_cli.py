@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import tinopt
+from conftest import EX2_ALPHA
 from tinopt import ChannelMatrix, SimConfig, point_in_tin_region, polyhedral_region
 from tinopt import potential_graph
 from tinopt.capacity_gap import (
@@ -681,6 +683,89 @@ class TestVerdictContract:
             (args, result.exception)
         assert "Traceback" not in result.output, (args, result.output)
         assert not caught, (args, [str(w.message) for w in caught])
+
+
+#: Per subcommand, calls on well-formed input that reach each of its outcomes: ``pass``
+#: is a 2-user channel under the optimality condition, ``fail`` the 3-user ``ex2``,
+#: where it fails.
+WELL_FORMED = {
+    "check-condition": [["pass"], ["fail"]],
+    "region": [["fail"], ["fail", "--union"], ["pass", "--minimize"]],
+    "membership": [["fail", "--gdof", "0.1,0.1,0.1"], ["fail", "--gdof", "1,1,1"]],
+    "power-alloc": [["fail", "--gdof", "0.1,0.1,0.1"], ["fail", "--gdof", "1,0.9,0"]],
+    "gap-check": [["pass", "--gdof", "0.5,0.5", "--power", "100"],
+                  ["pass", "--gdof", "1,1", "--power", "100"],
+                  ["fail", "--gdof", "0.1,0.1,0.1", "--power", "100"]],
+    "gdof-limits": [["pass", "--cycle", "0,1", "--tol", "5"],
+                    ["pass", "--cycle", "0,1", "--tol", "1e-12"],
+                    ["fail", "--cycle", "0,1", "--tol", "5"]],
+    "simulate": [["--users", "2", "--coverage", "100", "--trials", "100"]],
+    "sweep": [["--users", "2", "--coverage", "100", "--trials", "100"]],
+}
+#: The verdict a subcommand prints in its stdout JSON, from that document and its arguments.
+VERDICTS = {
+    "check-condition": lambda doc, args: doc["overall"],
+    "membership": lambda doc, args: doc["in_region"],
+    "power-alloc": lambda doc, args: doc["feasible"],
+    "gdof-limits": lambda doc, args: doc["monotone"] and doc["final_error"] < float(args[-1]),
+}
+#: The one ``error:`` line of each named verdict: ``ConditionNotMetError`` (from gdof-limits
+#: and from gap-check), ``PointOutsideRegionError`` and ``CertificateViolatedError``.
+NAMED_VERDICT_LINE = re.compile(
+    r"error: ((limit identities|gap certificates) require the optimality condition"
+    r"|point is outside the all-active region: .+|certificate violated on .+)\n")
+
+
+class TestExitOne:
+    """Exit 1 comes only from a named verdict: a false verdict in stdout JSON with nothing on
+    stderr, or one named verdict's ``error:`` line with nothing on stdout.  Exit 0 comes with
+    a true verdict, or with none."""
+
+    @pytest.mark.parametrize("command,source", [
+        *((c, s) for c in sorted(ARGUMENT_FAULTS) + ["region"]
+          for s in ("well-formed", "bad channel", "corrupt text", "deep")),
+        *((c, s) for c in ("simulate", "sweep") for s in ("well-formed", "bad arguments")),
+    ])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_only_from_a_named_verdict(self, tmp_path_factory, command, source, data):
+        tmp = tmp_path_factory.mktemp("exit")
+        for name, alpha in (("pass", [[1.0, 0.2], [0.2, 1.0]]), ("fail", EX2_ALPHA.tolist())):
+            (tmp / f"{name}.json").write_text(json.dumps({"K": len(alpha), "alpha": alpha}))
+        path = tmp / "ch.json"
+        calls = [[str(tmp / f"{a}.json") if a in ("pass", "fail") else a for a in args]
+                 for args in WELL_FORMED[command]]
+        if source == "bad channel":
+            path.write_text(json.dumps(data.draw(BAD_CHANNELS)))
+        elif source == "corrupt text":
+            path.write_text(data.draw(CORRUPT_TEXT))
+        elif source == "bad arguments":
+            option, value = data.draw(SIMULATE_FAULTS if command == "simulate" else SWEEP_FAULTS)
+            calls = [args + [option, value] for args in calls]
+        if source in ("bad channel", "corrupt text"):  # the well-formed calls' channel replaced
+            calls = [[str(path), *args[1:]] for args in calls]
+        elif source == "deep":
+            calls = []
+            for doc, text in DEEP_TEXT.items():
+                (tmp / f"{doc}.json").write_text(text)
+                calls += [[str(tmp / f"{doc}.json"), *args[1:]] for args in WELL_FORMED[command]]
+        codes = set()
+        for args in calls:
+            result = CliRunner().invoke(main, [command, *args])
+            codes.add(result.exit_code)
+            assert result.exception is None or isinstance(result.exception, SystemExit), args
+            verdict = VERDICTS[command](json.loads(result.stdout), args) \
+                if command in VERDICTS and result.stdout else None
+            if result.exit_code == 1:
+                assert (verdict is False and result.stderr == "") or (
+                    result.stdout == "" and NAMED_VERDICT_LINE.fullmatch(result.stderr)), args
+            elif result.exit_code == 0:
+                assert verdict in (True, None) and result.stderr == "", args
+            else:
+                assert result.exit_code == 2 and result.stdout == "", args
+        # well-formed calls reach both outcomes where the subcommand has a verdict
+        want = {0, 1} if command in VERDICTS or command == "gap-check" else {0}
+        assert codes == (want if source == "well-formed" else {2}), codes
 
 
 class TestSimulation:

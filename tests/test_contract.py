@@ -66,6 +66,7 @@ def _calls(K: int) -> dict:
     alpha = ch.alpha.tolist()
     return {
         "ChannelMatrix": (ChannelMatrix, [alpha]),
+        "ChannelMatrix.restrict": (ch.restrict, [[1, 0] if K > 1 else [0]]),
         "channel_from_dict": (lambda a, k: channel_from_dict({"K": k, "alpha": a}), [alpha, K]),
         "from_link_budget": (from_link_budget, [[100.0] * K, np.full((K, K), 2.0).tolist(), 100.0]),
         "PowerExponents": (PowerExponents, [r]),
@@ -105,7 +106,8 @@ NO_NUMBERS = {
 
 
 def test_every_public_name_is_covered_or_takes_no_numbers():
-    covered = set(_calls(2)) - {"max_subset_sum"}  # region's, not exported at the top level
+    # region's max_subset_sum is not exported at the top level; restrict is a method
+    covered = set(_calls(2)) - {"max_subset_sum", "ChannelMatrix.restrict"}
     assert covered.isdisjoint(NO_NUMBERS)
     assert covered | NO_NUMBERS == set(tinopt.__all__)
 
@@ -178,6 +180,12 @@ REFUSED = {
     "400-digit power": lambda: FiniteSnrChannel(EX, 10**400),
     "400-digit distance": lambda: erceg_pathloss([10**400]),
     "alpha nested 5000 deep": lambda: ChannelMatrix(_deep(5000)),
+    "bool users to restrict": lambda: EX.restrict([True, False]),
+    "float user to restrict": lambda: EX.restrict([0.5]),
+    "string user to restrict": lambda: EX.restrict(["a"]),
+    "repeated user to restrict": lambda: EX.restrict([1, 1]),
+    "user past K to restrict": lambda: EX.restrict([0, 2]),
+    "negative user to restrict": lambda: EX.restrict([-1]),
 }
 
 
@@ -185,6 +193,50 @@ REFUSED = {
 def test_malformed_input_is_refused(case):
     with pytest.raises(ValueError):
         REFUSED[case]()
+
+
+def test_restrict_keeps_the_order_given():
+    alpha = np.arange(9.0).reshape(3, 3)
+    for users in ([2, 0], (np.int64(1), 2, 0), range(3)):
+        idx = list(users)
+        assert ChannelMatrix(alpha).restrict(users).alpha.tobytes() == alpha[idx][:, idx].tobytes()
+
+
+#: Every error message that shows a caller's argument, as a function of that argument.
+SHOWN_ARGUMENTS = {
+    "FiniteSnrChannel power": lambda x: FiniteSnrChannel(EX, x),
+    "canonical_cycle entry": lambda x: canonical_cycle([x, 1]),
+    "polyhedral_region user": lambda x: polyhedral_region(EX, [x]),
+    "restrict user": lambda x: EX.restrict([x]),
+    "channel_from_dict K": lambda x: channel_from_dict({"K": x, "alpha": [[1.0]]}),
+    "SimConfig coverage_radius": lambda x: SimConfig(K=2, coverage_radius=x),
+    "SimConfig shadowing_sigma_db": lambda x: SimConfig(K=2, coverage_radius=100.0,
+                                                        shadowing_sigma_db=x),
+    "SimConfig trials": lambda x: SimConfig(K=2, coverage_radius=100.0, trials=x),
+    "sample_network trial_index": lambda x: sample_network(EX_CONFIG, x),
+    "condition_probability workers": lambda x: condition_probability(EX_CONFIG, x),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SHOWN_ARGUMENTS))
+def test_messages_show_deep_nesting_as_an_ellipsis(site):
+    # nested 3,000 deep the builtin repr raised RecursionError; a message shows 32 levels
+    # whole, the argument's own list around an entry included
+    with pytest.raises(ValueError, match=r"\[\.\.\.\]") as deep:
+        SHOWN_ARGUMENTS[site](_deep(3000))
+    assert len(str(deep.value)) < 200
+    with pytest.raises(ValueError) as shallow:
+        SHOWN_ARGUMENTS[site](_deep(31))
+    assert repr(_deep(31)) in str(shallow.value)
+
+
+def test_shallow_arguments_keep_the_builtin_repr():
+    # no size limit, and sets and dicts in their own order, not sorted as reprlib has them
+    for x in ({2: 1, 1: 0}, {10, 3}, frozenset({10, 3}), set(), {}, [1, (2,), "a" * 100, None],
+              list(range(50)), np.array([1.5, 2.0]), "0.5", b"x", _deep(31)):
+        with pytest.raises(ValueError) as err:
+            FiniteSnrChannel(EX, x)
+        assert str(err.value) == f"nominal power must be a real number, got {x!r}"
 
 
 def test_huge_integers_read_as_over_the_ceiling():

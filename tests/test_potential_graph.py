@@ -41,6 +41,7 @@ from _oracles import (
     oracle_union_band,
     random_channel,
 )
+from test_transport import optima_corpus, slack_sweeps
 
 
 def cycle_count(n: int) -> int:
@@ -681,6 +682,30 @@ class TestJacobiRounds:
         # finds every slack within the band and moves nothing
         assert decide_membership(build_graph(symmetric_two_user(0.5), [0.5, 0.5 + 1e-12])).feasible
         assert rounds == [True, True, False] and scans == []
+
+    def test_walk_order_only_when_a_circuit_is_read(self, monkeypatch):
+        scans = []
+        slack = potential_graph._slack
+        monkeypatch.setattr(potential_graph, "_slack", lambda *args: scans.append(1) or slack(*args))
+        # _arrival_slack reads no circuit: on the optima whose slack pass runs all 2m
+        # rounds and ends with one (the fixture's first, at K = 2), no scan orders the walks
+        with slack_sweeps() as log:
+            for labels, alpha, w in itertools.islice(optima_corpus(), 12):
+                max_weighted_gdof(polyhedral_region(ChannelMatrix(alpha)), w)
+        assert sum(entry["circuit"] for entry in log) >= 3
+        assert scans == []
+        # a non-member's walks: the first next() scans once, and the circuits and the
+        # certificate are the eager order's
+        ch = ChannelMatrix(random_channel(np.random.default_rng(31), 6))
+        graph = build_graph(ch, np.diag(ch.alpha))
+        dist, circuits = _bellman_ford(graph.lengths, graph.ground, 0.5 * EPS_LENGTH)
+        assert scans == []
+        want = oracle_jacobi_bellman_ford(graph.lengths, graph.ground, 0.5 * EPS_LENGTH)[1]
+        assert want and list(circuits) == want and scans == [1]
+        cert = decide_membership(graph)
+        passes = []
+        assert _cert_bytes(cert) == _oracle_certificate(ch.alpha, np.diag(ch.alpha), passes)
+        assert passes == ["plain"] and scans == [1, 1]
 
     def test_allocations_pass_the_public_check(self):
         # decide_membership and the point query build r without PowerExponents' check
