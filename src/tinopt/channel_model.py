@@ -96,11 +96,6 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _integer_type(t: type) -> bool:
-    """:func:`_is_integer` of a type, for testing each distinct type of a sequence once."""
-    return issubclass(t, numbers.Integral) and not issubclass(t, bool)
-
-
 def _real_type(t: type) -> bool:
     """:func:`_is_real` of a type, for testing each distinct type of a sequence once."""
     return issubclass(t, numbers.Real) and not issubclass(t, bool)
@@ -200,7 +195,7 @@ class ChannelMatrix:
         (``int`` or numpy integer, not ``bool``).
         """
         idx = list(_entries(users, "users"))
-        if not all(map(_integer_type, set(map(type, idx)))):
+        if not all(map(_is_integer, idx)):
             raise ValueError(f"users must be integer user indices, got {_shown(idx)}")
         idx = list(map(int, idx))
         if idx and not (len(set(idx)) == len(idx) and 0 <= min(idx) and max(idx) < self.K):

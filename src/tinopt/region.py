@@ -53,12 +53,6 @@ K_MAX_UNION = 11
 #: conventions").
 NEWTON_STEPS_MAX = 64
 
-#: :func:`_transport` runs instances of at most this many users on Python
-#: floats, larger ones on numpy arrays: the measured crossover (README,
-#: "Numerical conventions").  Every instance of the benchmark's geometry
-#: flows has at most 6.
-TRANSPORT_FLOATS_MAX = 20
-
 
 def enumerate_cycles(users: Iterable[int]) -> list:
     """The sequences of :func:`cycle_blocks` as one list of tuples, in canonical order."""
@@ -327,90 +321,41 @@ def _transport(F: np.ndarray, w: np.ndarray, prices: tuple | None = None) -> tup
     distances, and the path's bottleneck is sent.  The bottleneck sets the
     supply, demand or flow that it empties to exactly 0.
 
-    Up to ``TRANSPORT_FLOATS_MAX`` users every round runs on Python floats
-    (:func:`_transport_floats`).  Above it a round's O(n^2) work is array
-    work: the reduced costs, each column's first start row at its least
-    reduced cost, the relaxation from the rows a level reaches with its
-    per-column argmin and strict comparison, and the price updates.  A
-    level's bookkeeping (:func:`_next_level`), the path walk, the
-    bottleneck and the flow updates (:func:`_augment`) run on Python
-    floats on both sides, and the value is ``(F * x).sum()`` on both.
-    Every comparison, tie rule and floating-point operation is the array
-    formulation's (``tests/_oracles.oracle_transport``), so value and flow
-    agree with it bit for bit and prices as numbers; README, "Numerical
-    conventions", has the sign of a zero price and the time per call.
-    """
-    n = len(w)
-    if n <= TRANSPORT_FLOATS_MAX:
-        return _transport_floats(F, w, prices)
-    v = F.min(axis=0, initial=math.inf) if prices is None else prices[1]
-    u = (F - v).min(axis=1, initial=math.inf)
-    if prices is not None:
-        v = (F - u[:, None]).min(axis=0, initial=math.inf)
-    x, fed, supply, demand = _fill(zip(*(a.tolist() for a in np.nonzero(F - u[:, None] - v <= 0))),
-                                   w)
-    supply = np.array(supply)
-    cols, rc = np.arange(n), np.empty((n, n))
-    while supply.any() and any(demand):
-        np.subtract(F, u[:, None], out=rc)  # F - u - v, in one buffer for every round
-        rc -= v
-        starts = supply > 0
-        start = np.flatnonzero(starts)
-        unreached = (~starts).tolist()
-        drow = np.where(starts, 0.0, np.inf)
-        pcol = {}  # the finished column each reached row was entered from
-        prow = start[rc[start].argmin(axis=0)]  # the row each column's distance comes from
-        dcol = rc[prow, cols]
-        todo = dcol.tolist()  # inf once finished
-        left, done = dcol.copy(), []  # todo as an array, but for the columns in done
-        while True:
-            D, J, new = _next_level(todo, demand, fed, unreached, pcol)
-            if new is None:  # J is the column with demand left
-                break
-            done += J
-            if new:
-                new = np.array(sorted(new))
-                left[done] = math.inf
-                done = []
-                drow[new] = D
-                cand = D + rc[new]
-                k = cand.argmin(axis=0)
-                best = cand[k, cols]
-                better = (best < left) & (left < math.inf)
-                left[better] = dcol[better] = best[better]
-                prow[better] = new[k[better]]
-                todo = left.tolist()
-        u -= np.minimum(drow, D)
-        v += np.minimum(dcol, D)
-        _augment(x, fed, supply, demand, prow, pcol, J)
-    x = np.array(x, dtype=float).reshape(n, n)
-    return float((F * x).sum()), x, (u, v)
-
-
-def _transport_floats(F: np.ndarray, w: np.ndarray, prices: tuple | None) -> tuple:
-    """:func:`_transport` with every round on Python floats, for small ``n``.
-
-    The same steps as the array rounds, one number at a time: the start
-    prices from ``min`` over rows and columns, the reduced costs
-    ``(F_ij - u_i) - v_j`` of a row when the round first reads it, each
-    column's first start row at its least reduced cost, the relaxation
-    ``D + reduced cost`` from each newly reached row in ascending order
-    (a column moves only on a strictly smaller candidate, so the first row
-    at the least one wins, as with ``argmin``), and the price updates
-    ``u_i - min(drow_i, D)`` and ``v_j + min(dcol_j, D)``.  Only the value
-    is array work, ``(F * x).sum()``, so its pairwise summation is the
-    array rounds'.
+    Every round runs on Python floats, one number at a time: the reduced
+    costs ``(F_ij - u_i) - v_j`` of a row when the round first reads it,
+    each column's first start row at its least reduced cost, the
+    relaxation ``D + reduced cost`` from each newly reached row in
+    ascending order (a column moves only on a strictly smaller candidate,
+    so the first row at the least one wins), and the price updates
+    ``u_i - min(drow_i, D)`` and ``v_j + min(dcol_j, D)``.  A level's
+    least distance and the columns tied at it come in ascending order
+    (``min``, ``list.index``, ``list.count``), and the unreached rows that
+    carry flow into them from per-column lists of the rows whose flow is
+    above 0, each entered from its first such column.  Only the value is
+    array work, ``(F * x).sum()``.  Every comparison, tie rule and
+    floating-point operation is the array formulation's
+    (``tests/_oracles.oracle_transport``), so value and flow agree with it
+    bit for bit and prices as numbers; README, "Numerical conventions",
+    has the sign of a zero price and the time per call.
     """
     C = F.tolist()
     n = len(C)
+    inf = math.inf
     v = [min(col) for col in zip(*C)] if prices is None else prices[1].tolist()
     u = [min([f - vj for f, vj in zip(row, v)]) for row in C]
     if prices is not None:
         v = [min([f - ui for f, ui in zip(col, u)]) for col in zip(*C)]
-    x, fed, supply, demand = _fill([(i, j) for i, (row, ui) in enumerate(zip(C, u))
-                                    for j, (f, vj) in enumerate(zip(row, v)) if f - ui - vj <= 0],
-                                   w)
-    inf = math.inf
+    x = [[0.0] * n for _ in range(n)]
+    fed = [[] for _ in range(n)]  # per column, the rows whose flow into it is above 0
+    supply, demand = w.tolist(), w.tolist()
+    for i, (row, ui) in enumerate(zip(C, u)):
+        for j, (f, vj) in enumerate(zip(row, v)):
+            if f - ui - vj <= 0:
+                x[i][j] = delta = min(supply[i], demand[j])
+                supply[i] -= delta
+                demand[j] -= delta
+                if delta > 0:
+                    fed[j].append(i)
     while any(supply) and any(demand):
         unreached = [not s > 0 for s in supply]
         drow = [0.0 if s > 0 else inf for s in supply]
@@ -425,94 +370,56 @@ def _transport_floats(F: np.ndarray, w: np.ndarray, prices: tuple | None) -> tup
                         prow[j] = i
         todo = dcol.copy()  # inf once finished
         while True:
-            D, J, new = _next_level(todo, demand, fed, unreached, pcol)
-            if new is None:  # J is the column with demand left
+            D = min(todo)
+            j = todo.index(D)
+            if demand[j] > 0:
                 break
+            J = [j]  # the columns at D, in ascending order, up to the first with demand
+            for _ in range(todo.count(D) - 1):
+                j = todo.index(D, j + 1)
+                if demand[j] > 0:
+                    break
+                J.append(j)
+            if demand[j] > 0:
+                break
+            new = []
+            for c in J:
+                todo[c] = inf
+                for r in fed[c]:
+                    if unreached[r]:
+                        unreached[r] = False
+                        pcol[r] = c
+                        new.append(r)
             for i in sorted(new):
                 drow[i] = D
                 ui = u[i]
-                for j, (f, vj, t) in enumerate(zip(C[i], v, todo)):
+                for c, (f, vj, t) in enumerate(zip(C[i], v, todo)):
                     if t < inf:
                         cand = D + (f - ui - vj)
                         if cand < t:
-                            todo[j] = dcol[j] = cand
-                            prow[j] = i
+                            todo[c] = dcol[c] = cand
+                            prow[c] = i
         u = [ui - (D if D < d else d) for ui, d in zip(u, drow)]  # min(d, D)
         v = [vj + (D if D < d else d) for vj, d in zip(v, dcol)]
-        _augment(x, fed, supply, demand, prow, pcol, J)
-    x = np.array(x, dtype=float).reshape(n, n)
-    return float((F * x).sum()), x, (np.array(u, dtype=float), np.array(v, dtype=float))
-
-
-def _fill(cells, w: np.ndarray) -> tuple:
-    """The start's greedy fill of ``cells``, the arcs at reduced cost 0 or below in row-major
-    order: ``(x, fed, supply, demand)`` as lists, ``fed`` per column the rows whose flow
-    into it is above 0."""
-    n = len(w)
-    x = [[0.0] * n for _ in range(n)]
-    fed = [[] for _ in range(n)]
-    supply, demand = w.tolist(), w.tolist()
-    for i, j in cells:
-        x[i][j] = delta = min(supply[i], demand[j])
+        i = prow[j]
+        fwd, back = [(i, j)], []
+        while i in pcol:
+            back.append((i, pcol[i]))
+            i = prow[pcol[i]]
+            fwd.append((i, back[-1][1]))
+        delta = min([supply[i], demand[j]] + [x[r][c] for r, c in back])
         supply[i] -= delta
         demand[j] -= delta
-        if delta > 0:
-            fed[j].append(i)
-    return x, fed, supply, demand
-
-
-def _next_level(todo: list, demand: list, fed: list, unreached: list, pcol: dict) -> tuple:
-    """One Dijkstra level of a :func:`_transport` round, on Python floats.
-
-    ``D`` is the least tentative distance in ``todo`` (inf once finished),
-    and the columns tied at it are read in ascending order (``min``,
-    ``list.index``, ``list.count``).  The first of them with demand left,
-    ``j``, ends the round: ``(D, j, None)``.  Else they are all finished
-    (inf in ``todo``), and ``(D, J, new)`` gives those columns and the
-    unreached rows that carry flow into them, each entered (``pcol``) from
-    its first such column.
-    """
-    D = min(todo)
-    j = todo.index(D)
-    if demand[j] > 0:
-        return D, j, None
-    J = [j]  # the columns at D, in ascending order
-    for _ in range(todo.count(D) - 1):
-        j = todo.index(D, j + 1)
-        if demand[j] > 0:
-            return D, j, None
-        J.append(j)
-    new = []
-    for c in J:
-        todo[c] = math.inf
-        for r in fed[c]:
-            if unreached[r]:
-                unreached[r] = False
-                pcol[r] = c
-                new.append(r)
-    return D, J, new
-
-
-def _augment(x: list, fed: list, supply, demand: list, prow, pcol: dict, j: int) -> None:
-    """Send a round's path into column ``j``: walked back through ``prow`` and ``pcol`` to a
-    row with supply left, its bottleneck sent forward and taken back, on Python floats."""
-    i = int(prow[j])
-    fwd, back = [(i, j)], []
-    while i in pcol:
-        back.append((i, pcol[i]))
-        i = int(prow[pcol[i]])
-        fwd.append((i, back[-1][1]))
-    delta = min([float(supply[i]), demand[j]] + [x[r][c] for r, c in back])
-    supply[i] -= delta
-    demand[j] -= delta
-    for r, c in fwd:
-        if not x[r][c] > 0:
-            fed[c].append(r)
-        x[r][c] += delta
-    for r, c in back:
-        x[r][c] -= delta
-        if not x[r][c] > 0:
-            fed[c].remove(r)
+        for r, c in fwd:
+            if not x[r][c] > 0:
+                fed[c].append(r)
+            x[r][c] += delta
+        for r, c in back:
+            x[r][c] -= delta
+            if not x[r][c] > 0:
+                fed[c].remove(r)
+    x = np.array(x, dtype=float).reshape(n, n)
+    return float((F * x).sum()), x, (np.array(u, dtype=float), np.array(v, dtype=float))
 
 
 def _arrival_slack(F: np.ndarray, x: np.ndarray, prices: tuple) -> np.ndarray:

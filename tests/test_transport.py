@@ -2,10 +2,9 @@
 
 ``region._transport`` is checked against ``_oracles.oracle_transport``,
 the array formulation it replaced, value, flow and prices bit for bit,
-at every size up to 4 above ``TRANSPORT_FLOATS_MAX``, so on its float
-rounds and on its array rounds; with costs of -0.0 the sign of a zero
-price is unspecified, and the optima on channels with -0.0 entries are
-the oracle's bit for bit.
+at every size up to 24; with costs of -0.0 the sign of a zero price is
+unspecified, and the optima on channels with -0.0 entries are the
+oracle's bit for bit.
 
 ``tests/data/optima_bits.json`` holds, for the seeded channels and
 weights of :func:`optima_corpus`, the value and point of
@@ -94,26 +93,11 @@ def signed_zero_optima() -> list:
     return out
 
 
-#: Sizes on each side of the float rounds' limit: every n up to 4 above it.
-BOTH_PATHS = range(region.TRANSPORT_FLOATS_MAX + 5)
-
-
-@contextlib.contextmanager
-def float_rounds(n: int):
-    """Asserts that every ``_transport`` call in the block took the float rounds when ``n``
-    is at most ``TRANSPORT_FLOATS_MAX``, and that none did above it."""
-    with mock.patch.object(region, "_transport_floats", wraps=region._transport_floats) as spy:
-        with mock.patch.object(region, "_transport", wraps=region._transport) as calls:
-            yield
-    assert calls.call_count > 0
-    assert spy.call_count == (calls.call_count if n <= region.TRANSPORT_FLOATS_MAX else 0), n
-
-
 class TestTransportOracle:
-    """``region._transport`` against the array formulation, on the float rounds and on the
-    array rounds: value, flow and prices bit for bit, the sign of a zero price aside."""
+    """``region._transport`` against the array formulation: value, flow and prices bit for bit,
+    the sign of a zero price aside."""
 
-    @pytest.mark.parametrize("n", BOTH_PATHS)
+    @pytest.mark.parametrize("n", range(25))
     def test_bits_equal_the_array_formulation(self, n):
         rng = np.random.default_rng(1000 + n)
         for trial in range(4 if n <= 12 else 2):
@@ -126,29 +110,20 @@ class TestTransportOracle:
                         starts.append(oracle_transport(G, w)[2])
                     for prices in starts:
                         copy = lambda: None if prices is None else tuple(p.copy() for p in prices)
-                        with float_rounds(n):
-                            got = region._transport(F, w, copy())
+                        got = region._transport(F, w, copy())
                         case = (trial, kind, weights, prices is None)
                         assert_same_bits(got, oracle_transport(F, w, copy()), case)
 
     def test_signed_zero_costs(self):
         # a level at distance 0 with 0.0 and -0.0 tied: value and flow bit for bit,
         # prices as numbers (the sign of a zero price is read by no output)
-        self.check_signed_zero_costs(np.random.default_rng(11), 2000, (1, 8))
-
-    def test_signed_zero_costs_on_the_array_rounds(self):
-        limit = region.TRANSPORT_FLOATS_MAX
-        self.check_signed_zero_costs(np.random.default_rng(12), 100, (limit + 1, limit + 5))
-
-    @staticmethod
-    def check_signed_zero_costs(rng, trials, sizes):
-        for trial in range(trials):
-            n = int(rng.integers(*sizes))
+        rng = np.random.default_rng(11)
+        for trial in range(2000):
+            n = int(rng.integers(1, 8))
             zeros = rng.integers(0, 3, (n, n)) / 2.0
             F = np.where(rng.random((n, n)) < 0.5, -zeros, zeros)
             w = rng.choice([0.25, 0.5, 1.0], n) if trial % 2 else np.ones(n)
-            with float_rounds(n):
-                value, x, prices = region._transport(F, w)
+            value, x, prices = region._transport(F, w)
             value0, x0, prices0 = oracle_transport(F, w)
             assert type(value) is float and value.hex() == value0.hex(), trial
             assert np.array_equal(x.view(np.int64), x0.view(np.int64)), trial
