@@ -184,6 +184,13 @@ class ChannelMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
 
+    @classmethod
+    def _of_checked(cls, alpha: np.ndarray) -> "ChannelMatrix":
+        """Wrap a read-only square float array gathered from a checked channel, unchecked."""
+        ch = object.__new__(cls)
+        object.__setattr__(ch, "alpha", alpha)
+        return ch
+
     @property
     def K(self) -> int:
         return self.alpha.shape[0]

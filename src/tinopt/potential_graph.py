@@ -19,6 +19,8 @@ are Bellman-Ford from ground (:func:`_bellman_ford`) for membership,
 Floyd-Warshall (:func:`_shortest_paths`) for a region's dual, the path
 lengths between users behind every support value, and Karp's minimum
 cycle mean (:func:`_max_level`) for the largest level ``t * 1`` in a region.
+The union reads the first two for many regions at once
+(:func:`_subgraph_duals`): a stack of their graphs, cut from one graph.
 
 Cycle inequalities are kept in a canonical order (cycle size, then
 lexicographic on the canonical rotation) so that serialized regions are
@@ -133,16 +135,22 @@ def _graph(alpha: ChannelMatrix, dv: np.ndarray) -> PotentialGraph:
 
     The graph keeps a read-only copy of ``dv``.
     """
-    K = alpha.K
     dv = dv.copy()
+    L = _lengths(alpha, dv)
+    L.setflags(write=False)
+    dv.setflags(write=False)
+    return PotentialGraph(alpha=alpha, d=dv, lengths=L)
+
+
+def _lengths(alpha: ChannelMatrix, dv: np.ndarray) -> np.ndarray:
+    """The graph's ``(K+1, K+1)`` arc lengths for targets ``dv``, a new writable array."""
+    K = alpha.K
     head = alpha.alpha.diagonal() - dv  # a_ii - d_i, the length of user i's arc to ground
     L = np.zeros((K + 1, K + 1))  # ground -> user: 0
     L[:K, :K] = head[:, None] - alpha.alpha
     L[:K, K] = head
     L.flat[:: K + 2] = np.inf  # no arc from a node to itself
-    L.setflags(write=False)
-    dv.setflags(write=False)
-    return PotentialGraph(alpha=alpha, d=dv, lengths=L)
+    return L
 
 
 def _cycle_entries(seq) -> tuple:
@@ -391,32 +399,118 @@ def _circuits(into: np.ndarray, dist: np.ndarray, pred: np.ndarray, cand: np.nda
 def _shortest_paths(channel: ChannelMatrix, level: float, departures: bool = False) -> tuple:
     """Shortest-path lengths ``F`` between the users of the potential graph at ``d = level * 1``.
 
-    One Floyd-Warshall over the users plus ground.  With no arc from a
-    node to itself, ``F[u, u]`` is the lightest closed walk through ``u``,
-    the box through ground included.  Inside the 1e-9 band a closed walk
-    can be slightly below 0; taking it into a path at its own node would
-    compound it, so no path does.  With every closed walk at 0 or above
-    that changes nothing.  With ``departures``, also ``H``: the arcs out
-    of a user on each path (every arc but ground's), the fewest among
-    paths of equal length; else ``H`` is None.
+    :func:`_floyd_warshall` over the users plus ground.  With
+    ``departures``, also ``H``: the arcs out of a user on each path (every
+    arc but ground's), the fewest among paths of equal length; else ``H``
+    is None.
     """
     n = channel.K
-    D = _graph(channel, np.full(n, level)).lengths.copy()
+    D = _lengths(channel, np.full(n, level))
     H = None
     if departures:
         H = np.ones_like(D)
         H[n] = 0.0
-    for k in range(n + 1):
-        walk, D[k, k] = D[k, k], np.inf  # no path takes the closed walk at k
+    _floyd_warshall(D, H)
+    return D[:n, :n], None if H is None else H[:n, :n]
+
+
+def _floyd_warshall(D: np.ndarray, H: np.ndarray | None = None) -> None:
+    """Floyd-Warshall in place on an ``(n, n)`` length table, or on an ``(n, n, G)`` stack of
+    them along the last axis, pivots in node order.
+
+    With no arc from a node to itself, ``D[u, u]`` ends as the lightest
+    closed walk through ``u``, the box through ground included.  Inside the
+    1e-9 band a closed walk can be slightly below 0; taking it into a path
+    at its own node would compound it, so no path does: at pivot ``k`` the
+    paths through ``k`` that start or end at ``k`` are +inf, and every
+    other entry takes ``D[i, k] + D[k, j]`` when it is smaller.  With every
+    closed walk at 0 or above that changes nothing.  With ``H``, the hop
+    counts of the paths (``H[i, j]`` for the arc ``i -> j`` on entry): an
+    entry also moves to an equally long path of fewer hops.  Each table of
+    a stack sees the additions and comparisons it sees alone; the stack
+    axis is last so that a lone table runs the same code without one.
+    """
+    for k in range(len(D)):
         via = D[:, k, None] + D[k]
+        via[k] = via[:, k] = np.inf  # no path takes the closed walk at k
         if H is None:
             np.minimum(D, via, out=D)
         else:
             hops = H[:, k, None] + H[k]
             better = (via < D) | ((via == D) & (hops < H))
-            D[better], H[better] = via[better], hops[better]
-        D[k, k] = walk
-    return D[:n, :n], None if H is None else H[:n, :n]
+            np.copyto(D, via, where=better)
+            np.copyto(H, hops, where=better)
+
+
+def _subgraph_duals(graph: PotentialGraph, users: np.ndarray) -> tuple:
+    """Per row of ``users`` ``(G, n)``: the verdict on its users' graph, and members' paths.
+
+    Each row's graph is ``graph``'s over those users and ground, entry for
+    entry the graph of the sub-channel at the same targets: one
+    ``(n+1, n+1, G)`` stack, ground last.  Returns the ``(G,)`` verdicts of
+    :func:`decide_membership` on them (:func:`_members`) and, for the
+    members in row order, the ``(m, n, n)`` shortest-path lengths between
+    the users (:func:`_floyd_warshall`, as :func:`_shortest_paths` has them).
+    """
+    G, n = users.shape
+    nodes = np.empty((n + 1, G), dtype=np.intp)
+    nodes[:n] = users.T
+    nodes[n] = graph.ground
+    D = graph.lengths[nodes[:, None], nodes]
+    member = _members(graph, nodes, D)
+    if not member.all():
+        D = D[..., member]
+    _floyd_warshall(D)
+    return member, np.ascontiguousarray(D[:n, :n].transpose(2, 0, 1))
+
+
+def _members(graph: PotentialGraph, nodes: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """:func:`decide_membership`'s verdict on each graph ``L[..., g]``, ``graph`` over the
+    nodes ``nodes[:, g]``.
+
+    One stacked plain pass (:func:`_settled`) accepts every graph whose
+    Bellman-Ford from ground settles; each graph it leaves goes to
+    :func:`decide_membership` on its own, which reads its circuits and, if
+    need be, runs the band pass.
+    """
+    member = _settled(L, 0.5 * EPS_LENGTH)
+    for g in np.flatnonzero(~member):
+        users = nodes[:-1, g]
+        a = graph.alpha.alpha[np.ix_(users, users)]
+        d = graph.d[users]
+        lengths = L[..., g].copy()
+        for x in (a, d, lengths):
+            x.setflags(write=False)
+        sub = PotentialGraph(alpha=ChannelMatrix._of_checked(a), d=d, lengths=lengths)
+        member[g] = decide_membership(sub).feasible
+    return member
+
+
+def _settled(L: np.ndarray, tol: float) -> np.ndarray:
+    """Per graph of an ``(n, n, G)`` stack of length tables, ground last: does
+    :func:`_bellman_ford` find no circuit?
+
+    The plain pass's Jacobi rounds on the whole stack at once: every node
+    takes its best in-arc over the old distances when it is strictly
+    smaller, ``n - 1`` rounds, then one more sweep whose slacks must all be
+    at most ``tol``.  A graph whose rounds stop moving earlier keeps its
+    distances, and its slacks are then at most 0.  So each graph's
+    distances and verdict are those of its own pass, up to the sign of a
+    zero distance, which no comparison sees.
+    """
+    n = len(L)
+    cand = np.empty_like(L)
+    dist = np.full(L.shape[1:], np.inf)  # dist[v, g]
+    dist[-1] = 0.0
+    for _ in range(n - 1):
+        best = np.add(L, dist[:, None], out=cand).min(axis=0)
+        improved = best < dist
+        if not improved.any():
+            break
+        np.copyto(dist, best, where=improved)
+    else:
+        best = np.add(L, dist[:, None], out=cand).min(axis=0)
+    return (dist - best).max(axis=0) <= tol
 
 
 def _max_level(channel: ChannelMatrix) -> float:

@@ -11,6 +11,7 @@ Indices are 0-based throughout.  The sum inequalities are ``potential_graph``'s,
 and so is every shortest path read here from a region's graph: its verdict
 at ``d = 0`` is the region's emptiness, its Floyd-Warshall table the
 support values and its Karp minimum cycle mean the largest level ``t * 1``.
+The union reads the first two for a stack of regions at a time.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .potential_graph import (
     _graph,
     _max_level,
     _shortest_paths,
+    _subgraph_duals,
     _target_vector,
     canonical_cycle,  # re-exported: part of this module's interface
     cycle_blocks,
@@ -124,7 +126,9 @@ class Polyhedron:
         if not self.silent:
             return self.channel
         active = list(self.active)
-        return ChannelMatrix(self.channel.alpha[active][:, active])
+        a = self.channel.alpha[active][:, active]
+        a.setflags(write=False)
+        return ChannelMatrix._of_checked(a)
 
     @cached_property
     def _paths(self) -> np.ndarray | None:
@@ -149,30 +153,12 @@ class Polyhedron:
 
     @cached_property
     def _support_table(self) -> np.ndarray:
-        """``h(U)`` for every set ``U`` of active users, by bit mask over :attr:`active`.
-
-        The cheapest assignment on ``F[U, U]`` (Kuhn 1955), clamped at 0 as
-        in :func:`max_subset_sum`, for all ``U`` at once: one dynamic
-        program over pairs of a row set and a column set of one size, the
-        highest row of the set matched last.  Row costs are added in
-        ascending row order, from 0.  -inf everywhere when the region is empty.
-        """
+        """``h(U)`` for every set ``U`` of active users, by bit mask over :attr:`active`:
+        :func:`_support_tables` on :attr:`_paths`, -inf everywhere when the region is empty."""
         F = self._paths
-        n = len(self.active)
         if F is None:
-            return np.full(1 << n, -math.inf)
-        table = np.empty(1 << n)
-        rank = np.empty(1 << n, dtype=np.intp)  # a mask's index among the masks of its size
-        best = np.zeros((1, 1))  # by (row set, column set) ranks, sets of the last size
-        for of_m, members in _masks(n)[1]:
-            rank[of_m] = np.arange(len(of_m))
-            if members.shape[1]:
-                top = members[:, -1]
-                rows = rank[of_m ^ (1 << top)]  # the row set without its top row
-                cols = rank[of_m[:, None] ^ (1 << members)]  # the column set without each member
-                best = (best[rows[:, None, None], cols] + F[top[:, None, None], members]).min(axis=2)
-            table[of_m] = np.maximum(0.0, best.diagonal())
-        return table
+            return np.full(1 << len(self.active), -math.inf)
+        return _support_tables(F[None])[0]
 
     def to_dict(self) -> dict:
         """Boxes and cycle rows; refuses more than ``K_MAX_EXPORT`` active users."""
@@ -290,17 +276,52 @@ class UncertifiedPointError(ArithmeticError):
     """
 
 
+def _support_tables(F: np.ndarray) -> np.ndarray:
+    """``h(U)`` for every set ``U`` of ``n`` users, by bit mask, per table of a ``(G, n, n)`` stack.
+
+    The cheapest assignment on ``F[U, U]`` (Kuhn 1955), clamped at 0 as
+    in :func:`max_subset_sum`, for all ``U`` at once: one dynamic program
+    over pairs of a row set and a column set of one size, the highest row
+    of the set matched last.  Row costs are added in ascending row order,
+    from 0.  Each table of the stack sees the additions it would see alone.
+    """
+    G, n = F.shape[:2]
+    table = np.empty((G, 1 << n))
+    table[:, 0] = 0.0  # the empty set
+    best = np.zeros((G, 1, 1))  # by (row set, column set) ranks, sets of the last size
+    for of_m, rows, cols, top, members in _masks(n)[1]:
+        cost = best[:, rows, cols]
+        cost += F[:, top, members]
+        best = cost.min(axis=3)
+        table[:, of_m] = np.maximum(0.0, best.diagonal(axis1=1, axis2=2))
+    return table
+
+
 @functools.lru_cache(maxsize=None)
 def _masks(n: int) -> tuple:
-    """Every bit mask over ``n`` users (read-only): its bits as a row, lowest first, and
-    per set size ``m`` the masks of that size with their ``(c, m)`` member positions."""
+    """Every bit mask over ``n`` users as a row of bits, lowest first, and the gathers of
+    :func:`_support_tables` (read-only).
+
+    Per set size ``m >= 1``: the masks ``U`` of that size, the rank of each
+    one's row set without its top row (``(c, 1, 1)``, a mask's rank being its
+    index among the masks of its size), the ranks of its column set without
+    each member (``(c, m)``), its top member (``(c, 1, 1)``) and its members.
+    """
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     size = bits.sum(axis=1)
-    of_size = [np.flatnonzero(size == m) for m in range(n + 1)]
-    by_size = tuple((U, np.nonzero(bits[U])[1].reshape(len(U), m)) for m, U in enumerate(of_size))
-    for a in (bits, *itertools.chain.from_iterable(by_size)):
+    rank = np.empty(1 << n, dtype=np.intp)
+    plan = []
+    for m in range(n + 1):
+        U = np.flatnonzero(size == m)
+        rank[U] = np.arange(len(U))
+        if m:
+            members = np.nonzero(bits[U])[1].reshape(len(U), m)
+            top = members[:, -1]
+            plan.append((U, rank[U ^ (1 << top)][:, None, None],
+                         rank[U[:, None] ^ (1 << members)], top[:, None, None], members))
+    for a in (bits, *itertools.chain.from_iterable(plan)):
         a.setflags(write=False)
-    return bits, by_size
+    return bits, tuple(plan)
 
 
 def _transport(F: np.ndarray, w: np.ndarray, prices: tuple | None = None) -> tuple:
@@ -606,18 +627,21 @@ def general_tin_region(alpha: ChannelMatrix) -> list:
     """All silent-set polyhedra whose union is the TIN-achievable set.
 
     Every component carries a ``subsumed_by`` flag naming the first other
-    silent set whose polyhedron contains it (:func:`poly_contains`, which
-    compares the two regions' support tables; no LP and no cycle row), so
-    the irredundant union is the components with flag ``None``.  Of two
-    equal regions only the earlier silent set in the canonical order stays
-    unflagged: a later silent set flags ``S`` only when ``S``'s region does
-    not also contain its own.  So following flags always ends at an
-    unflagged component.  Only sets of users of ``S`` and users whose
+    silent set whose polyhedron contains it (:func:`poly_contains`'s
+    comparisons of the two regions' support tables; no LP and no cycle
+    row), so the irredundant union is the components with flag ``None``.
+    Of two equal regions only the earlier silent set in the canonical order
+    stays unflagged: a later silent set flags ``S`` only when ``S``'s
+    region does not also contain its own.  So following flags always ends
+    at an unflagged component.  Only sets of users of ``S`` and users whose
     direct exponent is at most 1e-12 are scanned as containers, in
     canonical order (``3^K`` in all when no direct exponent is 0); a
     container silencing another user, possible when ``S``'s region is
-    empty or pins that user to 0, is missed.  More than ``K_MAX_UNION``
-    users are refused before any region is built.
+    empty or pins that user to 0, is missed.  The regions come back with
+    their shortest-path and support tables, built a stack of regions at a
+    time (:func:`_union_tables`), and each silent set's containers are
+    found in one scan (:func:`_first_containers`).  More than
+    ``K_MAX_UNION`` users are refused before any region is built.
     """
     K = alpha.K
     if K > K_MAX_UNION:
@@ -625,19 +649,143 @@ def general_tin_region(alpha: ChannelMatrix) -> list:
             f"the union supports at most {K_MAX_UNION} users, got {K}"
         )
     order = list(_canonical_sets(range(K)))
-    rank = {S: k for k, S in enumerate(order)}
-    polys = {S: polyhedral_region(alpha, S) for S in order}
-    diag = np.diag(alpha.alpha)
-    degenerate = {i for i in range(K) if diag[i] <= 1e-12}
-    components = []
-    for k, S in enumerate(order):
-        subsumed_by = next((
-            T for T in _canonical_sets(sorted(S | degenerate))
-            if T != S and poly_contains(polys[T], polys[S])
-            and not (rank[T] > k and poly_contains(polys[S], polys[T]))  # equal: the earlier stays
-        ), None)
-        components.append(RegionComponent(S, polys[S], subsumed_by))
-    return components
+    polys = [Polyhedron(channel=alpha, silent=S) for S in order]
+    flat, offsets = _union_tables(alpha, polys)
+    degenerate = sum(1 << i for i in np.flatnonzero(np.diag(alpha.alpha) <= 1e-12).tolist())
+    flags = _first_containers(K, flat, offsets, degenerate)
+    return [RegionComponent(S, poly, None if T is None else order[T])
+            for S, poly, T in zip(order, polys, flags)]
+
+
+#: The union's stacks hold at most this many values (2 MiB) per array, and
+#: at least one region or silent set: a block of the support DP
+#: (:func:`_union_tables`; at 11 users the all-active region alone holds
+#: 1.3 million) and a containment scan (:func:`_first_containers`).
+STACK_VALUES = 1 << 18
+
+
+def _union_tables(alpha: ChannelMatrix, polys: list) -> tuple:
+    """Write every region's ``_paths`` and ``_support_table``, a stack of regions at a time.
+
+    ``polys`` are every silent set's region in canonical order
+    (:func:`_canonical_bits`), so the regions of one active-set size ``n``
+    are one run.  Each run is cut into chunks of at most ``STACK_VALUES``
+    values per DP block, and each chunk is one
+    :func:`potential_graph._subgraph_duals` on the channel's graph at
+    ``d = 0`` (every region's emptiness and its members' shortest paths)
+    and one :func:`_support_tables`.  Returns every table end to end, in
+    the regions' order, then the values 0.0 and +inf; and each region's
+    offset into them.
+    """
+    K = alpha.K
+    graph = _graph(alpha, np.zeros(K))
+    flat = np.empty(3 ** K + 2)
+    flat[-2:] = 0.0, math.inf
+    silent = _canonical_bits(K)
+    offsets = []
+    start = 0
+    for n in range(K, 0, -1):
+        r, size = len(offsets), 1 << n  # the run's first rank, and the length of its tables
+        group = polys[r:r + math.comb(K, n)]
+        tables = flat[start:start + len(group) * size].reshape(len(group), size)
+        offsets.extend(range(start, start + len(group) * size, size))
+        start += len(group) * size
+        users = np.nonzero(silent[r:r + len(group)] == 0)[1].reshape(len(group), n)
+        step = max(1, STACK_VALUES // max(1, *(math.comb(n, m) ** 2 * m for m in range(n + 1))))
+        for c in range(0, len(group), step):
+            member, F = _subgraph_duals(graph, users[c:c + step])
+            chunk = tables[c:c + step]
+            chunk[~member] = -math.inf
+            chunk[member] = _support_tables(F)
+            paths = iter(F)
+            for poly, is_member, table in zip(group[c:c + step], member.tolist(), chunk):
+                poly.__dict__["_paths"] = next(paths) if is_member else None
+                poly.__dict__["_support_table"] = table
+    flat[start] = 0.0  # the region that silences every user: the origin, as Polyhedron has it
+    polys[-1].__dict__["_paths"] = np.zeros((0, 0))
+    polys[-1].__dict__["_support_table"] = flat[start:start + 1]
+    return flat, np.array(offsets + [start], dtype=np.intp)
+
+
+def _first_containers(K: int, flat: np.ndarray, offsets: np.ndarray, degenerate: int) -> list:
+    """Per silent set of ``K`` users in canonical order, the rank of the first other one whose
+    region contains its region, or None.
+
+    The regions' tables are in ``flat`` at ``offsets`` (:func:`_union_tables`), and
+    ``degenerate`` is the bit mask of the users whose direct exponent is at
+    most 1e-12.  Each silent set ``S`` gets one scan over its candidate
+    containers ``T``, the subsets of ``S`` plus the degenerate users in
+    canonical order: one gather of every ``T``'s table on the subsets ``U``
+    of ``S``'s active users, and one comparison ``h_S(U) <= h_T(U) +
+    EPS_LENGTH`` per entry, :func:`poly_contains`'s own; the first ``T``
+    whose column holds flags ``S``.  A user of ``T`` active in ``S``
+    (degenerate) is pinned: its singleton reads ``h_T = 0.0``, so it
+    compares ``h_S({i}) <= EPS_LENGTH``, and a larger ``U`` holding it reads
+    +inf, so it holds.  A ``T`` after ``S`` (it holds a degenerate user)
+    flags ``S`` only when ``S``'s region does not contain it: the same
+    entries compared the other way, rows of a pinned user held, and
+    ``h_T({i}) <= EPS_LENGTH`` for each user of ``S`` active in ``T``.
+    Silent sets with as many active users and as many candidates are
+    scanned together, at most ``STACK_VALUES`` entries at a time.
+    """
+    bits = _masks(K)[0]
+    silent_bits = _canonical_bits(K)
+    silent = silent_bits @ (1 << np.arange(K))
+    rank = np.empty(1 << K, dtype=np.intp)
+    rank[silent] = np.arange(1 << K)
+    weight = 1 << (np.arange(K) - (np.cumsum(bits, axis=1) - bits))  # 1 << u's place in T's active
+    scope = bits[silent | degenerate]  # the users of S and the degenerate ones
+    active, width = K - silent_bits.sum(axis=1), scope.sum(axis=1)
+    zero, inf = len(flat) - 2, len(flat) - 1
+    flags = np.full(1 << K, -1)
+    for n, u in sorted(set(zip(active.tolist(), width.tolist())) - {(K, 0)}):  # {}: no candidate
+        group = np.flatnonzero((active == n) & (width == u))
+        most = max(1, STACK_VALUES >> n)  # columns per chunk
+        step = max(1, STACK_VALUES >> (n + u))  # silent sets per chunk
+        for a in range(0, len(group), step):
+            k = group[a:a + step]
+            users = np.nonzero(silent_bits[k] == 0)[1].reshape(len(k), n)[:, None]
+            h = flat[offsets[k, None, None] + np.arange(1 << n)]
+            candidates = (1 << np.nonzero(scope[k])[1].reshape(len(k), u)) @ _canonical_bits(u).T
+            c, cols = 0, min(16, most)  # columns in canonical order, in chunks of doubling width
+            while c < 1 << u and len(k):
+                T = candidates[:, c:c + cols]
+                ranks = rank[T]
+                w = weight[T[..., None], users]
+                if degenerate:  # a user of T: past every table
+                    w[bits[T[..., None], users] == 1] = len(flat)
+                idx = np.empty(T.shape + (1 << n,), dtype=np.intp)
+                idx[..., 0] = offsets[ranks]
+                for p in range(n):  # U with top user p: U without it, plus p's place
+                    idx[..., 1 << p:2 << p] = idx[..., :1 << p] + w[..., p, None]
+                if degenerate:
+                    held = idx < zero  # U holds no user of T
+                    single = _masks(n)[0].sum(axis=1) == 1
+                    idx = np.where(held, idx, np.where(single, zero, inf))
+                G = flat[idx]
+                ok = (h <= G + EPS_LENGTH).all(axis=2) & (ranks != k[:, None])
+                if degenerate:  # only a T holding a degenerate user comes after S
+                    back = (np.where(held, G, -math.inf) <= h + EPS_LENGTH).all(axis=2)
+                    own = np.nonzero(silent_bits[k])[1].reshape(len(k), K - n)[:, None]
+                    pinned = np.where(bits[T[..., None], own] == 0,
+                                      offsets[ranks][..., None] + weight[T[..., None], own], zero)
+                    back &= (flat[pinned] <= EPS_LENGTH).all(axis=2)
+                    ok &= ~((ranks > k[:, None]) & back)
+                hit = ok.any(axis=1)
+                flags[k[hit]] = ranks[hit, ok[hit].argmax(axis=1)]
+                c, cols = c + cols, min(2 * cols, most)
+                if c < 1 << u and hit.any():  # the next chunk scans the sets still unflagged
+                    k, users, h, candidates = k[~hit], users[~hit], h[~hit], candidates[~hit]
+    return [None if f < 0 else f for f in flags.tolist()]
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_bits(n: int) -> np.ndarray:
+    """The sets of :func:`_canonical_sets` over ``range(n)``, in its order, as rows of bits (read-only)."""
+    rows = [[int(i in S) for i in range(n)] for S in _canonical_sets(range(n))]
+    out = np.array(rows, dtype=np.intp).reshape(1 << n, n)
+    out.setflags(write=False)
+    return out
 
 
 def _canonical_sets(users):

@@ -440,6 +440,50 @@ def oracle_union_flags(alpha: np.ndarray, tol: float = 1e-9) -> list:
     return flags
 
 
+def oracle_union_pairwise(alpha: np.ndarray) -> list:
+    """The union's ``(silent, subsumed_by)`` pairs by the pairwise container loop.
+
+    ``general_tin_region``'s loop before each silent set became one scan,
+    kept as it was: every candidate container ``T`` of ``S`` in canonical
+    order, each through ``poly_contains`` on regions built one at a time,
+    and a later ``T`` through ``poly_contains`` the other way.
+    """
+    from tinopt import ChannelMatrix
+    from tinopt.region import _canonical_sets, poly_contains, polyhedral_region
+
+    ch = ChannelMatrix(alpha)
+    K = ch.K
+    order = list(_canonical_sets(range(K)))
+    rank = {S: k for k, S in enumerate(order)}
+    polys = {S: polyhedral_region(ch, S) for S in order}
+    diag = np.diag(ch.alpha)
+    degenerate = {i for i in range(K) if diag[i] <= 1e-12}
+    flags = []
+    for k, S in enumerate(order):
+        subsumed_by = next((
+            T for T in _canonical_sets(sorted(S | degenerate))
+            if T != S and poly_contains(polys[T], polys[S])
+            and not (rank[T] > k and poly_contains(polys[S], polys[T]))  # equal: the earlier stays
+        ), None)
+        flags.append([sorted(S), None if subsumed_by is None else sorted(subsumed_by)])
+    return flags
+
+
+def oracle_floyd_warshall(lengths: np.ndarray) -> np.ndarray:
+    """Floyd-Warshall on one length table, pivots in node order, as a two-dimensional loop.
+
+    At pivot ``k`` the closed walk at ``k`` is set aside (``D[k, k] = inf``)
+    while every entry takes ``min(D, D[:, k] + D[k])``, then put back, so no
+    path takes the closed walk at its own node.
+    """
+    D = lengths.copy()
+    for k in range(len(D)):
+        walk, D[k, k] = D[k, k], np.inf
+        np.minimum(D, D[:, k, None] + D[k], out=D)
+        D[k, k] = walk
+    return D
+
+
 def oracle_cycle_lp(alpha: np.ndarray, silent, w) -> float | None:
     """max ``w . d`` over one silent-set polytope; None when it is empty.
 

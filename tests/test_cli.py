@@ -875,6 +875,8 @@ GOLDEN_FILES = [
     ("k7_condition_region.json", "region k7_condition.json", 0),
     ("k6_condition_region_min.json", "region k6_condition.json --minimize", 0),
     ("k7_condition_region_min.json", "region k7_condition.json --minimize", 0),
+    # the union past K = 5, where cli_bytes.json's digests stop: 64 components, 17 unflagged
+    ("k6_nocond_union.json", "region k6_nocond.json --union", 0),
     # neither cycle converges within 0.02 at the default powers: a verdict, exit 1
     ("k6_condition_limits.json", "gdof-limits k6_condition.json --cycle 0,1,2,3,4,5", 1),
     ("k6_condition_limits_31.json", "gdof-limits k6_condition.json --cycle 3,1", 1),

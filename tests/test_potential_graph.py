@@ -34,6 +34,7 @@ from _oracles import (
     forward_gdof,
     oracle_cycle_rhs,
     oracle_cycles,
+    oracle_floyd_warshall,
     oracle_graph_lengths,
     oracle_in_union,
     oracle_jacobi_bellman_ford,
@@ -249,6 +250,78 @@ class TestShortestPaths:
                         assert (F[u, v], H[u, v]) == (length, fewest), (trial, level, u, v)
                         ties += most > fewest
         assert ties > 0 or K == 1  # one user has one cycle, through ground
+
+
+def subsets(K: int, n: int) -> np.ndarray:
+    return np.array(list(itertools.combinations(range(K), n)), dtype=np.intp).reshape(-1, n)
+
+
+class TestStackedKernels:
+    """The union's kernels run over a stack of graphs, one per region of one size; each
+    graph's values and verdict are those it gets alone."""
+
+    def test_floyd_warshall_bits_equal_one_graph_at_a_time(self):
+        rng = np.random.default_rng(3801)
+        signed = 0
+        for trial in range(400):
+            K = 1 + trial % 8
+            alpha = random_channel(rng, K, cross_max=(1.2, 2.0)[trial % 2])
+            if trial % 3 == 0:  # 0.0 and -0.0 entries, so that lengths tie at 0 with either sign
+                zero = rng.random((K, K)) < 0.4
+                alpha[zero] = np.where(rng.random((K, K)) < 0.5, -0.0, 0.0)[zero]
+            level = float(rng.choice([0.0, -0.0, rng.uniform(-0.2, 0.4)]))
+            users = subsets(K, int(rng.integers(1, K + 1)))
+            n = users.shape[1]
+            L = np.stack([oracle_graph_lengths(alpha[np.ix_(u, u)], np.full(n, level))
+                          for u in users])
+            signed += bool(np.signbit(L[L == 0]).any())
+            D = L.transpose(1, 2, 0).copy()  # the stack on the last axis
+            D1, H = D.copy(), np.ones_like(D)
+            H[n] = 0.0
+            potential_graph._floyd_warshall(D)
+            potential_graph._floyd_warshall(D1, H)
+            for g, u in enumerate(users):
+                ch = ChannelMatrix(alpha[np.ix_(u, u)])
+                F, _ = potential_graph._shortest_paths(ch, level)
+                F1, H1 = potential_graph._shortest_paths(ch, level, departures=True)
+                assert D[:n, :n, g].tobytes() == F.tobytes(), trial
+                assert D[..., g].tobytes() == oracle_floyd_warshall(L[g]).tobytes(), trial
+                assert D1[:n, :n, g].tobytes() == F1.tobytes(), trial
+                assert H[:n, :n, g].tobytes() == H1.tobytes(), trial
+            graph = build_graph(ChannelMatrix(alpha), np.full(K, level))
+            member, F = potential_graph._subgraph_duals(graph, users)
+            assert F.tobytes() == D[:n, :n, member].transpose(2, 0, 1).tobytes(), trial
+        assert signed > 20
+
+    def test_emptiness_is_decide_membership_verdict_for_verdict(self):
+        # channels at the edge of emptiness (entries moved by 1e-10) and 2-cycles inside the
+        # 1e-9 band, whose regions the stacked plain pass leaves to decide_membership
+        rng = np.random.default_rng(3802)
+        verdicts = {"settled": 0, "left": set()}
+        for trial in range(120):
+            K = 1 + trial % 6
+            alpha = random_channel(rng, K) * (1 + rng.choice([-1e-10, 0.0, 1e-10], (K, K)))
+            if trial % 2 and K > 1:
+                rhs = rng.choice([-1.5e-9, -0.9e-9, -0.6e-9, -0.2e-9, 0.3e-9])
+                alpha[0, 1] = alpha[0, 0] + alpha[1, 1] - alpha[1, 0] - rhs
+            graph = build_graph(ChannelMatrix(alpha), np.zeros(K))
+            for n in range(1, K + 1):
+                users = subsets(K, n)
+                member, _ = potential_graph._subgraph_duals(graph, users)
+                nodes = np.column_stack([users, np.full(len(users), K)])
+                L = graph.lengths[nodes[:, :, None], nodes[:, None]]
+                settled = potential_graph._settled(L.transpose(1, 2, 0), 0.5 * EPS_LENGTH)
+                for g, u in enumerate(users):
+                    sub = ChannelMatrix(alpha[np.ix_(u, u)])
+                    expected = decide_membership(build_graph(sub, np.zeros(n))).feasible
+                    assert member[g] == expected, (alpha.tolist(), u)
+                    assert L[g].tobytes() == build_graph(sub, np.zeros(n)).lengths.tobytes()
+                    if settled[g]:
+                        verdicts["settled"] += 1
+                        assert expected
+                    else:
+                        verdicts["left"].add(bool(expected))
+        assert verdicts["settled"] > 0 and verdicts["left"] == {True, False}
 
 
 class TestExponentCeiling:

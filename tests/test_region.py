@@ -21,7 +21,7 @@ from tinopt import (
     polyhedron_vertices,
     transpose_channel,
 )
-from tinopt import capacity_gap, potential_graph, region
+from tinopt import capacity_gap, channel_model, potential_graph, region
 from tinopt.capacity_gap import FiniteSnrChannel, gap_certificate, rate_outer_bounds
 from tinopt.channel_model import SILENT
 from tinopt.potential_graph import cycle_blocks
@@ -325,6 +325,24 @@ class TestMembershipShortcut:
                     assert general.r is cert.r is None, case
                 verdicts.append(cert.feasible)
         assert 0.2 < np.mean(verdicts) < 0.8
+
+
+class TestActiveChannel:
+    def test_cut_without_a_second_check(self, monkeypatch):
+        # the active users' channel is a read-only gather of a checked channel: no entry check
+        rng = np.random.default_rng(3803)
+        ch = ChannelMatrix(random_channel(rng, 6))
+        poly = polyhedral_region(ch, [1, 4])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("checked again")
+
+        monkeypatch.setattr(channel_model, "_real_array", refuse)
+        monkeypatch.setattr(channel_model, "_check_exponents", refuse)
+        sub = poly._active_channel
+        assert sub.K == 4 and not sub.alpha.flags.writeable
+        assert sub.alpha.tobytes() == ch.alpha[np.ix_([0, 2, 3, 5], [0, 2, 3, 5])].tobytes()
+        assert polyhedral_region(ch)._active_channel is ch
 
 
 class TestGeneralRegion:

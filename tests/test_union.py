@@ -35,7 +35,7 @@ from tinopt import (
     max_weighted_gdof,
     polyhedral_region,
 )
-from tinopt import region
+from tinopt import potential_graph, region
 from tinopt.region import K_MAX_UNION, EmptyPolyhedronError, max_subset_sum, poly_contains
 from _oracles import (
     oracle_condition_margins,
@@ -45,6 +45,7 @@ from _oracles import (
     oracle_poly_contains_rows,
     oracle_support_value,
     oracle_union_flags,
+    oracle_union_pairwise,
     random_channel,
 )
 
@@ -158,10 +159,111 @@ class TestUnionFlags:
         def no_work(*args, **kwargs):
             raise AssertionError("a region was built")
 
-        monkeypatch.setattr(region, "polyhedral_region", no_work)
+        # the per-region constructor and every stacked kernel of the build and the scan
+        for name in ("polyhedral_region", "_union_tables", "_subgraph_duals", "_support_tables",
+                     "_first_containers"):
+            monkeypatch.setattr(region, name, no_work)
+        for name in ("_floyd_warshall", "_settled", "_members"):
+            monkeypatch.setattr(potential_graph, name, no_work)
         ch = ChannelMatrix(np.eye(K_MAX_UNION + 1) * 0.9 + 0.01)
         with pytest.raises(ValueError, match=f"at most {K_MAX_UNION}"):
             general_tin_region(ch)
+
+
+def band_channel(rng: np.random.Generator, K: int, rhs: float) -> np.ndarray:
+    """A design channel under the condition whose 2-cycle of users 0 and 1 has right-hand side
+    ``rhs`` (up to rounding), so that regions holding both users sit at the 1e-9 band."""
+    a = design_channel(rng, max(K, 2), True)[:K, :K]
+    a[0, 1] = a[0, 0] + a[1, 1] - a[1, 0] - rhs
+    return a
+
+
+def stacked_channels(rng: np.random.Generator, K: int) -> list:
+    """Design channels with and without the condition, direct gains of 0 and 5e-13, cross
+    gains up to 2.0 (some regions empty), an all-equal channel (values tie) and 2-cycles
+    inside the 1e-9 band (regions that the stacked plain pass leaves to decide_membership)."""
+    out = [design_channel(rng, K, True), design_channel(rng, K, False),
+           random_channel(rng, K, cross_max=2.0), np.full((K, K), 0.5)]
+    for k, gain in enumerate((0.0, 5e-13)):
+        a = design_channel(rng, K, bool(k))
+        a[k % K, k % K] = gain
+        out.append(a)
+    out += [band_channel(rng, K, rhs) for rhs in (-1.5e-9, -0.6e-9, -0.2e-9, 0.3e-9)]
+    # two zero direct gains that interfere only with each other: a later silent set
+    # holding one of them contains an earlier one's region and is contained back
+    pair = design_channel(rng, K, False)
+    pair[-2:, :] = pair[:, -2:] = 0.0
+    pair[-2, -1] = pair[-1, -2] = 0.5
+    return out + [pair]
+
+
+class TestStackedUnion:
+    """The union builds its regions' tables in stacks and finds each silent set's container in
+    one scan; its flags are the pairwise loop's (``tests/_oracles.oracle_union_pairwise``)."""
+
+    @pytest.mark.parametrize("K", range(2, 10))
+    def test_flags_match_the_pairwise_loop(self, K, monkeypatch):
+        rng = np.random.default_rng(3800 + K)
+        channels = stacked_channels(rng, K)
+        if K >= 8:
+            channels = channels[1:8:2] + channels[-3:]  # the K=9 pairwise loop takes 0.4 s each
+        decided = []
+        decide = potential_graph.decide_membership
+        monkeypatch.setattr(potential_graph, "decide_membership",
+                            lambda graph: decided.append(graph) or decide(graph))
+        empty = 0
+        for alpha in channels:
+            comps = general_tin_region(ChannelMatrix(alpha))
+            flags = [[sorted(c.silent), None if c.subsumed_by is None else sorted(c.subsumed_by)]
+                     for c in comps]
+            assert flags == oracle_union_pairwise(alpha), alpha.tolist()
+            empty += sum(c.polyhedron._paths is None for c in comps)
+        assert empty > 0
+        assert decided  # the band channels' regions went to decide_membership
+
+    @pytest.mark.parametrize("values", [1, 1 << 7])
+    def test_flags_kept_in_small_stacks(self, values, monkeypatch):
+        # stacks cut into chunks of one region or silent set, or of a few (K=11 cuts its
+        # own at 2^18 values), and candidate columns scanned in several chunks
+        monkeypatch.setattr(region, "STACK_VALUES", values)
+        rng = np.random.default_rng(3810 + values)
+        for K in (5, 7):
+            for alpha in stacked_channels(rng, K)[1:7]:
+                assert union_flags(alpha) == oracle_union_pairwise(alpha), alpha.tolist()
+
+    def test_components_come_back_with_their_tables(self, monkeypatch):
+        rng = np.random.default_rng(381)
+        zero = design_channel(rng, 4, False)
+        zero[2, 2] = 0.0
+        unions = []
+        for alpha in (design_channel(rng, 5, False), random_channel(rng, 4, cross_max=2.0), zero):
+            ch = ChannelMatrix(alpha)
+            comps = general_tin_region(ch)
+            for comp in comps:
+                fresh = polyhedral_region(ch, comp.silent)
+                got = comp.polyhedron.__dict__
+                if fresh._paths is None:
+                    assert got["_paths"] is None
+                else:
+                    assert got["_paths"].tobytes() == fresh._paths.tobytes()
+                    assert got["_paths"].shape == fresh._paths.shape
+                assert got["_support_table"].tobytes() == fresh._support_table.tobytes()
+            unions.append(comps)
+        assert any(c.polyhedron._paths is None for comps in unions for c in comps)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a table was rebuilt")
+
+        for name in ("_shortest_paths", "_support_tables", "decide_membership"):
+            monkeypatch.setattr(region, name, no_work)
+        monkeypatch.setattr(potential_graph, "_floyd_warshall", no_work)
+        for comps in unions:
+            K = comps[0].polyhedron.K
+            for comp in comps:
+                expected = comp.polyhedron._support_table[-1] if comp.polyhedron.active else 0.0
+                assert max_subset_sum(comp.polyhedron, range(K)) == pytest.approx(expected, abs=1e-9)
+                for other in comps:
+                    poly_contains(other.polyhedron, comp.polyhedron)
 
 
 class TestDecisionPath:
