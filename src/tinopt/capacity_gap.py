@@ -15,21 +15,28 @@ m*log2(3K) per length-m cycle, which is the certified gap.
 builder: the users as one ``(K, 1)`` block, then one ``(c, m)`` block per
 cycle length of ``potential_graph.cycle_blocks``, each with its GDoF
 right-hand sides and outer bounds; a user is the m = 1 case of every row
-formula.  Every per-position quantity, rho included, is block arithmetic
-on ``potential_graph._cycle_arcs``, one gather per block of each
-position's direct exponent and its arc from the predecessor (one row per
-power for :func:`gdof_limit_checks`).  A row's kappa sum is numpy's sum of that row,
-as of one cycle; every other sum over positions is added from 0 in
-position order, so each row has the same floats as when computed one
-constraint at a time.  A block's records are made by one ``map`` over its
+formula.  A position's kappa reads only its predecessor, itself and its
+successor, so the builder computes one ``(K, K, K)`` kappa table per
+power and gathers each block's kappa from it in one step; the right-hand
+sides come from ``potential_graph._cycle_arcs``, one gather per block of
+each position's direct exponent and its arc from the predecessor.  The
+per-cycle quantities of :func:`cyclic_quantities` and
+:func:`gdof_limit_checks`, rho included, are block arithmetic on that
+gather (one row per power for :func:`gdof_limit_checks`).  A row's kappa
+sum is numpy's sum of that row, as of one cycle; every other sum over
+positions is added from 0 in position order, so each row has the same
+floats as when computed one constraint at a time.  A :class:`GapReport`
+holds its rows by column, one array per field and block, and builds its
+records only when ``rows`` is first read; its CSV rows are read from the
 columns.  Per-cycle bounds are exported for at most ``K_MAX_EXPORT`` users.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -236,22 +243,40 @@ class OuterBounds:
     cycle_bounds: tuple
 
 
+def _kappa_table(a: np.ndarray, L: float) -> np.ndarray:
+    """``T[p, q, s]``, ``(K, K, K)``: the kappa of a position ``q`` after ``p`` and before ``s``.
+
+    A position's kappa reads only its predecessor, itself and its successor,
+    so one table per power ``L = log2(P)`` holds every cycle's: the
+    operations of :func:`_kappa_terms` on the same operands, with
+    ``mu[p, q]`` the transmitter ``q`` heard at receiver ``p``.
+    """
+    mu = np.logaddexp2(0.0, a * L)
+    return np.logaddexp2(mu[None], (a.diagonal() * L - mu)[:, :, None])
+
+
 def _bound_blocks(ch: FiniteSnrChannel, cycles: list):
     """``(C, rhs, exact, linear)`` per block: sequences, right-hand sides, outer bounds in bits.
 
     Users first, ``log2(1 + SNR_i)`` and ``a_ii log2(P) + 1``; then each
-    block of ``cycles``, ``cycle_blocks(range(K))``, the kappa sum and
+    block of ``cycles``, ``cycle_blocks(range(K))``: its kappa gathered
+    from :func:`_kappa_table` and summed as one cycle's, and
     ``rhs log2(P) + m log2(3)``.  Each block is computed when it is reached.
     """
     L = ch.log2P
-    a_ii = ch.channel.alpha.diagonal()
+    a = ch.channel.alpha
+    a_ii = a.diagonal()
     yield np.arange(ch.K)[:, None], a_ii, np.logaddexp2(0.0, a_ii * L), a_ii * L + 1.0
+    T = _kappa_table(a, L)
     for C in cycles:
-        direct, incoming = _cycle_arcs(ch.channel.alpha, C)
-        rhs = _arcs_rhs(direct, incoming)  # cycle_rhs of the block
-        exact = _kappa_terms(L, direct, incoming)[0].sum(axis=1)  # summed as one cycle's
-        del direct, incoming  # not held across the yield
-        yield C, rhs, exact, rhs * L + C.shape[1] * math.log2(3.0)
+        m = C.shape[1]
+        rhs = _arcs_rhs(*_cycle_arcs(a, C))  # cycle_rhs of the block
+        exact = T[C[:, range(-1, m - 1)], C, C[:, range(1 - m, 1)]].sum(axis=1)
+        yield C, rhs, exact, rhs * L + m * math.log2(3.0)
+
+
+#: A record from an iterable of its fields, as ``_make`` without its length check and frame.
+_rate_bound = functools.partial(tuple.__new__, RateBound)
 
 
 def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:
@@ -264,8 +289,8 @@ def rate_outer_bounds(ch: FiniteSnrChannel) -> OuterBounds:
     bounds = []
     for C, _, exact, linear in _bound_blocks(ch, cycle_blocks(range(ch.K))):
         kind = "user" if C.shape[1] == 1 else "cycle"
-        bounds += map(RateBound._make, zip(itertools.repeat(kind), map(tuple, C.tolist()),
-                                           exact.tolist(), linear.tolist()))
+        bounds += map(_rate_bound, zip(itertools.repeat(kind), zip(*C.T.tolist()),
+                                       exact.tolist(), linear.tolist()))
     return OuterBounds(
         condition_holds=check_tin_condition(ch.channel).overall,
         user_bounds=tuple(bounds[:ch.K]),
@@ -293,28 +318,61 @@ GAP_CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
+#: A record from an iterable of its fields, as ``_make`` without its length check and frame.
+_gap_row = functools.partial(tuple.__new__, ConstraintGap)
+
+
+@dataclass(frozen=True, eq=False)
 class GapReport:
+    """The rows of :func:`gap_certificate`, held by column.
+
+    Per block, ``_columns`` holds the fields of :class:`ConstraintGap` in
+    order: the kind, the block's ``(c, m)`` sequences (the cached
+    ``cycle_blocks`` arrays, shared), one ``(c,)`` array per number and the
+    block's analytic gap.  ``rows`` is built on first read, one record per
+    row.  Two reports are equal when ``K``, ``power``, ``d``, ``r`` and ``rows`` are.
+    """
+
     K: int
     power: float
     d: tuple
     r: PowerExponents
-    rows: tuple
+    _columns: tuple = field(repr=False)
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        """One :class:`ConstraintGap` per user, then per cycle, in canonical order."""
+        rows = []
+        for kind, C, exact, linear, inner, achieved, sigma, empirical, tight in self._columns:
+            rows += map(_gap_row, zip(  # zip of C's columns: its rows as tuples
+                itertools.repeat(kind), zip(*C.T.tolist()), exact.tolist(), linear.tolist(),
+                inner.tolist(), achieved.tolist(), itertools.repeat(sigma), empirical.tolist(),
+                tight.tolist()))
+        return tuple(rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, GapReport):
+            return NotImplemented
+        return (self.K, self.power, self.d, self.r, self.rows) == \
+            (other.K, other.power, other.d, other.r, other.rows)
 
     def csv_rows(self, instance_id: str) -> list:
+        """One dict per row, keyed as :data:`GAP_CSV_HEADER`, read from the columns."""
         out = []
-        for row in self.rows:
-            out.append(
+        for kind, C, exact, _, _, achieved, sigma, empirical, _ in self._columns:
+            out += (
                 {
                     "instance_id": instance_id,
-                    "constraint_type": row.kind,
-                    "users": "|".join(str(u) for u in row.users),
+                    "constraint_type": kind,
+                    "users": "|".join(map(str, users)),
                     "P": self.power,
-                    "analytic_sigma": row.analytic_sigma,
-                    "empirical_sigma": row.empirical_sigma,
-                    "bound_bits": row.outer_exact,
-                    "achieved_bits": row.achieved_bits,
+                    "analytic_sigma": sigma,
+                    "empirical_sigma": gap,
+                    "bound_bits": bound,
+                    "achieved_bits": bits,
                 }
+                for users, bound, bits, gap in zip(
+                    C.tolist(), exact.tolist(), achieved.tolist(), empirical.tolist())
             )
         return out
 
@@ -352,7 +410,7 @@ def gap_certificate(ch: FiniteSnrChannel, d) -> GapReport:
     K = ch.K
     rates = tin_rates(ch, cert.r)
     log2K = math.log2(K)
-    rows = []
+    columns = []
     for C, rhs, exact, linear in _bound_blocks(ch, cycles):
         m = C.shape[1]
         kind, sigma = ("user", 1.0 + log2K) if m == 1 else ("cycle", m * math.log2(3.0 * K))
@@ -365,8 +423,6 @@ def gap_certificate(ch: FiniteSnrChannel, d) -> GapReport:
                 f"certificate violated on {kind} {tuple(C[bad[0]].tolist())}: "
                 f"{float(empirical[bad[0]])} > {sigma}")
         inner = rhs * ch.log2P - m * log2K
-        rows += map(ConstraintGap._make, zip(  # one record per row, built by column
-            itertools.repeat(kind), map(tuple, C.tolist()), exact.tolist(), linear.tolist(),
-            inner.tolist(), achieved.tolist(), itertools.repeat(sigma), empirical.tolist(),
-            tight.tolist()))
-    return GapReport(K=K, power=ch.power, d=tuple(float(x) for x in dv), r=cert.r, rows=tuple(rows))
+        columns.append((kind, C, exact, linear, inner, achieved, sigma, empirical, tight))
+    return GapReport(K=K, power=ch.power, d=tuple(float(x) for x in dv), r=cert.r,
+                     _columns=tuple(columns))

@@ -276,6 +276,29 @@ def oracle_cycle_kappa(alpha: np.ndarray, power: float, seq) -> tuple:
     return float(kappa.sum()), float(oracle_cycle_rhs(alpha, seq) * L + m * math.log2(3.0))
 
 
+def oracle_bound_blocks(ch, cycles: list):
+    """``(C, rhs, exact, linear)`` per block: sequences, right-hand sides, outer bounds in bits.
+
+    ``capacity_gap._bound_blocks`` before the kappa table, kept as it was:
+    each block's kappa from ``_kappa_terms`` on its own arc gather.  Users
+    first, ``log2(1 + SNR_i)`` and ``a_ii log2(P) + 1``; then each block of
+    ``cycles``, ``cycle_blocks(range(K))``, the kappa sum and
+    ``rhs log2(P) + m log2(3)``.  Each block is computed when it is reached.
+    """
+    from tinopt.capacity_gap import _kappa_terms
+    from tinopt.potential_graph import _arcs_rhs, _cycle_arcs
+
+    L = ch.log2P
+    a_ii = ch.channel.alpha.diagonal()
+    yield np.arange(ch.K)[:, None], a_ii, np.logaddexp2(0.0, a_ii * L), a_ii * L + 1.0
+    for C in cycles:
+        direct, incoming = _cycle_arcs(ch.channel.alpha, C)
+        rhs = _arcs_rhs(direct, incoming)  # cycle_rhs of the block
+        exact = _kappa_terms(L, direct, incoming)[0].sum(axis=1)  # summed as one cycle's
+        del direct, incoming  # not held across the yield
+        yield C, rhs, exact, rhs * L + C.shape[1] * math.log2(3.0)
+
+
 def oracle_gap_rows(alpha: np.ndarray, power: float, d, r, outer: list,
                     slack: float = 1e-6) -> list:
     """Every gap-certificate row as a plain tuple, one user or cycle at a time.
@@ -745,6 +768,21 @@ def random_channel(rng: np.random.Generator, K: int, cross_max: float = 1.2) -> 
     a = rng.uniform(0.0, cross_max, size=(K, K))
     diag = rng.uniform(0.3, 1.5, size=K)
     np.fill_diagonal(a, diag)
+    return a
+
+
+def design_channel(rng: np.random.Generator, K: int, condition: bool) -> np.ndarray:
+    """Cross gains in [0, 0.7); direct gains that meet, or miss, the optimality condition."""
+    a = rng.uniform(0.0, 0.7, (K, K))
+    np.fill_diagonal(a, 0.0)
+    need = a.max(axis=0) + a.max(axis=1)
+    if condition:
+        np.fill_diagonal(a, need + rng.uniform(0.05, 0.5, K))
+    else:
+        np.fill_diagonal(a, rng.uniform(0.5, 1.5, K))
+        if min(oracle_condition_margins(a)) >= 0.0:
+            u = int(rng.integers(K))
+            a[u, u] = need[u] * rng.uniform(0.5, 0.95)
     return a
 
 

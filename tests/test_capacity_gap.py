@@ -30,6 +30,8 @@ from tinopt.capacity_gap import GAP_CSV_HEADER, ConstraintGap, RateBound
 from tinopt.cli import main
 from conftest import EX2_ALPHA, symmetric_two_user
 from _oracles import (
+    design_channel,
+    oracle_bound_blocks,
     oracle_cycle_kappa,
     oracle_cycles,
     oracle_gap_rows,
@@ -434,6 +436,28 @@ class TestCycleSystem:
             assert all(name.split(".")[-1] != "region" for name in names), ast.dump(node)
 
 
+class TestKappaTable:
+    """The block builder reads each cycle's kappa from one table per power."""
+
+    @pytest.mark.parametrize("K, powers", [(K, (2.0, 1e2, 1e8, 1e300)) for K in range(2, 9)]
+                             + [(9, (1e4,))])
+    def test_blocks_bit_equal_to_the_per_block_builder(self, K, powers):
+        rng = np.random.default_rng(900 + K)
+        cycles = potential_graph.cycle_blocks(range(K))
+        channels = [design_channel(rng, K, True), design_channel(rng, K, False),
+                    np.diag(rng.uniform(0.3, 1.5, K)),  # zero cross gains
+                    np.full((K, K), rng.uniform(0.3, 1.5))]  # all equal
+        for alpha in channels:
+            for P in powers:
+                fch = FiniteSnrChannel(ChannelMatrix(alpha), P)
+                got = list(capacity_gap._bound_blocks(fch, cycles))
+                want = list(oracle_bound_blocks(fch, cycles))
+                assert len(got) == len(want) == K  # the users, then one block per length
+                for block, old in zip(got, want):
+                    assert [(x.dtype, x.shape, x.tobytes()) for x in block] == \
+                        [(x.dtype, x.shape, x.tobytes()) for x in old], (alpha, P)
+
+
 class TestGdofLimitsFixtures:
     """``gdof-limits`` on a channel that fails the condition (the committed limits files are
     compared in ``tests/test_cli.py``)."""
@@ -517,9 +541,9 @@ class TestGapCertificate:
 
     def test_refusals_and_verdicts_come_before_any_bound(self, ex2, monkeypatch):
         calls = []
-        kappa_terms = capacity_gap._kappa_terms
-        monkeypatch.setattr(capacity_gap, "_kappa_terms",
-                            lambda *a: calls.append(a) or kappa_terms(*a))
+        kappa_table = capacity_gap._kappa_table
+        monkeypatch.setattr(capacity_gap, "_kappa_table",
+                            lambda *a: calls.append(a) or kappa_table(*a))
         inside = FiniteSnrChannel(symmetric_two_user(0.3), 100.0)
         cases = [
             (FiniteSnrChannel(ex2, 100.0), [0.1, 0.1, 0.1], capacity_gap.ConditionNotMetError),
@@ -533,7 +557,7 @@ class TestGapCertificate:
             assert type(caught.value) is error
         assert calls == []
         gap_certificate(inside, [0.5, 0.5])
-        assert len(calls) == 1  # the one cycle block, once the point is decided
+        assert len(calls) == 1  # the power's one table, once the point is decided
 
     def test_violated_certificate_names_the_first_tight_row(self, monkeypatch):
         # with no rate achieved, every tight row's empirical gap is its whole outer bound
@@ -551,6 +575,54 @@ class TestGapCertificate:
                 f"certificate violated on {first.kind} {first.users}: "
                 f"{first.outer_exact} > {first.analytic_sigma}")):
             gap_certificate(fch, d)
+
+    def test_rows_built_on_first_read_and_once(self, monkeypatch):
+        rng = np.random.default_rng(109)
+        K, P = 5, 1e4
+        alpha = random_condition_channel(rng, K)
+        _, d = max_weighted_gdof(polyhedral_region(ChannelMatrix(alpha)), rng.uniform(0.2, 1.0, K))
+        fch = FiniteSnrChannel(ChannelMatrix(alpha), P)
+        made = []
+        make = capacity_gap._gap_row
+        monkeypatch.setattr(capacity_gap, "_gap_row", lambda fields: made.append(1) or make(fields))
+
+        def no_record(*args, **kwargs):
+            raise AssertionError("ConstraintGap made outside the row view")
+
+        monkeypatch.setattr(ConstraintGap, "__new__", no_record)
+        monkeypatch.setattr(ConstraintGap, "_make", no_record)
+        report = gap_certificate(fch, d)
+        assert made == [] and "rows" not in vars(report)
+        rows = report.rows
+        assert len(made) == len(rows) and all(type(r) is ConstraintGap for r in rows)
+        assert report.rows is rows and len(made) == len(rows)  # cached: read again, none made
+        outer = [oracle_user_bound(alpha, P, i) for i in range(K)] + [
+            oracle_cycle_kappa(alpha, P, seq) for seq in oracle_cycles(range(K))]
+        r = list(report.r.values)
+        assert [tuple(row) for row in rows] == oracle_gap_rows(alpha, P, d, r, outer)
+        # the verdict is still the call's: no rate achieved, so a tight row is violated
+        monkeypatch.setattr(capacity_gap, "tin_rates", lambda ch, r: np.zeros(ch.K))
+        with pytest.raises(capacity_gap.CertificateViolatedError):
+            gap_certificate(fch, d)
+        assert len(made) == len(rows)
+
+    def test_csv_rows_read_the_columns(self):
+        rng = np.random.default_rng(113)
+        alpha = ChannelMatrix(random_condition_channel(rng, 4))
+        report = gap_certificate(FiniteSnrChannel(alpha, 1e4), 0.3 * np.diag(alpha.alpha))
+        got = report.csv_rows("inst")
+        assert "rows" not in vars(report)  # the writer builds no row view
+        want = [{"instance_id": "inst", "constraint_type": r.kind,
+                 "users": "|".join(str(u) for u in r.users), "P": report.power,
+                 "analytic_sigma": r.analytic_sigma, "empirical_sigma": r.empirical_sigma,
+                 "bound_bits": r.outer_exact, "achieved_bits": r.achieved_bits}
+                for r in report.rows]
+        assert [[(k, type(v), v) for k, v in row.items()] for row in got] == \
+            [[(k, type(v), v) for k, v in row.items()] for row in want]
+        # reports compare by their fields and rows, as when the rows were a field
+        assert report == gap_certificate(FiniteSnrChannel(alpha, 1e4), 0.3 * np.diag(alpha.alpha))
+        assert report != gap_certificate(FiniteSnrChannel(alpha, 1e2), 0.3 * np.diag(alpha.alpha))
+        assert report != report.rows
 
     def test_csv_rows_shape(self):
         alpha = symmetric_two_user(0.2)

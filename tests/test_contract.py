@@ -9,6 +9,7 @@ another is expected (a float for a ``Polyhedron``) is out of scope.
 """
 
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -122,7 +123,9 @@ def _corrupt(value, junk, data):
     return out
 
 
-@settings(max_examples=600, deadline=None, derandomize=True)
+#: The slowest of the 600 examples took 2.2 ms, draws and garbage collection included (2-core
+#: VM, Python 3.11): 100 ms is 45 times that, so only a call that runs on past the others fails.
+@settings(max_examples=600, deadline=timedelta(milliseconds=100), derandomize=True)
 @given(name=st.sampled_from(sorted(_calls(1))), K=st.integers(1, 4), junk=JUNK, data=st.data())
 def test_malformed_input_raises_a_documented_error(name, K, junk, data):
     call, args = _calls(K)[name]

@@ -38,7 +38,7 @@ from tinopt import (
 from tinopt import potential_graph, region
 from tinopt.region import K_MAX_UNION, EmptyPolyhedronError, max_subset_sum, poly_contains
 from _oracles import (
-    oracle_condition_margins,
+    design_channel,
     oracle_cycle_lp,
     oracle_cycle_rhs,
     oracle_cycles,
@@ -52,21 +52,6 @@ from _oracles import (
 FIXTURE = Path(__file__).parent / "data" / "union_flags.json"
 
 EX2 = [[1.0, 0.1, 0.0], [0.0, 1.0, 0.6], [0.9, 0.0, 1.0]]
-
-
-def design_channel(rng: np.random.Generator, K: int, condition: bool) -> np.ndarray:
-    """Cross gains in [0, 0.7); direct gains that meet, or miss, the optimality condition."""
-    a = rng.uniform(0.0, 0.7, (K, K))
-    np.fill_diagonal(a, 0.0)
-    need = a.max(axis=0) + a.max(axis=1)
-    if condition:
-        np.fill_diagonal(a, need + rng.uniform(0.05, 0.5, K))
-    else:
-        np.fill_diagonal(a, rng.uniform(0.5, 1.5, K))
-        if min(oracle_condition_margins(a)) >= 0.0:
-            u = int(rng.integers(K))
-            a[u, u] = need[u] * rng.uniform(0.5, 0.95)
-    return a
 
 
 def fixture_channels() -> list:
