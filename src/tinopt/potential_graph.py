@@ -19,8 +19,8 @@ are Bellman-Ford from ground (:func:`_bellman_ford`) for membership,
 Floyd-Warshall (:func:`_shortest_paths`) for a region's dual, the path
 lengths between users behind every support value, and Karp's minimum
 cycle mean (:func:`_max_level`) for the largest level ``t * 1`` in a region.
-The union reads the first two for many regions at once
-(:func:`_subgraph_duals`): a stack of their graphs, cut from one graph.
+The first two also run on a stack of graphs cut from one graph, each
+graph to the bit as alone: the union's regions (:func:`_subgraph_duals`).
 
 Cycle inequalities are kept in a canonical order (cycle size, then
 lexicographic on the canonical rotation) so that serialized regions are
@@ -310,6 +310,18 @@ def _certificate_from_cycle(graph: PotentialGraph, cycle: list) -> MembershipCer
     )
 
 
+def _circuit_length(L: np.ndarray, cycle: list) -> float:
+    """A circuit's length in the graph of lengths ``L``, arc by arc in its order."""
+    return sum(L[cycle[k], cycle[(k + 1) % len(cycle)]] for k in range(len(cycle)))
+
+
+def _band(L: np.ndarray, K: int) -> np.ndarray:
+    """A copy of ``L`` (a graph or a stack) with the arcs out of its K users EPS_LENGTH/K longer."""
+    band = L.copy()
+    band[..., :K, :] += EPS_LENGTH / K
+    return band
+
+
 def _extract_cycle(pred: np.ndarray, start: int) -> list | None:
     """Walk predecessor links from ``start``; return a circuit in arc order.
 
@@ -329,29 +341,36 @@ def _extract_cycle(pred: np.ndarray, start: int) -> list | None:
     return loop
 
 
-def _relax(into: np.ndarray, dist: np.ndarray, pred: np.ndarray, cand: np.ndarray,
-           rows: np.ndarray, tol: float | None = None) -> bool:
-    """One Jacobi round in place; True when some node improved.
+def _relax(into: np.ndarray, dist: np.ndarray, heads: np.ndarray, pred: np.ndarray,
+           cand: np.ndarray, rows: np.ndarray, tol: float | None = None):
+    """One Jacobi round in place, on one graph or a stack; True when some node improved.
 
     Every node takes its best in-arc over the old distances:
-    ``cand[v, u] = into[v, u] + dist[u]`` (``into`` is the transposed
-    length table, so ``into[v, u]`` is the arc ``u -> v``), and a node
-    moves only on a strictly smaller candidate, to the lowest source index
-    among equal ones.  ``cand`` is the pass's ``(n, n)`` scratch buffer and
-    ``rows`` its flat row offsets.  With ``tol``, the round first tests the
-    slacks ``dist - best`` it has just computed: when every one is at most
-    ``tol`` it moves no node and returns False, else it is applied as usual
-    (and moves some node, since ``tol >= 0``).
+    ``cand[..., v, u] = into[..., v, u] + heads[..., 0, u]`` (``into`` is
+    the transposed length table, ``(n, n)`` or ``(G, n, n)``, and ``heads``
+    the view ``dist[..., None, :]``), and a node moves only on a strictly
+    smaller candidate, to the lowest source index among equal ones.
+    ``cand`` is the pass's scratch buffer and ``rows`` its flat row
+    offsets.  With ``tol``, only the graphs with some slack ``dist - best``
+    above ``tol`` move (each moves a node, since ``tol >= 0``), and the
+    round returns which those are: a numpy bool, or a ``(G,)`` mask.
     """
-    np.add(into, dist, out=cand)
-    src = cand.argmin(axis=1)
+    np.add(into, heads, out=cand)
+    src = cand.argmin(axis=-1)
     best = cand.take(rows + src)
-    if tol is not None and (dist - best).max() <= tol:
-        return False
     improved = best < dist
+    if tol is None:
+        moved = bool(np.count_nonzero(improved))
+    else:
+        moved = (dist - best).max(axis=-1) > tol
+        count = np.count_nonzero(moved)
+        if not count:
+            return moved
+        if count < moved.size:  # some graph of a stack is within tol: it stays
+            improved &= moved[..., None]
     np.copyto(dist, best, where=improved)
     np.copyto(pred, src, where=improved)
-    return bool(np.count_nonzero(improved))
+    return moved
 
 
 def _slack(into: np.ndarray, dist: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -361,29 +380,35 @@ def _slack(into: np.ndarray, dist: np.ndarray, cand: np.ndarray) -> np.ndarray:
 def _bellman_ford(lengths: np.ndarray, ground: int, tol: float) -> tuple:
     """Distances from ground after at most ``n - 1`` rounds, and ``None`` if every slack is <= tol.
 
-    The rounds are Jacobi rounds (see :func:`_relax`) and stop at the
-    first one that moves no node; every slack is then at most 0, since
-    ground's 0-length arcs reach every node in the first round.  Otherwise
-    one more round is swept: it returns at once when every slack is at
-    most ``tol`` and is applied when one is not, and the circuits come
-    lazily from predecessor walks started at every node in order of
-    decreasing slack after it (first index on ties), an order computed on
-    the first ``next()`` (:func:`_circuits`).  Which circuit comes first
-    depends on this exact iteration, so certificates do too.
+    On one ``(n, n)`` table or a ``(G, n, n)`` stack, each graph to the bit
+    as alone.  The Jacobi rounds (:func:`_relax`) stop at the first one
+    that moves no node, when every slack is at most 0 (ground's 0-length
+    arcs reach every node in round 1); else one more round moves the graphs
+    with a slack above ``tol``.  Their circuits come lazily from predecessor
+    walks started at every node in order of decreasing slack after it
+    (first index on ties), that order computed on the first ``next()``
+    (:func:`_circuits`): a generator, or a dict of one per such graph.
+    Which circuit comes first depends on this exact iteration, so
+    certificates do too.
     """
-    n = len(lengths)
-    into = np.ascontiguousarray(lengths.T)
-    cand = np.empty((n, n))
-    rows = np.arange(0, n * n, n)
-    dist = np.full(n, np.inf)
-    dist[ground] = 0.0
-    pred = np.full(n, -1, dtype=np.intp)
+    into = np.ascontiguousarray(lengths.swapaxes(-1, -2))
+    n = into.shape[-1]
+    cand = np.empty(into.shape)
+    dist = np.empty(into.shape[:-1])
+    dist.fill(np.inf)
+    dist[..., ground] = 0.0
+    heads = dist[..., None, :]
+    pred = np.empty(dist.shape, dtype=np.intp)
+    pred.fill(-1)
+    rows = np.arange(0, cand.size, n).reshape(dist.shape)
     for _ in range(n - 1):
-        if not _relax(into, dist, pred, cand, rows):
+        if not _relax(into, dist, heads, pred, cand, rows):
             return dist, None
-    if not _relax(into, dist, pred, cand, rows, tol):
-        return dist, None
-    return dist, _circuits(into, dist, pred, cand)
+    moved = _relax(into, dist, heads, pred, cand, rows, tol)
+    if dist.ndim == 1:
+        return dist, _circuits(into, dist, pred, cand) if moved else None
+    return dist, {g: _circuits(into[g], dist[g], pred[g], cand[g])
+                  for g in np.flatnonzero(moved).tolist()} or None
 
 
 def _circuits(into: np.ndarray, dist: np.ndarray, pred: np.ndarray, cand: np.ndarray):
@@ -443,7 +468,7 @@ def _floyd_warshall(D: np.ndarray, H: np.ndarray | None = None) -> None:
 
 
 def _subgraph_duals(graph: PotentialGraph, users: np.ndarray) -> tuple:
-    """Per row of ``users`` ``(G, n)``: the verdict on its users' graph, and members' paths.
+    """Per increasing row of ``users`` ``(G, n)``: its graph's verdict and, for members, paths.
 
     Each row's graph is ``graph``'s over those users and ground, entry for
     entry the graph of the sub-channel at the same targets: one
@@ -457,7 +482,7 @@ def _subgraph_duals(graph: PotentialGraph, users: np.ndarray) -> tuple:
     nodes[:n] = users.T
     nodes[n] = graph.ground
     D = graph.lengths[nodes[:, None], nodes]
-    member = _members(graph, nodes, D)
+    member = _members(graph, nodes.T, D.transpose(2, 0, 1))
     if not member.all():
         D = D[..., member]
     _floyd_warshall(D)
@@ -465,52 +490,29 @@ def _subgraph_duals(graph: PotentialGraph, users: np.ndarray) -> tuple:
 
 
 def _members(graph: PotentialGraph, nodes: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """:func:`decide_membership`'s verdict on each graph ``L[..., g]``, ``graph`` over the
-    nodes ``nodes[:, g]``.
+    """:func:`decide_membership`'s verdict on each graph ``L[g]`` of a ``(G, n, n)`` stack,
+    ``graph`` over the increasing nodes ``nodes[g]``, ground last.
 
-    One stacked plain pass (:func:`_settled`) accepts every graph whose
-    Bellman-Ford from ground settles; each graph it leaves goes to
-    :func:`decide_membership` on its own, which reads its circuits and, if
-    need be, runs the band pass.
+    Its tests in its order, each pass one :func:`_bellman_ford` over the
+    stack: the plain pass and its circuits, then the band pass over the
+    graphs left and their certificates, in ``graph``'s indices (the same
+    sums, as the nodes keep their order).
     """
-    member = _settled(L, 0.5 * EPS_LENGTH)
-    for g in np.flatnonzero(~member):
-        users = nodes[:-1, g]
-        a = graph.alpha.alpha[np.ix_(users, users)]
-        d = graph.d[users]
-        lengths = L[..., g].copy()
-        for x in (a, d, lengths):
-            x.setflags(write=False)
-        sub = PotentialGraph(alpha=ChannelMatrix._of_checked(a), d=d, lengths=lengths)
-        member[g] = decide_membership(sub).feasible
+    K = L.shape[-1] - 1
+    member = np.ones(len(L), dtype=bool)
+    _, circuits = _bellman_ford(L, K, 0.5 * EPS_LENGTH)
+    left = []
+    for g, walks in (circuits or {}).items():
+        if any(_circuit_length(L[g], c) < -EPS_LENGTH for c in walks):
+            member[g] = False
+        else:
+            left.append(g)
+    _, circuits = _bellman_ford(_band(L[left], K), K, 0.5 * (EPS_LENGTH / K))
+    for k, walks in (circuits or {}).items():
+        at = nodes[left[k]]
+        member[left[k]] = not any(_certificate_from_cycle(graph, at[c].tolist()).margin < 0
+                                  for c in walks)
     return member
-
-
-def _settled(L: np.ndarray, tol: float) -> np.ndarray:
-    """Per graph of an ``(n, n, G)`` stack of length tables, ground last: does
-    :func:`_bellman_ford` find no circuit?
-
-    The plain pass's Jacobi rounds on the whole stack at once: every node
-    takes its best in-arc over the old distances when it is strictly
-    smaller, ``n - 1`` rounds, then one more sweep whose slacks must all be
-    at most ``tol``.  A graph whose rounds stop moving earlier keeps its
-    distances, and its slacks are then at most 0.  So each graph's
-    distances and verdict are those of its own pass, up to the sign of a
-    zero distance, which no comparison sees.
-    """
-    n = len(L)
-    cand = np.empty_like(L)
-    dist = np.full(L.shape[1:], np.inf)  # dist[v, g]
-    dist[-1] = 0.0
-    for _ in range(n - 1):
-        best = np.add(L, dist[:, None], out=cand).min(axis=0)
-        improved = best < dist
-        if not improved.any():
-            break
-        np.copyto(dist, best, where=improved)
-    else:
-        best = np.add(L, dist[:, None], out=cand).min(axis=0)
-    return (dist - best).max(axis=0) <= tol
 
 
 def _max_level(channel: ChannelMatrix) -> float:
@@ -575,12 +577,9 @@ def decide_membership(graph: PotentialGraph) -> MembershipCertificate:
         return _feasible(graph, dist)
     L = graph.lengths
     for c in circuits:
-        if sum(L[c[k], c[(k + 1) % len(c)]] for k in range(len(c))) < -EPS_LENGTH:
+        if _circuit_length(L, c) < -EPS_LENGTH:
             return _certificate_from_cycle(graph, c)
-    shift = EPS_LENGTH / graph.K
-    band = L.copy()
-    band[: graph.K] += shift
-    dist, circuits = _bellman_ford(band, graph.ground, 0.5 * shift)
+    dist, circuits = _bellman_ford(_band(L, graph.K), graph.ground, 0.5 * (EPS_LENGTH / graph.K))
     for c in circuits or ():
         cert = _certificate_from_cycle(graph, c)
         if cert.margin < 0:

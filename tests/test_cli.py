@@ -877,6 +877,9 @@ GOLDEN_FILES = [
     ("k7_condition_region_min.json", "region k7_condition.json --minimize", 0),
     # the union past K = 5, where cli_bytes.json's digests stop: 64 components, 17 unflagged
     ("k6_nocond_union.json", "region k6_nocond.json --union", 0),
+    # 2-cycles at the 1e-9 band: users 0 and 1 at rhs -0.6e-9 (decided by the band pass),
+    # users 2 and 3 at -1.5e-9 (by a plain-pass circuit); 64 components, 10 unflagged
+    ("k6_band_union.json", "region k6_band.json --union", 0),
     # neither cycle converges within 0.02 at the default powers: a verdict, exit 1
     ("k6_condition_limits.json", "gdof-limits k6_condition.json --cycle 0,1,2,3,4,5", 1),
     ("k6_condition_limits_31.json", "gdof-limits k6_condition.json --cycle 3,1", 1),

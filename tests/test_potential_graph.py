@@ -295,7 +295,7 @@ class TestStackedKernels:
 
     def test_emptiness_is_decide_membership_verdict_for_verdict(self):
         # channels at the edge of emptiness (entries moved by 1e-10) and 2-cycles inside the
-        # 1e-9 band, whose regions the stacked plain pass leaves to decide_membership
+        # 1e-9 band, whose regions the stacked plain pass leaves open
         rng = np.random.default_rng(3802)
         verdicts = {"settled": 0, "left": set()}
         for trial in range(120):
@@ -310,13 +310,13 @@ class TestStackedKernels:
                 member, _ = potential_graph._subgraph_duals(graph, users)
                 nodes = np.column_stack([users, np.full(len(users), K)])
                 L = graph.lengths[nodes[:, :, None], nodes[:, None]]
-                settled = potential_graph._settled(L.transpose(1, 2, 0), 0.5 * EPS_LENGTH)
+                _, left_open = potential_graph._bellman_ford(L, n, 0.5 * EPS_LENGTH)
                 for g, u in enumerate(users):
                     sub = ChannelMatrix(alpha[np.ix_(u, u)])
                     expected = decide_membership(build_graph(sub, np.zeros(n))).feasible
                     assert member[g] == expected, (alpha.tolist(), u)
                     assert L[g].tobytes() == build_graph(sub, np.zeros(n)).lengths.tobytes()
-                    if settled[g]:
+                    if g not in (left_open or {}):
                         verdicts["settled"] += 1
                         assert expected
                     else:
@@ -700,13 +700,27 @@ class TestJacobiRounds:
 
     @pytest.mark.parametrize("K", [1, 2, 4, 10, 30, 100])
     def test_distances_and_circuits_match_the_oracle(self, K):
-        for _, alpha, d in filter(lambda c: c[0] == K, _oracle_cases()):
-            L = oracle_graph_lengths(alpha, d)
-            for lengths, tol in ((L, 0.5 * EPS_LENGTH), (_band_lengths(L), 0.5 * EPS_LENGTH / K)):
+        plain = [oracle_graph_lengths(alpha, d)
+                 for _, alpha, d in filter(lambda c: c[0] == K, _oracle_cases())]
+        kinds = set()
+        for stack, tol in ((plain, 0.5 * EPS_LENGTH), ([_band_lengths(L) for L in plain],
+                                                       0.5 * EPS_LENGTH / K)):
+            wants = [oracle_jacobi_bellman_ford(lengths, K, tol) for lengths in stack]
+            for lengths, (want_dist, want_circuits) in zip(stack, wants):
                 dist, circuits = _bellman_ford(lengths, K, tol)
-                want_dist, want_circuits = oracle_jacobi_bellman_ford(lengths, K, tol)
-                assert dist.tobytes() == want_dist.tobytes(), (alpha, d)
+                assert dist.tobytes() == want_dist.tobytes(), lengths
                 assert (circuits if circuits is None else list(circuits)) == want_circuits
+            # the pass's graphs as one stack, stack axis first: each graph as it is alone
+            dist, circuits = _bellman_ford(np.stack(stack), K, tol)
+            for g, (lengths, (want_dist, want_circuits)) in enumerate(zip(stack, wants)):
+                assert dist[g].tobytes() == want_dist.tobytes(), lengths
+                walks = (circuits or {}).get(g)
+                assert (walks if walks is None else list(walks)) == want_circuits
+                slack = (want_dist - (want_dist[:, None] + lengths).min(axis=0)).max()
+                kinds.add("circuits" if walks else "settled" if slack <= 0 else "within tol")
+        # graphs that stop moving before the others, graphs that converge at the last sweep
+        # with a slack inside the tolerance (moved, they would change), and graphs with circuits
+        assert kinds == ({"settled", "circuits"} if K == 1 else {"settled", "within tol", "circuits"})
 
     def test_certificates_match_the_oracle(self):
         passes = []

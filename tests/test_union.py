@@ -36,6 +36,7 @@ from tinopt import (
     polyhedral_region,
 )
 from tinopt import potential_graph, region
+from tinopt.potential_graph import EPS_LENGTH
 from tinopt.region import K_MAX_UNION, EmptyPolyhedronError, max_subset_sum, poly_contains
 from _oracles import (
     design_channel,
@@ -148,7 +149,7 @@ class TestUnionFlags:
         for name in ("polyhedral_region", "_union_tables", "_subgraph_duals", "_support_tables",
                      "_first_containers"):
             monkeypatch.setattr(region, name, no_work)
-        for name in ("_floyd_warshall", "_settled", "_members"):
+        for name in ("_floyd_warshall", "_bellman_ford", "_members"):
             monkeypatch.setattr(potential_graph, name, no_work)
         ch = ChannelMatrix(np.eye(K_MAX_UNION + 1) * 0.9 + 0.01)
         with pytest.raises(ValueError, match=f"at most {K_MAX_UNION}"):
@@ -166,7 +167,7 @@ def band_channel(rng: np.random.Generator, K: int, rhs: float) -> np.ndarray:
 def stacked_channels(rng: np.random.Generator, K: int) -> list:
     """Design channels with and without the condition, direct gains of 0 and 5e-13, cross
     gains up to 2.0 (some regions empty), an all-equal channel (values tie) and 2-cycles
-    inside the 1e-9 band (regions that the stacked plain pass leaves to decide_membership)."""
+    inside the 1e-9 band (regions that the stacked plain pass leaves open)."""
     out = [design_channel(rng, K, True), design_channel(rng, K, False),
            random_channel(rng, K, cross_max=2.0), np.full((K, K), 0.5)]
     for k, gain in enumerate((0.0, 5e-13)):
@@ -192,10 +193,16 @@ class TestStackedUnion:
         channels = stacked_channels(rng, K)
         if K >= 8:
             channels = channels[1:8:2] + channels[-3:]  # the K=9 pairwise loop takes 0.4 s each
-        decided = []
-        decide = potential_graph.decide_membership
-        monkeypatch.setattr(potential_graph, "decide_membership",
-                            lambda graph: decided.append(graph) or decide(graph))
+        passes = []  # per stacked pass: plain or band, graphs in, graphs left open
+        bellman_ford = potential_graph._bellman_ford
+
+        def spy(lengths, ground, tol):
+            dist, circuits = bellman_ford(lengths, ground, tol)
+            if lengths.ndim == 3:
+                passes.append((tol == 0.5 * EPS_LENGTH, len(lengths), len(circuits or ())))
+            return dist, circuits
+
+        monkeypatch.setattr(potential_graph, "_bellman_ford", spy)
         empty = 0
         for alpha in channels:
             comps = general_tin_region(ChannelMatrix(alpha))
@@ -204,7 +211,11 @@ class TestStackedUnion:
             assert flags == oracle_union_pairwise(alpha), alpha.tolist()
             empty += sum(c.polyhedron._paths is None for c in comps)
         assert empty > 0
-        assert decided  # the band channels' regions went to decide_membership
+        # the band channels' graphs were left open by the plain pass, and some were decided
+        # from its circuits, the others by the band pass
+        left_open = sum(out for plain, _, out in passes if plain)
+        banded = sum(size for plain, size, _ in passes if not plain)
+        assert 0 < banded < left_open
 
     @pytest.mark.parametrize("values", [1, 1 << 7])
     def test_flags_kept_in_small_stacks(self, values, monkeypatch):
